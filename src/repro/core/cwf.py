@@ -60,6 +60,7 @@ from repro.core.ecc import FaultInjector
 from repro.memsys.base import MemorySystem, MemorySystemStats
 from repro.dram.power import ChipActivity
 from repro.util.events import EventQueue
+from repro.util.sums import left_sum
 
 # A DDR3 part used as the critical-word store in the DL configuration:
 # x9 (8 data bits + parity), close-page, auto-precharge style operation.
@@ -431,7 +432,7 @@ class CriticalWordMemory(MemorySystem):
 
     def bus_utilization(self, elapsed_cycles: int) -> float:
         chans = self.bulk_channels
-        return sum(c.utilization(elapsed_cycles) for c in chans) / len(chans)
+        return left_sum(c.utilization(elapsed_cycles) for c in chans) / len(chans)
 
     def chip_activities(self, elapsed_cycles: int) -> Dict[str, List[ChipActivity]]:
         self.finalize()

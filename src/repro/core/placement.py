@@ -31,6 +31,7 @@ from repro.dram.request import (
 from repro.dram.timing import TimingSet
 from repro.memsys.base import MemorySystem, MemorySystemStats
 from repro.util.events import EventQueue
+from repro.util.sums import left_sum
 
 PAGE_LINES = 64  # 4 KB pages
 
@@ -198,7 +199,7 @@ class PagePlacementMemory(MemorySystem):
 
     def bus_utilization(self, elapsed_cycles: int) -> float:
         chans = self.lpddr_channels + [self.rldram_channel]
-        return sum(c.utilization(elapsed_cycles) for c in chans) / len(chans)
+        return left_sum(c.utilization(elapsed_cycles) for c in chans) / len(chans)
 
     def chip_activities(self, elapsed_cycles: int) -> Dict[str, List[ChipActivity]]:
         self.finalize()

@@ -10,7 +10,7 @@ memory on dirty eviction (paper Sec 4.2.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.dram.request import LINE_BYTES
 
@@ -43,8 +43,8 @@ L2_CONFIG = CacheConfig(name="L2", size_bytes=4 * 1024 * 1024,
 class CacheLine:
     """Tag-store entry.
 
-    Slotted: one is allocated per resident line (hundreds of thousands
-    during L2 prewarm) and probed on every access.
+    Slotted: one is allocated per resident line of every set a run
+    touches, and probed on every access.
     """
 
     __slots__ = ("line_address", "dirty", "critical_word")
@@ -76,11 +76,42 @@ class EvictedLine:
                 f"dirty={self.dirty}, critical_word={self.critical_word})")
 
 
+class _SetTable(dict):
+    """Set index -> that set's recency-ordered ``{line: CacheLine}``.
+
+    Sets are built on first probe (``__missing__``): empty, or copied
+    from the warm ``image`` — one tuple of ``(line, dirty,
+    critical_word)`` triples per set, LRU first. The image is shared
+    and never mutated, so a cache loaded from it costs nothing up front
+    and allocates lines only in the sets a run touches.
+    """
+
+    __slots__ = ("image",)
+
+    def __init__(self, image: Optional[Tuple[tuple, ...]] = None) -> None:
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, index: int) -> Dict[int, CacheLine]:
+        entries = self.image[index] if self.image is not None else ()
+        s = self[index] = {line: CacheLine(line, dirty, word)
+                           for line, dirty, word in entries}
+        return s
+
+    def occupancy(self) -> int:
+        built = sum(len(s) for s in self.values())
+        if self.image is None:
+            return built
+        return built + sum(len(entries) for index, entries
+                           in enumerate(self.image) if index not in self)
+
+
 class Cache:
     """One set-associative LRU cache level.
 
     Sets are dicts ordered by recency (Python dicts preserve insertion
-    order; re-inserting moves a key to MRU position).
+    order; re-inserting moves a key to MRU position), created on first
+    probe; see :class:`_SetTable` and :meth:`load_image`.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -90,16 +121,30 @@ class Cache:
         # probe and fill, so both are resolved once here.
         self._num_sets = config.num_sets
         self._assoc = config.associativity
-        self._sets: list[Dict[int, CacheLine]] = [
-            {} for _ in range(self._num_sets)
-        ]
+        self._sets = _SetTable()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.dirty_evictions = 0
 
-    def _set_index(self, line_address: int) -> int:
-        return line_address % self._num_sets
+    def load_image(self, image: Tuple[tuple, ...], evictions: int = 0,
+                   dirty_evictions: int = 0) -> None:
+        """Start an untouched cache from a warm per-set ``image``.
+
+        ``image`` holds one tuple of ``(line, dirty, critical_word)``
+        triples per set, LRU first; ``evictions`` and
+        ``dirty_evictions`` are what filling it cost. Each set is copied
+        out of the image the first time it is probed.
+        """
+        if len(image) != self._num_sets:
+            raise ValueError(f"{self.config.name}: image has {len(image)} "
+                             f"sets, cache has {self._num_sets}")
+        if self.occupancy():
+            raise ValueError(f"{self.config.name}: load_image needs an "
+                             f"empty cache")
+        self._sets = _SetTable(image)
+        self.evictions += evictions
+        self.dirty_evictions += dirty_evictions
 
     def lookup(self, line_address: int, touch: bool = True) -> Optional[CacheLine]:
         """Probe; returns the line and updates LRU on hit."""
@@ -151,4 +196,4 @@ class Cache:
         return self.hits / total if total else 0.0
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return self._sets.occupancy()

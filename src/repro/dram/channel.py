@@ -21,6 +21,7 @@ from typing import Dict, Optional
 
 from repro.dram.request import RequestKind
 from repro.dram.timing import TimingSet
+from repro.util.sums import left_sum
 
 
 class BusStats:
@@ -181,7 +182,8 @@ class Channel:
         """Mean data-bus utilisation across sub-channels."""
         if not self.data_buses:
             return 0.0
-        return sum(b.utilization(elapsed) for b in self.data_buses) / len(self.data_buses)
+        return (left_sum(b.utilization(elapsed) for b in self.data_buses)
+                / len(self.data_buses))
 
     def export_telemetry(self, registry, namespace: str,
                          elapsed_cycles: int) -> None:

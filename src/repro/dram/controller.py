@@ -103,7 +103,6 @@ class ControllerStats:
     __slots__ = (
         "reads_done", "writes_done", "sum_queue_latency",
         "sum_core_latency", "sum_total_latency", "sum_critical_latency",
-        "read_queue_occupancy_samples", "sum_read_queue_occupancy",
         "refreshes", "prefetches_done",
     )
 
@@ -114,8 +113,6 @@ class ControllerStats:
         self.sum_core_latency = 0
         self.sum_total_latency = 0
         self.sum_critical_latency = 0
-        self.read_queue_occupancy_samples = 0
-        self.sum_read_queue_occupancy = 0
         self.refreshes = 0
         self.prefetches_done = 0
 
@@ -377,12 +374,8 @@ class MemoryController:
         elif write_depth >= self._high_wm:
             self._draining_writes = True
 
-        occupancy = len(self.read_queue)
-        stats = self.stats
-        stats.read_queue_occupancy_samples += 1
-        stats.sum_read_queue_occupancy += occupancy
         if self._telemetry:
-            self._h_occupancy.observe(occupancy)
+            self._h_occupancy.observe(len(self.read_queue))
 
         # First slot unrolled: most channels have one command slot per
         # bus cycle, and the loop stops at the first idle slot anyway.
@@ -465,23 +458,9 @@ class MemoryController:
     # Issue logic
     # ------------------------------------------------------------------
 
-    def _active_queue(self) -> List[MemoryRequest]:
-        if self._draining_writes:
-            return self.write_queue
-        if self.read_queue:
-            return self.read_queue
-        return self.write_queue
-
-    def _update_drain_mode(self) -> None:
-        # Kept as a method for tests; _tick inlines the same logic.
-        if self._draining_writes:
-            if len(self.write_queue) <= self._low_wm:
-                self._draining_writes = False
-        elif len(self.write_queue) >= self._high_wm:
-            self._draining_writes = True
-
     def _issue_one(self, now: int) -> bool:
-        # _active_queue, inlined (this runs once or twice per tick).
+        # Drain mode serves writes; otherwise reads, falling back to
+        # writes when no read is queued.
         if self._draining_writes:
             queue = self.write_queue
         elif self.read_queue:
@@ -748,20 +727,6 @@ class MemoryController:
         if best.is_read:
             self._queue_version += 1
         return True
-
-    def _access_ready(self, now: int, req: MemoryRequest) -> bool:
-        d = req.decoded
-        rank = self.ranks[d.rank]
-        if now < rank.wake_time or now < rank.next_act_allowed:
-            return False
-        bank = rank.banks[d.bank]
-        if not bank.can_access(now):
-            return False
-        t_data = now + (self._t_rl if req.is_read else self._t_wl)
-        bus = self._rank_bus[d.rank]
-        if bus.earliest_start(t_data, req.kind, d.rank) != t_data:
-            return False
-        return self._cmd_earliest(now) == now
 
     # --- completion ------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro.dram.device import DRAMKind
 from repro.dram.power import default_power_model
 from repro.memsys.base import MemorySystem
 from repro.sim.system import SimResult
+from repro.util.sums import left_sum
 
 BASELINE_DRAM_SYSTEM_FRACTION = 0.25
 CPU_STATIC_FRACTION = 1.0 / 3.0
@@ -99,7 +100,7 @@ def memory_power_report(memory: MemorySystem, elapsed_cycles: int,
         family = key.split(":")[-1]
         model = default_power_model(DRAMKind(family),
                                     server_adapted=server_adapted_lpdram)
-        out[key] = sum(model.compute(a).total_mw for a in chips)
+        out[key] = left_sum(model.compute(a).total_mw for a in chips)
     return out
 
 

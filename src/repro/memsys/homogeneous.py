@@ -19,6 +19,7 @@ from repro.dram.request import LINE_BYTES, MemoryRequest, RequestKind
 from repro.dram.timing import TimingSet
 from repro.memsys.base import MemorySystem, MemorySystemStats
 from repro.util.events import EventQueue
+from repro.util.sums import left_sum
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ class HomogeneousMemory(MemorySystem):
     def bus_utilization(self, elapsed_cycles: int) -> float:
         if not self.channels:
             return 0.0
-        return sum(c.utilization(elapsed_cycles)
-                   for c in self.channels) / len(self.channels)
+        return left_sum(c.utilization(elapsed_cycles)
+                        for c in self.channels) / len(self.channels)
 
     def chip_activities(self, elapsed_cycles: int) -> Dict[str, List[ChipActivity]]:
         """One activity record per chip; all chips of a rank are alike."""

@@ -9,11 +9,12 @@ different memory system).
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
-from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional, Tuple
 from collections import deque
+from itertools import islice
+from typing import Deque, Iterator, List
 
 from repro.cpu.core import TraceRecord
 from repro.dram.request import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
@@ -48,18 +49,22 @@ def preferred_word(line: int, table: List[int]) -> int:
     return table[(h >> 32) % _BUCKETS]
 
 
-@dataclass
-class _Stream:
-    cursor_word: int   # word index within the core's footprint
-    stride: int
-    run_left: int = 0  # accesses before the stream jumps elsewhere
-
-
 class TraceGenerator:
-    """Generates the instruction trace for one core of one benchmark."""
+    """Generates the instruction trace for one core of one benchmark.
+
+    All records come from one loop (:meth:`_generate`) that binds the
+    profile constants and RNG methods once; :meth:`record`,
+    :meth:`records` and :meth:`iter_records` pull from that same loop,
+    so any mix of them sees one continuous, deterministic stream.
+    """
 
     def __init__(self, profile: BenchmarkProfile, core_id: int,
                  seed: int = 42) -> None:
+        if profile.footprint_lines < 1:
+            raise ValueError(f"{profile.name}: footprint_lines must be >= 1")
+        if profile.hot_fraction and min(profile.hot_lines,
+                                        profile.footprint_lines) < 1:
+            raise ValueError(f"{profile.name}: hot_lines must be >= 1")
         self.profile = profile
         self.core_id = core_id
         # zlib.crc32 is stable across processes (unlike hash(), which is
@@ -67,124 +72,129 @@ class TraceGenerator:
         # and for the on-disk result cache to be meaningful.
         key = f"{profile.name}/{core_id}/{seed}".encode()
         self.rng = random.Random(zlib.crc32(key) or 1)
-        self.base = core_id * CORE_ADDRESS_STRIDE
         self.word_table = _word_lookup_table(profile.chase_word_weights)
-        self.footprint_words = profile.footprint_lines * WORDS_PER_LINE
-        self.streams: List[_Stream] = [
-            _Stream(cursor_word=self._random_line_start(),
-                    stride=profile.stream_stride_words,
-                    run_left=self._run_length())
-            for _ in range(max(1, profile.num_streams))
-        ]
-        self._next_stream = 0
-        # Scheduled "second touch" accesses: (records_remaining, address).
-        self._queued: Deque[Tuple[int, int]] = deque()
+        self._stream = self._generate()
 
-    # ------------------------------------------------------------------
+    def _generate(self) -> Iterator[TraceRecord]:
+        """The endless record stream.
 
-    def _random_line_start(self) -> int:
-        line = self.rng.randrange(self.profile.footprint_lines)
-        return line * WORDS_PER_LINE
-
-    def _gap(self) -> int:
-        mean = self.profile.mean_gap
-        if mean <= 0:
-            return 0
-        cap = max(1000, int(6 * mean))
-        return min(cap, int(self.rng.expovariate(1.0 / mean)))
-
-    def _address(self, line: int, word: int) -> int:
-        return self.base + line * LINE_BYTES + word * WORD_BYTES
-
-    # ------------------------------------------------------------------
-
-    def _run_length(self) -> int:
-        """Accesses before a stream jumps (>= 4 so prefetchers can train)."""
-        mean = self.profile.stream_run_lines
-        return max(4, int(self.rng.expovariate(1.0 / mean)))
-
-    def _stream_access(self) -> int:
-        stream = self.streams[self._next_stream]
-        self._next_stream = (self._next_stream + 1) % len(self.streams)
-        word_index = stream.cursor_word
-        stream.cursor_word += stream.stride
-        stream.run_left -= 1
-        if stream.run_left <= 0 or stream.cursor_word >= self.footprint_words:
-            stream.cursor_word = self._random_line_start()
-            stream.run_left = self._run_length()
-        line, word = divmod(word_index, WORDS_PER_LINE)
-        return self._address(line, word)
-
-    def _chase_access(self) -> int:
+        Each record is one access — a due second touch, else a hot,
+        stream or chase access — then its write flag and its gap, in
+        that draw order. ``randrange(n)`` for a positive int ``n`` is
+        exactly ``_randbelow(n)`` and ``expovariate(lambd)`` is
+        ``-log(1 - random()) / lambd``; both are inlined with the same
+        draws and the same float operations.
+        """
         p = self.profile
-        if self.rng.random() < p.chase_popularity:
-            # Page-popularity skew: a small region absorbs a dispro-
-            # portionate share of accesses (Sec 7.1's profiling target).
-            popular = max(1, int(p.footprint_lines * 0.076))
-            line = self.rng.randrange(popular)
-        else:
-            line = self.rng.randrange(p.footprint_lines)
-        if self.rng.random() < p.chase_line_bias:
-            word = preferred_word(line, self.word_table)
-        else:
-            word = self.rng.randrange(WORDS_PER_LINE)
-        if self.rng.random() < p.chase_second_touch:
-            other = (word + 1 + self.rng.randrange(WORDS_PER_LINE - 1)) \
-                % WORDS_PER_LINE
-            delay = 2 + self.rng.randrange(4)
-            self._queued.append((delay, self._address(line, other)))
-        return self._address(line, word)
+        rng = self.rng
+        random_ = rng.random
+        randbelow = getattr(rng, "_randbelow", rng.randrange)
+        log = math.log
+        new_record = tuple.__new__
+        table = self.word_table
+        base = self.core_id * CORE_ADDRESS_STRIDE
+        footprint = p.footprint_lines
+        footprint_words = footprint * WORDS_PER_LINE
+        hot_fraction = p.hot_fraction
+        hot_span = min(p.hot_lines, footprint)
+        stream_fraction = p.stream_fraction
+        stride = p.stream_stride_words
+        run_lambd = 1.0 / p.stream_run_lines
+        chase_popularity = p.chase_popularity
+        popular = max(1, int(footprint * 0.076))
+        chase_line_bias = p.chase_line_bias
+        chase_second_touch = p.chase_second_touch
+        write_fraction = p.write_fraction
+        mean_gap = p.mean_gap
+        gap_lambd = 1.0 / mean_gap if mean_gap > 0 else 0.0
+        gap_cap = max(1000, int(6 * mean_gap))
+        # Streams: word cursor within the footprint, and accesses left
+        # before the stream jumps (>= 4 so prefetchers can train).
+        cursors: List[int] = []
+        runs_left: List[int] = []
+        for _ in range(max(1, p.num_streams)):
+            cursors.append(randbelow(footprint) * WORDS_PER_LINE)
+            runs_left.append(max(4, int(-log(1.0 - random_()) / run_lambd)))
+        num_streams = len(cursors)
+        next_stream = 0
+        # Scheduled "second touch" accesses: [records_remaining, address].
+        queued: Deque[List[int]] = deque()
 
-    def _hot_access(self) -> int:
-        """Hot-region access; lines keep stable preferred words like the
-        chase (criticality regularity holds for hot data too, Fig 3)."""
-        p = self.profile
-        line = self.rng.randrange(min(p.hot_lines, p.footprint_lines))
-        if self.rng.random() < p.chase_line_bias:
-            word = preferred_word(line, self.word_table)
-        else:
-            word = self.rng.randrange(WORDS_PER_LINE)
-        return self._address(line, word)
-
-    # ------------------------------------------------------------------
+        while True:
+            if queued and queued[0][0] <= 0:
+                address = queued.popleft()[1]
+            else:
+                if queued:
+                    queued[0][0] -= 1
+                if hot_fraction and random_() < hot_fraction:
+                    # Hot lines keep stable preferred words like the
+                    # chase (criticality regularity holds for hot data
+                    # too, Fig 3).
+                    line = randbelow(hot_span)
+                    if random_() < chase_line_bias:
+                        word = table[(((line * _HASH_MULT) & _HASH_MASK)
+                                      >> 32) % _BUCKETS]
+                    else:
+                        word = randbelow(WORDS_PER_LINE)
+                    address = base + line * LINE_BYTES + word * WORD_BYTES
+                elif random_() < stream_fraction:
+                    i = next_stream
+                    next_stream = (i + 1) % num_streams
+                    word_index = cursors[i]
+                    cursor = word_index + stride
+                    left = runs_left[i] - 1
+                    if left <= 0 or cursor >= footprint_words:
+                        cursor = randbelow(footprint) * WORDS_PER_LINE
+                        left = max(4, int(-log(1.0 - random_()) / run_lambd))
+                    cursors[i] = cursor
+                    runs_left[i] = left
+                    address = base + word_index * WORD_BYTES
+                else:
+                    if random_() < chase_popularity:
+                        # Page-popularity skew: a small region absorbs a
+                        # disproportionate share of accesses (Sec 7.1's
+                        # profiling target).
+                        line = randbelow(popular)
+                    else:
+                        line = randbelow(footprint)
+                    if random_() < chase_line_bias:
+                        word = table[(((line * _HASH_MULT) & _HASH_MASK)
+                                      >> 32) % _BUCKETS]
+                    else:
+                        word = randbelow(WORDS_PER_LINE)
+                    address = base + line * LINE_BYTES
+                    if random_() < chase_second_touch:
+                        other = (word + 1 + randbelow(WORDS_PER_LINE - 1)) \
+                            % WORDS_PER_LINE
+                        queued.append([2 + randbelow(4),
+                                       address + other * WORD_BYTES])
+                    address += word * WORD_BYTES
+            is_write = random_() < write_fraction
+            if mean_gap > 0:
+                gap = int(-log(1.0 - random_()) / gap_lambd)
+                if gap > gap_cap:
+                    gap = gap_cap
+            else:
+                gap = 0
+            yield new_record(TraceRecord, (gap, is_write, address))
 
     def record(self) -> TraceRecord:
         """Produce the next trace record."""
-        p = self.profile
-        rng = self.rng
-        address: Optional[int] = None
-        # Drain scheduled second touches first when due.
-        if self._queued:
-            remaining, addr = self._queued[0]
-            if remaining <= 0:
-                self._queued.popleft()
-                address = addr
-            else:
-                self._queued[0] = (remaining - 1, addr)
-        if address is None:
-            if p.hot_fraction and rng.random() < p.hot_fraction:
-                address = self._hot_access()
-            elif rng.random() < p.stream_fraction:
-                address = self._stream_access()
-            else:
-                address = self._chase_access()
-        is_write = rng.random() < p.write_fraction
-        return TraceRecord(gap=self._gap(), is_write=is_write,
-                           address=address)
+        return next(self._stream)
 
     def records(self, count: int) -> List[TraceRecord]:
-        return [self.record() for _ in range(count)]
+        """The next ``count`` records, as a list."""
+        return list(islice(self._stream, count))
 
     def iter_records(self, count: int) -> Iterator[TraceRecord]:
-        """Yield ``count`` records lazily.
+        """Yield the next ``count`` records lazily.
 
-        The draw sequence is identical to :meth:`records`: all
-        randomness lives in this generator's private RNG, so pulling
-        records one at a time (interleaved with other cores' pulls)
-        produces byte-identical traces to materializing up front.
+        Same records as :meth:`records`: all randomness lives in this
+        generator's private RNG, so pulling records one at a time
+        (interleaved with other cores' pulls) produces byte-identical
+        traces to materializing up front.
         """
-        for _ in range(count):
-            yield self.record()
+        return islice(self._stream, count)
 
 
 def preferred_word_for_global_line(profile: BenchmarkProfile,

@@ -1,7 +1,11 @@
 """End-to-end simulation harness tests (small but real runs)."""
 
+import dataclasses
+
 import pytest
 
+from repro.sim import system as system_mod
+from repro.sim.checkpoint import Checkpointer, load_checkpoint
 from repro.sim.config import MemoryKind, SimConfig, TABLE1, build_memory
 from repro.sim.system import (
     SimulationSystem,
@@ -85,6 +89,107 @@ class TestPrewarm:
         warm = run_benchmark("stream", small_config(reads=400), warm=True)
         cold = run_benchmark("stream", small_config(reads=400), warm=False)
         assert warm.dram_writes > cold.dram_writes
+
+
+@pytest.fixture()
+def empty_prewarm_memo():
+    """Run with an empty prewarm memo, then put the old entries back.
+
+    The dict is cleared in place: instrumentation may hold a reference
+    to the module-level object.
+    """
+    memo = system_mod._PREWARM_CACHE
+    saved = dict(memo)
+    memo.clear()
+    yield memo
+    memo.clear()
+    memo.update(saved)
+
+
+def _warm_system(profile, config):
+    system = SimulationSystem(config, make_traces(profile, config),
+                              profile=profile)
+    prewarm_l2(system, profile)
+    return system
+
+
+def _l2_sets(l2):
+    """Every set, built, as ``(line, dirty, critical_word)`` in LRU order."""
+    return [[(ln.line_address, ln.dirty, ln.critical_word)
+             for ln in l2._sets[index].values()]
+            for index in range(l2.config.num_sets)]
+
+
+class TestPrewarmMemo:
+    def test_memo_hit_matches_cold_fill(self, empty_prewarm_memo):
+        config = small_config(reads=300)
+        profile = profile_for("omnetpp")
+        cold = _warm_system(profile, config)
+        assert len(empty_prewarm_memo) == 1
+        keys = list(empty_prewarm_memo)
+        hit = _warm_system(profile, config)
+        # A hit must not add or reorder memo entries.
+        assert list(empty_prewarm_memo) == keys
+        # Nothing is built until a run probes it.
+        assert len(cold.uncore.l2._sets) == 0
+        assert len(hit.uncore.l2._sets) == 0
+        a, b = cold.uncore.l2, hit.uncore.l2
+        assert a.evictions == b.evictions > 0
+        assert a.dirty_evictions == b.dirty_evictions > 0
+        assert a.occupancy() == b.occupancy() > 0
+        result_a = dataclasses.asdict(cold.run())
+        result_b = dataclasses.asdict(hit.run())
+        assert result_a == result_b
+        # Compare every set after the runs: recency order, dirty bits
+        # and critical words, in sets the runs touched and in the rest.
+        assert 0 < len(a._sets) < a.config.num_sets
+        assert _l2_sets(a) == _l2_sets(b)
+        assert a.occupancy() == b.occupancy()
+
+    def test_image_occupancy_counts_unbuilt_sets(self, empty_prewarm_memo):
+        config = small_config(reads=300)
+        profile = profile_for("mcf")
+        system = _warm_system(profile, config)
+        l2 = system.uncore.l2
+        before = l2.occupancy()
+        assert before == sum(len(entries) for entries in l2._sets.image)
+        assert len(l2._sets) == 0
+        assert sum(len(s) for s in _l2_sets(l2)) == before
+        assert len(l2._sets) == l2.config.num_sets
+
+    def test_prewarm_refuses_a_used_l2(self, empty_prewarm_memo):
+        config = small_config(reads=300)
+        profile = profile_for("mcf")
+        system = SimulationSystem(config, make_traces(profile, config),
+                                  profile=profile)
+        system.uncore.l2.insert(123)
+        with pytest.raises(ValueError, match="empty"):
+            prewarm_l2(system, profile)
+
+    @pytest.mark.parametrize("first_mark", [0, 150])
+    def test_checkpoint_with_unbuilt_sets_resumes_identically(
+            self, tmp_path, empty_prewarm_memo, first_mark):
+        config = small_config(MemoryKind.RL, reads=400)
+        profile = profile_for("mcf")
+        baseline = dataclasses.asdict(_warm_system(profile, config).run())
+        path = tmp_path / "warm.ckpt"
+        system = _warm_system(profile, config)
+        if first_mark == 0:
+            # Snapshot before the first event: no set is built yet.
+            Checkpointer(path, "key").save(system, executed=0)
+            system.run()
+        else:
+            system.run(checkpointer=Checkpointer(
+                path, "key", every_reads=10_000, first_mark=first_mark))
+        restored, executed, _ = load_checkpoint(path, expect_cache_key="key")
+        l2 = restored.uncore.l2
+        assert l2._sets.image is not None
+        assert len(l2._sets) < l2.config.num_sets
+        if first_mark == 0:
+            result = restored.run()
+        else:
+            result = restored.resume_run(executed=executed)
+        assert dataclasses.asdict(result) == baseline
 
 
 class TestConfigHelpers:

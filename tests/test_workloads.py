@@ -1,10 +1,17 @@
 """Benchmark profiles and the synthetic trace generator."""
 
+import random
 import statistics
+import zlib
+from collections import deque
+from dataclasses import dataclass
+from itertools import islice
+from typing import Deque, List, Optional, Tuple
 
 import pytest
 
 from repro.cpu.core import TraceRecord
+from repro.dram.request import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
 from repro.workloads.profiles import (
     BenchmarkProfile,
     HIGH_BANDWIDTH,
@@ -146,6 +153,158 @@ class TestGenerator:
         repeats = sum(1 for i, line in enumerate(lines)
                       if line in lines[max(0, i - 8):i])
         assert repeats > 20  # scheduled second touches land nearby
+
+
+# ---------------------------------------------------------------------------
+# Reference generator: the per-method formulation the single-loop
+# TraceGenerator replaced. Every draw, in order, must match it.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Stream:
+    cursor_word: int   # word index within the core's footprint
+    stride: int
+    run_left: int = 0  # accesses before the stream jumps elsewhere
+
+
+class _ReferenceGenerator:
+    def __init__(self, profile: BenchmarkProfile, core_id: int,
+                 seed: int = 42) -> None:
+        self.profile = profile
+        key = f"{profile.name}/{core_id}/{seed}".encode()
+        self.rng = random.Random(zlib.crc32(key) or 1)
+        self.base = core_id * CORE_ADDRESS_STRIDE
+        self.word_table = _word_lookup_table(profile.chase_word_weights)
+        self.footprint_words = profile.footprint_lines * WORDS_PER_LINE
+        self.streams: List[_Stream] = [
+            _Stream(cursor_word=self._random_line_start(),
+                    stride=profile.stream_stride_words,
+                    run_left=self._run_length())
+            for _ in range(max(1, profile.num_streams))
+        ]
+        self._next_stream = 0
+        self._queued: Deque[Tuple[int, int]] = deque()
+
+    def _random_line_start(self) -> int:
+        line = self.rng.randrange(self.profile.footprint_lines)
+        return line * WORDS_PER_LINE
+
+    def _gap(self) -> int:
+        mean = self.profile.mean_gap
+        if mean <= 0:
+            return 0
+        cap = max(1000, int(6 * mean))
+        return min(cap, int(self.rng.expovariate(1.0 / mean)))
+
+    def _address(self, line: int, word: int) -> int:
+        return self.base + line * LINE_BYTES + word * WORD_BYTES
+
+    def _run_length(self) -> int:
+        mean = self.profile.stream_run_lines
+        return max(4, int(self.rng.expovariate(1.0 / mean)))
+
+    def _stream_access(self) -> int:
+        stream = self.streams[self._next_stream]
+        self._next_stream = (self._next_stream + 1) % len(self.streams)
+        word_index = stream.cursor_word
+        stream.cursor_word += stream.stride
+        stream.run_left -= 1
+        if stream.run_left <= 0 or stream.cursor_word >= self.footprint_words:
+            stream.cursor_word = self._random_line_start()
+            stream.run_left = self._run_length()
+        line, word = divmod(word_index, WORDS_PER_LINE)
+        return self._address(line, word)
+
+    def _chase_access(self) -> int:
+        p = self.profile
+        if self.rng.random() < p.chase_popularity:
+            popular = max(1, int(p.footprint_lines * 0.076))
+            line = self.rng.randrange(popular)
+        else:
+            line = self.rng.randrange(p.footprint_lines)
+        if self.rng.random() < p.chase_line_bias:
+            word = preferred_word(line, self.word_table)
+        else:
+            word = self.rng.randrange(WORDS_PER_LINE)
+        if self.rng.random() < p.chase_second_touch:
+            other = (word + 1 + self.rng.randrange(WORDS_PER_LINE - 1)) \
+                % WORDS_PER_LINE
+            delay = 2 + self.rng.randrange(4)
+            self._queued.append((delay, self._address(line, other)))
+        return self._address(line, word)
+
+    def _hot_access(self) -> int:
+        p = self.profile
+        line = self.rng.randrange(min(p.hot_lines, p.footprint_lines))
+        if self.rng.random() < p.chase_line_bias:
+            word = preferred_word(line, self.word_table)
+        else:
+            word = self.rng.randrange(WORDS_PER_LINE)
+        return self._address(line, word)
+
+    def record(self) -> TraceRecord:
+        p = self.profile
+        rng = self.rng
+        address: Optional[int] = None
+        if self._queued:
+            remaining, addr = self._queued[0]
+            if remaining <= 0:
+                self._queued.popleft()
+                address = addr
+            else:
+                self._queued[0] = (remaining - 1, addr)
+        if address is None:
+            if p.hot_fraction and rng.random() < p.hot_fraction:
+                address = self._hot_access()
+            elif rng.random() < p.stream_fraction:
+                address = self._stream_access()
+            else:
+                address = self._chase_access()
+        is_write = rng.random() < p.write_fraction
+        return TraceRecord(gap=self._gap(), is_write=is_write,
+                           address=address)
+
+    def records(self, count: int) -> List[TraceRecord]:
+        return [self.record() for _ in range(count)]
+
+
+REFERENCE_RECORDS = 1500
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_records_match_reference(self, name):
+        profile = profile_for(name)
+        for core_id in (0, 5):
+            for seed in (1, 42):
+                expected = _ReferenceGenerator(profile, core_id, seed) \
+                    .records(REFERENCE_RECORDS)
+                got = TraceGenerator(profile, core_id, seed) \
+                    .records(REFERENCE_RECORDS)
+                assert got == expected, (name, core_id, seed)
+
+    @pytest.mark.parametrize("name", ["mcf", "leslie3d", "omnetpp", "is"])
+    def test_mixed_pulls_share_one_stream(self, name):
+        profile = profile_for(name)
+        expected = _ReferenceGenerator(profile, 2, 7).records(1200)
+        gen = TraceGenerator(profile, 2, 7)
+        lazy = gen.iter_records(300)
+        got = [gen.record()]
+        got += gen.records(100)
+        got += list(islice(lazy, 50))   # a lazy view drawn mid-way
+        got.append(gen.record())
+        got += list(lazy)               # the rest of its 300
+        got += list(gen.iter_records(400))
+        got += gen.records(1200 - len(got))
+        assert got == expected
+        assert gen.records(0) == []
+
+    def test_invalid_footprint_rejected(self):
+        profile = BenchmarkProfile(name="x", suite="spec2006", mean_gap=10,
+                                   stream_fraction=0.5, footprint_lines=0)
+        with pytest.raises(ValueError, match="footprint_lines"):
+            TraceGenerator(profile, 0)
 
 
 class TestSizing:
