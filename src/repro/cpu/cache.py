@@ -136,9 +136,6 @@ class Cache:
         ``dirty_evictions`` are what filling it cost. Each set is copied
         out of the image the first time it is probed.
         """
-        if len(image) != self._num_sets:
-            raise ValueError(f"{self.config.name}: image has {len(image)} "
-                             f"sets, cache has {self._num_sets}")
         if self.occupancy():
             raise ValueError(f"{self.config.name}: load_image needs an "
                              f"empty cache")
