@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro.cpu.core import TraceRecord
 from repro.dram.address import AddressMapper, MappingScheme
@@ -36,13 +36,17 @@ from repro.util.sums import left_sum
 PAGE_LINES = 64  # 4 KB pages
 
 
-def profile_page_heat(traces: Sequence[Sequence[TraceRecord]]) -> List[int]:
-    """Offline profiling pass: pages ranked by access count, hot first."""
+def profile_page_heat(traces: Iterable[Iterable[TraceRecord]]) -> List[int]:
+    """Offline profiling pass: pages ranked by access count, hot first.
+
+    Equal counts rank in first-seen order. Each trace may be a lazy
+    record stream; the traces are consumed one after another.
+    """
     page_bytes = PAGE_LINES * LINE_BYTES
     counts: Counter = Counter()
     for trace in traces:
-        # Counter.update counts in C; first-seen order (the tie-break
-        # of most_common) is the same as incrementing one by one.
+        # Counter.update counts in C and keeps first-seen key order,
+        # exactly as incrementing one record at a time would.
         counts.update([record.address // page_bytes for record in trace])
     return [page for page, _ in counts.most_common()]
 

@@ -115,10 +115,12 @@ _register_cwf("rl_random", HeteroPair.RL, CWFPolicy.RANDOM,
 def _build_page_placement(config, events, traces=None, profile=None):
     # Offline profiling pass: rank pages over a long profiling trace —
     # the paper profiles the whole execution, not the measured window.
+    # Streamed: one core's records at a time, never all cores' at once.
     if profile is not None:
         from repro.workloads.synthetic import TraceGenerator
-        profiling = [TraceGenerator(profile, core, config.seed).records(30_000)
-                     for core in range(config.num_cores)]
+        profiling = (TraceGenerator(profile, core, config.seed)
+                     .iter_records(30_000)
+                     for core in range(config.num_cores))
     elif traces is not None:
         profiling = traces
     else:

@@ -387,7 +387,8 @@ class SimulationSystem:
 # so it is computed once and shared. Images are immutable: each L2
 # copies a set out of its image only when a run first probes that set
 # (``Cache.load_image``), so a memo hit costs nothing up front. A hit
-# must not reorder the memo (``get``, never ``move_to_end``).
+# leaves the memo's key order alone (``get``, never ``move_to_end``):
+# perfbench/tracer.py counts a hit as a call that does not change it.
 _PREWARM_CACHE: Dict[tuple, tuple] = {}
 _PREWARM_CACHE_MAX = 8
 

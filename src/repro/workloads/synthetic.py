@@ -52,8 +52,8 @@ def preferred_word(line: int, table: List[int]) -> int:
 class TraceGenerator:
     """Generates the instruction trace for one core of one benchmark.
 
-    All records come from one loop (:meth:`_generate`) that binds the
-    profile constants and RNG methods once; :meth:`record`,
+    All records come from one loop (:func:`_record_stream`) that binds
+    the profile constants and RNG methods once; :meth:`record`,
     :meth:`records` and :meth:`iter_records` pull from that same loop,
     so any mix of them sees one continuous, deterministic stream.
     """
@@ -73,110 +73,8 @@ class TraceGenerator:
         key = f"{profile.name}/{core_id}/{seed}".encode()
         self.rng = random.Random(zlib.crc32(key) or 1)
         self.word_table = _word_lookup_table(profile.chase_word_weights)
-        self._stream = self._generate()
-
-    def _generate(self) -> Iterator[TraceRecord]:
-        """The endless record stream.
-
-        Each record is one access — a due second touch, else a hot,
-        stream or chase access — then its write flag and its gap, in
-        that draw order. ``randrange(n)`` for a positive int ``n`` is
-        exactly ``_randbelow(n)`` and ``expovariate(lambd)`` is
-        ``-log(1 - random()) / lambd``; both are inlined with the same
-        draws and the same float operations.
-        """
-        p = self.profile
-        rng = self.rng
-        random_ = rng.random
-        randbelow = getattr(rng, "_randbelow", rng.randrange)
-        log = math.log
-        new_record = tuple.__new__
-        table = self.word_table
-        base = self.core_id * CORE_ADDRESS_STRIDE
-        footprint = p.footprint_lines
-        footprint_words = footprint * WORDS_PER_LINE
-        hot_fraction = p.hot_fraction
-        hot_span = min(p.hot_lines, footprint)
-        stream_fraction = p.stream_fraction
-        stride = p.stream_stride_words
-        run_lambd = 1.0 / p.stream_run_lines
-        chase_popularity = p.chase_popularity
-        popular = max(1, int(footprint * 0.076))
-        chase_line_bias = p.chase_line_bias
-        chase_second_touch = p.chase_second_touch
-        write_fraction = p.write_fraction
-        mean_gap = p.mean_gap
-        gap_lambd = 1.0 / mean_gap if mean_gap > 0 else 0.0
-        gap_cap = max(1000, int(6 * mean_gap))
-        # Streams: word cursor within the footprint, and accesses left
-        # before the stream jumps (>= 4 so prefetchers can train).
-        cursors: List[int] = []
-        runs_left: List[int] = []
-        for _ in range(max(1, p.num_streams)):
-            cursors.append(randbelow(footprint) * WORDS_PER_LINE)
-            runs_left.append(max(4, int(-log(1.0 - random_()) / run_lambd)))
-        num_streams = len(cursors)
-        next_stream = 0
-        # Scheduled "second touch" accesses: [records_remaining, address].
-        queued: Deque[List[int]] = deque()
-
-        while True:
-            if queued and queued[0][0] <= 0:
-                address = queued.popleft()[1]
-            else:
-                if queued:
-                    queued[0][0] -= 1
-                if hot_fraction and random_() < hot_fraction:
-                    # Hot lines keep stable preferred words like the
-                    # chase (criticality regularity holds for hot data
-                    # too, Fig 3).
-                    line = randbelow(hot_span)
-                    if random_() < chase_line_bias:
-                        word = table[(((line * _HASH_MULT) & _HASH_MASK)
-                                      >> 32) % _BUCKETS]
-                    else:
-                        word = randbelow(WORDS_PER_LINE)
-                    address = base + line * LINE_BYTES + word * WORD_BYTES
-                elif random_() < stream_fraction:
-                    i = next_stream
-                    next_stream = (i + 1) % num_streams
-                    word_index = cursors[i]
-                    cursor = word_index + stride
-                    left = runs_left[i] - 1
-                    if left <= 0 or cursor >= footprint_words:
-                        cursor = randbelow(footprint) * WORDS_PER_LINE
-                        left = max(4, int(-log(1.0 - random_()) / run_lambd))
-                    cursors[i] = cursor
-                    runs_left[i] = left
-                    address = base + word_index * WORD_BYTES
-                else:
-                    if random_() < chase_popularity:
-                        # Page-popularity skew: a small region absorbs a
-                        # disproportionate share of accesses (Sec 7.1's
-                        # profiling target).
-                        line = randbelow(popular)
-                    else:
-                        line = randbelow(footprint)
-                    if random_() < chase_line_bias:
-                        word = table[(((line * _HASH_MULT) & _HASH_MASK)
-                                      >> 32) % _BUCKETS]
-                    else:
-                        word = randbelow(WORDS_PER_LINE)
-                    address = base + line * LINE_BYTES
-                    if random_() < chase_second_touch:
-                        other = (word + 1 + randbelow(WORDS_PER_LINE - 1)) \
-                            % WORDS_PER_LINE
-                        queued.append([2 + randbelow(4),
-                                       address + other * WORD_BYTES])
-                    address += word * WORD_BYTES
-            is_write = random_() < write_fraction
-            if mean_gap > 0:
-                gap = int(-log(1.0 - random_()) / gap_lambd)
-                if gap > gap_cap:
-                    gap = gap_cap
-            else:
-                gap = 0
-            yield new_record(TraceRecord, (gap, is_write, address))
+        self._stream = _record_stream(profile, core_id, self.rng,
+                                      self.word_table)
 
     def record(self) -> TraceRecord:
         """Produce the next trace record."""
@@ -195,6 +93,108 @@ class TraceGenerator:
         traces to materializing up front.
         """
         return islice(self._stream, count)
+
+
+def _record_stream(p: BenchmarkProfile, core_id: int, rng: random.Random,
+                   table: List[int]) -> Iterator[TraceRecord]:
+    """The endless record stream of one core.
+
+    Each record is one access — a due second touch, else a hot, stream
+    or chase access — then its write flag and its gap, in that draw
+    order. ``randrange(n)`` for a positive int ``n`` is exactly
+    ``_randbelow(n)`` and ``expovariate(lambd)`` is
+    ``-log(1 - random()) / lambd``; both are inlined with the same
+    draws and the same float operations.
+    """
+    random_ = rng.random
+    randbelow = getattr(rng, "_randbelow", rng.randrange)
+    log = math.log
+    new_record = tuple.__new__
+    base = core_id * CORE_ADDRESS_STRIDE
+    footprint = p.footprint_lines
+    footprint_words = footprint * WORDS_PER_LINE
+    hot_fraction = p.hot_fraction
+    hot_span = min(p.hot_lines, footprint)
+    stream_fraction = p.stream_fraction
+    stride = p.stream_stride_words
+    run_lambd = 1.0 / p.stream_run_lines
+    chase_popularity = p.chase_popularity
+    popular = max(1, int(footprint * 0.076))
+    chase_line_bias = p.chase_line_bias
+    chase_second_touch = p.chase_second_touch
+    write_fraction = p.write_fraction
+    mean_gap = p.mean_gap
+    gap_lambd = 1.0 / mean_gap if mean_gap > 0 else 0.0
+    gap_cap = max(1000, int(6 * mean_gap))
+    # Streams: word cursor within the footprint, and accesses left
+    # before the stream jumps (>= 4 so prefetchers can train).
+    cursors: List[int] = []
+    runs_left: List[int] = []
+    for _ in range(max(1, p.num_streams)):
+        cursors.append(randbelow(footprint) * WORDS_PER_LINE)
+        runs_left.append(max(4, int(-log(1.0 - random_()) / run_lambd)))
+    num_streams = len(cursors)
+    next_stream = 0
+    # Scheduled "second touch" accesses: [records_remaining, address].
+    queued: Deque[List[int]] = deque()
+
+    while True:
+        if queued and queued[0][0] <= 0:
+            address = queued.popleft()[1]
+        else:
+            if queued:
+                queued[0][0] -= 1
+            if hot_fraction and random_() < hot_fraction:
+                # Hot lines keep stable preferred words like the
+                # chase (criticality regularity holds for hot data
+                # too, Fig 3).
+                line = randbelow(hot_span)
+                if random_() < chase_line_bias:
+                    word = table[(((line * _HASH_MULT) & _HASH_MASK)
+                                  >> 32) % _BUCKETS]
+                else:
+                    word = randbelow(WORDS_PER_LINE)
+                address = base + line * LINE_BYTES + word * WORD_BYTES
+            elif random_() < stream_fraction:
+                i = next_stream
+                next_stream = (i + 1) % num_streams
+                word_index = cursors[i]
+                cursor = word_index + stride
+                left = runs_left[i] - 1
+                if left <= 0 or cursor >= footprint_words:
+                    cursor = randbelow(footprint) * WORDS_PER_LINE
+                    left = max(4, int(-log(1.0 - random_()) / run_lambd))
+                cursors[i] = cursor
+                runs_left[i] = left
+                address = base + word_index * WORD_BYTES
+            else:
+                if random_() < chase_popularity:
+                    # Page-popularity skew: a small region absorbs a
+                    # disproportionate share of accesses (Sec 7.1's
+                    # profiling target).
+                    line = randbelow(popular)
+                else:
+                    line = randbelow(footprint)
+                if random_() < chase_line_bias:
+                    word = table[(((line * _HASH_MULT) & _HASH_MASK)
+                                  >> 32) % _BUCKETS]
+                else:
+                    word = randbelow(WORDS_PER_LINE)
+                address = base + line * LINE_BYTES
+                if random_() < chase_second_touch:
+                    other = (word + 1 + randbelow(WORDS_PER_LINE - 1)) \
+                        % WORDS_PER_LINE
+                    queued.append([2 + randbelow(4),
+                                   address + other * WORD_BYTES])
+                address += word * WORD_BYTES
+        is_write = random_() < write_fraction
+        if mean_gap > 0:
+            gap = int(-log(1.0 - random_()) / gap_lambd)
+            if gap > gap_cap:
+                gap = gap_cap
+        else:
+            gap = 0
+        yield new_record(TraceRecord, (gap, is_write, address))
 
 
 def preferred_word_for_global_line(profile: BenchmarkProfile,
