@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -152,15 +153,24 @@ class ResultCache:
                                        budget_bytes=budget_bytes)
         # Per-instance traffic counters, exposed via stats(); the
         # quarantine event is additionally mirrored into any active
-        # telemetry session (legacy cache.quarantined counter).
+        # telemetry session (legacy cache.quarantined counter). The
+        # service shares one handle between threads, so updates take
+        # a lock.
         self.counters: Dict[str, int] = {
             "hits": 0, "misses": 0, "writes": 0, "quarantined": 0}
+        self._counter_lock = threading.Lock()
+
+    def _count(self, name: str) -> None:
+        with self._counter_lock:
+            self.counters[name] += 1
 
     def stats(self) -> Dict[str, object]:
         """Traffic counters for this cache handle (hits/misses/writes/
         quarantined), plus the directory they describe."""
+        with self._counter_lock:
+            counters = dict(self.counters)
         return {"directory": str(self.directory) if self.directory else None,
-                **self.counters}
+                **counters}
 
     def store_stats(self) -> Optional[Dict[str, object]]:
         """Underlying artifact-store tier stats (entries/bytes/budget/
@@ -202,7 +212,7 @@ class ResultCache:
         served as a hit.
         """
         if self.store is None:
-            self.counters["misses"] += 1
+            self._count("misses")
             return None
         quarantined_before = self.store.counters["quarantined"]
         raw = self.store.get_bytes(key)
@@ -219,7 +229,7 @@ class ResultCache:
                 self.store._quarantine(self.store.blob_path(record["digest"]))
             self.store.delete(key)
             return self._count_quarantine()
-        self.counters["hits"] += 1
+        self._count("hits")
         return result
 
     def _parse(self, key: str, raw: bytes) -> Optional[SimResult]:
@@ -240,12 +250,12 @@ class ResultCache:
         """Resolve (and migrate) a pre-store flat-layout entry."""
         path = self._legacy_path(key)
         if path is None or not path.exists():
-            self.counters["misses"] += 1
+            self._count("misses")
             return None
         try:
             raw = path.read_bytes()
         except OSError:
-            self.counters["misses"] += 1
+            self._count("misses")
             return None
         try:
             data = json.loads(raw)
@@ -256,7 +266,7 @@ class ResultCache:
             quarantine_file(path)
             return self._count_quarantine()
         if data.get("__key__") != key:
-            self.counters["misses"] += 1  # digest collision: not ours
+            self._count("misses")  # digest collision: not ours
             return None
         result = self._parse(key, raw)
         if result is None:
@@ -265,11 +275,11 @@ class ResultCache:
         # Migrate: same bytes, new home; the flat file retires.
         self.store.put_bytes(key, raw)
         path.unlink(missing_ok=True)
-        self.counters["hits"] += 1
+        self._count("hits")
         return result
 
     def _count_quarantine(self) -> None:
-        self.counters["quarantined"] += 1
+        self._count("quarantined")
         session = active_session()
         if session is not None:
             session.incr("cache.quarantined")
@@ -278,7 +288,7 @@ class ResultCache:
     def put(self, key: str, result: SimResult) -> None:
         if self.store is None:
             return
-        self.counters["writes"] += 1
+        self._count("writes")
         data = dataclasses.asdict(result)
         data["__key__"] = key
         self.store.put_bytes(key, json.dumps(data).encode())

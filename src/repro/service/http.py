@@ -3,6 +3,7 @@
 Endpoints (all JSON)::
 
     POST /v1/jobs        submit a job            -> 202 job record
+                         fully cached            -> 202, already done
                          queue full              -> 429 + Retry-After
                          invalid request         -> 400
                          draining                -> 503
@@ -13,8 +14,9 @@ Endpoints (all JSON)::
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
 request, all of them funnelling into the scheduler's locked submit
-path; simulation work itself happens on the scheduler's worker pool,
-so slow simulations never block health probes.
+path; a job the result cache already holds is finished right there,
+while simulation work happens on the scheduler's worker pool, so slow
+simulations never block health probes.
 
 :func:`serve_until_signal` wires SIGTERM/SIGINT to a graceful drain:
 stop accepting, finish the in-flight batch, persist, exit.
@@ -52,6 +54,9 @@ class ReproHTTPServer(ThreadingHTTPServer):
 class JobRequestHandler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    # _reply writes headers and body separately; with Nagle's algorithm
+    # the body waits for the client's delayed ACK (~40 ms per reply).
+    disable_nagle_algorithm = True
 
     @property
     def scheduler(self) -> JobScheduler:

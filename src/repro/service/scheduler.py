@@ -15,6 +15,10 @@ drains a bounded job queue:
   builder dedupes keys across jobs so N clients asking for the same
   simulation pay for exactly one run, and every waiter is fanned the
   shared result.
+* **Cached fast path** — a job whose every key is marked cached never
+  queues: :meth:`submit` recalls the results on the HTTP thread,
+  finishes the job, and saves one ``done`` manifest before replying.
+  It takes no queue slot, so it is never refused with 429.
 * **Batching** — the drain loop pops *every* queued job that shares the
   front job's resolved config and submits their deduped spec union as
   one executor call, so the pool stays saturated across job boundaries.
@@ -34,8 +38,10 @@ persists, queued jobs stay ``queued`` in the store for the next server.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import asdict
 from typing import Deque, Dict, List, Optional, Tuple
@@ -85,7 +91,7 @@ class JobScheduler:
             "jobs_submitted": 0, "jobs_completed": 0, "jobs_failed": 0,
             "jobs_rejected": 0, "jobs_recovered": 0,
             "coalesced_specs": 0, "cached_specs": 0, "simulated_specs": 0,
-            "batches": 0,
+            "batches": 0, "manifest_save_errors": 0,
         }
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -153,7 +159,12 @@ class JobScheduler:
     # ------------------------------------------------------------------
 
     def submit(self, payload: object) -> Job:
-        """Validate, coalesce-tag, enqueue, and persist one submission.
+        """Validate, coalesce-tag, and either finish or enqueue a job.
+
+        A job whose every spec is already in the result cache is served
+        on the calling thread: recalled, finished, and saved once as
+        ``done`` before this returns, without a queue slot. Any other
+        job is queued and persisted for the scheduler thread.
 
         Raises :class:`~repro.service.jobs.JobValidationError` (400),
         :class:`QueueFull` (429), or :class:`SchedulerStopped` (503).
@@ -171,26 +182,69 @@ class JobScheduler:
 
     def _enqueue(self, job: Job, recovered: bool = False) -> None:
         with self._lock:
-            if len(self._queue) >= self.max_queue and not recovered:
+            fully_cached = self._tag(job) and not recovered
+            if (not fully_cached and not recovered
+                    and len(self._queue) >= self.max_queue):
+                self._release(job)
                 self.counters["jobs_rejected"] += 1
                 # Rough service-time hint: one beat per queued job.
                 raise QueueFull(len(self._queue), self.max_queue,
                                 retry_after_s=max(1.0,
                                                   0.1 * len(self._queue)))
-            for entry in job.entries:
-                entry.coalesced = entry.key in self._wanted
-                if not entry.coalesced:
-                    entry.cached = self.executor.cache.contains(entry.key)
-                self._wanted[entry.key] = self._wanted.get(entry.key, 0) + 1
             self.counters["coalesced_specs"] += job.coalesced_specs
             self.counters["cached_specs"] += job.cached_specs
             self.counters["jobs_submitted" if not recovered
                           else "jobs_recovered"] += 1
-            job.state = QUEUED
-            self._jobs[job.id] = job
-            self._queue.append(job.id)
-        self.store.save(job)
+            if not fully_cached:
+                self._push(job)
+        if fully_cached:
+            if self._finish_from_cache(job):
+                return
+            # An entry was evicted between the tag and the read: the
+            # job takes the queue path after all. It was admitted
+            # without a queue slot, so it is not refused now.
+            with self._lock:
+                self._push(job)
+        self._save(job)
         self._wake.set()
+
+    def _tag(self, job: Job) -> bool:
+        """Flag each entry coalesced or cached and take its refcount.
+
+        Lock held by the caller. Returns True when every entry is
+        already in the result cache, so the job needs no simulation.
+        """
+        for entry in job.entries:
+            entry.coalesced = entry.key in self._wanted
+            if not entry.coalesced:
+                entry.cached = self.executor.cache.contains(entry.key)
+            self._wanted[entry.key] = self._wanted.get(entry.key, 0) + 1
+        return all(entry.cached for entry in job.entries)
+
+    def _push(self, job: Job) -> None:
+        """Append ``job`` to the queue (lock held by the caller)."""
+        job.state = QUEUED
+        self._jobs[job.id] = job
+        self._queue.append(job.id)
+
+    def _finish_from_cache(self, job: Job) -> bool:
+        """Recall every entry and finish ``job`` on the calling thread.
+
+        Returns False, with the job still unfinished, if an entry has
+        left the store since it was tagged.
+        """
+        results: Dict[RunSpec, object] = {}
+        for entry in job.entries:
+            result = self.executor.cache.get(entry.key)
+            if result is None:
+                return False
+            results[entry.spec] = result
+        job.started_unix = time.time()
+        self._finish_job(job, job.job_config(self.config), results)
+        with self._lock:
+            self._jobs[job.id] = job
+        self._gc_manifests()
+        return True
 
     # ------------------------------------------------------------------
     # Queries
@@ -317,7 +371,7 @@ class JobScheduler:
                 job.state = RUNNING
                 job.started_unix = now
         for job in group:
-            self.store.save(job)
+            self._save(job)
         return config, group
 
     def _run_batch(self, config, group: List[Job]) -> None:
@@ -354,8 +408,28 @@ class JobScheduler:
         cache_store = self.executor.cache.store
         if cache_store is not None and cache_store.budget_bytes is not None:
             cache_store.gc()
+        self._gc_manifests()
+
+    def _gc_manifests(self) -> None:
         if self.store.file_store.budget_bytes is not None:
             self.store.gc()
+
+    def _save(self, job: Job) -> None:
+        """Persist ``job``'s manifest; a failed save is counted, not raised.
+
+        The in-memory job stays authoritative while this process lives
+        (``get`` reads it first), so a failed save costs the job its
+        survival across a restart, never its result, and never kills
+        the scheduler thread.
+        """
+        try:
+            self.store.save(job)
+        except Exception:
+            with self._lock:
+                self.counters["manifest_save_errors"] += 1
+            print(f"[scheduler] saving job {job.id} ({job.state}) failed:",
+                  file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
 
     def _finish_job(self, job: Job, config,
                     results: Dict[RunSpec, object]) -> None:
@@ -397,7 +471,7 @@ class JobScheduler:
             self._release(job)
             self.counters["jobs_failed" if job.state == FAILED
                           else "jobs_completed"] += 1
-        self.store.save(job)
+        self._save(job)
 
     def _fail_batch(self, group: List[Job], exc: Exception) -> None:
         for job in group:
@@ -407,7 +481,7 @@ class JobScheduler:
             with self._lock:
                 self._release(job)
                 self.counters["jobs_failed"] += 1
-            self.store.save(job)
+            self._save(job)
 
     def _release(self, job: Job) -> None:
         """Drop the job's coalescing refcounts (lock held by caller)."""

@@ -18,12 +18,19 @@ jobs keep their result rows and rendered table in the manifest so
 With ``budget_bytes`` set, :meth:`gc` bounds the directory by
 LRU-evicting *terminal* manifests (queued/running ones are pinned by
 state and never touched), oldest save first.
+
+Saves of one job are serialised, and the job is encoded under that
+lock: the HTTP thread that accepted a job and the scheduler thread
+that runs it may save it at the same moment, and whichever writes
+last writes the newest state, so a ``queued`` manifest can never land
+on top of ``running`` or ``done``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -32,6 +39,10 @@ from repro.store import FileStore, atomic_write_bytes, quarantine_file
 from repro.telemetry.session import active_session
 
 DEFAULT_STATE_DIR = ".repro_jobs"
+
+#: Save locks, striped by job id: bounded however many jobs a server
+#: sees, and two different jobs rarely wait on each other.
+_SAVE_STRIPES = 64
 
 
 def _manifest_pinned(path: Path) -> bool:
@@ -56,6 +67,7 @@ class JobStore:
                                     tier="manifests",
                                     budget_bytes=budget_bytes,
                                     pinned_check=_manifest_pinned)
+        self._save_locks = [threading.Lock() for _ in range(_SAVE_STRIPES)]
 
     def _path(self, job_id: str) -> Path:
         # Job ids are generated server-side (j-<hex>), but manifests are
@@ -65,8 +77,10 @@ class JobStore:
         return self.directory / f"{job_id}.json"
 
     def save(self, job: Job) -> None:
-        atomic_write_bytes(self._path(job.id),
-                           json.dumps(job.to_dict(), default=str).encode())
+        path = self._path(job.id)
+        with self._save_locks[hash(job.id) % _SAVE_STRIPES]:
+            atomic_write_bytes(
+                path, json.dumps(job.to_dict(), default=str).encode())
 
     def load(self, job_id: str) -> Optional[Job]:
         """Recall a manifest; corruption quarantines the file.

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -60,7 +61,10 @@ def atomic_write_bytes(path: PathLike, data: bytes,
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    # One temp name per writing thread: two threads of one process
+    # publishing the same path must not share (and unlink) one file.
+    tmp = path.with_name(
+        f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
         with open(tmp, "wb") as handle:
             handle.write(data)

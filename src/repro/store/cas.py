@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,7 +108,14 @@ class StoreEntry:
 
 
 class _StoreBase:
-    """Counters + telemetry mirroring shared by both store flavours."""
+    """Counters + telemetry mirroring shared by both store flavours.
+
+    A store handle may be shared by threads (the service reads the
+    results tier on HTTP threads while its scheduler thread writes
+    it); counter updates and snapshots go through one lock so no
+    increment is lost. File operations need no lock: they already
+    tolerate concurrent writers from other processes.
+    """
 
     def __init__(self, directory, tier: str) -> None:
         self.directory = Path(directory)
@@ -116,13 +124,19 @@ class _StoreBase:
             "hits": 0, "misses": 0, "writes": 0, "evictions": 0,
             "quarantined": 0, "pinned_skips": 0, "gc_runs": 0,
         }
+        self._counter_lock = threading.Lock()
 
     def _emit(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
+        with self._counter_lock:
+            self.counters[name] = self.counters.get(name, 0) + n
         from repro.telemetry.session import active_session
         session = active_session()
         if session is not None:
             session.incr(f"store.{self.tier}.{name}", n)
+
+    def _counter_snapshot(self) -> Dict[str, int]:
+        with self._counter_lock:
+            return dict(self.counters)
 
     # -- pins ----------------------------------------------------------
 
@@ -486,7 +500,7 @@ class ArtifactStore(_StoreBase):
             "bytes": self.total_bytes(),
             "budget_bytes": self.budget_bytes,
             "pinned": sum(1 for e in entries if e.pinned),
-            **self.counters,
+            **self._counter_snapshot(),
         }
 
 
@@ -564,7 +578,7 @@ class FileStore(_StoreBase):
             "bytes": sum(e.size for e in entries),
             "budget_bytes": self.budget_bytes,
             "pinned": sum(1 for e in entries if e.pinned),
-            **self.counters,
+            **self._counter_snapshot(),
         }
 
 

@@ -10,10 +10,13 @@ ephemeral port and go through :class:`ServiceClient`, exactly like the
 """
 
 import json
+import socket
+import sys
 import threading
 
 import pytest
 
+from repro.experiments.executor import run_specs
 from repro.experiments.resilience import (
     FaultPlan,
     activate_fault_plan,
@@ -35,9 +38,11 @@ from repro.service import (
     spec_to_dict,
 )
 from repro.experiments.specs import RunSpec
+from repro.service.http import JobRequestHandler
 
 READS = 60
 SPEC_MCF_DDR3 = {"benchmark": "mcf", "memory": "ddr3"}
+SPEC_MCF_RL = {"benchmark": "mcf", "memory": "rl"}
 
 
 def make_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -53,6 +58,25 @@ def make_scheduler(tmp_path, start=True, recover=False,
     store = JobStore(str(tmp_path / "jobs"))
     return JobScheduler(config, store=store, jobs=1, start=start,
                         recover=recover, **kwargs)
+
+
+def warm_cache(tmp_path, *specs) -> None:
+    """Put each spec's result into the store the scheduler reads."""
+    run_specs([spec_from_dict(spec) for spec in specs],
+              make_config(tmp_path), jobs=1)
+
+
+def record_saves(sched, monkeypatch) -> list:
+    """Capture every manifest save as ``(job id, state)``."""
+    saves = []
+    save = sched.store.save
+
+    def recording_save(job):
+        saves.append((job.id, job.state))
+        save(job)
+
+    monkeypatch.setattr(sched.store, "save", recording_save)
+    return saves
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +163,60 @@ class TestSerialization:
     def test_store_rejects_traversal_ids(self, tmp_path):
         store = JobStore(str(tmp_path / "jobs"))
         assert store.load("../../etc/passwd") is None
+
+    def test_threads_saving_one_manifest_all_succeed(self, tmp_path):
+        store = JobStore(str(tmp_path / "jobs"))
+        job = parse_request({"specs": [SPEC_MCF_DDR3]}, make_config(tmp_path))
+        errors = []
+
+        def hammer():
+            for _ in range(100):
+                try:
+                    store.save(job)
+                except Exception as exc:  # pragma: no cover - the bug
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert store.load(job.id).id == job.id
+        assert not list((tmp_path / "jobs").glob("*.tmp.*"))
+
+    def test_late_queued_save_never_lands_after_done(self, tmp_path,
+                                                     monkeypatch):
+        """A save that encoded ``queued`` and stalls in its write must
+        not overwrite the ``done`` save another thread makes meanwhile."""
+        import repro.service.store as store_module
+
+        store = JobStore(str(tmp_path / "jobs"))
+        job = parse_request({"specs": [SPEC_MCF_DDR3]}, make_config(tmp_path))
+        write = store_module.atomic_write_bytes
+        writing, release = threading.Event(), threading.Event()
+
+        def stalling_write(path, data, durable=True):
+            if not writing.is_set():  # the first (queued) save stalls
+                writing.set()
+                assert release.wait(10)
+            write(path, data, durable=durable)
+
+        monkeypatch.setattr(store_module, "atomic_write_bytes",
+                            stalling_write)
+        queued = threading.Thread(target=store.save, args=(job,))
+        queued.start()
+        assert writing.wait(10)
+        job.state = "done"
+        done = threading.Thread(target=store.save, args=(job,))
+        done.start()
+        done.join(timeout=0.2)  # give an unordered save time to land
+        release.set()
+        queued.join(10)
+        done.join(10)
+        assert not queued.is_alive() and not done.is_alive()
+        assert store.load(job.id).state == "done"
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +333,31 @@ class TestScheduler:
         with pytest.raises(SchedulerStopped):
             sched.submit({"specs": [SPEC_MCF_DDR3]})
 
+    def test_failed_running_save_keeps_scheduler_alive(self, tmp_path,
+                                                       monkeypatch):
+        sched = make_scheduler(tmp_path, start=False)
+        save = sched.store.save
+
+        def failing_running_save(job):
+            if job.state == "running":
+                raise OSError("injected: disk full")
+            save(job)
+
+        monkeypatch.setattr(sched.store, "save", failing_running_save)
+        try:
+            job = sched.submit({"specs": [SPEC_MCF_DDR3]})
+            sched.start()
+            assert sched.wait(job.id, timeout=120).state == "done"
+            assert sched.counters["manifest_save_errors"] == 1
+            assert sched.store.load(job.id).state == "done"
+            # The loop survived: the next job still runs.
+            again = sched.submit({"specs": [SPEC_MCF_RL]})
+            assert sched.wait(again.id, timeout=120).state == "done"
+            assert sched.counters["manifest_save_errors"] == 2
+            assert sched.metrics()["service.manifest_save_errors"] == 2
+        finally:
+            sched.shutdown()
+
     def test_concurrent_fig3_clients_byte_identical_tables(self, tmp_path):
         """The acceptance scenario: two clients, one simulation run."""
         sched = make_scheduler(tmp_path, start=False)
@@ -272,6 +375,185 @@ class TestScheduler:
             assert sched.counters["simulated_specs"] == spec_count
         finally:
             sched.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Fully cached jobs finish at submit
+# ---------------------------------------------------------------------------
+
+
+class TestCachedFastPath:
+    def test_cached_resubmit_done_with_one_save_and_no_queue(
+            self, tmp_path, monkeypatch):
+        warm_cache(tmp_path, SPEC_MCF_DDR3)
+        sched = make_scheduler(tmp_path, start=False)
+        saves = record_saves(sched, monkeypatch)
+        try:
+            job = sched.submit({"specs": [SPEC_MCF_DDR3], "tag": "t"})
+            assert job.state == "done"
+            assert job.cached_specs == 1
+            assert job.results[0]["label"] == "mcf/ddr3"
+            assert job.started_unix is not None
+            assert job.finished_unix is not None
+            assert saves == [(job.id, "done")]
+            assert sched.health()["queue_depth"] == 0
+            assert sched.counters["batches"] == 0
+            assert sched.counters["jobs_completed"] == 1
+            assert sched._wanted == {}
+            assert sched.get(job.id) is job
+            assert sched.store.load(job.id).state == "done"
+        finally:
+            sched.shutdown()
+
+    def test_cached_experiment_renders_table_at_submit(self, tmp_path):
+        sched = make_scheduler(tmp_path)
+        try:
+            first = sched.wait(sched.submit({"experiment": "fig3"}).id,
+                               timeout=300)
+            again = sched.submit({"experiment": "fig3"})
+            assert again.state == "done"
+            assert again.table and again.table == first.table
+            assert sched.counters["batches"] == 1
+        finally:
+            sched.shutdown()
+
+    def test_full_queue_still_accepts_cached_jobs(self, tmp_path):
+        warm_cache(tmp_path, SPEC_MCF_DDR3)
+        sched = make_scheduler(tmp_path, start=False, max_queue=1)
+        try:
+            sched.submit({"specs": [SPEC_MCF_RL]})  # fills the queue
+            with pytest.raises(QueueFull):
+                sched.submit({"specs": [{"benchmark": "mcf",
+                                         "memory": "hmc_cwf"}]})
+            cached = sched.submit({"specs": [SPEC_MCF_DDR3]})
+            assert cached.state == "done"
+            assert sched.counters["jobs_rejected"] == 1
+        finally:
+            sched.shutdown()
+
+    def test_rejected_job_releases_its_refcounts(self, tmp_path):
+        sched = make_scheduler(tmp_path, start=False, max_queue=1)
+        try:
+            sched.submit({"specs": [SPEC_MCF_RL]})
+            with pytest.raises(QueueFull):
+                sched.submit({"specs": [SPEC_MCF_DDR3]})
+            assert list(sched._wanted.values()) == [1]
+        finally:
+            sched.shutdown()
+
+    def test_coalesced_and_partially_cached_jobs_queue(self, tmp_path):
+        warm_cache(tmp_path, SPEC_MCF_DDR3)
+        sched = make_scheduler(tmp_path, start=False)
+        try:
+            partial = sched.submit({"specs": [SPEC_MCF_DDR3, SPEC_MCF_RL]})
+            assert partial.state == "queued"
+            assert [e.cached for e in partial.entries] == [True, False]
+            # mcf/ddr3 is cached on disk, but a queued job wants it.
+            coalesced = sched.submit({"specs": [SPEC_MCF_DDR3]})
+            assert coalesced.state == "queued"
+            assert coalesced.coalesced_specs == 1
+            assert sched.health()["queue_depth"] == 2
+            sched.start()
+            for job in (partial, coalesced):
+                assert sched.wait(job.id, timeout=120).state == "done"
+            assert sched.counters["simulated_specs"] == 1
+        finally:
+            sched.shutdown()
+
+    def test_entry_evicted_after_tag_falls_back_to_queue(self, tmp_path,
+                                                          monkeypatch):
+        warm_cache(tmp_path, SPEC_MCF_DDR3)
+        sched = make_scheduler(tmp_path, start=False)
+        cache = sched.executor.cache
+        contains = cache.contains
+
+        def contains_then_evict(key):
+            found = contains(key)
+            cache.store.delete(key)  # evicted right after the tag
+            return found
+
+        monkeypatch.setattr(cache, "contains", contains_then_evict)
+        saves = record_saves(sched, monkeypatch)
+        try:
+            job = sched.submit({"specs": [SPEC_MCF_DDR3]})
+            assert job.state == "queued"
+            assert job.cached_specs == 1
+            assert sched.health()["queue_depth"] == 1
+            sched.start()
+            assert sched.wait(job.id, timeout=120).state == "done"
+            assert sched.counters["simulated_specs"] == 1
+            assert [state for _, state in saves] == \
+                ["queued", "running", "done"]
+        finally:
+            sched.shutdown()
+
+    def test_cached_jobs_keep_manifest_budget(self, tmp_path):
+        warm_cache(tmp_path, SPEC_MCF_DDR3)
+        store = JobStore(str(tmp_path / "jobs"), budget_bytes=1)
+        sched = JobScheduler(make_config(tmp_path), store=store, jobs=1,
+                             start=False, recover=False)
+        try:
+            jobs = [sched.submit({"specs": [SPEC_MCF_DDR3]})
+                    for _ in range(3)]
+            assert all(job.state == "done" for job in jobs)
+            assert store.job_ids() == []  # done manifests evicted
+            assert sched.get(jobs[0].id).state == "done"  # from memory
+        finally:
+            sched.shutdown()
+
+    def test_cached_submits_beside_cold_batch_lose_no_counts(self, tmp_path):
+        """HTTP threads recalling from the store while the scheduler
+        thread misses and writes it: every counter update lands."""
+        seeded = [{"benchmark": b, "memory": m}
+                  for b in ("mcf", "leslie3d") for m in ("ddr3", "rl")]
+        cold = [{"benchmark": b, "memory": "hmc_cwf"}
+                for b in ("mcf", "leslie3d")] + [
+            {"benchmark": "mcf", "memory": "rldram3"}]
+        warm_cache(tmp_path, *seeded)
+        sched = make_scheduler(tmp_path)
+        per_thread = 25
+        try:
+            before = sched.metrics()
+            cold_job = sched.submit({"specs": cold})
+            states, errors = [], []
+
+            def client(spec):
+                try:
+                    for _ in range(per_thread):
+                        states.append(sched.submit({"specs": [spec]}).state)
+                except Exception as exc:  # pragma: no cover - diagnostic
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=client, args=(spec,))
+                       for spec in seeded]
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not any(t.is_alive() for t in threads)
+            assert sched.wait(cold_job.id, timeout=120).state == "done"
+            after = sched.metrics()
+        finally:
+            sched.shutdown()
+        assert errors == []
+        cached = per_thread * len(seeded)
+        assert states == ["done"] * cached
+
+        def delta(name):
+            return after[name] - before[name]
+
+        assert delta("cache.hits") == delta("store.results.hits") == cached
+        assert delta("cache.misses") == len(cold)
+        assert delta("store.results.misses") == len(cold)
+        assert delta("cache.writes") == len(cold)
+        assert delta("store.results.writes") == len(cold)
+        assert after["service.cached_specs"] == cached
+        assert after["service.batches"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +636,38 @@ class TestHTTP:
                     for job in results]
         assert all(job["state"] == "done" for job in finished)
         assert client.metrics()["service.simulated_specs"] == 1
+
+    def test_cached_submit_replies_done(self, service, tmp_path):
+        sched, client = service
+        warm_cache(tmp_path, SPEC_MCF_DDR3)
+        job = client.submit({"specs": [SPEC_MCF_DDR3]})
+        assert job["state"] == "done"
+        assert job["specs"][0]["cached"] is True
+        assert job["results"][0]["label"] == "mcf/ddr3"
+        assert client.job(job["id"])["state"] == "done"
+
+    def test_draining_server_refuses_cached_submit_503(self, service,
+                                                       tmp_path):
+        sched, client = service
+        warm_cache(tmp_path, SPEC_MCF_DDR3)
+        sched.begin_drain()
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"specs": [SPEC_MCF_DDR3]})
+        assert excinfo.value.status == 503
+
+    def test_accepted_socket_sets_tcp_nodelay(self, service, monkeypatch):
+        seen = []
+        setup = JobRequestHandler.setup
+
+        def spying_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(JobRequestHandler, "setup", spying_setup)
+        _, client = service
+        client.health()
+        assert len(seen) == 1 and seen[0] != 0
 
     def test_backpressure_429_retry_after(self, service):
         sched, client = service

@@ -26,6 +26,8 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -101,6 +103,57 @@ class TestAtomicWrite:
         monkeypatch.undo()
         assert path.read_bytes() == b"old complete contents"
         assert not list(tmp_path.glob("*.tmp.*"))  # temp cleaned up
+
+    def test_threads_writing_one_path_never_collide(self, tmp_path):
+        """Each thread writes through its own temp file: no writer
+        replaces or unlinks another's half-written temp."""
+        path = tmp_path / "manifest.json"
+        errors = []
+
+        def hammer(writer):
+            for i in range(150):
+                try:
+                    atomic_write_bytes(path, f"{writer}:{i}".encode(),
+                                       durable=False)
+                except Exception as exc:  # pragma: no cover - the bug
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(n,))
+                   for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_text().endswith(":149")
+        assert not list(tmp_path.glob("*.tmp.*"))
+
+    def test_counter_updates_from_many_threads_all_land(self, tmp_path):
+        """The service bumps one store's counters from HTTP threads and
+        the scheduler thread at once; no increment may be lost."""
+        store = ArtifactStore(tmp_path / "store", durable=False)
+        cache = ResultCache(str(tmp_path / "cache"))
+        per_thread, workers = 1500, 8
+
+        def bump():
+            for _ in range(per_thread):
+                store._emit("hits")
+                cache._count("hits")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert store.counters["hits"] == per_thread * workers
+        assert cache.stats()["hits"] == per_thread * workers
 
     def test_non_durable_skips_fsync(self, tmp_path, monkeypatch):
         calls = []
