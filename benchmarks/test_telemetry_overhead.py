@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.sim.config import MemoryKind, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
 from repro.telemetry import TelemetrySession
 from repro.workloads.profiles import profile_for
@@ -35,7 +35,7 @@ TRACE_BUDGET = 3.5
 
 
 def _run(telemetry=None):
-    config = SimConfig(memory=MemoryKind.RL, target_dram_reads=READS)
+    config = SimConfig(memory="rl", target_dram_reads=READS)
     profile = profile_for(BENCH)
     traces = make_traces(profile, config)
     system = SimulationSystem(config, traces, profile=profile,

@@ -12,7 +12,7 @@ the paper's 25%-DRAM / 1/3-static-CPU model — reproducing the finding
 that energy savings grow with bandwidth utilisation.
 """
 
-from repro import MemoryKind, SimConfig, run_benchmark
+from repro import SimConfig, run_benchmark
 from repro.dram.device import DRAMKind
 from repro.dram.power import default_power_model
 from repro.energy.model import SystemEnergyModel
@@ -39,8 +39,8 @@ def part2_system_energy() -> None:
     print("=== system energy, RL vs DDR3 baseline (Fig 10/11) ===")
     config = SimConfig(target_dram_reads=2500)
     for bench in ("mg", "gobmk"):
-        base = run_benchmark(bench, config.with_memory(MemoryKind.DDR3))
-        rl = run_benchmark(bench, config.with_memory(MemoryKind.RL))
+        base = run_benchmark(bench, config.with_memory("ddr3"))
+        rl = run_benchmark(bench, config.with_memory("rl"))
         report = SystemEnergyModel(base).report(rl)
         print(f"{bench:<8} baseline bus util {base.bus_utilization:5.1%}  "
               f"RL speedup {rl.speedup_over(base):5.3f}  "

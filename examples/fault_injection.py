@@ -19,7 +19,7 @@ import random
 
 from repro.core.cwf import CriticalWordMemory, CWFConfig
 from repro.core.ecc import SECDED, byte_parity, parity_check
-from repro.sim.config import MemoryKind, SimConfig as _SimConfig
+from repro.sim.config import SimConfig as _SimConfig
 from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
 from repro.workloads.profiles import profile_for
 
@@ -53,7 +53,7 @@ def part1_codes() -> None:
 def part2_architecture() -> None:
     print("=== parity deferral under injected faults ===")
     for rate in (0.0, 0.2):
-        sim_config = _SimConfig(memory=MemoryKind.RL, target_dram_reads=1500)
+        sim_config = _SimConfig(memory="rl", target_dram_reads=1500)
         profile = profile_for("leslie3d")
         traces = make_traces(profile, sim_config)
         events_memory = None

@@ -7,14 +7,14 @@ LPDDR2 bulk), and prints the throughput gain and critical-word latency
 reduction. Takes a few seconds.
 """
 
-from repro import MemoryKind, SimConfig, run_benchmark
+from repro import SimConfig, run_benchmark
 
 
 def main() -> None:
     config = SimConfig(target_dram_reads=3000)
 
     print("Simulating leslie3d on the 4-channel DDR3 baseline ...")
-    baseline = run_benchmark("leslie3d", config.with_memory(MemoryKind.DDR3))
+    baseline = run_benchmark("leslie3d", config.with_memory("ddr3"))
     print(f"  throughput (sum of IPCs): {baseline.throughput:.2f}")
     print(f"  avg critical-word latency: {baseline.avg_critical_latency:.0f} "
           f"CPU cycles")
@@ -22,7 +22,7 @@ def main() -> None:
 
     print("\nSimulating leslie3d on the RL heterogeneous memory "
           "(word-0 on RLDRAM3, words 1-7 + ECC on LPDDR2) ...")
-    rl = run_benchmark("leslie3d", config.with_memory(MemoryKind.RL))
+    rl = run_benchmark("leslie3d", config.with_memory("rl"))
     print(f"  throughput: {rl.throughput:.2f}  "
           f"({rl.speedup_over(baseline):.3f}x vs baseline)")
     print(f"  avg critical-word latency: {rl.avg_critical_latency:.0f} "

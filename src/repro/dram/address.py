@@ -27,13 +27,6 @@ class MappingScheme(enum.Enum):
     CLOSE_PAGE = "close_page"
 
 
-def _bits_for(n: int) -> int:
-    """log2 of an exact power of two."""
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"{n} is not a positive power of two")
-    return n.bit_length() - 1
-
-
 @dataclass(frozen=True)
 class AddressMapper:
     """Decompose a physical byte address into channel/rank/bank/row/col.

@@ -124,10 +124,6 @@ class ControllerStats:
     def avg_core_latency(self) -> float:
         return self.sum_core_latency / self.reads_done if self.reads_done else 0.0
 
-    @property
-    def avg_total_latency(self) -> float:
-        return self.sum_total_latency / self.reads_done if self.reads_done else 0.0
-
 
 class MemoryController:
     """One controller driving one channel of homogeneous DIMMs.
@@ -412,9 +408,10 @@ class MemoryController:
     def _next_wake_time(self, now: int) -> int:
         """Conservative earliest time any queued command could issue.
 
-        The body of :meth:`_earliest_progress_time` is inlined into the
-        queue scan — this runs for every queued request on every idle
-        tick, and the method-call plus ``max()`` overhead dominates the
+        Per request: the bank's next legal command time, floored by the
+        rank's wake-up (and, for an activate, its activate window). The
+        bound is inlined — this runs for every queued request on every
+        idle tick, where method calls and ``max()`` dominate the
         arithmetic.
         """
         best = FAR_FUTURE
@@ -855,18 +852,3 @@ class MemoryController:
                                                scheduled=False)
             if rank.try_power_down(now, threshold) and self._san is not None:
                 self._san.note_power_down(now, i)
-
-    def _earliest_progress_time(self, now: int, req: MemoryRequest) -> int:
-        """Lower bound on when ``req``'s next command could become legal."""
-        d = req.decoded
-        rank = self.ranks[d.rank]
-        bank = rank.banks[d.bank]
-        if self._close_page:
-            return max(bank.next_activate, rank.wake_time,
-                       rank.next_act_allowed)
-        if bank.is_row_hit(d.row):
-            col = bank.next_read if req.is_read else bank.next_write
-            return max(col, rank.wake_time)
-        if bank.state is BankState.ACTIVE:
-            return max(bank.next_precharge, rank.wake_time)
-        return max(bank.next_activate, rank.earliest_activate(now))

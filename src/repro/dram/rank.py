@@ -13,7 +13,7 @@ construction; ``earliest_activate``/``note_activate`` run on every ACT.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List
 
 from repro.dram.bank import Bank
 from repro.dram.device import DeviceConfig
@@ -155,9 +155,6 @@ class Rank:
         self.power_down_entries += 1
         return True
 
-    def all_banks_idle(self) -> bool:
-        return self.open_banks == 0
-
     def _fold_tally(self, now: int) -> None:
         span = now - self._tally_mark
         if span <= 0:
@@ -217,8 +214,3 @@ class Rank:
             "cycles_power_down": tally.power_down,
             "cycles_self_refresh": tally.self_refresh,
         }
-
-
-def open_row_of(rank: Rank, bank: int) -> Optional[int]:
-    """Convenience: the open row in ``bank`` or None."""
-    return rank.banks[bank].open_row

@@ -24,7 +24,7 @@ from repro.experiments.resilience import MISSING
 from repro.experiments.specs import RunSpec, execute_spec, spec_cache_key
 from repro.sim.config import SimConfig
 from repro.sim.system import SimResult
-from repro.store import ArtifactStore, key_digest, parse_size, quarantine_file
+from repro.store import ArtifactStore, parse_size
 from repro.telemetry.session import active_session
 from repro.workloads.profiles import benchmark_names
 
@@ -131,11 +131,6 @@ class ResultCache:
     digests are re-verified on every read; bit rot is quarantined as
     ``<file>.corrupt``, never returned.
 
-    The pre-store flat layout (``<keydigest>.json`` at the directory
-    root, cache-key versions ≤ v8) keeps resolving: a flat entry found
-    on a miss is validated, migrated into the store, and served as a
-    hit — no recompute, no flag day.
-
     With ``budget_bytes`` set the tier is size-bounded: writes past the
     budget LRU-evict the least-recently-accessed unpinned entries (the
     access journal, not mtime, orders them). An evicted entry reads as
@@ -183,21 +178,11 @@ class ResultCache:
             return None
         return self.store.index_path(key)
 
-    def _legacy_path(self, key: str) -> Optional[Path]:
-        """Where the pre-store flat layout kept this key's entry."""
-        if self.directory is None:
-            return None
-        return self.directory / f"{key_digest(key)}.json"
-
     def contains(self, key: str) -> bool:
         """Cheap existence probe (no read, no counters): does an entry
         for ``key`` sit on disk? Used by the service scheduler to count
         cache coalescing without paying a JSON load per submit."""
-        if self.store is None:
-            return False
-        legacy = self._legacy_path(key)
-        return self.store.contains(key) or (legacy is not None
-                                            and legacy.exists())
+        return self.store is not None and self.store.contains(key)
 
     def get(self, key: str) -> Optional[SimResult]:
         """Recall a cached result; corruption quarantines the entry.
@@ -208,18 +193,20 @@ class ResultCache:
         telemetry as ``cache.quarantined``) so the evidence survives
         for a post-mortem instead of being silently re-clobbered by the
         re-run's :meth:`put`. An evicted or never-written entry is a
-        plain miss; a flat legacy entry is migrated into the store and
-        served as a hit.
+        plain miss.
         """
         if self.store is None:
             self._count("misses")
             return None
-        quarantined_before = self.store.counters["quarantined"]
-        raw = self.store.get_bytes(key)
+        # Ask this call, not the shared store counters, whether it
+        # quarantined: another thread may quarantine concurrently.
+        quarantined: List[Path] = []
+        raw = self.store.get_bytes(key, quarantined)
         if raw is None:
-            if self.store.counters["quarantined"] > quarantined_before:
+            if quarantined:
                 return self._count_quarantine()
-            return self._get_legacy(key)
+            self._count("misses")
+            return None
         result = self._parse(key, raw)
         if result is None:
             # Readable bytes, wrong shape: schema drift. Quarantine the
@@ -245,38 +232,6 @@ class ResultCache:
             return SimResult(**data)
         except (TypeError, ValueError):
             return None
-
-    def _get_legacy(self, key: str) -> Optional[SimResult]:
-        """Resolve (and migrate) a pre-store flat-layout entry."""
-        path = self._legacy_path(key)
-        if path is None or not path.exists():
-            self._count("misses")
-            return None
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self._count("misses")
-            return None
-        try:
-            data = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            quarantine_file(path)
-            return self._count_quarantine()
-        if not isinstance(data, dict):
-            quarantine_file(path)
-            return self._count_quarantine()
-        if data.get("__key__") != key:
-            self._count("misses")  # digest collision: not ours
-            return None
-        result = self._parse(key, raw)
-        if result is None:
-            quarantine_file(path)
-            return self._count_quarantine()
-        # Migrate: same bytes, new home; the flat file retires.
-        self.store.put_bytes(key, raw)
-        path.unlink(missing_ok=True)
-        self._count("hits")
-        return result
 
     def _count_quarantine(self) -> None:
         self._count("quarantined")
@@ -318,8 +273,8 @@ def run_cached(benchmark: str, memory: str,
                runner: Optional[Callable[[], SimResult]] = None) -> SimResult:
     """Run (or recall) one benchmark on one memory organisation.
 
-    ``memory`` is a registry backend name (the deprecated ``MemoryKind``
-    enum is still accepted and canonicalised by :class:`RunSpec`).
+    ``memory`` is a registry backend name or alias, canonicalised by
+    :class:`RunSpec`.
 
     ``variant`` distinguishes non-default setups (e.g. "noprefetch");
     ``runner`` overrides the default run for such variants. New code

@@ -19,7 +19,7 @@ applied to the resolved :class:`~repro.sim.config.SimConfig`) or as a
 Cache keys (``v8``) embed a digest of the fully resolved ``SimConfig``
 so any config-knob change — present or future — invalidates stale
 entries instead of silently recalling them. ``v7`` switched the memory
-axis from the closed ``MemoryKind`` enum to registry names; ``v8`` did
+axis from a closed enum to registry names; ``v8`` did
 the same for the workload axis: ``benchmark`` is a canonical
 workload-registry name (``mcf``/``synthetic:mcf`` coalesce, and
 ``trace:<path>`` names recorded replays), and the key carries the
@@ -131,7 +131,7 @@ class RunSpec:
 
     ``benchmark`` is a workload-registry name and ``memory`` a memory-
     backend registry name; both canonicalise at construction (so
-    ``RunSpec("synthetic:mcf", "rl") == RunSpec("mcf", MemoryKind.RL)``
+    ``RunSpec("synthetic:mcf", "baseline") == RunSpec("mcf", "ddr3")``
     and both hash alike as dict keys), and an unknown name on either
     axis fails here with a did-you-mean, never in a worker later. ``overrides`` are ``(parameter, value)``
     pairs applied to the resolved :class:`SimConfig` through

@@ -165,16 +165,6 @@ def _prefetch_results(config: ExperimentConfig, keys: List[str],
     return executor.run(suite_specs(keys, config)), executor
 
 
-def collect_tables(config: Optional[ExperimentConfig] = None,
-                   experiments: Optional[List[str]] = None,
-                   jobs: Optional[int] = None) -> List[ExperimentTable]:
-    """Run (or recall) the listed experiments and return their tables."""
-    config = config or default_config()
-    keys = experiments or list(ALL_EXPERIMENTS)
-    results, _ = _prefetch_results(config, keys, jobs=jobs)
-    return [ALL_EXPERIMENTS[key](config, results=results) for key in keys]
-
-
 def render_report(config: Optional[ExperimentConfig] = None,
                   experiments: Optional[List[str]] = None,
                   jobs: Optional[int] = None) -> str:

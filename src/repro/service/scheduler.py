@@ -118,10 +118,6 @@ class JobScheduler:
                                         name="repro-scheduler", daemon=True)
         self._thread.start()
 
-    @property
-    def stopping(self) -> bool:
-        return self._stop.is_set()
-
     def begin_drain(self) -> None:
         """Refuse new submissions; the loop exits after its batch."""
         self._stop.set()

@@ -52,9 +52,8 @@ from repro.store.atomic import (
     quarantine_file,
 )
 
-#: Digest prefix length for key-addressed index files (matches the
-#: legacy ResultCache/checkpoint filename digests, so migrated entries
-#: keep their identity).
+#: Digest prefix length for key-addressed index files. Existing store
+#: indexes are addressed by it: changing it orphans every entry.
 KEY_DIGEST_LEN = 24
 
 #: Over-budget slack tolerated between automatic gc passes: a put only
@@ -293,19 +292,21 @@ class ArtifactStore(_StoreBase):
                 self.gc()
         return digest
 
-    def _read_index(self, key: str) -> Optional[dict]:
+    def _read_index(self, key: str,
+                    quarantined: Optional[List[Path]] = None
+                    ) -> Optional[dict]:
         path = self.index_path(key)
         try:
             data = json.loads(path.read_text())
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(path)
+            self._quarantine(path, quarantined)
             return None
         except OSError:
             return None  # read race (mid-replace), not corruption
         if not isinstance(data, dict):
-            self._quarantine(path)
+            self._quarantine(path, quarantined)
             return None
         # Key check before schema check: a record naming another key
         # (truncated-digest collision, or a legacy-format payload with
@@ -315,19 +316,23 @@ class ArtifactStore(_StoreBase):
         if data.get("key", data.get("__key__")) != key:
             return None
         if not isinstance(data.get("digest"), str):
-            self._quarantine(path)
+            self._quarantine(path, quarantined)
             return None
         return data
 
-    def get_bytes(self, key: str) -> Optional[bytes]:
+    def get_bytes(self, key: str,
+                  quarantined: Optional[List[Path]] = None
+                  ) -> Optional[bytes]:
         """Recall ``key``'s payload; corruption quarantines, never raises.
 
         A missing entry (never stored, or evicted) is a plain miss —
         the caller recomputes. A present entry whose blob is missing
         (raced gc) heals itself: the stale index record is dropped and
-        the read degrades to a miss.
+        the read degrades to a miss. ``quarantined``, when given,
+        receives each file this call moved aside — unlike the shared
+        ``counters``, it never picks up another thread's quarantine.
         """
-        record = self._read_index(key)
+        record = self._read_index(key, quarantined)
         if record is None:
             self._emit("misses")
             return None
@@ -339,7 +344,7 @@ class ArtifactStore(_StoreBase):
             self._emit("misses")
             return None
         if hashlib.sha256(data).hexdigest() != record["digest"]:
-            self._quarantine(blob)
+            self._quarantine(blob, quarantined)
             self.index_path(key).unlink(missing_ok=True)
             self._emit("misses")
             return None
@@ -363,9 +368,12 @@ class ArtifactStore(_StoreBase):
     def unpin(self, key: str) -> None:
         self.drop_pin(self.index_path(key))
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: Path,
+                    quarantined: Optional[List[Path]] = None) -> None:
         if quarantine_file(path) is not None:
             self._emit("quarantined")
+            if quarantined is not None:
+                quarantined.append(path)
 
     # -- scanning / gc -------------------------------------------------
 

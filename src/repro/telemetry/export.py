@@ -24,9 +24,8 @@ import platform
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.telemetry.registry import MetricsRegistry
 
 STATS_SCHEMA_VERSION = 1
 
@@ -80,10 +79,6 @@ def run_manifest(config=None, seed: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # Stats documents
 # ---------------------------------------------------------------------------
-
-def registry_snapshot(registry: MetricsRegistry, prefix: str = "") -> Dict[str, dict]:
-    return registry.snapshot(prefix)
-
 
 def stats_document(manifest: dict, runs: List[dict]) -> dict:
     return {"manifest": manifest, "runs": runs}

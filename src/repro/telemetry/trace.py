@@ -115,11 +115,6 @@ class ChromeTracer:
                          {"line": req.line_address,
                           "word": req.critical_word})
 
-    def to_trace(self) -> dict:
-        return {"traceEvents": list(self.events),
-                "displayTimeUnit": "ms",
-                "otherData": {"schema_version": TRACE_SCHEMA_VERSION}}
-
 
 class NullTracer(ChromeTracer):
     """No-op twin: the default sink for un-instrumented runs."""

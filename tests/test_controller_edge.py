@@ -79,26 +79,32 @@ class TestAggressivePowerDown:
 
 
 class TestProgressBounds:
-    def test_earliest_progress_time_row_hit(self):
-        events, mc = make(device=DDR3_DEVICE, timing=DDR3,
-                          refresh_enabled=False)
-        req = read(bank=0, row=1)
-        mc.enqueue(req)
-        complete(events, req)
-        hit = read(bank=0, row=1, column=3)
-        t = mc._earliest_progress_time(events.now, hit)
-        assert t <= events.now + DDR3.t_ccd
+    # _next_wake_time floors its bound at now + bus_cycle and caps it at
+    # now + t_rc; each test queues exactly one request.
 
-    def test_earliest_progress_time_conflict(self):
+    def test_next_wake_time_row_hit(self):
         events, mc = make(device=DDR3_DEVICE, timing=DDR3,
                           refresh_enabled=False)
         req = read(bank=0, row=1)
         mc.enqueue(req)
         complete(events, req)
-        conflict = read(bank=0, row=2)
-        t = mc._earliest_progress_time(events.now, conflict)
+        mc.enqueue(read(bank=0, row=1, column=3))
+        t = mc._next_wake_time(events.now)
+        assert t <= events.now + max(DDR3.t_ccd, DDR3.bus_cycle)
+
+    def test_next_wake_time_conflict(self):
+        events, mc = make(device=DDR3_DEVICE, timing=DDR3,
+                          refresh_enabled=False)
+        req = read(bank=0, row=1)
+        mc.enqueue(req)
+        complete(events, req)
+        mc.enqueue(read(bank=0, row=2))
+        t = mc._next_wake_time(events.now)
         bank = mc.ranks[0].banks[0]
-        assert t == max(bank.next_precharge, mc.ranks[0].wake_time)
+        bound = max(bank.next_precharge, mc.ranks[0].wake_time)
+        if bound <= events.now:
+            bound = events.now + DDR3.bus_cycle
+        assert t == min(bound, events.now + DDR3.t_rc)
 
 
 class TestBusyAccounting:

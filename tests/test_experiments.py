@@ -11,7 +11,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.power_curves import figure_2
 from repro.experiments.tables import table_1, table_2
-from repro.sim.config import MemoryKind
 from repro.sim.system import SimResult
 
 
@@ -74,9 +73,9 @@ class TestResultCache:
             calls.append(1)
             return self.make_result()
 
-        a = run_cached("mcf", MemoryKind.DDR3, config, variant="test",
+        a = run_cached("mcf", "ddr3", config, variant="test",
                        runner=runner)
-        b = run_cached("mcf", MemoryKind.DDR3, config, variant="test",
+        b = run_cached("mcf", "ddr3", config, variant="test",
                        runner=runner)
         assert len(calls) == 1
         assert a.elapsed_cycles == b.elapsed_cycles

@@ -26,7 +26,6 @@ from repro.experiments.specs import (
     config_digest,
     spec_cache_key,
 )
-from repro.sim.config import MemoryKind
 from repro.sim.system import SimResult
 
 
@@ -42,20 +41,20 @@ def make_result(benchmark="b", cycles=10):
 
 class TestRunSpec:
     def test_hashable_and_equal(self):
-        a = RunSpec("mcf", MemoryKind.RL)
-        b = RunSpec("mcf", MemoryKind.RL)
+        a = RunSpec("mcf", "rl")
+        b = RunSpec("mcf", "rl")
         assert a == b and hash(a) == hash(b)
-        assert a != RunSpec("mcf", MemoryKind.RL, variant="noprefetch")
+        assert a != RunSpec("mcf", "rl", variant="noprefetch")
 
     def test_picklable(self):
-        spec = RunSpec("mcf", MemoryKind.RL, variant="x",
+        spec = RunSpec("mcf", "rl", variant="x",
                        overrides=(("prefetcher_enabled", False),),
                        runner="r", params=(("k", 1),))
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_overrides_resolve(self):
         config = ExperimentConfig(target_dram_reads=100)
-        spec = RunSpec("mcf", MemoryKind.RL,
+        spec = RunSpec("mcf", "rl",
                        overrides=(("prefetcher_enabled", False),
                                   ("mshr_capacity", 16)))
         sim = spec.resolved_sim_config(config)
@@ -64,14 +63,14 @@ class TestRunSpec:
         assert sim.memory == "rl"
 
     def test_label(self):
-        assert RunSpec("mcf", MemoryKind.RL).label == "mcf/rl"
-        assert RunSpec("mcf", MemoryKind.RL,
+        assert RunSpec("mcf", "rl").label == "mcf/rl"
+        assert RunSpec("mcf", "rl",
                        variant="noprefetch").label == "mcf/rl/noprefetch"
 
 
 class TestCacheKey:
     def test_v8_versioned(self):
-        key = spec_cache_key(RunSpec("mcf", MemoryKind.DDR3),
+        key = spec_cache_key(RunSpec("mcf", "ddr3"),
                              ExperimentConfig())
         assert key.startswith("v8|")
 
@@ -79,14 +78,14 @@ class TestCacheKey:
         # A config-knob change no old-style key field captured (MSHR
         # size) must still produce a distinct key.
         config = ExperimentConfig(target_dram_reads=100)
-        plain = spec_cache_key(RunSpec("mcf", MemoryKind.DDR3), config)
+        plain = spec_cache_key(RunSpec("mcf", "ddr3"), config)
         tweaked = spec_cache_key(
-            RunSpec("mcf", MemoryKind.DDR3,
+            RunSpec("mcf", "ddr3",
                     overrides=(("mshr_capacity", 16),)), config)
         assert plain != tweaked
 
     def test_key_varies_with_reads_and_seed(self):
-        spec = RunSpec("mcf", MemoryKind.DDR3)
+        spec = RunSpec("mcf", "ddr3")
         keys = {
             spec_cache_key(spec, ExperimentConfig(target_dram_reads=100)),
             spec_cache_key(spec, ExperimentConfig(target_dram_reads=200)),
@@ -97,7 +96,7 @@ class TestCacheKey:
 
     def test_digest_stable(self):
         config = ExperimentConfig(target_dram_reads=100)
-        sim = config.sim_config(MemoryKind.DDR3)
+        sim = config.sim_config("ddr3")
         assert config_digest(sim) == config_digest(sim)
 
 
@@ -178,7 +177,7 @@ class TestExecutor:
         self.counting_runner(monkeypatch, calls)
         config = ExperimentConfig(target_dram_reads=50,
                                   cache_dir=str(tmp_path))
-        spec = RunSpec("mcf", MemoryKind.DDR3, runner="counting")
+        spec = RunSpec("mcf", "ddr3", runner="counting")
         results = run_specs([spec, spec, spec], config, jobs=1)
         assert len(calls) == 1
         assert results[spec].benchmark == "mcf"
@@ -188,7 +187,7 @@ class TestExecutor:
         self.counting_runner(monkeypatch, calls)
         config = ExperimentConfig(target_dram_reads=50,
                                   cache_dir=str(tmp_path))
-        spec = RunSpec("mcf", MemoryKind.DDR3, runner="counting")
+        spec = RunSpec("mcf", "ddr3", runner="counting")
         run_specs([spec], config, jobs=1)
         executor = ParallelExecutor(config, jobs=1)
         results = executor.run([spec])
@@ -201,8 +200,8 @@ class TestExecutor:
         self.counting_runner(monkeypatch, calls)
         config = ExperimentConfig(target_dram_reads=50,
                                   cache_dir=str(tmp_path))
-        have = RunSpec("mcf", MemoryKind.DDR3, runner="counting")
-        missing = RunSpec("leslie3d", MemoryKind.DDR3, runner="counting")
+        have = RunSpec("mcf", "ddr3", runner="counting")
+        missing = RunSpec("leslie3d", "ddr3", runner="counting")
         results = resolve_results([have, missing], config,
                                   results={have: make_result("a")})
         assert set(results) == {have, missing}
@@ -214,7 +213,7 @@ class TestExecutor:
         config = ExperimentConfig(target_dram_reads=50,
                                   cache_dir=str(tmp_path))
         executor = ParallelExecutor(config, jobs=1)
-        executor.run([RunSpec("mcf", MemoryKind.DDR3, runner="counting")])
+        executor.run([RunSpec("mcf", "ddr3", runner="counting")])
         record, = executor.timings
         assert record["benchmark"] == "mcf"
         assert record["cached"] is False
@@ -268,8 +267,8 @@ class TestParallelTelemetry:
         session = activate(TelemetrySession(trace_enabled=False))
         try:
             config = ExperimentConfig(target_dram_reads=80, cache_dir=None)
-            specs = [RunSpec("mcf", MemoryKind.DDR3),
-                     RunSpec("mcf", MemoryKind.RL)]
+            specs = [RunSpec("mcf", "ddr3"),
+                     RunSpec("mcf", "rl")]
             run_specs(specs, config, jobs=2)
         finally:
             deactivate()

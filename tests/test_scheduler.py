@@ -5,7 +5,6 @@ from repro.dram.scheduler import (
     priority_key,
     promote_aged_prefetches,
     select_oldest,
-    select_row_hit,
 )
 
 
@@ -56,14 +55,3 @@ class TestSelection:
         a, b = req(arrival=5), req(arrival=3)
         assert select_oldest([a, b]) is b
         assert select_oldest([]) is None
-
-    def test_select_row_hit_filters(self):
-        a, b = req(arrival=5), req(arrival=3)
-        chosen = select_row_hit([a, b], lambda r: r is a)
-        assert chosen is a
-
-    def test_select_row_hit_prefers_demand(self):
-        prefetch = req(arrival=0, is_prefetch=True)
-        demand = req(arrival=100)
-        chosen = select_row_hit([prefetch, demand], lambda r: True)
-        assert chosen is demand

@@ -4,7 +4,6 @@ from repro.core.cwf import CriticalWordMemory, CWFPolicy, HeteroPair
 from repro.core.placement import PagePlacementMemory
 from repro.memsys.homogeneous import HomogeneousMemory
 from repro.sim.config import (
-    MemoryKind,
     SimConfig,
     adaptive_tag_seeder,
     build_memory,
@@ -20,14 +19,14 @@ class TestBuildMemory:
         return build_memory(config, EventQueue(), profile=profile)
 
     def test_homogeneous_kinds(self):
-        for kind in (MemoryKind.DDR3, MemoryKind.RLDRAM3, MemoryKind.LPDDR2):
+        for kind in ("ddr3", "rldram3", "lpddr2"):
             memory = self.build(kind)
             assert isinstance(memory, HomogeneousMemory)
-            assert memory.config.kind.value == kind.value
+            assert memory.config.kind.value == kind
 
     def test_cwf_kinds(self):
-        pairs = {MemoryKind.RD: HeteroPair.RD, MemoryKind.RL: HeteroPair.RL,
-                 MemoryKind.DL: HeteroPair.DL}
+        pairs = {"rd": HeteroPair.RD, "rl": HeteroPair.RL,
+                 "dl": HeteroPair.DL}
         for kind, pair in pairs.items():
             memory = self.build(kind)
             assert isinstance(memory, CriticalWordMemory)
@@ -35,20 +34,20 @@ class TestBuildMemory:
             assert memory.config.policy is CWFPolicy.STATIC
 
     def test_policy_variants(self):
-        assert self.build(MemoryKind.RL_ADAPTIVE).config.policy \
+        assert self.build("rl_adaptive").config.policy \
             is CWFPolicy.ADAPTIVE
-        assert self.build(MemoryKind.RL_ORACLE).config.policy \
+        assert self.build("rl_oracle").config.policy \
             is CWFPolicy.ORACLE
-        assert self.build(MemoryKind.RL_RANDOM).config.policy \
+        assert self.build("rl_random").config.policy \
             is CWFPolicy.RANDOM
 
     def test_adaptive_gets_seeder_with_profile(self):
-        memory = self.build(MemoryKind.RL_ADAPTIVE,
+        memory = self.build("rl_adaptive",
                             profile=profile_for("mcf"))
         assert memory._tag_seeder is not None
 
     def test_page_placement_profiles_offline(self):
-        memory = self.build(MemoryKind.PAGE_PLACEMENT,
+        memory = self.build("page_placement",
                             profile=profile_for("mcf"))
         assert isinstance(memory, PagePlacementMemory)
         assert memory._hot_slots  # profiling produced hot pages

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim import system as system_mod
 from repro.sim.checkpoint import Checkpointer, load_checkpoint
-from repro.sim.config import MemoryKind, SimConfig, TABLE1, build_memory
+from repro.sim.config import SimConfig, TABLE1, build_memory
 from repro.sim.system import (
     SimulationSystem,
     make_traces,
@@ -19,7 +19,7 @@ from repro.workloads.profiles import profile_for
 SMALL = SimConfig(target_dram_reads=400, num_cores=2)
 
 
-def small_config(memory=MemoryKind.DDR3, cores=2, reads=400):
+def small_config(memory="ddr3", cores=2, reads=400):
     return SimConfig(memory=memory, num_cores=cores,
                      target_dram_reads=reads)
 
@@ -44,8 +44,8 @@ class TestRunBasics:
 
     def test_same_work_across_memories(self):
         """The paper's methodology: identical instruction streams."""
-        a = run_benchmark("mcf", small_config(MemoryKind.DDR3))
-        b = run_benchmark("mcf", small_config(MemoryKind.RL))
+        a = run_benchmark("mcf", small_config("ddr3"))
+        b = run_benchmark("mcf", small_config("rl"))
         assert a.instructions == b.instructions
 
     def test_latency_stats_populated(self):
@@ -62,15 +62,17 @@ class TestRunBasics:
         assert sum(result.critical_distribution) == pytest.approx(1.0)
 
 
-class TestMemoryKinds:
-    @pytest.mark.parametrize("kind", list(MemoryKind))
+class TestMemoryOrganisations:
+    @pytest.mark.parametrize("kind", [
+        "ddr3", "rldram3", "lpddr2", "rd", "rl", "dl", "rl_adaptive",
+        "rl_oracle", "rl_random", "page_placement"])
     def test_every_kind_runs(self, kind):
         result = run_benchmark("mcf", small_config(kind, reads=200))
-        assert result.memory == kind.value
+        assert result.memory == kind
         assert result.throughput > 0
 
     def test_cwf_kinds_report_fast_fraction(self):
-        result = run_benchmark("leslie3d", small_config(MemoryKind.RL))
+        result = run_benchmark("leslie3d", small_config("rl"))
         assert result.fast_service_fraction > 0.5
 
 
@@ -169,7 +171,7 @@ class TestPrewarmMemo:
     @pytest.mark.parametrize("first_mark", [0, 150])
     def test_checkpoint_with_unbuilt_sets_resumes_identically(
             self, tmp_path, empty_prewarm_memo, first_mark):
-        config = small_config(MemoryKind.RL, reads=400)
+        config = small_config("rl", reads=400)
         profile = profile_for("mcf")
         baseline = dataclasses.asdict(_warm_system(profile, config).run())
         path = tmp_path / "warm.ckpt"
@@ -194,7 +196,7 @@ class TestPrewarmMemo:
 
 class TestConfigHelpers:
     def test_with_memory(self):
-        config = SMALL.with_memory(MemoryKind.RL)
+        config = SMALL.with_memory("rl")
         assert config.memory == "rl"
         assert config.target_dram_reads == SMALL.target_dram_reads
 
@@ -209,7 +211,7 @@ class TestConfigHelpers:
     def test_build_memory_page_placement_needs_inputs(self):
         events = EventQueue()
         with pytest.raises(ValueError):
-            build_memory(SMALL.with_memory(MemoryKind.PAGE_PLACEMENT),
+            build_memory(SMALL.with_memory("page_placement"),
                          events)
 
 

@@ -29,7 +29,6 @@ import os
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -234,7 +233,7 @@ class TestArtifactStore:
         assert not store.contains("key")  # stale index dropped
 
     def test_legacy_digest_compatible(self, tmp_path):
-        # index file names reuse the pre-store 24-hex-char key digest.
+        # Existing store indexes are addressed by the 24-hex key digest.
         store = ArtifactStore(tmp_path)
         store.put_bytes("key", b"x")
         import hashlib
@@ -361,40 +360,36 @@ class TestConcurrentWriters:
 
 
 # ---------------------------------------------------------------------------
-# ResultCache on the store: migration, budget, recompute determinism
+# ResultCache on the store: counters, budget, recompute determinism
 # ---------------------------------------------------------------------------
 
 
-class TestResultCacheMigration:
-    def test_legacy_flat_entry_resolves_and_migrates(self, tmp_path):
-        result = make_result(cycles=77)
-        data = dataclasses.asdict(result)
-        data["__key__"] = "old-key"
-        legacy = tmp_path / f"{key_digest('old-key')}.json"
-        legacy.write_text(json.dumps(data))
-
+class TestResultCacheCounters:
+    def test_own_quarantine_counts_as_quarantined(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        recalled = cache.get("old-key")
-        assert recalled is not None and recalled.elapsed_cycles == 77
-        assert cache.stats()["hits"] == 1  # a hit, not a recompute
-        assert not legacy.exists()  # retired into the store
-        assert cache.store.contains("old-key")
-        # Second read comes straight from the CAS.
-        assert cache.get("old-key").elapsed_cycles == 77
-
-    def test_corrupt_legacy_entry_is_quarantined(self, tmp_path):
-        legacy = tmp_path / f"{key_digest('key')}.json"
-        legacy.write_text("{torn")
-        cache = ResultCache(str(tmp_path))
+        cache.put("key", make_result())
+        record = json.loads(cache._path("key").read_text())
+        cache.store.blob_path(record["digest"]).write_bytes(b"rot")
         assert cache.get("key") is None
-        assert cache.stats()["quarantined"] == 1
-        assert legacy.with_name(legacy.name + ".corrupt").exists()
+        stats = cache.stats()
+        assert (stats["misses"], stats["quarantined"]) == (0, 1)
 
-    def test_contains_sees_legacy_entries(self, tmp_path):
-        legacy = tmp_path / f"{key_digest('key')}.json"
-        legacy.write_text("{}")
+    def test_other_threads_quarantine_is_not_this_miss(self, tmp_path):
+        # A plain miss overlapping another thread's quarantine on the
+        # shared store is still a miss: the counter moved, this call
+        # quarantined nothing.
         cache = ResultCache(str(tmp_path))
-        assert cache.contains("key")
+        store = cache.store
+        real_get_bytes = store.get_bytes
+
+        def get_bytes(key, *args):
+            store._emit("quarantined")
+            return real_get_bytes(key, *args)
+
+        store.get_bytes = get_bytes
+        assert cache.get("absent") is None
+        stats = cache.stats()
+        assert (stats["misses"], stats["quarantined"]) == (1, 0)
 
 
 class TestBudgetedRecompute:

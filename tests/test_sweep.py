@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.config import MemoryKind, SimConfig
+from repro.sim.config import SimConfig
 from repro.sweep import apply_parameter, run_point, sweep
 
 
@@ -59,5 +59,5 @@ class TestSweep:
     def test_controller_sweep_rejects_non_baseline(self):
         with pytest.raises(ValueError):
             run_point("mcf",
-                      SimConfig(memory=MemoryKind.RL, target_dram_reads=100),
+                      SimConfig(memory="rl", target_dram_reads=100),
                       "read_queue_size", 8)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, ResultCache
-from repro.sim.config import MemoryKind, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.system import SimulationSystem, make_traces, run_benchmark
 from repro.telemetry import (
     ChromeTracer,
@@ -28,7 +28,7 @@ from repro.util.events import EventQueue
 from repro.workloads.profiles import profile_for
 
 
-def tiny_config(memory=MemoryKind.DDR3, reads=120):
+def tiny_config(memory="ddr3", reads=120):
     return SimConfig(memory=memory, target_dram_reads=reads)
 
 
@@ -220,7 +220,7 @@ class TestSampler:
 
 class TestNullSink:
     def test_uninstrumented_run_touches_no_real_metrics(self):
-        config = tiny_config(MemoryKind.RL)
+        config = tiny_config("rl")
         profile = profile_for("mcf")
         system = SimulationSystem(config, make_traces(profile, config),
                                   profile=profile)
@@ -243,7 +243,7 @@ class TestNullSink:
         performs as no-ops; measured no-op cost x that count must stay
         under 5% of the measured simulation wall time.
         """
-        config = tiny_config(MemoryKind.RL, reads=400)
+        config = tiny_config("rl", reads=400)
         profile = profile_for("mcf")
         traces = make_traces(profile, config)
 
@@ -288,7 +288,7 @@ class TestRunTelemetry:
     def test_registry_matches_legacy_avg_critical_latency(self):
         session = TelemetrySession()
         run = session.begin_run("mcf", "rl")
-        config = tiny_config(MemoryKind.RL, reads=300)
+        config = tiny_config("rl", reads=300)
         result = run_benchmark("mcf", config, telemetry=run)
         system_avg = result.telemetry["avg_critical_latency"]
         assert system_avg == pytest.approx(result.avg_critical_latency,
@@ -380,10 +380,10 @@ class TestExport:
         config = ExperimentConfig(target_dram_reads=120,
                                   benchmarks=("mcf",),
                                   cache_dir=str(tmp_path))
-        first = run_cached("mcf", MemoryKind.DDR3, config)
+        first = run_cached("mcf", "ddr3", config)
         session = activate(TelemetrySession())
         try:
-            second = run_cached("mcf", MemoryKind.DDR3, config)
+            second = run_cached("mcf", "ddr3", config)
         finally:
             deactivate()
         assert second.telemetry is not None      # real run, not a recall
@@ -402,7 +402,7 @@ class TestResultCacheHardening:
         cache = ResultCache(str(tmp_path))
         config = ExperimentConfig(target_dram_reads=120, benchmarks=("mcf",),
                                   cache_dir=str(tmp_path))
-        result = run_benchmark("mcf", config.sim_config(MemoryKind.DDR3))
+        result = run_benchmark("mcf", config.sim_config("ddr3"))
         cache.put("k", result)
         return cache, result
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.energy.model import weighted_speedup
-from repro.sim.config import MemoryKind, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.system import run_weighted_speedup
 
 
@@ -57,9 +57,9 @@ class TestWeightedSpeedup:
     def test_faster_memory_raises_ws_ratio_consistency(self):
         config = SimConfig(num_cores=2, target_dram_reads=300)
         base = run_weighted_speedup("leslie3d",
-                                    config.with_memory(MemoryKind.DDR3))
+                                    config.with_memory("ddr3"))
         rld = run_weighted_speedup("leslie3d",
-                                   config.with_memory(MemoryKind.RLDRAM3))
+                                   config.with_memory("rldram3"))
         # Both normalise per-config IPC_alone, so the values are
         # comparable and should be same-ballpark.
         assert 0.5 < rld / base < 2.0
