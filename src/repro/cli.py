@@ -14,9 +14,6 @@ Usage::
     repro trace record mcf --out mcf.trace --reads 2000
     repro trace info mcf.trace            # metadata + per-core stats
     repro run --workload trace:mcf.trace --memory rl
-    repro bench --quick                   # kernel-throughput smoke run
-    repro bench --baseline benchmarks/perf/BENCH_baseline.json
-    repro profile mcf ddr3 --top 15       # cProfile one simulation cell
     repro serve --port 8787 --jobs 4      # long-lived job server
     repro submit --experiment fig6 --wait # run a figure via the server
     repro status j-0123abcd4567           # poll a submitted job
@@ -55,6 +52,14 @@ simulated run (per-channel latency histograms, per-bank counters, run
 manifest); ``--trace-out`` writes a Chrome ``trace_event`` JSON viewable
 in chrome://tracing or https://ui.perfetto.dev. Telemetry options force
 real simulations (the result cache is bypassed for reads).
+
+Kernel performance is measured outside this CLI, on the pinned
+(ddr3, rl, hmc_cwf) x (mcf, leslie3d) matrix::
+
+    python3 perfbench/run.py --workload sim-matrix --seed 1 --seconds 10
+    python3 benchmarks/perf_gate.py       # gate on the committed baseline
+    python -m cProfile -s tottime -m repro.cli run --memory rl \
+        --benchmarks mcf --reads 4000 --cache off   # profile one cell
 """
 
 from __future__ import annotations
@@ -581,121 +586,6 @@ def cmd_resume(argv: List[str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: bench, profile (kernel performance tooling)
-# ---------------------------------------------------------------------------
-
-
-def cmd_bench(argv: List[str]) -> int:
-    """Kernel-throughput benchmark over the pinned matrix (see repro.bench)."""
-    from repro import bench as bench_mod
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Measure simulated-DRAM-reads-per-wallclock-second over "
-                    "the pinned (ddr3, rl, hmc_cwf) x (mcf, leslie3d) matrix "
-                    "and optionally gate against a committed baseline.")
-    parser.add_argument("--reads", type=int, default=None,
-                        help="target demand DRAM fetches per cell "
-                             f"(default {bench_mod.DEFAULT_READS})")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: small read target "
-                             f"({bench_mod.QUICK_READS} reads) "
-                             "and a single repeat")
-    parser.add_argument("--repeats", type=int, default=None, metavar="N",
-                        help="run the matrix N times, keep each cell's best "
-                             "rate (default 3, or 1 with --quick)")
-    parser.add_argument("--out", default="BENCH_kernel.json", metavar="PATH",
-                        help="write the JSON report here "
-                             "(default BENCH_kernel.json)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="compare against this baseline report and fail "
-                             "on regression "
-                             "(e.g. benchmarks/perf/BENCH_baseline.json)")
-    parser.add_argument("--fail-threshold", type=float,
-                        default=bench_mod.DEFAULT_FAIL_THRESHOLD,
-                        metavar="FRAC",
-                        help="allowed fractional drop in total reads/s vs "
-                             "the baseline (default 0.25)")
-    parser.add_argument("--json", action="store_true",
-                        help="print the report as JSON instead of a table")
-    args = parser.parse_args(argv)
-
-    reads = args.reads if args.reads is not None else (
-        bench_mod.QUICK_READS if args.quick else bench_mod.DEFAULT_READS)
-    repeats = args.repeats if args.repeats is not None else (
-        1 if args.quick else 3)
-    report = bench_mod.run_bench(target_dram_reads=reads, repeats=repeats)
-    if args.json:
-        import json as _json
-        print(_json.dumps(report, indent=1, sort_keys=True))
-    else:
-        print(bench_mod.format_report(report))
-    if args.out:
-        bench_mod.write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.baseline:
-        baseline = bench_mod.load_report(args.baseline)
-        if baseline is None:
-            print(f"error: cannot read baseline {args.baseline}",
-                  file=sys.stderr)
-            return 2
-        ok, messages = bench_mod.compare_to_baseline(
-            report, baseline, fail_threshold=args.fail_threshold)
-        for message in messages:
-            print(message)
-        if not ok:
-            return 1
-    return 0
-
-
-def cmd_profile(argv: List[str]) -> int:
-    """cProfile one benchmark/memory cell of the simulation kernel."""
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Run one benchmark on one memory backend under cProfile "
-                    "and print the hottest functions.")
-    parser.add_argument("benchmark", help="benchmark name (e.g. mcf)")
-    parser.add_argument("memory", help="memory backend (e.g. ddr3, rl, "
-                                       "hmc_cwf; see 'repro list-backends')")
-    parser.add_argument("--reads", type=int, default=None,
-                        help="target demand DRAM fetches (default 4000)")
-    parser.add_argument("--sort", default="cumulative",
-                        choices=("cumulative", "tottime", "calls",
-                                 "ncalls", "pcalls", "time", "name"),
-                        help="pstats sort key (default cumulative)")
-    parser.add_argument("--top", type=int, default=25, metavar="N",
-                        help="print the top N entries (default 25)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="also dump raw stats for snakeviz/pstats "
-                             "(e.g. prof.pstats)")
-    args = parser.parse_args(argv)
-    memory = _resolve_memories([args.memory])[0]
-
-    import cProfile
-    import pstats
-
-    from repro.bench import DEFAULT_READS
-    from repro.sim.config import SimConfig
-    from repro.sim.system import run_benchmark
-
-    reads = args.reads if args.reads is not None else DEFAULT_READS
-    config = SimConfig(memory=memory, target_dram_reads=reads)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = run_benchmark(args.benchmark, config)
-    profiler.disable()
-    print(f"{args.benchmark}/{memory}: {result.dram_reads} reads in "
-          f"{result.elapsed_cycles} cycles", file=sys.stderr)
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort).print_stats(args.top)
-    if args.out:
-        stats.dump_stats(args.out)
-        print(f"wrote raw profile to {args.out} "
-              "(inspect with python -m pstats or snakeviz)", file=sys.stderr)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # Subcommands: serve, submit, status (the simulation service)
 # ---------------------------------------------------------------------------
 
@@ -950,10 +840,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_run(argv[1:])
     if argv and argv[0] == "resume":
         return cmd_resume(argv[1:])
-    if argv and argv[0] == "bench":
-        return cmd_bench(argv[1:])
-    if argv and argv[0] == "profile":
-        return cmd_profile(argv[1:])
     if argv and argv[0] == "serve":
         return cmd_serve(argv[1:])
     if argv and argv[0] == "submit":
