@@ -36,10 +36,8 @@ def run_custom(memory_builder=None, uncore_override=None,
         config = dataclasses.replace(config, uncore=uncore_override)
     profile = profile_for(benchmark)
     traces = make_traces(profile, config)
-    system = SimulationSystem(config, traces, profile=profile)
-    if memory_builder is not None:
-        system.memory = memory_builder(system.events)
-        system.uncore.memory = system.memory
+    system = SimulationSystem(config, traces, profile=profile,
+                              memory_builder=memory_builder)
     prewarm_l2(system, profile)
     result = system.run()
     result.benchmark = benchmark

@@ -56,17 +56,11 @@ def part2_architecture() -> None:
         sim_config = _SimConfig(memory="rl", target_dram_reads=1500)
         profile = profile_for("leslie3d")
         traces = make_traces(profile, sim_config)
-        events_memory = None
-
         # Build the RL memory directly so we can set the error rate.
         system = SimulationSystem(
-            sim_config, traces,
-            memory=None if rate == 0.0 else None,
-            profile=profile)
-        # Swap in a fault-injecting memory before running.
-        system.memory = CriticalWordMemory(
-            system.events, CWFConfig(parity_error_rate=rate))
-        system.uncore.memory = system.memory
+            sim_config, traces, profile=profile,
+            memory_builder=lambda events: CriticalWordMemory(
+                events, CWFConfig(parity_error_rate=rate)))
         prewarm_l2(system, profile)
         result = system.run()
         memory = system.memory

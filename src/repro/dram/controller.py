@@ -35,11 +35,7 @@ from repro.dram.channel import Channel
 from repro.dram.device import DeviceConfig, PagePolicy
 from repro.dram.request import MemoryRequest, WORDS_PER_LINE
 from repro.dram.rank import PowerState, Rank
-from repro.dram.scheduler import (
-    SchedulingPolicy,
-    promote_aged_prefetches,
-    select_oldest,
-)
+from repro.dram.scheduler import SchedulingPolicy, promote_aged_prefetches
 from repro.dram.timing import TimingSet
 from repro.telemetry.registry import (
     MetricsRegistry,
@@ -102,8 +98,7 @@ class ControllerStats:
 
     __slots__ = (
         "reads_done", "writes_done", "sum_queue_latency",
-        "sum_core_latency", "sum_total_latency", "sum_critical_latency",
-        "refreshes", "prefetches_done",
+        "sum_core_latency", "refreshes", "prefetches_done",
     )
 
     def __init__(self) -> None:
@@ -111,8 +106,6 @@ class ControllerStats:
         self.writes_done = 0
         self.sum_queue_latency = 0
         self.sum_core_latency = 0
-        self.sum_total_latency = 0
-        self.sum_critical_latency = 0
         self.refreshes = 0
         self.prefetches_done = 0
 
@@ -137,14 +130,15 @@ class MemoryController:
         "device", "timing", "channel", "events", "config", "name",
         "ranks", "rank_to_bus", "read_queue", "write_queue", "stats",
         "_draining_writes", "_tick_event", "_next_refresh",
-        "_refresh_pending", "registry", "tracer",
-        "_h_queue_lat", "_h_critical_lat", "_h_total_lat", "_h_occupancy",
+        "registry", "tracer",
+        "_h_queue_lat", "_h_critical_lat", "_h_occupancy",
         "_c_refreshes", "_c_promotions",
         # Precomputed hot-path constants and fast-path state.
         "_bus_cycle", "_t_rl", "_t_wl", "_t_rc", "_t_refi", "_t_rfc",
         "_beat", "_slots_per_cycle", "_cmd_bus", "_cmd_earliest",
         "_cmd_reserve", "_rank_bus",
-        "_close_page", "_unpromoted_prefetches", "_refresh_due",
+        "_close_page", "_issue_queue", "_unpromoted_prefetches",
+        "_refresh_due",
         "_telemetry",
         # Config knobs flattened to instance attributes: the config is
         # never mutated after construction, and these are read every tick.
@@ -180,14 +174,12 @@ class MemoryController:
             (i + 1) * max(1, timing.t_refi // max(1, num_ranks))
             for i in range(num_ranks)
         ]
-        self._refresh_pending = [False] * num_ranks
         # Telemetry handles default to the shared null sink; an
         # un-instrumented run pays only a single identity check.
         self.registry: Optional[MetricsRegistry] = None
         self.tracer = NULL_TRACER
         self._h_queue_lat = NULL_HISTOGRAM
         self._h_critical_lat = NULL_HISTOGRAM
-        self._h_total_lat = NULL_HISTOGRAM
         self._h_occupancy = NULL_HISTOGRAM
         self._c_refreshes = NULL_COUNTER
         self._c_promotions = NULL_COUNTER
@@ -210,6 +202,10 @@ class MemoryController:
         self._rank_bus = [channel.data_buses[self.rank_to_bus[i]]
                           for i in range(num_ranks)]
         self._close_page = device.page_policy is PagePolicy.CLOSE
+        # The page policy's queue scan, bound once: ``_issue_one`` calls
+        # it for the served queue and again for the other one.
+        self._issue_queue = (self._issue_close_page if self._close_page
+                             else self._issue_open_page)
         # Live count of queued unpromoted prefetches: while it is zero the
         # scheduler skips promotion scans and demand/prefetch partitions.
         self._unpromoted_prefetches = 0
@@ -246,7 +242,6 @@ class MemoryController:
         self._h_queue_lat = registry.histogram(f"{ns}.queue_latency_cycles")
         self._h_critical_lat = registry.histogram(
             f"{ns}.critical_latency_cycles")
-        self._h_total_lat = registry.histogram(f"{ns}.total_latency_cycles")
         self._h_occupancy = registry.histogram(f"{ns}.read_queue_occupancy")
         self._c_refreshes = registry.counter(f"{ns}.refreshes")
         self._c_promotions = registry.counter(f"{ns}.prefetch_promotions")
@@ -454,6 +449,14 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Issue logic
     # ------------------------------------------------------------------
+    #
+    # Every DRAM command kind issues at exactly one site: scheduled ACT
+    # and PRE in :meth:`_issue_open_page`'s per-bank pass, RD/WR CAS in
+    # :meth:`_issue_cas`, close-page ACCESS in :meth:`_issue_close_page`,
+    # housekeeping PRE in :meth:`_close_rows`, REF in
+    # :meth:`_service_refresh`, PDE in :meth:`_try_powerdown` and wake in
+    # :meth:`enqueue`. Each site is also the command's only sanitizer
+    # hook.
 
     def _issue_one(self, now: int) -> bool:
         # Drain mode serves writes; otherwise reads, falling back to
@@ -467,23 +470,17 @@ class MemoryController:
         if not queue:
             return False
         # Every command class needs a command-bus slot at ``now``; when
-        # none is free nothing can issue this tick.
+        # none is free nothing can issue this tick. The scans below rely
+        # on this check and do not repeat it.
         if self._cmd_earliest(now) != now:
             return False
-        if self._close_page:
-            if self._issue_close_page(now, queue):
-                return True
-        elif self._issue_open_page(now, queue):
+        if self._issue_queue(now, queue):
             return True
         # Drain gaps: while a write drain waits on bank timing, let a
         # ready read slip in rather than stalling the channel (and vice
         # versa when serving reads leaves the cycle idle).
         other = self.write_queue if queue is self.read_queue else self.read_queue
-        if not other:
-            return False
-        if self._close_page:
-            return self._issue_close_page(now, other)
-        return self._issue_open_page(now, other)
+        return bool(other) and self._issue_queue(now, other)
 
     # --- open-page (DDR3 / LPDDR2) -------------------------------------
 
@@ -502,7 +499,6 @@ class MemoryController:
             classes = self._partition
         else:
             classes = (queue,)
-        fr_fcfs = self._fr_fcfs
         ranks = self.ranks
         rank_bus = self._rank_bus
         t_rl = self._t_rl
@@ -511,51 +507,42 @@ class MemoryController:
         for cls in classes:
             if not cls:
                 continue
-            if fr_fcfs:
-                # FR step, inlined: the first column-ready row hit in
-                # queue order. The queue-order invariant (see
-                # :meth:`enqueue`) makes it the best (arrival_time,
-                # request_id) candidate in its demand class, so the scan
-                # stops at the first match.
-                for r in cls:
-                    d = r.decoded
-                    rank = ranks[d.rank]
-                    if now < rank.wake_time:
+            if not self._fr_fcfs:
+                # Strict FCFS: only the oldest request of the class may
+                # act, and by the queue-order invariant that is cls[0].
+                cls = cls[:1]
+            # FR step: the first column-ready row hit in queue order. The
+            # queue-order invariant (see :meth:`enqueue`) makes it the
+            # best (arrival_time, request_id) candidate in its demand
+            # class, so the scan stops at the first match.
+            for r in cls:
+                d = r.decoded
+                rank = ranks[d.rank]
+                if now < rank.wake_time:
+                    continue
+                bank = rank.banks[d.bank]
+                if bank.state is not active or bank.open_row != d.row:
+                    continue
+                if r.is_read:
+                    if now < bank.next_read:
                         continue
-                    bank = rank.banks[d.bank]
-                    if bank.state is not active or bank.open_row != d.row:
+                    t_data = now + t_rl
+                else:
+                    if now < bank.next_write:
                         continue
-                    if r.is_read:
-                        if now < bank.next_read:
-                            continue
-                        t_data = now + t_rl
-                    else:
-                        if now < bank.next_write:
-                            continue
-                        t_data = now + t_wl
-                    # The data bus must be free exactly when this burst
-                    # would start.
-                    bus = rank_bus[d.rank]
-                    if bus.earliest_start(t_data, r.kind, d.rank) != t_data:
-                        continue
-                    self._issue_cas(now, r, queue)
-                    return True
-            else:
-                # Strict FCFS considers only the oldest request for CAS.
-                oldest = select_oldest(cls)
-                if oldest is not None and self._cas_ready(now, oldest):
-                    self._issue_cas(now, oldest, queue)
-                    return True
-                if oldest is not None and self._progress_act_pre(now, oldest):
-                    return True
-                continue
+                    t_data = now + t_wl
+                # The data bus must be free exactly when this burst
+                # would start.
+                bus = rank_bus[d.rank]
+                if bus.earliest_start(t_data, r.kind, d.rank) != t_data:
+                    continue
+                self._issue_cas(now, r, queue)
+                return True
             # Progress PRE/ACT oldest-first *per bank*: younger requests
             # to ready banks must not stall behind one blocked oldest
             # (bank-level parallelism), but within a bank strict age
             # order prevents precharge ping-pong. Queue order is already
             # (arrival_time, request_id) order, so no sort is needed.
-            # Body of _progress_act_pre inlined: this loop visits every
-            # queued request on every non-issuing tick.
             claimed = set()
             for req in cls:
                 d = req.decoded
@@ -568,47 +555,26 @@ class MemoryController:
                     continue
                 bank = rank.banks[d.bank]
                 if bank.state is active:
-                    if (bank.open_row != d.row
-                            and now >= bank.next_precharge
-                            and self._cmd_earliest(now) == now):
-                        self._cmd_reserve(now)
-                        bank.precharge(now)
-                        rank.touch(now)
-                        if self._san is not None:
-                            self._san.note_pre(now, d.rank, d.bank)
-                        if req.first_command_time is None:
-                            req.first_command_time = now
-                        return True
-                elif (now >= bank.next_activate
-                        and rank.earliest_activate(now) <= now
-                        and self._cmd_earliest(now) == now):
+                    if bank.open_row == d.row or now < bank.next_precharge:
+                        continue
+                    self._cmd_reserve(now)
+                    bank.precharge(now)
+                    rank.touch(now)
+                    if self._san is not None:
+                        self._san.note_pre(now, d.rank, d.bank)
+                else:
+                    if (now < bank.next_activate
+                            or rank.earliest_activate(now) > now):
+                        continue
                     self._cmd_reserve(now)
                     bank.activate(now, d.row)
                     rank.note_activate(now)
                     if self._san is not None:
                         self._san.note_act(now, d.rank, d.bank, d.row)
-                    if req.first_command_time is None:
-                        req.first_command_time = now
-                    return True
+                if req.first_command_time is None:
+                    req.first_command_time = now
+                return True
         return False
-
-    def _cas_ready(self, now: int, req: MemoryRequest) -> bool:
-        d = req.decoded
-        rank = self.ranks[d.rank]
-        if now < rank.wake_time:
-            return False
-        bank = rank.banks[d.bank]
-        if not bank.is_row_hit(d.row):
-            return False
-        next_col = bank.next_read if req.is_read else bank.next_write
-        if now < next_col:
-            return False
-        # The data bus must be free exactly when this burst would start.
-        t_data = now + (self._t_rl if req.is_read else self._t_wl)
-        bus = self._rank_bus[d.rank]
-        if bus.earliest_start(t_data, req.kind, d.rank) != t_data:
-            return False
-        return self._cmd_earliest(now) == now
 
     def _issue_cas(self, now: int, req: MemoryRequest,
                    queue: List[MemoryRequest]) -> None:
@@ -624,51 +590,11 @@ class MemoryController:
             data_start = bank.column_read(now)
         else:
             data_start = bank.column_write(now)
-        bus = self._rank_bus[d.rank]
-        end = bus.reserve(data_start, req.kind, d.rank)
+        end = self._rank_bus[d.rank].reserve(data_start, req.kind, d.rank)
         if self._san is not None:
             self._san.note_cas(now, d.rank, d.bank, d.row, req.is_read,
                                data_start, end)
-        if req.first_command_time is None:
-            req.first_command_time = now
-        self._complete(req, data_start, end)
-        if req.is_prefetch and not req.promoted:
-            self._unpromoted_prefetches -= 1
-        queue.remove(req)
-        if req.is_read:
-            self._queue_version += 1
-
-    def _progress_act_pre(self, now: int, req: MemoryRequest) -> bool:
-        """Issue the PRE or ACT the oldest request needs, if legal."""
-        d = req.decoded
-        rank = self.ranks[d.rank]
-        if now < rank.wake_time:
-            return False
-        bank = rank.banks[d.bank]
-        if bank.state is BankState.ACTIVE and bank.open_row != d.row:
-            if bank.can_precharge(now) and \
-                    self._cmd_earliest(now) == now:
-                self._cmd_reserve(now)
-                bank.precharge(now)
-                rank.touch(now)
-                if self._san is not None:
-                    self._san.note_pre(now, d.rank, d.bank)
-                if req.first_command_time is None:
-                    req.first_command_time = now
-                return True
-            return False
-        if bank.state is BankState.IDLE:
-            if (bank.can_activate(now) and rank.can_activate(now)
-                    and self._cmd_earliest(now) == now):
-                self._cmd_reserve(now)
-                bank.activate(now, d.row)
-                rank.note_activate(now)
-                if self._san is not None:
-                    self._san.note_act(now, d.rank, d.bank, d.row)
-                if req.first_command_time is None:
-                    req.first_command_time = now
-                return True
-        return False
+        self._retire(now, req, queue, data_start, end)
 
     # --- close-page (RLDRAM3) ------------------------------------------
 
@@ -710,24 +636,21 @@ class MemoryController:
         self._cmd_reserve(now)
         data_start = bank.access(now, is_write=not best.is_read)
         rank.note_activate(now)
-        bus = rank_bus[d.rank]
-        end = bus.reserve(data_start, best.kind, d.rank)
+        end = rank_bus[d.rank].reserve(data_start, best.kind, d.rank)
         if self._san is not None:
             self._san.note_access(now, d.rank, d.bank,
                                   not best.is_read, data_start, end)
-        if best.first_command_time is None:
-            best.first_command_time = now
-        self._complete(best, data_start, end)
-        if best.is_prefetch and not best.promoted:
-            self._unpromoted_prefetches -= 1
-        queue.remove(best)
-        if best.is_read:
-            self._queue_version += 1
+        self._retire(now, best, queue, data_start, end)
         return True
 
     # --- completion ------------------------------------------------------
 
-    def _complete(self, req: MemoryRequest, data_start: int, end: int) -> None:
+    def _retire(self, now: int, req: MemoryRequest,
+                queue: List[MemoryRequest], data_start: int,
+                end: int) -> None:
+        """Account a request whose data burst is booked; dequeue it."""
+        if req.first_command_time is None:
+            req.first_command_time = now
         req.data_start_time = data_start
         req.completion_time = end
         # Conventional critical-word-first on the bus: the requested word
@@ -740,15 +663,11 @@ class MemoryController:
             if req.is_prefetch:
                 stats.prefetches_done += 1
             queue_latency = req.first_command_time - req.arrival_time
-            total_latency = critical_time - req.arrival_time
             stats.sum_queue_latency += queue_latency
             stats.sum_core_latency += critical_time - req.first_command_time
-            stats.sum_total_latency += total_latency
-            stats.sum_critical_latency += total_latency
             if self._telemetry:
                 self._h_queue_lat.observe(queue_latency)
-                self._h_critical_lat.observe(total_latency)
-                self._h_total_lat.observe(total_latency)
+                self._h_critical_lat.observe(critical_time - req.arrival_time)
             if req.on_critical_word is not None:
                 self.events.schedule(critical_time, _DeliverCritical(req))
         else:
@@ -757,28 +676,40 @@ class MemoryController:
             self.tracer.record_request(req, self.name)
         if req.on_complete is not None:
             self.events.schedule(end, _DeliverComplete(req))
+        if req.is_prefetch and not req.promoted:
+            self._unpromoted_prefetches -= 1
+        queue.remove(req)
+        if req.is_read:
+            self._queue_version += 1
 
     # ------------------------------------------------------------------
     # Refresh and power-down
     # ------------------------------------------------------------------
 
+    def _close_rows(self, now: int, i: int, rank: Rank,
+                    min_idle: int) -> None:
+        """Housekeeping PRE: close rows idle for ``min_idle`` cycles.
+
+        Closes each such row once it is precharge-legal. These
+        precharges are modelled off the command bus (refresh pre-close
+        with ``min_idle=0``, idle close before power-down otherwise).
+        """
+        for bank in rank.banks:
+            if (bank.state is BankState.ACTIVE
+                    and now - bank.last_use >= min_idle
+                    and bank.can_precharge(now)):
+                bank.precharge(now)
+                if self._san is not None:
+                    self._san.note_pre(now, i, bank.index, scheduled=False)
+
     def _service_refresh(self, now: int) -> None:
-        if not self._refresh_enabled:
-            return
         next_refresh = self._next_refresh
         for i, rank in enumerate(self.ranks):
             if now < next_refresh[i]:
                 continue
-            self._refresh_pending[i] = True
             # Close any open banks as they become precharge-legal.
             if rank.open_banks:
-                for bank in rank.banks:
-                    if (bank.state is BankState.ACTIVE
-                            and bank.can_precharge(now)):
-                        bank.precharge(now)
-                        if self._san is not None:
-                            self._san.note_pre(now, i, bank.index,
-                                               scheduled=False)
+                self._close_rows(now, i, rank, 0)
                 if rank.open_banks:
                     continue
             if now < rank.wake_time:
@@ -791,40 +722,18 @@ class MemoryController:
                 self._san.note_refresh(now, i, until)
             next_refresh[i] = max(next_refresh[i] + self._t_refi,
                                   now + self._t_refi // 2)
-            self._refresh_pending[i] = False
             self.stats.refreshes += 1
             self._c_refreshes.inc()
         self._refresh_due = min(next_refresh)
 
     def _try_powerdown(self, now: int) -> None:
-        if not self._aggressive_pd:
+        # Single-rank channel (every shipped power-down channel): queued
+        # work makes its one rank busy, so skip the busy-set build.
+        if len(self.ranks) == 1 and (self.read_queue or self.write_queue):
             return
         threshold = self._pd_threshold
-        ranks = self.ranks
-        if len(ranks) == 1:
-            # Single-rank channel (every bulk channel): any queued work
-            # targets this rank, so the busy-set scan reduces to a
-            # queue-emptiness check.
-            rank = ranks[0]
-            state = rank.power_state
-            if (state is PowerState.POWER_DOWN
-                    or state is PowerState.SELF_REFRESH
-                    or self.read_queue or self.write_queue):
-                return
-            if rank.open_banks:
-                for bank in rank.banks:
-                    if (bank.state is BankState.ACTIVE
-                            and now - bank.last_use >= threshold
-                            and bank.can_precharge(now)):
-                        bank.precharge(now)
-                        if self._san is not None:
-                            self._san.note_pre(now, 0, bank.index,
-                                               scheduled=False)
-            if rank.try_power_down(now, threshold) and self._san is not None:
-                self._san.note_power_down(now, 0)
-            return
         busy_ranks = None
-        for i, rank in enumerate(ranks):
+        for i, rank in enumerate(self.ranks):
             # Already asleep: banks are closed and there is nothing to do.
             state = rank.power_state
             if state is PowerState.POWER_DOWN or state is PowerState.SELF_REFRESH:
@@ -842,13 +751,6 @@ class MemoryController:
             # banks active forever). The open-bank count skips the scan
             # for ranks whose rows are already all closed.
             if rank.open_banks:
-                for bank in rank.banks:
-                    if (bank.state is BankState.ACTIVE
-                            and now - bank.last_use >= threshold
-                            and bank.can_precharge(now)):
-                        bank.precharge(now)
-                        if self._san is not None:
-                            self._san.note_pre(now, i, bank.index,
-                                               scheduled=False)
+                self._close_rows(now, i, rank, threshold)
             if rank.try_power_down(now, threshold) and self._san is not None:
                 self._san.note_power_down(now, i)

@@ -1,8 +1,14 @@
 """Scheduling policy for the memory controller.
 
 ``FR_FCFS`` (the paper's policy for DDR3/LPDDR2): column-ready row hits
-first, then first-come-first-served progress on the oldest request.
-``FCFS`` is kept as an ablation point.
+first, then first-come-first-served PRE/ACT progress, oldest request
+first within each bank. ``FCFS`` is kept as an ablation point: the same
+scan restricted to the oldest request of each demand class.
+
+Both policies are implemented by
+:meth:`~repro.dram.controller.MemoryController._issue_open_page`, which
+relies on the controller's queue-order invariant (queues stay sorted by
+``(arrival_time, request_id)``) instead of a priority key.
 
 Demand requests outrank prefetches unless a prefetch has aged past the
 promotion threshold (paper Sec 5), at which point it competes as a demand.
@@ -11,7 +17,7 @@ promotion threshold (paper Sec 5), at which point it competes as a demand.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable
 
 from repro.dram.request import MemoryRequest
 
@@ -19,12 +25,6 @@ from repro.dram.request import MemoryRequest
 class SchedulingPolicy(enum.Enum):
     FR_FCFS = "fr_fcfs"
     FCFS = "fcfs"
-
-
-def priority_key(req: MemoryRequest) -> Tuple[int, int, int]:
-    """Lower sorts first: demands/promoted prefetches, then oldest."""
-    demand_class = 0 if (not req.is_prefetch or req.promoted) else 1
-    return (demand_class, req.arrival_time, req.request_id)
 
 
 def promote_aged_prefetches(queue: Iterable[MemoryRequest], now: int,
@@ -37,14 +37,3 @@ def promote_aged_prefetches(queue: Iterable[MemoryRequest], now: int,
                 req.promoted = True
                 promoted += 1
     return promoted
-
-
-def select_oldest(queue: List[MemoryRequest]) -> Optional[MemoryRequest]:
-    """FCFS step: highest-priority oldest request."""
-    best: Optional[MemoryRequest] = None
-    best_key: Optional[Tuple[int, int, int]] = None
-    for req in queue:
-        key = priority_key(req)
-        if best_key is None or key < best_key:
-            best, best_key = req, key
-    return best

@@ -2,7 +2,7 @@
 
 A checkpoint is one file::
 
-    {"version": 2, "cache_key": ..., "benchmark": ..., "reads": ...,
+    {"version": 3, "cache_key": ..., "benchmark": ..., "reads": ...,
      "executed": ..., "request_ids": ..., "payload_bytes": ...,
      "payload_sha256": ...}\\n
     <pickle of the whole SimulationSystem>
@@ -46,7 +46,7 @@ from typing import Optional, Tuple
 from repro.dram.request import request_id_allocator
 from repro.store import atomic_write_bytes, quarantine_file
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 ENV_CHECKPOINT_EVERY = "REPRO_CHECKPOINT_EVERY"

@@ -11,7 +11,7 @@ speedup up to a constant factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.criticality import CriticalityProfiler
 from repro.cpu.core import Core, TraceRecord
@@ -138,13 +138,17 @@ class SimulationSystem:
 
     def __init__(self, config: SimConfig,
                  traces: Sequence[Iterable[TraceRecord]],
-                 memory: Optional[MemorySystem] = None,
+                 memory_builder: Optional[
+                     Callable[[EventQueue], MemorySystem]] = None,
                  profile: Optional[BenchmarkProfile] = None,
                  telemetry: Optional[RunTelemetry] = None) -> None:
         self.config = config
         self.events = EventQueue()
-        if memory is not None:
-            self.memory = memory
+        if memory_builder is not None:
+            # Hand-assembled memories (ablations, sweeps) are built on
+            # this system's event queue before anything binds to the
+            # memory, so telemetry and the sanitizer instrument it.
+            self.memory = memory_builder(self.events)
         else:
             # Streams must reach the cores unconsumed: only re-iterable
             # materialized traces may feed a profiling backend build

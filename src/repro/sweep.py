@@ -61,10 +61,10 @@ def _controller_queue_runner(spec: RunSpec,
     cc = ControllerConfig(**{parameter: int(value)})
     profile = profile_for(spec.benchmark)
     traces = make_traces(profile, sim_config)
-    system = SimulationSystem(sim_config, traces, profile=profile)
-    system.memory = HomogeneousMemory(system.events, HomogeneousConfig(),
-                                      controller_config=cc)
-    system.uncore.memory = system.memory
+    system = SimulationSystem(
+        sim_config, traces, profile=profile,
+        memory_builder=lambda events: HomogeneousMemory(
+            events, HomogeneousConfig(), controller_config=cc))
     prewarm_l2(system, profile)
     result = system.run()
     result.benchmark = spec.benchmark

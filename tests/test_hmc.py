@@ -54,9 +54,8 @@ class TestMemory:
         base_system = SimulationSystem(config, traces, profile=profile)
         base = base_system.run()
 
-        hmc_system = SimulationSystem(config, traces, profile=profile)
-        hmc_system.memory = build_hmc_memory(hmc_system.events)
-        hmc_system.uncore.memory = hmc_system.memory
+        hmc_system = SimulationSystem(config, traces, profile=profile,
+                                      memory_builder=build_hmc_memory)
         hmc = hmc_system.run()
 
         assert hmc.fast_service_fraction > 0.6

@@ -64,6 +64,58 @@ def test_simresult_matches_golden(cell):
         f"(field: (got, expected)): {mismatches}")
 
 
+# Strict-FCFS open-page scheduling, which the golden matrix never runs:
+# leslie3d on the DDR3 baseline at 1 500 reads, values recorded before
+# FCFS was folded into the FR-FCFS scan (the ablation harness build).
+FCFS_DDR3_LESLIE3D = {
+    "avg_core_latency": 107.01798365122616,
+    "avg_critical_latency": 241.2171893147503,
+    "avg_fill_latency": 398.76307189542484,
+    "avg_queue_latency": 278.12479564032697,
+    "bus_utilization": 0.20898432354103544,
+    "demand_reads": 861,
+    "dram_reads": 1836,
+    "dram_writes": 148,
+    "elapsed_cycles": 37955,
+    "fast_service_fraction": 0.0,
+    "instructions": 389073,
+    "l2_hit_rate": 0.41661039837947333,
+    "memory_power_mw": 8625.152020104779,
+    "per_core_ipc": [1.3120274008694506, 1.3137663021999737,
+                     1.3927545777894876, 1.2448162297457515,
+                     1.2114872875773943, 1.2972203925701489,
+                     1.296140165986036, 1.1826900276643393],
+    "word0_fraction": 0.9105691056910569,
+}
+
+
+def test_fcfs_ablation_simresult_pinned():
+    from repro.dram.controller import ControllerConfig
+    from repro.dram.scheduler import SchedulingPolicy
+    from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
+    from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
+    from repro.workloads.profiles import profile_for
+
+    config = SimConfig(memory="ddr3", target_dram_reads=1500)
+    profile = profile_for("leslie3d")
+    system = SimulationSystem(
+        config, make_traces(profile, config), profile=profile,
+        memory_builder=lambda events: HomogeneousMemory(
+            events, HomogeneousConfig(),
+            controller_config=ControllerConfig(
+                scheduling=SchedulingPolicy.FCFS)))
+    prewarm_l2(system, profile)
+    result = system.run()
+    mismatches = {
+        field: (getattr(result, field), expected)
+        for field, expected in FCFS_DDR3_LESLIE3D.items()
+        if getattr(result, field) != expected
+    }
+    assert not mismatches, (
+        f"FCFS ddr3/leslie3d diverged (field: (got, expected)): "
+        f"{mismatches}")
+
+
 def test_golden_covers_all_controller_paths():
     """The matrix must keep exercising open-page, close-page/hetero, and
     shared-command-bus controllers — do not shrink it."""

@@ -87,6 +87,67 @@ def test_sanitizer_off_attaches_nothing():
     assert system.uncore._san is None
 
 
+def test_sweep_controller_queue_sanitizes_simulated_controllers(
+        monkeypatch):
+    """A hand-built memory is the one the sanitizer binds to: every
+    controller the ``sweep_controller_queue`` runner ticks is checked."""
+    from repro.sweep import run_point
+
+    ticked = set()
+    tick = MemoryController._tick
+
+    def recording_tick(self):
+        ticked.add(self)
+        tick(self)
+
+    monkeypatch.setattr(MemoryController, "_tick", recording_tick)
+    monkeypatch.setenv("REPRO_SANITIZE", "collect")
+    report = reset_global_report()
+    try:
+        run_point("mcf", SimConfig(target_dram_reads=200),
+                  "read_queue_size", 16)
+        assert ticked
+        assert all(mc._san is not None for mc in ticked), (
+            "controllers ticked without a sanitizer: "
+            f"{sorted(mc.name for mc in ticked if mc._san is None)}")
+        assert all(mc.config.read_queue_size == 16 for mc in ticked)
+        assert report.clean, report.summary()
+    finally:
+        reset_global_report()
+
+
+def test_two_rank_lpddr2_powerdown_strict_clean(monkeypatch):
+    """Multi-rank aggressive power-down, which no shipped organisation
+    runs: strict sanitizing must see zero violations and real sleeps."""
+    from repro.dram.device import DRAMKind
+    from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
+    from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
+    from repro.workloads.profiles import profile_for
+
+    monkeypatch.setenv("REPRO_SANITIZE", "strict")
+    report = reset_global_report()
+    try:
+        config = SimConfig(memory="lpddr2", target_dram_reads=1500)
+        profile = profile_for("mcf")
+        system = SimulationSystem(
+            config, make_traces(profile, config), profile=profile,
+            memory_builder=lambda events: HomogeneousMemory(
+                events, HomogeneousConfig(kind=DRAMKind.LPDDR2,
+                                          ranks_per_channel=2),
+                controller_config=ControllerConfig(
+                    aggressive_powerdown=True)))
+        prewarm_l2(system, profile)
+        system.run()
+        controllers = system.memory.controllers
+        assert all(mc._san is not None for mc in controllers)
+        assert all(len(mc.ranks) == 2 for mc in controllers)
+        assert report.clean, report.summary()
+        assert sum(rank.power_down_entries
+                   for mc in controllers for rank in mc.ranks) >= 1
+    finally:
+        reset_global_report()
+
+
 # ---------------------------------------------------------------------------
 # Mode parsing
 # ---------------------------------------------------------------------------

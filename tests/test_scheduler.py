@@ -1,37 +1,65 @@
-"""Scheduler policy helpers."""
+"""Scheduler policy: the controller's priority order and promotion."""
 
+from repro.dram.channel import Channel
+from repro.dram.controller import ControllerConfig, MemoryController
+from repro.dram.device import DDR3_DEVICE
 from repro.dram.request import DecodedAddress, MemoryRequest, RequestKind
-from repro.dram.scheduler import (
-    priority_key,
-    promote_aged_prefetches,
-    select_oldest,
-)
+from repro.dram.scheduler import SchedulingPolicy, promote_aged_prefetches
+from repro.dram.timing import DDR3_TIMING, TimingSet
+from repro.util.events import EventQueue
+
+DDR3 = TimingSet(DDR3_TIMING)
 
 
-def req(arrival=0, is_prefetch=False, promoted=False):
+def req(arrival=0, is_prefetch=False, promoted=False, column=0):
     r = MemoryRequest(kind=RequestKind.READ, address=0,
                       is_prefetch=is_prefetch,
-                      decoded=DecodedAddress(0, 0, 0, 0, 0))
+                      decoded=DecodedAddress(0, 0, 0, 0, column))
     r.arrival_time = arrival
     r.promoted = promoted
     return r
 
 
+def served_first(older, newer, gap=0):
+    """Queue ``older`` then ``newer`` (``gap`` cycles apart) on one bank
+    row under strict FCFS; return whichever reaches the data bus first.
+    """
+    events = EventQueue()
+    channel = Channel(DDR3, num_data_buses=1, cmd_slots_per_cycle=1)
+    mc = MemoryController(
+        device=DDR3_DEVICE, timing=DDR3, channel=channel, num_ranks=1,
+        events=events,
+        config=ControllerConfig(scheduling=SchedulingPolicy.FCFS,
+                                refresh_enabled=False,
+                                prefetch_age_threshold=10**9))
+    mc.enqueue(older)
+    events.run_until(gap)
+    mc.enqueue(newer)
+    while events.step():
+        pass
+    assert older.data_start_time is not None
+    assert newer.data_start_time is not None
+    return min((older, newer), key=lambda r: r.data_start_time)
+
+
 class TestPriorityKey:
+    """Priority is (demand class, arrival_time, request_id), lowest first."""
+
     def test_demand_outranks_older_prefetch(self):
-        demand = req(arrival=100)
-        prefetch = req(arrival=0, is_prefetch=True)
-        assert priority_key(demand) < priority_key(prefetch)
+        prefetch = req(is_prefetch=True)
+        demand = req(column=1)
+        assert served_first(prefetch, demand) is demand
 
     def test_promoted_prefetch_competes_as_demand(self):
-        promoted = req(arrival=0, is_prefetch=True, promoted=True)
-        demand = req(arrival=50)
-        assert priority_key(promoted) < priority_key(demand)
+        promoted = req(is_prefetch=True, promoted=True)
+        demand = req(column=1)
+        assert served_first(promoted, demand) is promoted
 
     def test_age_breaks_ties(self):
-        older = req(arrival=10)
-        newer = req(arrival=20)
-        assert priority_key(older) < priority_key(newer)
+        older = req()
+        newer = req(column=1)
+        assert served_first(older, newer, gap=2) is older
+        assert older.arrival_time < newer.arrival_time
 
 
 class TestPromotion:
@@ -48,10 +76,3 @@ class TestPromotion:
         assert promote_aged_prefetches([demand], now=10_000,
                                        age_threshold=1) == 0
         assert not demand.promoted
-
-
-class TestSelection:
-    def test_select_oldest(self):
-        a, b = req(arrival=5), req(arrival=3)
-        assert select_oldest([a, b]) is b
-        assert select_oldest([]) is None
