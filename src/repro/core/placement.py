@@ -36,19 +36,23 @@ from repro.util.sums import left_sum
 PAGE_LINES = 64  # 4 KB pages
 
 
-def profile_page_heat(traces: Iterable[Iterable[TraceRecord]]) -> List[int]:
-    """Offline profiling pass: pages ranked by access count, hot first.
-
-    Equal counts rank in first-seen order. Each trace may be a lazy
-    record stream; the traces are consumed one after another.
-    """
-    page_bytes = PAGE_LINES * LINE_BYTES
+def rank_pages(page_streams: Iterable[Iterable[int]]) -> List[int]:
+    """Pages ranked by access count, hot first; equal counts rank in
+    first-seen order. The streams are consumed one after another."""
     counts: Counter = Counter()
-    for trace in traces:
+    for pages in page_streams:
         # Counter.update counts in C and keeps first-seen key order,
-        # exactly as incrementing one record at a time would.
-        counts.update([record.address // page_bytes for record in trace])
+        # exactly as incrementing one access at a time would.
+        counts.update(pages)
     return [page for page, _ in counts.most_common()]
+
+
+def profile_page_heat(traces: Iterable[Iterable[TraceRecord]]) -> List[int]:
+    """Offline profiling pass over explicit traces: :func:`rank_pages`
+    of each record's page. Each trace may be a lazy record stream."""
+    page_bytes = PAGE_LINES * LINE_BYTES
+    return rank_pages([record.address // page_bytes for record in trace]
+                      for trace in traces)
 
 
 @dataclass(frozen=True)

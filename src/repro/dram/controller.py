@@ -131,7 +131,7 @@ class MemoryController:
         "ranks", "rank_to_bus", "read_queue", "write_queue", "stats",
         "_draining_writes", "_tick_event", "_next_refresh",
         "registry", "tracer",
-        "_h_queue_lat", "_h_critical_lat", "_h_occupancy",
+        "_h_queue_lat", "_h_critical_lat",
         "_c_refreshes", "_c_promotions",
         # Precomputed hot-path constants and fast-path state.
         "_bus_cycle", "_t_rl", "_t_wl", "_t_rc", "_t_refi", "_t_rfc",
@@ -180,7 +180,6 @@ class MemoryController:
         self.tracer = NULL_TRACER
         self._h_queue_lat = NULL_HISTOGRAM
         self._h_critical_lat = NULL_HISTOGRAM
-        self._h_occupancy = NULL_HISTOGRAM
         self._c_refreshes = NULL_COUNTER
         self._c_promotions = NULL_COUNTER
         self._telemetry = False
@@ -242,7 +241,6 @@ class MemoryController:
         self._h_queue_lat = registry.histogram(f"{ns}.queue_latency_cycles")
         self._h_critical_lat = registry.histogram(
             f"{ns}.critical_latency_cycles")
-        self._h_occupancy = registry.histogram(f"{ns}.read_queue_occupancy")
         self._c_refreshes = registry.counter(f"{ns}.refreshes")
         self._c_promotions = registry.counter(f"{ns}.prefetch_promotions")
         self._telemetry = True
@@ -364,9 +362,6 @@ class MemoryController:
                 self._draining_writes = False
         elif write_depth >= self._high_wm:
             self._draining_writes = True
-
-        if self._telemetry:
-            self._h_occupancy.observe(len(self.read_queue))
 
         # First slot unrolled: most channels have one command slot per
         # bus cycle, and the loop stops at the first idle slot anyway.

@@ -23,7 +23,9 @@ from repro.core.hmc import build_hmc_memory, HMC_HF_DEVICE, HMC_LP_DEVICE
 from repro.core.placement import (
     PagePlacementConfig,
     PagePlacementMemory,
+    PAGE_LINES,
     profile_page_heat,
+    rank_pages,
 )
 from repro.dram.device import DRAMKind
 from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
@@ -115,17 +117,17 @@ _register_cwf("rl_random", HeteroPair.RL, CWFPolicy.RANDOM,
 def _build_page_placement(config, events, traces=None, profile=None):
     # Offline profiling pass: rank pages over a long profiling trace —
     # the paper profiles the whole execution, not the measured window.
-    # Streamed: one core's records at a time, never all cores' at once.
+    # A profile is profiled from its trace's page numbers alone, one
+    # core at a time, without building the records.
     if profile is not None:
-        from repro.workloads.synthetic import TraceGenerator
-        profiling = (TraceGenerator(profile, core, config.seed)
-                     .iter_records(30_000)
-                     for core in range(config.num_cores))
+        from repro.workloads.synthetic import trace_pages
+        ranking = rank_pages(
+            trace_pages(profile, core, config.seed, 30_000, PAGE_LINES)
+            for core in range(config.num_cores))
     elif traces is not None:
-        profiling = traces
+        ranking = profile_page_heat(traces)
     else:
         raise ValueError("page_placement needs a profile or traces")
-    ranking = profile_page_heat(profiling)
     return PagePlacementMemory(
         events, ranking,
         PagePlacementConfig(cpu_freq_ghz=config.cpu_freq_ghz))

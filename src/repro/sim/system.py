@@ -445,6 +445,7 @@ def _warm_image(profile: BenchmarkProfile, num_cores: int, num_sets: int,
         _BUCKETS,
         _HASH_MASK,
         _HASH_MULT,
+        _WORD_BITS,
         _table_cache,
         _word_lookup_table,
         CORE_ADDRESS_STRIDE,
@@ -458,6 +459,8 @@ def _warm_image(profile: BenchmarkProfile, num_cores: int, num_sets: int,
     stream_fraction = profile.stream_fraction
     chase_line_bias = profile.chase_line_bias
     hot_span = min(profile.hot_lines, footprint)
+    hot_bits = hot_span.bit_length()
+    footprint_bits = footprint.bit_length()
     evicted = 0
     dirty_evicted = 0
     # Inlined expected_critical_word / preferred_word_for_global_line:
@@ -470,24 +473,30 @@ def _warm_image(profile: BenchmarkProfile, num_cores: int, num_sets: int,
     for core_id in range(num_cores):
         rng = _random.Random(0xC0FFEE ^ core_id)
         random = rng.random
-        # randrange(n) for positive int n is exactly _randbelow(n); bind
-        # the inner method to skip the argument-normalisation wrapper.
-        # Identical draw sequence either way.
-        randrange = getattr(rng, "_randbelow", rng.randrange)
+        # randrange(n) inlined as its getrandbits rejection loop, as in
+        # workloads/synthetic.py: the same draws, no call per sample.
+        getrandbits = rng.getrandbits
         base_line = core_id * lines_per_core
         for _ in range(per_core):
             # Hot-region lines are the ones a warm cache would hold.
             if hot_fraction and random() < 0.6:
-                line = base_line + randrange(hot_span)
+                offset = getrandbits(hot_bits)
+                while offset >= hot_span:
+                    offset = getrandbits(hot_bits)
             else:
-                line = base_line + randrange(footprint)
+                offset = getrandbits(footprint_bits)
+                while offset >= footprint:
+                    offset = getrandbits(footprint_bits)
+            line = base_line + offset
             if random() < stream_fraction:
                 word = 0
             elif random() < chase_line_bias:
                 h = ((line % lines_per_core) * _HASH_MULT) & _HASH_MASK
                 word = table[(h >> 32) % _BUCKETS]
             else:
-                word = randrange(WORDS_PER_LINE)
+                word = getrandbits(_WORD_BITS)
+                while word >= WORDS_PER_LINE:
+                    word = getrandbits(_WORD_BITS)
             dirty = random() < write_fraction
             s = sets[line % num_sets]
             old = s.pop(line, None)

@@ -104,6 +104,7 @@ class StoreEntry:
     last_access: float    # unix seconds (journal or mtime)
     pinned: bool = False
     digest: str = ""      # blob sha256 (CAS only)
+    access_seq: int = -1  # journal position of the last access (CAS only)
 
 
 class _StoreBase:
@@ -162,12 +163,17 @@ class _StoreBase:
     def _evict_lru(self, entries: List[StoreEntry], used: int,
                    max_bytes: int, dry_run: bool,
                    evict_entry: Callable[[StoreEntry], None]) -> dict:
-        """Evict oldest-accessed unpinned entries until ``used`` fits."""
+        """Evict oldest-accessed unpinned entries until ``used`` fits.
+
+        Accesses stamped in the same millisecond fall back to journal
+        order, which is access order across processes (O_APPEND).
+        """
         report = {"tier": self.tier, "bytes_before": used,
                   "entries_before": len(entries), "evicted": [],
                   "pinned_kept": 0, "budget": max_bytes}
         survivors = []
-        for entry in sorted(entries, key=lambda e: (e.last_access, e.key)):
+        for entry in sorted(entries, key=lambda e: (e.last_access,
+                                                    e.access_seq, e.key)):
             if used <= max_bytes:
                 survivors.append(entry)
                 continue
@@ -240,7 +246,12 @@ class ArtifactStore(_StoreBase):
             pass
 
     def _last_access_map(self) -> Dict[str, float]:
-        """Latest journaled access per key digest (malformed lines skip)."""
+        """Latest journaled access per key digest (malformed lines skip).
+
+        The map is in journal order of each key's last access: a key
+        accessed again moves to the end, so iteration order breaks ties
+        between accesses stamped in the same millisecond.
+        """
         accesses: Dict[str, float] = {}
         try:
             with open(self.journal_path) as handle:
@@ -249,9 +260,11 @@ class ArtifactStore(_StoreBase):
                     if len(parts) != 2:
                         continue
                     try:
-                        accesses[parts[1]] = float(parts[0])
+                        stamp = float(parts[0])
                     except ValueError:
                         continue
+                    accesses.pop(parts[1], None)
+                    accesses[parts[1]] = stamp
         except OSError:
             pass
         return accesses
@@ -380,6 +393,7 @@ class ArtifactStore(_StoreBase):
     def entries(self) -> List[StoreEntry]:
         out: List[StoreEntry] = []
         accesses = self._last_access_map()
+        seq = {kd: i for i, kd in enumerate(accesses)}
         for path in sorted(self.index_dir.glob("*.json")):
             try:
                 record = json.loads(path.read_text())
@@ -397,6 +411,7 @@ class ArtifactStore(_StoreBase):
                     path.stem, _mtime_or(path, record.get("created_unix",
                                                           0.0))),
                 pinned=self.pin_path_live(path),
+                access_seq=seq.get(path.stem, -1),
                 digest=record["digest"]))
         return out
 
@@ -452,11 +467,11 @@ class ArtifactStore(_StoreBase):
         report["orphan_blobs_removed"] = removed
 
     def _compact_journal(self) -> None:
-        """Rewrite the journal with one line per surviving entry."""
+        """Rewrite the journal with one line per surviving entry, in
+        the journal order of their last accesses."""
         accesses = self._last_access_map()
         survivors = {path.stem for path in self.index_dir.glob("*.json")}
-        lines = [f"{ts:.3f} {kd}\n"
-                 for kd, ts in sorted(accesses.items(), key=lambda i: i[1])
+        lines = [f"{ts:.3f} {kd}\n" for kd, ts in accesses.items()
                  if kd in survivors]
         if not lines and not self.journal_path.exists():
             return

@@ -60,18 +60,9 @@ class TraceGenerator:
 
     def __init__(self, profile: BenchmarkProfile, core_id: int,
                  seed: int = 42) -> None:
-        if profile.footprint_lines < 1:
-            raise ValueError(f"{profile.name}: footprint_lines must be >= 1")
-        if profile.hot_fraction and min(profile.hot_lines,
-                                        profile.footprint_lines) < 1:
-            raise ValueError(f"{profile.name}: hot_lines must be >= 1")
         self.profile = profile
         self.core_id = core_id
-        # zlib.crc32 is stable across processes (unlike hash(), which is
-        # randomised per interpreter) — required for reproducible traces
-        # and for the on-disk result cache to be meaningful.
-        key = f"{profile.name}/{core_id}/{seed}".encode()
-        self.rng = random.Random(zlib.crc32(key) or 1)
+        self.rng = _trace_rng(profile, core_id, seed)
         self.word_table = _word_lookup_table(profile.chase_word_weights)
         self._stream = _record_stream(profile, core_id, self.rng,
                                       self.word_table)
@@ -95,31 +86,63 @@ class TraceGenerator:
         return islice(self._stream, count)
 
 
+def _trace_rng(profile: BenchmarkProfile, core_id: int,
+               seed: int) -> random.Random:
+    """Check ``profile`` can drive a trace; seed core ``core_id``'s RNG."""
+    if profile.footprint_lines < 1:
+        raise ValueError(f"{profile.name}: footprint_lines must be >= 1")
+    if profile.hot_fraction and min(profile.hot_lines,
+                                    profile.footprint_lines) < 1:
+        raise ValueError(f"{profile.name}: hot_lines must be >= 1")
+    # zlib.crc32 is stable across processes (unlike hash(), which is
+    # randomised per interpreter) — required for reproducible traces
+    # and for the on-disk result cache to be meaningful.
+    key = f"{profile.name}/{core_id}/{seed}".encode()
+    return random.Random(zlib.crc32(key) or 1)
+
+
+# ``randrange(n)`` for a positive int ``n`` is ``_randbelow(n)``, which
+# is CPython's ``_randbelow_with_getrandbits``: draw ``getrandbits(k)``
+# with ``k = n.bit_length()`` until the draw is below ``n``. The loops
+# below inline that rejection loop with ``k`` precomputed;
+# tests/test_workloads.py checks it against ``Random._randbelow``.
+_WORD_BITS = WORDS_PER_LINE.bit_length()
+_OTHER_WORD_BITS = (WORDS_PER_LINE - 1).bit_length()
+_DELAY_BITS = (4).bit_length()
+
+
 def _record_stream(p: BenchmarkProfile, core_id: int, rng: random.Random,
                    table: List[int]) -> Iterator[TraceRecord]:
     """The endless record stream of one core.
 
     Each record is one access — a due second touch, else a hot, stream
     or chase access — then its write flag and its gap, in that draw
-    order. ``randrange(n)`` for a positive int ``n`` is exactly
-    ``_randbelow(n)`` and ``expovariate(lambd)`` is
-    ``-log(1 - random()) / lambd``; both are inlined with the same
-    draws and the same float operations.
+    order. ``randrange(n)`` is inlined as the ``getrandbits`` rejection
+    loop above and ``expovariate(lambd)`` as
+    ``-log(1 - random()) / lambd``, with the same draws and the same
+    float operations.
+
+    :func:`_page_stream` makes exactly these draws in this order for
+    page-heat profiling: a change to one loop's draws must be made to
+    the other.
     """
     random_ = rng.random
-    randbelow = getattr(rng, "_randbelow", rng.randrange)
+    getrandbits = rng.getrandbits
     log = math.log
     new_record = tuple.__new__
     base = core_id * CORE_ADDRESS_STRIDE
     footprint = p.footprint_lines
+    footprint_bits = footprint.bit_length()
     footprint_words = footprint * WORDS_PER_LINE
     hot_fraction = p.hot_fraction
     hot_span = min(p.hot_lines, footprint)
+    hot_bits = hot_span.bit_length()
     stream_fraction = p.stream_fraction
     stride = p.stream_stride_words
     run_lambd = 1.0 / p.stream_run_lines
     chase_popularity = p.chase_popularity
     popular = max(1, int(footprint * 0.076))
+    popular_bits = popular.bit_length()
     chase_line_bias = p.chase_line_bias
     chase_second_touch = p.chase_second_touch
     write_fraction = p.write_fraction
@@ -131,7 +154,10 @@ def _record_stream(p: BenchmarkProfile, core_id: int, rng: random.Random,
     cursors: List[int] = []
     runs_left: List[int] = []
     for _ in range(max(1, p.num_streams)):
-        cursors.append(randbelow(footprint) * WORDS_PER_LINE)
+        line = getrandbits(footprint_bits)
+        while line >= footprint:
+            line = getrandbits(footprint_bits)
+        cursors.append(line * WORDS_PER_LINE)
         runs_left.append(max(4, int(-log(1.0 - random_()) / run_lambd)))
     num_streams = len(cursors)
     next_stream = 0
@@ -148,12 +174,16 @@ def _record_stream(p: BenchmarkProfile, core_id: int, rng: random.Random,
                 # Hot lines keep stable preferred words like the
                 # chase (criticality regularity holds for hot data
                 # too, Fig 3).
-                line = randbelow(hot_span)
+                line = getrandbits(hot_bits)
+                while line >= hot_span:
+                    line = getrandbits(hot_bits)
                 if random_() < chase_line_bias:
                     word = table[(((line * _HASH_MULT) & _HASH_MASK)
                                   >> 32) % _BUCKETS]
                 else:
-                    word = randbelow(WORDS_PER_LINE)
+                    word = getrandbits(_WORD_BITS)
+                    while word >= WORDS_PER_LINE:
+                        word = getrandbits(_WORD_BITS)
                 address = base + line * LINE_BYTES + word * WORD_BYTES
             elif random_() < stream_fraction:
                 i = next_stream
@@ -162,7 +192,10 @@ def _record_stream(p: BenchmarkProfile, core_id: int, rng: random.Random,
                 cursor = word_index + stride
                 left = runs_left[i] - 1
                 if left <= 0 or cursor >= footprint_words:
-                    cursor = randbelow(footprint) * WORDS_PER_LINE
+                    line = getrandbits(footprint_bits)
+                    while line >= footprint:
+                        line = getrandbits(footprint_bits)
+                    cursor = line * WORDS_PER_LINE
                     left = max(4, int(-log(1.0 - random_()) / run_lambd))
                 cursors[i] = cursor
                 runs_left[i] = left
@@ -172,20 +205,30 @@ def _record_stream(p: BenchmarkProfile, core_id: int, rng: random.Random,
                     # Page-popularity skew: a small region absorbs a
                     # disproportionate share of accesses (Sec 7.1's
                     # profiling target).
-                    line = randbelow(popular)
+                    line = getrandbits(popular_bits)
+                    while line >= popular:
+                        line = getrandbits(popular_bits)
                 else:
-                    line = randbelow(footprint)
+                    line = getrandbits(footprint_bits)
+                    while line >= footprint:
+                        line = getrandbits(footprint_bits)
                 if random_() < chase_line_bias:
                     word = table[(((line * _HASH_MULT) & _HASH_MASK)
                                   >> 32) % _BUCKETS]
                 else:
-                    word = randbelow(WORDS_PER_LINE)
+                    word = getrandbits(_WORD_BITS)
+                    while word >= WORDS_PER_LINE:
+                        word = getrandbits(_WORD_BITS)
                 address = base + line * LINE_BYTES
                 if random_() < chase_second_touch:
-                    other = (word + 1 + randbelow(WORDS_PER_LINE - 1)) \
-                        % WORDS_PER_LINE
-                    queued.append([2 + randbelow(4),
-                                   address + other * WORD_BYTES])
+                    other = getrandbits(_OTHER_WORD_BITS)
+                    while other >= WORDS_PER_LINE - 1:
+                        other = getrandbits(_OTHER_WORD_BITS)
+                    other = (word + 1 + other) % WORDS_PER_LINE
+                    delay = getrandbits(_DELAY_BITS)
+                    while delay >= 4:
+                        delay = getrandbits(_DELAY_BITS)
+                    queued.append([2 + delay, address + other * WORD_BYTES])
                 address += word * WORD_BYTES
         is_write = random_() < write_fraction
         if mean_gap > 0:
@@ -195,6 +238,126 @@ def _record_stream(p: BenchmarkProfile, core_id: int, rng: random.Random,
         else:
             gap = 0
         yield new_record(TraceRecord, (gap, is_write, address))
+
+
+def trace_pages(profile: BenchmarkProfile, core_id: int, seed: int,
+                count: int, page_lines: int) -> List[int]:
+    """Page numbers of the first ``count`` records of a core's trace.
+
+    Entry *i* is ``TraceGenerator(profile, core_id, seed)``'s record
+    *i* address ``// (page_lines * LINE_BYTES)``, for a power-of-two
+    ``page_lines``; page-heat profiling needs nothing else of a record.
+    """
+    if page_lines < 1 or page_lines & (page_lines - 1):
+        raise ValueError(f"page_lines must be a power of two: {page_lines}")
+    rng = _trace_rng(profile, core_id, seed)
+    return _page_stream(profile, core_id, rng, count,
+                        page_lines.bit_length() - 1)
+
+
+def _page_stream(p: BenchmarkProfile, core_id: int, rng: random.Random,
+                 count: int, line_shift: int) -> List[int]:
+    """:func:`_record_stream`'s pages, without building its records.
+
+    Makes exactly :func:`_record_stream`'s draws in the same order — a
+    change to one loop's draws must be made to the other — but keeps
+    only the page of each access: ``line >> line_shift`` of a hot,
+    chase or second-touch line, the word index shifted by as much
+    more for a stream. The gap's ``log``, the write compare, the
+    preferred word and the record are skipped. Kept apart from
+    :func:`_record_stream` because a branch on its caller there would
+    slow every simulation.
+    """
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    log = math.log
+    pages: List[int] = []
+    add = pages.append
+    base_page = core_id * CORE_ADDRESS_STRIDE // (LINE_BYTES << line_shift)
+    word_shift = line_shift + _WORD_BITS - 1
+    footprint = p.footprint_lines
+    footprint_bits = footprint.bit_length()
+    footprint_words = footprint * WORDS_PER_LINE
+    hot_fraction = p.hot_fraction
+    hot_span = min(p.hot_lines, footprint)
+    hot_bits = hot_span.bit_length()
+    stream_fraction = p.stream_fraction
+    stride = p.stream_stride_words
+    run_lambd = 1.0 / p.stream_run_lines
+    chase_popularity = p.chase_popularity
+    popular = max(1, int(footprint * 0.076))
+    popular_bits = popular.bit_length()
+    chase_line_bias = p.chase_line_bias
+    chase_second_touch = p.chase_second_touch
+    has_gap = p.mean_gap > 0
+    cursors: List[int] = []
+    runs_left: List[int] = []
+    for _ in range(max(1, p.num_streams)):
+        line = getrandbits(footprint_bits)
+        while line >= footprint:
+            line = getrandbits(footprint_bits)
+        cursors.append(line * WORDS_PER_LINE)
+        runs_left.append(max(4, int(-log(1.0 - random_()) / run_lambd)))
+    num_streams = len(cursors)
+    next_stream = 0
+    # Scheduled second touches: [records_remaining, page].
+    queued: Deque[List[int]] = deque()
+
+    for _ in range(count):
+        if queued and queued[0][0] <= 0:
+            add(queued.popleft()[1])
+        else:
+            if queued:
+                queued[0][0] -= 1
+            if hot_fraction and random_() < hot_fraction:
+                line = getrandbits(hot_bits)
+                while line >= hot_span:
+                    line = getrandbits(hot_bits)
+                if random_() >= chase_line_bias:
+                    while getrandbits(_WORD_BITS) >= WORDS_PER_LINE:
+                        pass
+                add(base_page + (line >> line_shift))
+            elif random_() < stream_fraction:
+                i = next_stream
+                next_stream = (i + 1) % num_streams
+                word_index = cursors[i]
+                cursor = word_index + stride
+                left = runs_left[i] - 1
+                if left <= 0 or cursor >= footprint_words:
+                    line = getrandbits(footprint_bits)
+                    while line >= footprint:
+                        line = getrandbits(footprint_bits)
+                    cursor = line * WORDS_PER_LINE
+                    left = max(4, int(-log(1.0 - random_()) / run_lambd))
+                cursors[i] = cursor
+                runs_left[i] = left
+                add(base_page + (word_index >> word_shift))
+            else:
+                if random_() < chase_popularity:
+                    line = getrandbits(popular_bits)
+                    while line >= popular:
+                        line = getrandbits(popular_bits)
+                else:
+                    line = getrandbits(footprint_bits)
+                    while line >= footprint:
+                        line = getrandbits(footprint_bits)
+                if random_() >= chase_line_bias:
+                    while getrandbits(_WORD_BITS) >= WORDS_PER_LINE:
+                        pass
+                page = base_page + (line >> line_shift)
+                if random_() < chase_second_touch:
+                    while getrandbits(_OTHER_WORD_BITS) >= WORDS_PER_LINE - 1:
+                        pass
+                    delay = getrandbits(_DELAY_BITS)
+                    while delay >= 4:
+                        delay = getrandbits(_DELAY_BITS)
+                    queued.append([2 + delay, page])
+                add(page)
+        # The write flag's draw, then the gap's.
+        random_()
+        if has_gap:
+            random_()
+    return pages
 
 
 def preferred_word_for_global_line(profile: BenchmarkProfile,

@@ -1,9 +1,12 @@
 """End-to-end simulation harness tests (small but real runs)."""
 
 import dataclasses
+import random
 
 import pytest
 
+from repro.cpu.cache import L2_CONFIG
+from repro.dram.request import LINE_BYTES
 from repro.sim import system as system_mod
 from repro.sim.checkpoint import Checkpointer, load_checkpoint
 from repro.sim.config import SimConfig, TABLE1, build_memory
@@ -14,7 +17,11 @@ from repro.sim.system import (
     run_benchmark,
 )
 from repro.util.events import EventQueue
-from repro.workloads.profiles import profile_for
+from repro.workloads.profiles import benchmark_names, profile_for
+from repro.workloads.synthetic import (
+    CORE_ADDRESS_STRIDE,
+    expected_critical_word,
+)
 
 SMALL = SimConfig(target_dram_reads=400, num_cores=2)
 
@@ -120,6 +127,52 @@ def _l2_sets(l2):
     return [[(ln.line_address, ln.dirty, ln.critical_word)
              for ln in l2._sets[index].values()]
             for index in range(l2.config.num_sets)]
+
+
+# ---------------------------------------------------------------------------
+# Reference warm-up fill: the per-call form that system._warm_image
+# inlines (rng.randrange, expected_critical_word). Every draw, in order,
+# and every resulting set must match it.
+# ---------------------------------------------------------------------------
+
+
+def _reference_warm_image(profile, num_cores, num_sets, assoc):
+    sets = [{} for _ in range(num_sets)]
+    per_core = num_sets * assoc // num_cores
+    lines_per_core = CORE_ADDRESS_STRIDE // LINE_BYTES
+    hot_span = min(profile.hot_lines, profile.footprint_lines)
+    evicted = dirty_evicted = 0
+    for core_id in range(num_cores):
+        rng = random.Random(0xC0FFEE ^ core_id)
+        base_line = core_id * lines_per_core
+        for _ in range(per_core):
+            if profile.hot_fraction and rng.random() < 0.6:
+                line = base_line + rng.randrange(hot_span)
+            else:
+                line = base_line + rng.randrange(profile.footprint_lines)
+            word = expected_critical_word(profile, line, rng)
+            dirty = rng.random() < profile.write_fraction
+            s = sets[line % num_sets]
+            old = s.pop(line, None)
+            if old is not None:
+                s[line] = (line, True, old[2]) if dirty else old
+            else:
+                if len(s) >= assoc:
+                    lru = s.pop(next(iter(s)))
+                    evicted += 1
+                    dirty_evicted += lru[1]
+                s[line] = (line, dirty, word)
+    return tuple(tuple(s.values()) for s in sets), evicted, dirty_evicted
+
+
+class TestWarmImageReference:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_matches_reference_fill(self, name):
+        profile = profile_for(name)
+        geometry = (SimConfig().num_cores, L2_CONFIG.num_sets,
+                    L2_CONFIG.associativity)
+        assert system_mod._warm_image(profile, *geometry) == \
+            _reference_warm_image(profile, *geometry)
 
 
 class TestPrewarmMemo:

@@ -271,6 +271,38 @@ class TestEviction:
         assert "key-1" in report["evicted"]
         assert store.get_bytes("key-0") is not None
 
+    @pytest.fixture()
+    def frozen_clock(self, monkeypatch):
+        """Every journal stamp lands in the same millisecond."""
+        monkeypatch.setattr("repro.store.cas.time.time",
+                            lambda: 1_700_000_000.0)
+
+    def test_lru_same_millisecond_follows_journal_order(self, tmp_path,
+                                                        frozen_clock):
+        store = ArtifactStore(tmp_path)
+        for i in range(4):
+            store.put_bytes(f"key-{i}", bytes([i]) * 1000)
+        assert store.get_bytes("key-0") is not None
+        # Eviction credits each entry's payload size: the budget asks
+        # for two 1000-byte entries to go, the two least recent.
+        report = store.gc(max_bytes=store.total_bytes() - 2000)
+        assert report["evicted"] == ["key-1", "key-2"]
+        assert store.get_bytes("key-0") is not None
+
+    def test_lru_order_survives_journal_compaction(self, tmp_path,
+                                                   frozen_clock):
+        store = ArtifactStore(tmp_path)
+        for i in range(4):
+            store.put_bytes(f"key-{i}", bytes([i]) * 1000)
+        assert store.get_bytes("key-0") is not None
+        store.gc()  # no budget: compacts the journal, evicts nothing
+        order = [line.split()[1]
+                 for line in store.journal_path.read_text().splitlines()]
+        assert order == [key_digest(f"key-{i}") for i in (1, 2, 3, 0)]
+        assert store.get_bytes("key-1") is not None
+        report = store.gc(max_bytes=store.total_bytes() - 2000)
+        assert report["evicted"] == ["key-2", "key-3"]
+
     def test_pinned_entries_survive_zero_budget(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put_bytes("pinned", b"precious", pin=True)

@@ -10,8 +10,11 @@ from typing import Deque, List, Optional, Tuple
 
 import pytest
 
+from repro.core.placement import PAGE_LINES, profile_page_heat, rank_pages
 from repro.cpu.core import TraceRecord
 from repro.dram.request import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
+from repro.sim.config import SimConfig, build_memory
+from repro.util.events import EventQueue
 from repro.workloads.profiles import (
     BenchmarkProfile,
     HIGH_BANDWIDTH,
@@ -29,6 +32,7 @@ from repro.workloads.synthetic import (
     preferred_word,
     preferred_word_for_global_line,
     records_for_reads,
+    trace_pages,
     _word_lookup_table,
 )
 
@@ -305,6 +309,66 @@ class TestReferenceEquivalence:
                                    stream_fraction=0.5, footprint_lines=0)
         with pytest.raises(ValueError, match="footprint_lines"):
             TraceGenerator(profile, 0)
+
+
+class TestInlinedRandbelow:
+    """The trace and warm-up loops inline ``randrange(n)`` as a
+    ``getrandbits(n.bit_length())`` rejection loop. That is CPython's
+    ``Random._randbelow``; if a future CPython draws differently, every
+    trace changes and this test says why."""
+
+    @pytest.mark.parametrize("n", sorted(
+        {1, 2, 3, 4, 7, 8}
+        | {2 ** k + d for k in (4, 10, 17, 30, 40) for d in (-1, 1)}))
+    def test_rejection_loop_matches_randbelow(self, n):
+        reference = random.Random(n)
+        inlined = random.Random(n)
+        getrandbits = inlined.getrandbits
+        k = n.bit_length()
+        expected, got = [], []
+        for _ in range(500):
+            expected.append(reference._randbelow(n))
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            got.append(r)
+        assert got == expected
+        assert inlined.getstate() == reference.getstate()
+        assert random.Random(n).randrange(n) == expected[0]
+
+
+PAGE_RECORDS = 4000
+
+
+class TestTracePages:
+    """``trace_pages`` makes ``_record_stream``'s draws without building
+    records; its pages, and the ranking, must match the records'."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_ranking_matches_record_profile(self, name):
+        profile = profile_for(name)
+        page_bytes = PAGE_LINES * LINE_BYTES
+        for core_id in (0, 5, 7):
+            for seed in (1, 42, 43):
+                records = TraceGenerator(profile, core_id, seed) \
+                    .records(PAGE_RECORDS)
+                pages = trace_pages(profile, core_id, seed, PAGE_RECORDS,
+                                    PAGE_LINES)
+                assert pages == [r.address // page_bytes for r in records]
+                assert rank_pages([pages]) == profile_page_heat([records])
+
+    def test_rejects_non_power_of_two_pages(self):
+        with pytest.raises(ValueError, match="power of two"):
+            trace_pages(profile_for("mcf"), 0, 1, 10, 48)
+
+    def test_page_placement_build_matches_traces_path(self):
+        profile = profile_for("mcf")
+        config = SimConfig(memory="page_placement", num_cores=4)
+        from_profile = build_memory(config, EventQueue(), profile=profile)
+        traces = [TraceGenerator(profile, core, config.seed)
+                  .iter_records(30_000) for core in range(4)]
+        from_traces = build_memory(config, EventQueue(), traces=traces)
+        assert from_profile._hot_slots == from_traces._hot_slots
 
 
 class TestSizing:
