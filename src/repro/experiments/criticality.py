@@ -10,9 +10,10 @@ all DRAM fetches (paper: word 0 critical for >50 % of fetches in 21 of
 These are trace-level profiles: we drive the cache hierarchy with the
 benchmark's traces on the baseline memory and observe demand LLC misses
 through :class:`~repro.core.criticality.CriticalityProfiler`. The
-profiling passes are named runners, so they parallelise and cache like
-ordinary runs; Fig 3 packs the live profiler's per-line histograms into
-``SimResult.extra``.
+profiling pass is a named runner, so it parallelises and caches like
+ordinary runs. Fig 3 is a view of that pass: it reads the finished
+profiling simulation (Fig 4 needs it too, so a suite runs it once) and
+packs the live profiler's per-line histograms into ``SimResult.extra``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from repro.experiments.runner import (
     ExperimentTable,
     default_config,
 )
-from repro.experiments.specs import RunSpec, register_runner
+from repro.experiments.specs import (
+    RunSpec,
+    register_runner,
+    register_view,
+    simulate,
+)
 from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
 from repro.workloads.profiles import FIG3_BENCHMARKS, profile_for
 
@@ -49,32 +55,29 @@ def shrunken_profile(benchmark: str):
         footprint_lines=max(16384, profile.footprint_lines // 64))
 
 
-def _run_shrunken(benchmark: str, config: ExperimentConfig) -> SimulationSystem:
+@register_runner("criticality_profiling")
+def _profiling_runner(spec: RunSpec,
+                      config: ExperimentConfig) -> SimulationSystem:
+    """Shrunken-footprint baseline system (Fig 4's adaptive bound)."""
     sim_config = config.sim_config("ddr3")
-    profile = shrunken_profile(benchmark)
+    profile = shrunken_profile(spec.benchmark)
     traces = make_traces(profile, sim_config)
     system = SimulationSystem(sim_config, traces, profile=profile)
     prewarm_l2(system, profile)
     return system
 
 
-@register_runner("criticality_profiling")
-def _profiling_runner(spec: RunSpec, config: ExperimentConfig):
-    """Shrunken-footprint baseline run (Fig 4's adaptive bound)."""
-    system = _run_shrunken(spec.benchmark, config)
-    result = system.run()
-    result.benchmark = spec.benchmark
-    return result
+def profiling_spec(benchmark: str) -> RunSpec:
+    return RunSpec(benchmark, "ddr3", variant="profiling",
+                   runner="criticality_profiling")
 
 
-@register_runner("criticality_fig3")
-def _fig3_runner(spec: RunSpec, config: ExperimentConfig):
-    """Profiling run that also packs the per-line histograms."""
-    system = _run_shrunken(spec.benchmark, config)
-    result = system.run()
-    result.benchmark = spec.benchmark
+@register_view("criticality_fig3",
+               base=lambda spec: profiling_spec(spec.benchmark))
+def _fig3_runner(system: SimulationSystem, result) -> dict:
+    """The profiling pass's per-line histograms."""
     profiler = system.profiler
-    result.extra = {"fig3": {
+    return {"fig3": {
         "per_line_dominance": profiler.per_line_dominance(),
         "top_lines": [
             {"dominant_word": hist.dominant_word(),
@@ -83,12 +86,6 @@ def _fig3_runner(spec: RunSpec, config: ExperimentConfig):
             for hist in profiler.top_lines(FIG3_MAX_LINES)
         ],
     }}
-    return result
-
-
-def profiling_spec(benchmark: str) -> RunSpec:
-    return RunSpec(benchmark, "ddr3", variant="profiling",
-                   runner="criticality_profiling")
 
 
 def fig3_spec(benchmark: str) -> RunSpec:
@@ -117,9 +114,8 @@ def profiling_result(benchmark: str, config: ExperimentConfig):
 
 def profile_benchmark(benchmark: str,
                       config: ExperimentConfig) -> CriticalityProfiler:
-    """Run the baseline once, returning the live profiler object."""
-    system = _run_shrunken(benchmark, config)
-    system.run()
+    """Run the profiling pass once, returning the live profiler object."""
+    system, _result = simulate(profiling_spec(benchmark), config)
     return system.profiler
 
 

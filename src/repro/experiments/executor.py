@@ -9,7 +9,9 @@ an explicit ``jobs`` argument, ``ExperimentConfig.jobs``, or the
 per CPU". Parallel and serial execution produce byte-identical tables
 for the same seed — results are keyed by spec, so completion order
 never leaks into table order, and every simulation is deterministic
-given its config.
+given its config. Pending specs are grouped by the simulation they
+read (:func:`~repro.experiments.specs.base_spec`: a view and its base
+share one), and each group runs as one task that simulates once.
 
 Failure handling (see :mod:`repro.experiments.resilience`): every
 attempt that crashes, times out, breaks the pool, or returns a corrupt
@@ -17,7 +19,8 @@ result is classified and retried under the executor's
 :class:`~repro.experiments.resilience.RetryPolicy` (bounded retries,
 exponential backoff with deterministic jitter). A ``BrokenProcessPool``
 no longer aborts the suite — the pool is respawned and in-flight specs
-resubmitted; a spec past its per-spec timeout tears the (uncancellable)
+resubmitted; a spec past its per-spec timeout (counted from when a
+worker takes it, not from submission) tears the (uncancellable)
 pool down, charges only the overdue spec an attempt, and resubmits the
 collateral in-flight specs for free. Exhausted specs can optionally
 degrade to one in-process serial run as a last resort; with
@@ -53,7 +56,8 @@ import concurrent.futures
 import os
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from collections import deque
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.resilience import (
     BROKEN_POOL,
@@ -65,7 +69,12 @@ from repro.experiments.resilience import (
     classify_failure,
     is_valid_result,
 )
-from repro.experiments.specs import RunSpec, execute_spec, spec_cache_key
+from repro.experiments.specs import (
+    RunSpec,
+    base_spec,
+    execute_spec,
+    spec_cache_key,
+)
 from repro.sim.system import SimResult
 from repro.telemetry.session import (
     TelemetrySession,
@@ -93,15 +102,62 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
-def _worker_execute(spec: RunSpec, config, telemetry_opts: Optional[dict],
-                    attempt: int = 1):
-    """Process-pool entry point: run one spec, return picklable results.
+#: Per-slot start times of in-flight pool tasks, stamped by the worker
+#: that takes the task (0.0 = not started yet). Installed in each
+#: worker by the pool initializer; the parent reads its own handle.
+_TASK_STARTS = None
 
-    Imports inside the function make sure a fresh worker registers the
-    named runners before resolving them, and each worker gets its own
-    telemetry session (the parent merges the returned records).
-    ``attempt`` feeds the deterministic fault-injection plan.
+# How often the parent looks for newly started tasks while a per-spec
+# timeout is armed and some in-flight task has not started yet.
+_START_POLL_S = 0.05
+
+
+def _init_worker(starts) -> None:
+    global _TASK_STARTS
+    _TASK_STARTS = starts
+
+
+def _execute_group(members: Sequence[RunSpec], config,
+                   attempt: int) -> List[tuple]:
+    """Run the members of one group over a single shared simulation.
+
+    Returns one ``(outcome, seconds, shared_with)`` per member, in
+    order: ``outcome`` is the member's result or the exception its
+    :func:`execute_spec` raised, ``seconds`` its own wall time, and
+    ``shared_with`` the label of the member whose run this one read
+    (None when it ran its own simulation). A member that fails leaves
+    the others alone.
     """
+    shared: Optional[Dict[RunSpec, tuple]] = {} if len(members) > 1 else None
+    owner: Optional[str] = None
+    out: List[tuple] = []
+    for spec in members:
+        reused = owner
+        start = time.perf_counter()
+        try:
+            outcome = execute_spec(spec, config, attempt=attempt,
+                                   shared=shared)
+        except Exception as exc:
+            outcome = exc
+        if owner is None and shared:
+            owner = spec.label
+        out.append((outcome, time.perf_counter() - start, reused))
+    return out
+
+
+def _worker_execute(members: Sequence[RunSpec], config,
+                    telemetry_opts: Optional[dict],
+                    attempt: int, slot: int):
+    """Process-pool entry point: run one group, return picklable results.
+
+    The first thing a worker does with a task is stamp its start in
+    ``slot``, so the task's timeout and timing start here, not when the
+    parent queued it. Imports inside the function make sure a fresh
+    worker registers the named runners before resolving them, and each
+    worker gets its own telemetry session (the parent merges the
+    returned records). ``attempt`` feeds the fault-injection plan.
+    """
+    _TASK_STARTS[slot] = time.monotonic()
     import repro.experiments  # noqa: F401  (populate the runner registry)
     from repro.experiments.runner import ResultCache
 
@@ -109,21 +165,37 @@ def _worker_execute(spec: RunSpec, config, telemetry_opts: Optional[dict],
     if telemetry_opts is not None:
         session = activate(TelemetrySession(**telemetry_opts))
     try:
-        result = execute_spec(spec, config, attempt=attempt)
+        outcomes = _execute_group(members, config, attempt)
     finally:
         if session is not None:
             deactivate()
-    if is_valid_result(result):
-        ResultCache(config.cache_dir,
-                    budget_bytes=getattr(config, "cache_budget_bytes", None)
-                    ).put(spec_cache_key(spec, config), result)
+    cache = ResultCache(config.cache_dir,
+                        budget_bytes=getattr(config, "cache_budget_bytes",
+                                             None))
+    for spec, (outcome, _seconds, _shared) in zip(members, outcomes):
+        if is_valid_result(outcome):
+            cache.put(spec_cache_key(spec, config), outcome)
     runs: List[dict] = session.runs if session is not None else []
     trace_events: List[dict] = []
     if session is not None:
         for tracer in session._tracers:
             trace_events.extend(tracer.events)
     counters: Dict[str, int] = dict(session.counters) if session else {}
-    return result, runs, trace_events, counters
+    return outcomes, runs, trace_events, counters
+
+
+def group_by_simulation(specs: Sequence[RunSpec]
+                        ) -> List[Tuple[RunSpec, ...]]:
+    """``specs`` grouped by the simulation they read, in first-seen order.
+
+    A group's base spec, when it is a member, comes first, so it runs
+    the simulation and the views read it.
+    """
+    groups: Dict[RunSpec, List[RunSpec]] = {}
+    for spec in specs:
+        groups.setdefault(base_spec(spec), []).append(spec)
+    return [tuple(sorted(members, key=lambda spec: spec != base))
+            for base, members in groups.items()]
 
 
 class ParallelExecutor:
@@ -154,6 +226,7 @@ class ParallelExecutor:
             jobs if jobs is not None else getattr(config, "jobs", None))
         self.persistent = persistent
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._starts = None  # the live pool's task-start slots
         self.progress = progress
         self.cache = ResultCache(
             config.cache_dir,
@@ -221,12 +294,21 @@ class ParallelExecutor:
                           file=sys.stderr)
         self._pool.shutdown(wait=True, cancel_futures=True)
         self._pool = None
+        self._starts = None
 
     # ------------------------------------------------------------------
 
     def run(self, specs: Sequence[RunSpec],
             config=None) -> Dict[RunSpec, SimResult]:
         """Resolve ``specs``, recalling from cache and running the rest.
+
+        Pending specs are grouped by the simulation they read
+        (:func:`group_by_simulation`), and each group is one task: it
+        simulates once, hands each member its own copy of the result
+        (a view's with its ``extra`` applied), and writes each member's
+        cache entry under the member's own key. Retries, timeouts and
+        :class:`FailedRun` apply per member; a member that fails is
+        retried on its own.
 
         ``config`` overrides the constructor's
         :class:`~repro.experiments.runner.ExperimentConfig` for this
@@ -251,16 +333,16 @@ class ParallelExecutor:
                 pending.append(spec)
         if not pending:
             return results
+        tasks = deque((members, 1) for members in group_by_simulation(pending))
         if self._jobs == 1:
-            self._run_serial(pending, results, config)
+            self._run_serial(tasks, results, config)
         else:
-            self._run_parallel(pending, results, session, config)
+            self._run_parallel(tasks, results, session, config)
         return results
 
     # ------------------------------------------------------------------
 
-    def _run_serial(self, pending: Sequence[RunSpec],
-                    results: Dict[RunSpec, SimResult],
+    def _run_serial(self, tasks: deque, results: Dict[RunSpec, SimResult],
                     config) -> None:
         """Deterministic in-process execution (``jobs=1``).
 
@@ -270,40 +352,30 @@ class ParallelExecutor:
         running in-process simulation cannot be interrupted, so
         deadline enforcement needs ``jobs >= 2``.
         """
-        queue = [(spec, 1) for spec in pending]
-        while queue:
-            spec, attempt = queue.pop(0)
+        while tasks:
+            members, attempt = tasks.popleft()
             if attempt > 1:
-                time.sleep(self.policy.backoff_s(attempt - 1, spec.label))
-            start = time.perf_counter()
-            error: Optional[BaseException] = None
-            kind = ""
-            try:
-                result = execute_spec(spec, config, attempt=attempt)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                error, kind = exc, classify_failure(exc)
-            else:
-                if is_valid_result(result):
-                    self.cache.put(spec_cache_key(spec, config), result)
-                    results[spec] = result
-                    self._record(spec, time.perf_counter() - start,
-                                 cached=False, attempt=attempt)
-                    continue
-                error = TypeError(
-                    f"runner returned {type(result).__name__}, "
-                    "not SimResult")
-                kind = CORRUPT_RESULT
-            retry = self._register_failure(
-                spec, kind, attempt, error,
-                time.perf_counter() - start, results, config)
-            if retry:
-                queue.append((spec, attempt + 1))
+                time.sleep(self.policy.backoff_s(attempt - 1,
+                                                 members[0].label))
+            outcomes = _execute_group(members, config, attempt)
+            self._settle(members, attempt, outcomes, results, config, tasks,
+                         store=True)
 
     # ------------------------------------------------------------------
 
-    def _run_parallel(self, pending: Sequence[RunSpec],
+    def _spawn_pool(self, width: int) -> None:
+        # Imported here, like the pool's own process module, so that
+        # importing the experiments package stays cheap.
+        from multiprocessing import RawArray
+
+        # Two slots per worker keep a task queued behind every running
+        # one, so no worker waits on the parent between tasks.
+        self._starts = RawArray("d", 2 * width)
+        self._pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=width, initializer=_init_worker,
+            initargs=(self._starts,))
+
+    def _run_parallel(self, tasks: deque,
                       results: Dict[RunSpec, SimResult],
                       session: Optional[TelemetrySession],
                       config) -> None:
@@ -314,105 +386,99 @@ class ParallelExecutor:
                 "cpu_freq_ghz": session.cpu_freq_ghz,
                 "sample_interval": session.sample_interval,
             }
-        attempts: Dict[RunSpec, int] = {spec: 0 for spec in pending}
-        queue: List[RunSpec] = list(pending)
+        timeout_s = self.policy.timeout_s
+        # future -> (members, attempt, slot); a task's slot holds the
+        # time a worker took it, which is where its deadline and its
+        # recorded seconds start.
         futures: Dict[concurrent.futures.Future, tuple] = {}
 
         def requeue_collateral() -> None:
-            """Resubmit in-flight specs a teardown aborted, for free."""
-            for future, (spec, _start, _deadline) in futures.items():
-                attempts[spec] -= 1  # this attempt never really ran
-                queue.append(spec)
+            """Resubmit in-flight tasks a teardown aborted, for free."""
+            for members, attempt, _slot in futures.values():
+                tasks.append((members, attempt))
             futures.clear()
 
+        def ran_for(slot: int, now: float) -> float:
+            start = self._starts[slot]
+            return now - start if start else 0.0
+
         try:
-            while queue or futures:
+            while tasks or futures:
                 if self._pool is None:
                     # A persistent pool is sized for the full worker
                     # count so later (possibly larger) submissions are
                     # not capped by the first batch's size.
                     width = (self._jobs if self.persistent
                              else min(self._jobs,
-                                      max(1, len(queue) + len(futures))))
-                    self._pool = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=width)
-                while queue:
-                    spec = queue.pop(0)
-                    attempts[spec] += 1
-                    if attempts[spec] > 1:
+                                      max(1, len(tasks) + len(futures))))
+                    self._spawn_pool(width)
+                busy = {slot for (_, _, slot) in futures.values()}
+                free = [slot for slot in range(len(self._starts))
+                        if slot not in busy]
+                while tasks and free:
+                    members, attempt = tasks.popleft()
+                    if attempt > 1:
                         time.sleep(self.policy.backoff_s(
-                            attempts[spec] - 1, spec.label))
-                    future = self._pool.submit(_worker_execute, spec, config,
-                                               telemetry_opts, attempts[spec])
-                    deadline = (time.monotonic() + self.policy.timeout_s
-                                if self.policy.timeout_s else None)
-                    futures[future] = (spec, time.perf_counter(), deadline)
+                            attempt - 1, members[0].label))
+                    slot = free.pop()
+                    self._starts[slot] = 0.0
+                    future = self._pool.submit(_worker_execute, members,
+                                               config, telemetry_opts,
+                                               attempt, slot)
+                    futures[future] = (members, attempt, slot)
                 wait_s = None
-                if self.policy.timeout_s is not None:
+                if timeout_s is not None:
+                    # Wake for the nearest deadline; an unstarted task
+                    # has none yet, so poll for its start.
                     now = time.monotonic()
-                    wait_s = max(0.05, min(
-                        d for (_, _, d) in futures.values()) - now)
+                    wait_s = max(_START_POLL_S, min(
+                        timeout_s - ran_for(slot, now)
+                        if self._starts[slot] else 0.0
+                        for (_, _, slot) in futures.values()))
                 done, _ = concurrent.futures.wait(
                     futures, timeout=wait_s,
                     return_when=concurrent.futures.FIRST_COMPLETED)
                 broken = False
                 for future in done:
-                    spec, start, _deadline = futures.pop(future)
-                    elapsed = time.perf_counter() - start
+                    members, attempt, slot = futures.pop(future)
+                    elapsed = ran_for(slot, time.monotonic())
                     try:
-                        payload = future.result()
+                        outcomes, runs, trace_events, counters = (
+                            future.result())
                     except concurrent.futures.CancelledError:
-                        attempts[spec] -= 1
-                        queue.append(spec)
+                        tasks.append((members, attempt))
                         continue
                     except Exception as exc:
                         kind = classify_failure(exc)
                         broken = broken or kind == BROKEN_POOL
-                        if self._register_failure(spec, kind, attempts[spec],
-                                                  exc, elapsed, results,
-                                                  config):
-                            queue.append(spec)
+                        self._fail_task(members, attempt, kind, exc,
+                                        elapsed, results, config, tasks)
                         continue
-                    result = payload[0]
-                    if not is_valid_result(result):
-                        error = TypeError(
-                            f"worker returned {type(result).__name__}, "
-                            "not SimResult")
-                        if self._register_failure(spec, CORRUPT_RESULT,
-                                                  attempts[spec], error,
-                                                  elapsed, results, config):
-                            queue.append(spec)
-                        continue
-                    _result, runs, trace_events, counters = payload
-                    results[spec] = result
                     if session is not None:
                         session.ingest(runs, trace_events, counters)
-                    self._record(spec, elapsed, cached=False,
-                                 attempt=attempts[spec])
+                    self._settle(members, attempt, outcomes, results,
+                                 config, tasks, store=False)
                 if broken:
                     # Every other future on a broken pool is doomed too:
                     # charge nobody, resubmit on a fresh pool.
                     requeue_collateral()
                     self._teardown(kill=True)
                     continue
-                if self.policy.timeout_s is not None and futures:
+                if timeout_s is not None and futures:
                     now = time.monotonic()
-                    overdue = [f for f, (_, _, d) in futures.items()
-                               if d is not None and now >= d]
+                    overdue = [f for f, (_, _, slot) in futures.items()
+                               if ran_for(slot, now) >= timeout_s]
                     if overdue:
+                        error = TimeoutError(
+                            f"exceeded per-spec timeout of {timeout_s:g}s")
                         for future in overdue:
-                            spec, start, _deadline = futures.pop(future)
-                            error: BaseException = TimeoutError(
-                                f"exceeded per-spec timeout of "
-                                f"{self.policy.timeout_s:g}s")
-                            if self._register_failure(
-                                    spec, TIMEOUT, attempts[spec], error,
-                                    time.perf_counter() - start, results,
-                                    config):
-                                queue.append(spec)
+                            members, attempt, slot = futures.pop(future)
+                            self._fail_task(members, attempt, TIMEOUT, error,
+                                            ran_for(slot, now), results,
+                                            config, tasks)
                         # A running future cannot be cancelled: tear the
                         # pool down (killing the hung worker) and rerun
-                        # the innocent in-flight specs at no retry cost.
+                        # the innocent in-flight tasks at no retry cost.
                         requeue_collateral()
                         self._teardown(kill=True)
         except KeyboardInterrupt:
@@ -434,6 +500,44 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     # Failure bookkeeping
     # ------------------------------------------------------------------
+
+    def _settle(self, members: Sequence[RunSpec], attempt: int,
+                outcomes: Sequence[tuple],
+                results: Dict[RunSpec, SimResult], config, tasks: deque,
+                store: bool) -> None:
+        """Record one finished task's member outcomes.
+
+        A valid result lands in ``results`` (and in the cache when
+        ``store``; pool workers have already written theirs); anything
+        else is a failed attempt of that member alone, which is queued
+        on ``tasks`` as a task of its own when it has retries left.
+        """
+        for spec, (outcome, seconds, shared_with) in zip(members, outcomes):
+            if is_valid_result(outcome):
+                if store:
+                    self.cache.put(spec_cache_key(spec, config), outcome)
+                results[spec] = outcome
+                self._record(spec, seconds, cached=False, attempt=attempt,
+                             shared_with=shared_with)
+                continue
+            if isinstance(outcome, Exception):
+                error, kind = outcome, classify_failure(outcome)
+            else:
+                error = TypeError(f"run returned {type(outcome).__name__}, "
+                                  "not SimResult")
+                kind = CORRUPT_RESULT
+            self._fail_task((spec,), attempt, kind, error, seconds, results,
+                            config, tasks)
+
+    def _fail_task(self, members: Sequence[RunSpec], attempt: int, kind: str,
+                   error: BaseException, seconds: float,
+                   results: Dict[RunSpec, SimResult], config,
+                   tasks: deque) -> None:
+        """Charge each member a failed attempt; queue retries singly."""
+        for spec in members:
+            if self._register_failure(spec, kind, attempt, error, seconds,
+                                      results, config):
+                tasks.append(((spec,), attempt + 1))
 
     def _count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -506,7 +610,8 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
 
     def _record(self, spec: RunSpec, seconds: float, cached: bool,
-                attempt: int = 1, status: str = "ok") -> None:
+                attempt: int = 1, status: str = "ok",
+                shared_with: Optional[str] = None) -> None:
         self.timings.append({
             "benchmark": spec.benchmark,
             "memory": spec.memory,
@@ -516,11 +621,14 @@ class ParallelExecutor:
             "cached": cached,
             "attempt": attempt,
             "status": status,
+            "shared_with": shared_with,
         })
         if self.progress:
             done = len(self.timings)
             if cached:
                 detail = "cached"
+            elif shared_with is not None:
+                detail = f"{seconds:.1f}s (shared with {shared_with})"
             elif status == "ok":
                 detail = f"{seconds:.1f}s"
             else:

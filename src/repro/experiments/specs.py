@@ -1,6 +1,6 @@
 """Declarative run specifications for the experiment pipeline.
 
-A :class:`RunSpec` names one simulation — ``(benchmark, memory kind,
+A :class:`RunSpec` names one result — ``(benchmark, memory kind,
 variant, config overrides, named runner)`` — without executing it.
 Because specs are frozen, hashable, and picklable, the scheduler can
 
@@ -14,7 +14,23 @@ Non-default setups are expressed declaratively rather than with
 closures: either as ``overrides`` (``(("prefetcher_enabled", False),)``
 applied to the resolved :class:`~repro.sim.config.SimConfig`) or as a
 *named runner* — a module-level function registered with
-:func:`register_runner` that a worker process can look up by name.
+:func:`register_runner` that a worker process can look up by name and
+that builds the spec's (prewarmed, not yet run)
+:class:`~repro.sim.system.SimulationSystem`.
+
+Simulations and views. Every spec resolves to the *simulation* it
+needs, :func:`base_spec`. For most specs that is the spec itself. A
+*view* — registered with :func:`register_view` under the name its
+specs carry in ``runner`` — is a reading taken from another spec's
+finished simulation: the Sec 7.2 unterminated-LPDRAM power report reads
+the RL run, the Fig 3 per-line histograms read the profiling run. A
+view computes only ``SimResult.extra`` from ``(system, result)``; every
+other field is its base's. :func:`simulate` runs a base spec and
+returns ``(system, result)`` on the plain, checkpointed and named-runner
+paths; :func:`execute_spec` goes through it for every spec, and takes a
+``shared`` memo so that the executor, which groups pending specs by
+base simulation, simulates each group once and hands every member an
+independent copy of the result.
 
 Cache keys (``v8``) embed a digest of the fully resolved ``SimConfig``
 so any config-knob change — present or future — invalidates stale
@@ -25,11 +41,14 @@ workload-registry name (``mcf``/``synthetic:mcf`` coalesce, and
 ``trace:<path>`` names recorded replays), and the key carries the
 workload's *content token* — a profile-parameter digest for synthetic
 sources, the file sha256 for trace files — so editing a trace file or
-recalibrating a profile invalidates its cached results.
+recalibrating a profile invalidates its cached results. A view spec
+keeps its own key: grouping changes how a result is computed, not
+which result it is.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -40,7 +59,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.experiments.resilience import active_fault_plan
 from repro.memsys.registry import resolve_name
 from repro.sim.config import SimConfig
-from repro.sim.system import SimResult, run_benchmark
+from repro.sim.system import SimResult, SimulationSystem, simulate_benchmark
 from repro.workloads.registry import resolve_workload, workload_cache_token
 
 CACHE_KEY_VERSION = "v8"
@@ -91,33 +110,78 @@ def apply_parameter(config: SimConfig, parameter: str,
 
 
 # ---------------------------------------------------------------------------
-# Named runner registry
+# Named runner and view registries
 # ---------------------------------------------------------------------------
 
-RUNNER_REGISTRY: Dict[str, Callable[["RunSpec", object], SimResult]] = {}
+RUNNER_REGISTRY: Dict[str, Callable[["RunSpec", object],
+                                    SimulationSystem]] = {}
+
+
+@dataclass(frozen=True)
+class View:
+    """A reading of a finished simulation: ``base`` maps a view spec to
+    the spec whose simulation it reads, ``extra`` computes the view's
+    ``SimResult.extra`` from that simulation's ``(system, result)``."""
+
+    base: Callable[["RunSpec"], "RunSpec"]
+    extra: Callable[[SimulationSystem, SimResult], dict]
+
+
+VIEW_REGISTRY: Dict[str, View] = {}
 
 
 def register_runner(name: str):
-    """Register a module-level runner so workers can resolve it by name."""
+    """Register a module-level runner so workers can resolve it by name.
 
-    def decorator(fn: Callable[["RunSpec", object], SimResult]):
+    A runner builds the spec's prewarmed, not yet run
+    :class:`SimulationSystem`; :func:`simulate` runs it.
+    """
+
+    def decorator(fn: Callable[["RunSpec", object], SimulationSystem]):
         RUNNER_REGISTRY[name] = fn
         return fn
 
     return decorator
 
 
-def resolve_runner(name: str) -> Callable[["RunSpec", object], SimResult]:
+def register_view(name: str, base: Callable[["RunSpec"], "RunSpec"]):
+    """Register ``fn(system, result) -> extra`` as the view ``name``.
+
+    Specs whose ``runner`` is ``name`` read the simulation of
+    ``base(spec)`` instead of running their own.
+    """
+
+    def decorator(fn: Callable[[SimulationSystem, SimResult], dict]):
+        VIEW_REGISTRY[name] = View(base, fn)
+        return fn
+
+    return decorator
+
+
+def _load_registries() -> None:
+    # Runners and views live in the figure modules (and repro.sweep);
+    # importing the packages populates the registries in a fresh
+    # worker process.
+    import repro.experiments  # noqa: F401
+    import repro.sweep  # noqa: F401
+
+
+def resolve_runner(name: str) -> Callable[["RunSpec", object],
+                                          SimulationSystem]:
     if name not in RUNNER_REGISTRY:
-        # Runners live in the figure modules (and repro.sweep); importing
-        # the packages populates the registry in a fresh worker process.
-        import repro.experiments  # noqa: F401
-        import repro.sweep  # noqa: F401
+        _load_registries()
     try:
         return RUNNER_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown named runner {name!r}; "
                          f"known: {sorted(RUNNER_REGISTRY)}") from None
+
+
+def resolve_view(name: str) -> Optional[View]:
+    """The view registered as ``name``, or None for a runner name."""
+    if name and name not in VIEW_REGISTRY and name not in RUNNER_REGISTRY:
+        _load_registries()
+    return VIEW_REGISTRY.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +200,10 @@ class RunSpec:
     axis fails here with a did-you-mean, never in a worker later. ``overrides`` are ``(parameter, value)``
     pairs applied to the resolved :class:`SimConfig` through
     :func:`apply_parameter`; ``runner``/``params`` select a registered
-    named runner for setups a config transform cannot express (offline
-    profiling passes, live power-model reports). ``base`` carries a
+    named runner for setups a config transform cannot express (the
+    shrunken-footprint profiling pass, controller-queue sweeps) or a
+    registered view that reads another spec's simulation (the Sec 7.2
+    power report, the Fig 3 histograms). ``base`` carries a
     fully custom :class:`SimConfig` (parameter sweeps) instead of the
     experiment config's default one.
     """
@@ -205,8 +271,49 @@ def spec_cache_key(spec: RunSpec, config) -> str:
     ])
 
 
-def execute_spec(spec: RunSpec, config, attempt: int = 1) -> SimResult:
-    """Actually simulate ``spec`` (no caching — the executor handles it).
+def base_spec(spec: RunSpec) -> RunSpec:
+    """The spec whose simulation ``spec`` reads: its view's base, or
+    ``spec`` itself."""
+    view = resolve_view(spec.runner)
+    return spec if view is None else view.base(spec)
+
+
+def simulate(spec: RunSpec, config, kill_after: Optional[int] = None
+             ) -> Tuple[SimulationSystem, SimResult]:
+    """Run the simulation of base spec ``spec``; return ``(system, result)``.
+
+    Three paths: a named runner builds the system and it is run here;
+    with a checkpoint directory configured the run snapshots
+    periodically and a retry resumes from the last snapshot
+    (``kill_after`` is the ``ckptkill`` fault, see
+    :mod:`repro.sim.checkpoint`); otherwise a plain
+    :func:`~repro.sim.system.simulate_benchmark`. All three produce the
+    same result for the same spec.
+    """
+    if spec.runner:
+        system = resolve_runner(spec.runner)(spec, config)
+        result = system.run()
+        result.benchmark = spec.benchmark
+        return system, result
+    sim_config = spec.resolved_sim_config(config)
+    directory = (getattr(config, "checkpoint_dir", None)
+                 or os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
+                 or None)
+    if directory:
+        # Crash-safe path. Named runners are excluded — they build
+        # their own system — and the result stays byte-identical to a
+        # plain run (see repro.sim.checkpoint).
+        from repro.sim.checkpoint import simulate_checkpointed
+        every = int(getattr(config, "checkpoint_every", 0)) or None
+        return simulate_checkpointed(
+            spec.benchmark, sim_config, spec_cache_key(spec, config),
+            directory, every_reads=every, kill_after=kill_after)
+    return simulate_benchmark(spec.benchmark, sim_config)
+
+
+def execute_spec(spec: RunSpec, config, attempt: int = 1,
+                 shared: Optional[Dict[RunSpec, tuple]] = None) -> SimResult:
+    """Actually compute ``spec`` (no caching — the executor handles it).
 
     ``attempt`` (1-based) is threaded through by the executor so the
     deterministic fault-injection plan (``REPRO_FAULT_PLAN``, see
@@ -215,31 +322,30 @@ def execute_spec(spec: RunSpec, config, attempt: int = 1) -> SimResult:
     workers. ``attempt=0`` disables injection: the executor's
     degrade-to-serial last resort uses it so an injected fault cannot
     also take down the parent process.
+
+    ``shared`` memoises finished simulations by base spec across the
+    calls of one group: the first member to need a base simulates it,
+    later members read it. Each member then gets its own deep copy of
+    the result, so no two members share a mutable object. Fault hooks
+    still fire per member, before and after its own share of the work.
     """
     plan = active_fault_plan() if attempt >= 1 else None
     if plan is not None:
         plan.before_run(spec.label, attempt)
-    if spec.runner:
-        result = resolve_runner(spec.runner)(spec, config)
-    else:
-        sim_config = spec.resolved_sim_config(config)
-        directory = (getattr(config, "checkpoint_dir", None)
-                     or os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-                     or None)
-        if directory:
-            # Crash-safe path: snapshot periodically, resume from the
-            # last snapshot on a retry. Named runners are excluded —
-            # they own their simulation loop — and the result stays
-            # byte-identical to a plain run (see repro.sim.checkpoint).
-            from repro.sim.checkpoint import run_benchmark_checkpointed
-            every = int(getattr(config, "checkpoint_every", 0)) or None
-            kill_after = (plan.kill_after_saves(spec.label, attempt)
-                          if plan is not None else None)
-            result = run_benchmark_checkpointed(
-                spec.benchmark, sim_config, spec_cache_key(spec, config),
-                directory, every_reads=every, kill_after=kill_after)
-        else:
-            result = run_benchmark(spec.benchmark, sim_config)
+    view = resolve_view(spec.runner)
+    base = spec if view is None else view.base(spec)
+    simulated = shared.get(base) if shared is not None else None
+    if simulated is None:
+        kill_after = (plan.kill_after_saves(spec.label, attempt)
+                      if plan is not None else None)
+        simulated = simulate(base, config, kill_after=kill_after)
+        if shared is not None:
+            shared[base] = simulated
+    system, result = simulated
+    if shared is not None:
+        result = copy.deepcopy(result)
+    if view is not None:
+        result.extra = view.extra(system, result)
     if plan is not None:
         result = plan.after_run(spec.label, attempt, result)
     return result

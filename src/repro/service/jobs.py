@@ -14,8 +14,8 @@ resolve against the memsys registry (unknown names answer the
 registry's did-you-mean message), benchmarks against the workload
 registry (same did-you-mean treatment; ``trace:<path>`` names resolve
 server-side, so the file must exist where the server runs),
-experiments against ``ALL_EXPERIMENTS``, and named runners against the
-runner registry. A bad request is a
+experiments against ``ALL_EXPERIMENTS``, and a spec's ``runner``
+against the named-runner and view registries. A bad request is a
 :class:`JobValidationError` (HTTP 400), never a crashed worker later.
 """
 
@@ -26,7 +26,7 @@ import uuid
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.specs import RUNNER_REGISTRY, RunSpec
+from repro.experiments.specs import RUNNER_REGISTRY, VIEW_REGISTRY, RunSpec
 
 # Job lifecycle states. queued -> running -> done | failed; queued and
 # running jobs found in the store at startup are recovered (re-queued).
@@ -86,10 +86,10 @@ def spec_from_dict(data: object) -> RunSpec:
     if runner:
         import repro.experiments  # noqa: F401  (populate the registry)
         import repro.sweep  # noqa: F401
-        if runner not in RUNNER_REGISTRY:
+        known = set(RUNNER_REGISTRY) | set(VIEW_REGISTRY)
+        if runner not in known:
             raise JobValidationError(
-                f"unknown named runner {runner!r}; "
-                f"known: {sorted(RUNNER_REGISTRY)}")
+                f"unknown named runner {runner!r}; known: {sorted(known)}")
     try:
         return RunSpec(
             benchmark=benchmark,

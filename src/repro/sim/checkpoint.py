@@ -2,13 +2,14 @@
 
 A checkpoint is one file::
 
-    {"version": 3, "cache_key": ..., "benchmark": ..., "reads": ...,
-     "executed": ..., "request_ids": ..., "payload_bytes": ...,
-     "payload_sha256": ...}\\n
+    {"version": CHECKPOINT_VERSION, "cache_key": ..., "benchmark": ...,
+     "reads": ..., "executed": ..., "request_ids": ...,
+     "payload_bytes": ..., "payload_sha256": ...}\\n
     <pickle of the whole SimulationSystem>
 
 The JSON header line carries everything needed to validate the snapshot
-without unpickling it: a format version, the v8 spec cache key the run
+without unpickling it: a format version (:data:`CHECKPOINT_VERSION`;
+a file of any other version is quarantined), the v8 spec cache key the run
 was launched under (a resumed run must answer for exactly the same
 spec), progress counters, the process-wide request-id allocator position
 (the one piece of simulator state not reachable from the system object),
@@ -226,18 +227,18 @@ def load_checkpoint(path, expect_cache_key: Optional[str] = None
 # ---------------------------------------------------------------------------
 
 
-def run_benchmark_checkpointed(benchmark: str, sim_config, cache_key: str,
-                               directory, every_reads: Optional[int] = None,
-                               kill_after: Optional[int] = None,
-                               warm: bool = True):
+def simulate_checkpointed(benchmark: str, sim_config, cache_key: str,
+                          directory, every_reads: Optional[int] = None,
+                          kill_after: Optional[int] = None,
+                          warm: bool = True):
     """Run ``benchmark`` with periodic checkpoints, resuming if one exists.
 
-    Mirrors :func:`~repro.sim.system.run_benchmark` exactly — same
-    workload resolution, same prewarm — except the per-core streams are
-    materialized (generators cannot be pickled; the records are
-    identical), so the completed :class:`SimResult` is byte-identical to
-    an uninterrupted, un-checkpointed run. The checkpoint file is
-    deleted on completion.
+    Mirrors :func:`~repro.sim.system.simulate_benchmark` exactly — same
+    workload resolution, same prewarm, and the same ``(system, result)``
+    return — except the per-core streams are materialized (generators
+    cannot be pickled; the records are identical), so the completed
+    :class:`SimResult` is byte-identical to an uninterrupted,
+    un-checkpointed run. The checkpoint file is deleted on completion.
 
     Telemetry-instrumented runs (an active session) fall back to a
     plain run: a registry cannot be stitched across the process
@@ -247,13 +248,13 @@ def run_benchmark_checkpointed(benchmark: str, sim_config, cache_key: str,
     from repro.sim.system import (
         SimulationSystem,
         prewarm_l2,
-        run_benchmark,
+        simulate_benchmark,
     )
     from repro.telemetry.session import active_session
     from repro.workloads.registry import create_workload
 
     if active_session() is not None:
-        return run_benchmark(benchmark, sim_config)
+        return simulate_benchmark(benchmark, sim_config)
     every = checkpoint_every() if every_reads is None else max(1, every_reads)
     path = checkpoint_path(directory, cache_key)
 
@@ -272,7 +273,7 @@ def run_benchmark_checkpointed(benchmark: str, sim_config, cache_key: str,
                                        checkpointer=checkpointer)
             result.benchmark = header.get("benchmark", benchmark)
             delete_checkpoint(path)
-            return result
+            return system, result
 
     source = create_workload(benchmark)
     profile = source.profile
@@ -286,4 +287,4 @@ def run_benchmark_checkpointed(benchmark: str, sim_config, cache_key: str,
     result = system.run(checkpointer=checkpointer)
     result.benchmark = display
     delete_checkpoint(path)
-    return result
+    return system, result

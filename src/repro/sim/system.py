@@ -11,7 +11,7 @@ speedup up to a constant factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.criticality import CriticalityProfiler
 from repro.cpu.core import Core, TraceRecord
@@ -528,6 +528,20 @@ def run_benchmark(benchmark: str, config: SimConfig,
     (see :mod:`repro.telemetry.session`) and no explicit ``telemetry``
     is given, the run is automatically registered with the session.
     """
+    return simulate_benchmark(benchmark, config, traces, warm, telemetry)[1]
+
+
+def simulate_benchmark(
+        benchmark: str, config: SimConfig,
+        traces: Optional[Sequence[Iterable[TraceRecord]]] = None,
+        warm: bool = True, telemetry: Optional[RunTelemetry] = None,
+) -> Tuple[SimulationSystem, SimResult]:
+    """:func:`run_benchmark` that also returns the finished system.
+
+    Views of a run (:mod:`repro.experiments.specs`) read state the
+    :class:`SimResult` does not carry, such as the live power model or
+    the criticality profiler.
+    """
     from repro.workloads.registry import create_workload
 
     source = create_workload(benchmark)
@@ -558,7 +572,7 @@ def run_benchmark(benchmark: str, config: SimConfig,
             "bus_utilization": result.bus_utilization,
             "seed": config.seed,
         })
-    return result
+    return system, result
 
 
 def make_traces(profile: BenchmarkProfile,

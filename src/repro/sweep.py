@@ -46,8 +46,7 @@ from repro.sim.system import SimResult
 
 
 @register_runner("sweep_controller_queue")
-def _controller_queue_runner(spec: RunSpec,
-                             config: ExperimentConfig) -> SimResult:
+def _controller_queue_runner(spec: RunSpec, config: ExperimentConfig):
     """Controller queue sizes need a custom memory build."""
     from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
     from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
@@ -66,9 +65,7 @@ def _controller_queue_runner(spec: RunSpec,
         memory_builder=lambda events: HomogeneousMemory(
             events, HomogeneousConfig(), controller_config=cc))
     prewarm_l2(system, profile)
-    result = system.run()
-    result.benchmark = spec.benchmark
-    return result
+    return system
 
 
 def sweep_spec(benchmark: str, base: SimConfig, parameter: str,

@@ -26,7 +26,7 @@ from repro.sim.checkpoint import (
     checkpoint_path,
     load_checkpoint,
     read_header,
-    run_benchmark_checkpointed,
+    simulate_checkpointed,
 )
 from repro.sim.config import SimConfig
 from repro.sim.system import SimulationSystem, prewarm_l2, run_benchmark
@@ -186,13 +186,13 @@ def test_cache_key_mismatch_quarantines(tmp_path, sim_config):
 
 
 # ---------------------------------------------------------------------------
-# run_benchmark_checkpointed
+# simulate_checkpointed
 # ---------------------------------------------------------------------------
 
 
 def test_checkpointed_run_matches_plain_and_cleans_up(tmp_path, sim_config,
                                                       baseline):
-    result = run_benchmark_checkpointed(
+    _, result = simulate_checkpointed(
         "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
     assert result_bytes(result) == baseline
     assert list(tmp_path.iterdir()) == []  # checkpoint deleted on success
@@ -213,7 +213,7 @@ def test_resume_from_orphaned_checkpoint(tmp_path, sim_config, baseline):
         ckpt.maybe_save(system, executed)
     assert ckpt.saves >= 1 and path.exists()
 
-    result = run_benchmark_checkpointed(
+    _, result = simulate_checkpointed(
         "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
     assert result_bytes(result) == baseline
     assert not path.exists()
@@ -223,7 +223,7 @@ def test_corrupt_checkpoint_falls_back_to_fresh_run(tmp_path, sim_config,
                                                     baseline):
     path = checkpoint_path(tmp_path, "key-1")
     path.write_bytes(b"torn write, no header")
-    result = run_benchmark_checkpointed(
+    _, result = simulate_checkpointed(
         "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
     assert result_bytes(result) == baseline
     assert path.with_suffix(".ckpt.corrupt").exists()  # evidence kept
@@ -236,7 +236,7 @@ def test_active_telemetry_session_falls_back_to_plain_run(tmp_path,
 
     activate(TelemetrySession())
     try:
-        result = run_benchmark_checkpointed(
+        _, result = simulate_checkpointed(
             "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
     finally:
         deactivate()

@@ -1,15 +1,20 @@
 """RunSpec pipeline: specs, cache keys, executor, determinism."""
 
+import dataclasses
 import json
+import multiprocessing
 import pickle
 import threading
 
 import pytest
 
 from repro.experiments import EXPERIMENT_SPECS, suite_specs
+from repro.experiments.criticality import fig3_spec, profiling_spec
 from repro.experiments.cwf_eval import figure_6, specs_figure_6
+from repro.experiments.energy_eval import sec72_spec
 from repro.experiments.executor import (
     ParallelExecutor,
+    group_by_simulation,
     resolve_jobs,
     resolve_results,
     run_specs,
@@ -23,7 +28,9 @@ from repro.experiments.runner import (
 from repro.experiments.specs import (
     RUNNER_REGISTRY,
     RunSpec,
+    base_spec,
     config_digest,
+    execute_spec,
     spec_cache_key,
 )
 from repro.sim.system import SimResult
@@ -164,11 +171,21 @@ class TestResolveJobs:
         assert resolve_jobs(0) >= 1
 
 
+class FinishedSystem:
+    """Stands in for a built SimulationSystem whose run is canned."""
+
+    def __init__(self, result):
+        self.result = result
+
+    def run(self):
+        return self.result
+
+
 class TestExecutor:
     def counting_runner(self, monkeypatch, calls):
         def runner(spec, config):
             calls.append(spec)
-            return make_result(spec.benchmark)
+            return FinishedSystem(make_result(spec.benchmark))
         monkeypatch.setitem(RUNNER_REGISTRY, "counting", runner)
         return runner
 
@@ -345,6 +362,126 @@ class TestPersistentExecutor:
         # ...and each is recalled under its own config afterwards.
         assert executor.run([spec], config=other)[spec] == b
         assert executor.timings[2]["cached"] is True
+
+
+def _mutable_ids(obj, seen=None):
+    """ids of every mutable object reachable from ``obj``."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, (str, bytes, int, float, bool, type(None))):
+        return seen
+    if isinstance(obj, (list, dict, set)) or hasattr(obj, "__dict__"):
+        if id(obj) in seen:
+            return seen
+        seen.add(id(obj))
+    if isinstance(obj, dict):
+        children = list(obj.keys()) + list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    else:
+        children = list(vars(obj).values())
+    for child in children:
+        _mutable_ids(child, seen)
+    return seen
+
+
+SUITE_BENCHMARKS = ("mcf", "leslie3d", "lbm", "omnetpp")
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["jobs1", "jobs2"])
+def suite_run(request, tmp_path_factory):
+    """The 58-spec suite on an empty store, every simulation counted.
+
+    Each ``SimulationSystem.run`` appends a line to a file, so runs in
+    forked pool workers count too.
+    """
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.sim.system import SimulationSystem
+
+    jobs = request.param
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("counting runs in workers needs forked workers")
+    tmp = tmp_path_factory.mktemp(f"suite-jobs{jobs}")
+    tally = tmp / "runs.log"
+    original = SimulationSystem.run
+
+    def counted_run(self, *args, **kwargs):
+        with open(tally, "a") as handle:
+            handle.write("run\n")
+        return original(self, *args, **kwargs)
+
+    config = ExperimentConfig(target_dram_reads=60,
+                              benchmarks=SUITE_BENCHMARKS,
+                              cache_dir=str(tmp / "cache"))
+    specs = suite_specs(list(ALL_EXPERIMENTS), config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimulationSystem, "run", counted_run)
+        executor = ParallelExecutor(config, jobs=jobs)
+        results = executor.run(specs)
+    return {"config": config, "specs": specs, "results": results,
+            "executor": executor,
+            "simulations": len(tally.read_text().splitlines())}
+
+
+class TestGrouping:
+    """Views share their base spec's simulation, on every path."""
+
+    def test_suite_simulates_each_distinct_run_once(self, suite_run):
+        assert len(suite_run["specs"]) == 58
+        assert len(suite_run["results"]) == 58
+        assert suite_run["simulations"] == 52
+
+    def test_shared_specs_are_marked_in_timings(self, suite_run):
+        shared = {(t["benchmark"], t["variant"]): t["shared_with"]
+                  for t in suite_run["executor"].timings
+                  if t["shared_with"] is not None}
+        assert shared == {
+            **{(b, "unterminated"): f"{b}/rl" for b in SUITE_BENCHMARKS},
+            **{(b, "fig3_profile"): f"{b}/ddr3/profiling"
+               for b in ("leslie3d", "mcf")},
+        }
+
+    def test_group_members_equal_lone_execution(self, suite_run):
+        config, results = suite_run["config"], suite_run["results"]
+        grouped = [spec for spec in suite_run["specs"]
+                   if spec.runner in ("sec72_power", "criticality_fig3")]
+        grouped += [base_spec(spec) for spec in grouped]
+        assert len(grouped) == 12
+        for spec in grouped:
+            alone = dataclasses.asdict(execute_spec(spec, config))
+            assert dataclasses.asdict(results[spec]) == alone, spec.label
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_view_pending_while_base_is_cached(self, tmp_path, jobs):
+        config = ExperimentConfig(target_dram_reads=60,
+                                  cache_dir=str(tmp_path))
+        base, view = RunSpec("mcf", "rl"), sec72_spec("mcf")
+        ParallelExecutor(config, jobs=1).run([base])
+        executor = ParallelExecutor(config, jobs=jobs)
+        results = executor.run([base, view])
+        assert [t["cached"] for t in executor.timings] == [True, False]
+        assert executor.timings[1]["shared_with"] is None
+        assert (dataclasses.asdict(results[view])
+                == dataclasses.asdict(execute_spec(view, config)))
+        assert results[view].extra["sec72"]["native_mw"] > 0
+
+    def test_group_members_share_no_mutable_object(self):
+        config = ExperimentConfig(target_dram_reads=60, cache_dir=None)
+        base, view = profiling_spec("mcf"), fig3_spec("mcf")
+        results = ParallelExecutor(config, jobs=1).run([view, base])
+        assert group_by_simulation([view, base]) == [(base, view)]
+        assert not (_mutable_ids(results[base])
+                    & _mutable_ids(results[view]))
+        assert results[view].extra["fig3"]["top_lines"]
+        assert results[base].extra == {}
+
+    def test_view_spec_keys_are_pinned(self):
+        config = ExperimentConfig(target_dram_reads=300, cache_dir=None)
+        assert spec_cache_key(sec72_spec("mcf"), config) == (
+            "v8|mcf|rl|unterminated|sec72_power|[]|300|42|"
+            "658fd028c0cc22dd|b40da6c90270557f")
+        assert spec_cache_key(fig3_spec("leslie3d"), config) == (
+            "v8|leslie3d|ddr3|fig3_profile|criticality_fig3|[]|300|42|"
+            "e0116505caeb19f2|f0d36b4d7e636f7e")
 
 
 class TestCacheStats:

@@ -102,6 +102,23 @@ class TestResidencyTally:
         tally = rank.finalize_tally(500)
         assert tally.active == 500
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the controller's ACT and PRE sites change the "
+        "bank state before the rank folds its tally, so the span before "
+        "each command is charged to the state after it"))
+    def test_span_before_a_command_is_charged_to_the_state_before_it(
+            self, rank):
+        # Standby from 0 to 1000, ACT at 1000, PRE at 1169, in the
+        # controller's call order (bank first, then the rank's fold).
+        bank = rank.banks[0]
+        bank.activate(1000, row=1)
+        rank.note_activate(1000)
+        bank.precharge(1169)
+        rank.touch(1169)
+        tally = rank.finalize_tally(1269)
+        # Today: active=1000, standby=269.
+        assert (tally.active, tally.standby) == (169, 1100)
+
     def test_stat_rollups(self, rank):
         rank.banks[0].activate(0, row=1)
         rank.banks[0].column_read(DDR3.t_rcd)

@@ -379,6 +379,24 @@ class TestParallelResilience:
         assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
         assert executor.counters["resilience.failures.timeout"] == 1
 
+    def test_timeout_starts_when_a_worker_takes_the_spec(self, monkeypatch):
+        # Three 0.7 s specs on two workers: the third waits about 0.7 s
+        # for a worker, and that wait must not count against its 1.2 s
+        # timeout or its recorded seconds.
+        monkeypatch.setenv("REPRO_FAULT_PLAN",
+                           "mcf/ddr3=hang:1:0.7;mcf/rl=hang:1:0.7;"
+                           "mcf/rldram3=hang:1:0.7")
+        policy = RetryPolicy(timeout_s=1.2, backoff_base_s=0.001)
+        executor = ParallelExecutor(config_for(), jobs=2, policy=policy,
+                                    keep_going=True)
+        specs = [RunSpec("mcf", memory)
+                 for memory in ("ddr3", "rl", "rldram3")]
+        results = executor.run(specs)
+        assert executor.counters.get("resilience.failures.timeout", 0) == 0
+        assert not executor.failures
+        assert all(results[spec].elapsed_cycles > 0 for spec in specs)
+        assert all(0.7 <= t["seconds"] < 1.2 for t in executor.timings)
+
     def test_worker_kill_breaks_pool_then_respawns(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=kill:1")
         executor = ParallelExecutor(
@@ -426,6 +444,39 @@ class TestParallelResilience:
             deactivate()
         assert session.counters["resilience.failures.crash"] == 1
         assert session.counters["resilience.retries"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Grouped specs: faults and retries stay per member
+# ---------------------------------------------------------------------------
+
+
+class TestGroupedResilience:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("label", ["mcf/rl", "mcf/rl/unterminated"])
+    def test_failed_member_retries_alone(self, monkeypatch, jobs, label):
+        from repro.experiments.energy_eval import sec72_spec
+
+        monkeypatch.setenv("REPRO_FAULT_PLAN", f"{label}=crash:1")
+        base, view = RunSpec("mcf", "rl"), sec72_spec("mcf")
+        executor = ParallelExecutor(config_for(), jobs=jobs, policy=FAST)
+        results = executor.run([base, view])
+        assert not executor.failures
+        assert executor.counters["resilience.failures.crash"] == 1
+        assert executor.counters["resilience.retries"] == 1
+        statuses = sorted((t["variant"], t["attempt"], t["status"])
+                          for t in executor.timings)
+        failed = "" if label == "mcf/rl" else "unterminated"
+        healthy = "unterminated" if failed == "" else ""
+        assert statuses == sorted([(failed, 1, CRASH), (failed, 2, "ok"),
+                                   (healthy, 1, "ok")])
+        # The member that crashed ran before its group's simulation, so
+        # the healthy member simulated on its own.
+        assert all(t["shared_with"] is None for t in executor.timings)
+        deactivate_fault_plan()
+        monkeypatch.delenv("REPRO_FAULT_PLAN")
+        clean = ParallelExecutor(config_for(), jobs=1).run([base, view])
+        assert results == clean
 
 
 # ---------------------------------------------------------------------------

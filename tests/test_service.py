@@ -120,6 +120,13 @@ class TestValidation:
             parse_request({"specs": [{"benchmark": "mcf", "memory": "ddr3",
                                       "runner": "nope"}]}, self.config())
 
+    def test_view_names_are_known_runners(self):
+        job = parse_request({"specs": [{"benchmark": "mcf", "memory": "rl",
+                                        "variant": "unterminated",
+                                        "runner": "sec72_power"}]},
+                            self.config())
+        assert job.entries[0].spec.runner == "sec72_power"
+
     def test_experiment_expands_specs(self):
         job = parse_request({"experiment": "fig3"}, self.config())
         assert len(job.entries) == 2  # FIG3_BENCHMARKS
