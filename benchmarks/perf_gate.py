@@ -1,16 +1,19 @@
-"""Throughput gate: perfbench's sim-matrix against a committed baseline.
+"""Perf gate: perfbench's sim-matrix against a committed baseline.
 
     python3 benchmarks/perf_gate.py           # compare with the baseline
     python3 benchmarks/perf_gate.py --record  # rewrite the baseline
 
 Runs ``perfbench/run.py --workload sim-matrix`` with this interpreter and
-checks the host-scaled ``sim_reads_per_s`` and ``cpu_ms_per_kread``
-against ``benchmarks/perf_baseline.json``, each within the ``bound``
-that ``BENCHMARK.json`` fixes for it. Exit 0 when both are within
-bounds; 1 on a regression past a bound or a failed run (``correct:
-false`` or ``failed > 0``); 2, before running anything, when the
-baseline is missing or unreadable or was recorded with another
-workload, seed, seconds, Python minor version or benchmark contract.
+checks the host-scaled ``sim_reads_per_s`` and ``cpu_ms_per_kread``, and
+``peak_rss_mb``, against ``benchmarks/perf_baseline.json``, each within
+the ``bound`` that ``BENCHMARK.json`` fixes for it. Peak RSS is not
+host-scaled: if another host reads differently, re-record the baseline
+there rather than widen the bound. Exit 0 when all are within bounds;
+1 on a regression past a bound or a failed run (``correct: false`` or
+``failed > 0``); 2, before running anything, when the baseline is
+missing, unreadable or lacks a gated metric, or was recorded with
+another workload, seed, seconds, Python minor version or benchmark
+contract.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "benchmarks" / "perf_baseline.json"
 RUN = {"workload": "sim-matrix", "seed": 1, "seconds": 10.0}
-GATED = ("sim_reads_per_s", "cpu_ms_per_kread")
+GATED = ("sim_reads_per_s", "cpu_ms_per_kread", "peak_rss_mb")
 
 
 def current_keys() -> dict:

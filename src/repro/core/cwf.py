@@ -197,8 +197,8 @@ class _CWFReadTxn:
         self._check_complete()
 
     def bulk_critical(self, t: int) -> None:
-        if not self.covers:
-            self._wake(t, from_fast=False)
+        # Scheduled only for reads the fast part does not cover.
+        self._wake(t, from_fast=False)
 
     def bulk_done(self, t: int) -> None:
         self.bulk_end = t
@@ -379,7 +379,11 @@ class CriticalWordMemory(MemorySystem):
             kind=RequestKind.READ, address=address,
             critical_word=critical_word, is_prefetch=is_prefetch,
             core_id=core_id, decoded=bulk_decoded,
-            on_critical_word=txn.bulk_critical, on_complete=txn.bulk_done)
+            # A covered word reaches the CPU from the fast part (or with
+            # the full line on a parity deferral), so its bulk burst
+            # schedules no delivery.
+            on_critical_word=None if covers else txn.bulk_critical,
+            on_complete=txn.bulk_done)
         # Both queues were checked above; enqueue cannot fail here.
         if not fast_mc.enqueue(fast_req) or not bulk_mc.enqueue(bulk_req):
             raise RuntimeError("CWF enqueue failed after capacity check")

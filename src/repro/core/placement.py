@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence
 
-from repro.cpu.core import TraceRecord
 from repro.dram.address import AddressMapper, MappingScheme
 from repro.dram.channel import Channel
 from repro.dram.controller import ControllerConfig, MemoryController
@@ -44,15 +43,9 @@ def rank_pages(page_streams: Iterable[Iterable[int]]) -> List[int]:
         # Counter.update counts in C and keeps first-seen key order,
         # exactly as incrementing one access at a time would.
         counts.update(pages)
-    return [page for page, _ in counts.most_common()]
-
-
-def profile_page_heat(traces: Iterable[Iterable[TraceRecord]]) -> List[int]:
-    """Offline profiling pass over explicit traces: :func:`rank_pages`
-    of each record's page. Each trace may be a lazy record stream."""
-    page_bytes = PAGE_LINES * LINE_BYTES
-    return rank_pages([record.address // page_bytes for record in trace]
-                      for trace in traces)
+    # A stable sort, so ties keep first-seen order as most_common()
+    # does, without building its (page, count) list.
+    return sorted(counts, key=counts.__getitem__, reverse=True)
 
 
 @dataclass(frozen=True)

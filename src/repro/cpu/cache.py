@@ -9,10 +9,20 @@ memory on dirty eviction (paper Sec 4.2.5).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.dram.request import LINE_BYTES
+from repro.dram.request import LINE_BYTES, WORDS_PER_LINE
+
+#: A warm tag store as flat buffers ``(offsets, lines, meta)``; see
+#: :class:`_SetTable`.
+WarmImage = Tuple[array, array, bytes]
+
+#: Set in a warm-image ``meta`` byte when the line is dirty; the bits
+#: below it hold the critical word.
+IMAGE_DIRTY = WORDS_PER_LINE
+_IMAGE_WORD = IMAGE_DIRTY - 1
 
 
 @dataclass(frozen=True)
@@ -80,30 +90,40 @@ class _SetTable(dict):
     """Set index -> that set's recency-ordered ``{line: CacheLine}``.
 
     Sets are built on first probe (``__missing__``): empty, or copied
-    from the warm ``image`` — one tuple of ``(line, dirty,
-    critical_word)`` triples per set, LRU first. The image is shared
-    and never mutated, so a cache loaded from it costs nothing up front
-    and allocates lines only in the sets a run touches.
+    from the warm ``image``. The image is three flat buffers: per-set
+    start ``offsets`` (one more than there are sets), the resident
+    ``lines`` in LRU order per set (``array('q')``), and one ``meta``
+    byte per line that packs the critical word (low bits) with the
+    dirty bit (:data:`IMAGE_DIRTY`). The image is shared and never
+    mutated, so a cache loaded from it costs nothing up front and
+    allocates lines only in the sets a run touches.
     """
 
     __slots__ = ("image",)
 
-    def __init__(self, image: Optional[Tuple[tuple, ...]] = None) -> None:
+    def __init__(self, image: Optional[WarmImage] = None) -> None:
         super().__init__()
         self.image = image
 
     def __missing__(self, index: int) -> Dict[int, CacheLine]:
-        entries = self.image[index] if self.image is not None else ()
-        s = self[index] = {line: CacheLine(line, dirty, word)
-                           for line, dirty, word in entries}
+        if self.image is None:
+            s = self[index] = {}
+            return s
+        offsets, lines, meta = self.image
+        lo = offsets[index]
+        hi = offsets[index + 1]
+        s = self[index] = {
+            line: CacheLine(line, m >= IMAGE_DIRTY, m & _IMAGE_WORD)
+            for line, m in zip(lines[lo:hi], meta[lo:hi])}
         return s
 
     def occupancy(self) -> int:
         built = sum(len(s) for s in self.values())
         if self.image is None:
             return built
-        return built + sum(len(entries) for index, entries
-                           in enumerate(self.image) if index not in self)
+        offsets = self.image[0]
+        return built + offsets[-1] - sum(offsets[index + 1] - offsets[index]
+                                         for index in self)
 
 
 class Cache:
@@ -127,14 +147,14 @@ class Cache:
         self.evictions = 0
         self.dirty_evictions = 0
 
-    def load_image(self, image: Tuple[tuple, ...], evictions: int = 0,
+    def load_image(self, image: WarmImage, evictions: int = 0,
                    dirty_evictions: int = 0) -> None:
-        """Start an untouched cache from a warm per-set ``image``.
+        """Start an untouched cache from a warm ``image``.
 
-        ``image`` holds one tuple of ``(line, dirty, critical_word)``
-        triples per set, LRU first; ``evictions`` and
-        ``dirty_evictions`` are what filling it cost. Each set is copied
-        out of the image the first time it is probed.
+        ``image`` is ``(offsets, lines, meta)`` as :class:`_SetTable`
+        describes; ``evictions`` and ``dirty_evictions`` are what
+        filling it cost. Each set is copied out of the image the first
+        time it is probed.
         """
         if self.occupancy():
             raise ValueError(f"{self.config.name}: load_image needs an "

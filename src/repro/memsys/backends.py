@@ -24,10 +24,10 @@ from repro.core.placement import (
     PagePlacementConfig,
     PagePlacementMemory,
     PAGE_LINES,
-    profile_page_heat,
     rank_pages,
 )
 from repro.dram.device import DRAMKind
+from repro.dram.request import LINE_BYTES
 from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
 from repro.memsys.registry import register_backend
 
@@ -125,7 +125,9 @@ def _build_page_placement(config, events, traces=None, profile=None):
             trace_pages(profile, core, config.seed, 30_000, PAGE_LINES)
             for core in range(config.num_cores))
     elif traces is not None:
-        ranking = profile_page_heat(traces)
+        page_bytes = PAGE_LINES * LINE_BYTES
+        ranking = rank_pages((record.address // page_bytes for record in trace)
+                             for trace in traces)
     else:
         raise ValueError("page_placement needs a profile or traces")
     return PagePlacementMemory(

@@ -10,10 +10,13 @@ speedup up to a constant factor.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.criticality import CriticalityProfiler
+from repro.cpu.cache import IMAGE_DIRTY
 from repro.cpu.core import Core, TraceRecord
 from repro.cpu.uncore import Uncore
 from repro.dram.power import default_power_model
@@ -388,7 +391,8 @@ class SimulationSystem:
 # across several memory organisations back to back (every figure sweeps
 # memories with the benchmark held fixed); the warm image depends only
 # on the profile, the core count, and the L2 geometry — not the memory —
-# so it is computed once and shared. Images are immutable: each L2
+# so it is computed once and shared. An image is three flat buffers
+# (about 0.6 MiB at Table 1's geometry) and is never mutated: each L2
 # copies a set out of its image only when a run first probes that set
 # (``Cache.load_image``), so a memo hit costs nothing up front. A hit
 # leaves the memo's key order alone (``get``, never ``move_to_end``):
@@ -436,8 +440,9 @@ def _warm_image(profile: BenchmarkProfile, num_cores: int, num_sets: int,
 
     Replays ``Cache.insert`` semantics (LRU, sticky dirty bit, victim
     counting) on an empty ``num_sets`` x ``assoc`` tag store, keeping
-    each line as a ``(line, dirty, critical_word)`` triple; the image
-    is one tuple of triples per set, LRU first.
+    each line's packed ``meta`` byte (critical word, plus
+    ``IMAGE_DIRTY`` when dirty) in per-set LRU dicts; the image is
+    those sets flattened into the buffers ``Cache.load_image`` takes.
     """
     import random as _random
     from repro.dram.request import LINE_BYTES as _LB, WORDS_PER_LINE
@@ -502,15 +507,17 @@ def _warm_image(profile: BenchmarkProfile, num_cores: int, num_sets: int,
             old = s.pop(line, None)
             if old is not None:
                 # Re-reference: move to MRU; a write makes it dirty.
-                s[line] = (line, True, old[2]) if dirty else old
+                s[line] = old | IMAGE_DIRTY if dirty else old
             else:
                 if len(s) >= assoc:
                     lru = s.pop(next(iter(s)))
                     evicted += 1
-                    if lru[1]:
+                    if lru >= IMAGE_DIRTY:
                         dirty_evicted += 1
-                s[line] = (line, dirty, word)
-    image = tuple(tuple(s.values()) for s in sets)
+                s[line] = word | IMAGE_DIRTY if dirty else word
+    image = (array("I", accumulate(map(len, sets), initial=0)),
+             array("q", chain.from_iterable(sets)),
+             bytes(chain.from_iterable(s.values() for s in sets)))
     return image, evicted, dirty_evicted
 
 

@@ -117,3 +117,46 @@ class TestStatsConsistency:
         run_read(events, memory, 1, 0)
         util = memory.bus_utilization(max(1, events.now))
         assert 0.0 <= util <= 1.0
+
+
+class TestBulkCriticalDelivery:
+    def test_only_uncovered_bulk_reads_schedule_a_delivery(self,
+                                                           monkeypatch):
+        """A covered word reaches the CPU from the fast part, so its bulk
+        burst schedules no critical-word event; an uncovered one does."""
+        from repro.core import cwf
+        from repro.dram import controller as controller_mod
+        from repro.sim.config import SimConfig
+        from repro.sim.system import run_benchmark
+
+        delivered = []
+        retired = {True: 0, False: 0}
+
+        class CountingDelivery(controller_mod._DeliverCritical):
+            __slots__ = ()
+
+            def __init__(self, req):
+                super().__init__(req)
+                delivered.append(req)
+
+        retire = controller_mod.MemoryController._retire
+
+        def counting_retire(self, now, req, *args):
+            done = req.on_complete
+            if getattr(done, "__func__", None) is cwf._CWFReadTxn.bulk_done:
+                retired[done.__self__.covers] += 1
+            retire(self, now, req, *args)
+
+        monkeypatch.setattr(controller_mod, "_DeliverCritical",
+                            CountingDelivery)
+        monkeypatch.setattr(controller_mod.MemoryController, "_retire",
+                            counting_retire)
+        result = run_benchmark("leslie3d", SimConfig(
+            memory="rl", num_cores=2, target_dram_reads=400))
+        bulk_deliveries = [
+            req for req in delivered
+            if getattr(req.on_critical_word, "__func__", None)
+            is cwf._CWFReadTxn.bulk_critical]
+        assert retired[True] > 0 and retired[False] > 0
+        assert len(bulk_deliveries) == retired[False]
+        assert result.fast_service_fraction > 0.5

@@ -4,7 +4,7 @@ from repro.core.placement import (
     PAGE_LINES,
     PagePlacementConfig,
     PagePlacementMemory,
-    profile_page_heat,
+    rank_pages,
 )
 from repro.cpu.core import TraceRecord
 from repro.dram.device import DRAMKind
@@ -90,10 +90,14 @@ class TestHomogeneous:
 class TestPageHeatProfiling:
     def test_ranks_by_access_count(self):
         hot_page, cold_page = 3, 9
-        trace = [TraceRecord(0, False, hot_page * PAGE_LINES * 64)] * 10
-        trace += [TraceRecord(0, False, cold_page * PAGE_LINES * 64)] * 2
-        ranking = profile_page_heat([trace])
+        trace = [TraceRecord(0, False, cold_page * PAGE_LINES * 64)] * 2
+        trace += [TraceRecord(0, False, hot_page * PAGE_LINES * 64)] * 10
+        ranking = rank_pages([[record.address // (PAGE_LINES * 64)
+                               for record in trace]])
         assert ranking == [hot_page, cold_page]
+
+    def test_equal_counts_rank_in_first_seen_order(self):
+        assert rank_pages([[7, 2, 5], [2, 9, 5, 7]]) == [7, 2, 5, 9]
 
 
 class TestPagePlacement:

@@ -13,7 +13,8 @@ import pytest
 
 GATE_PATH = (Path(__file__).resolve().parent.parent
              / "benchmarks" / "perf_gate.py")
-BASE = {"sim_reads_per_s": 8000.0, "cpu_ms_per_kread": 120.0}
+BASE = {"sim_reads_per_s": 8000.0, "cpu_ms_per_kread": 120.0,
+        "peak_rss_mb": 45.0}
 
 
 @pytest.fixture()
@@ -41,12 +42,14 @@ def run(gate, monkeypatch, result):
 
 def test_within_bound_passes(gate, monkeypatch, capsys):
     assert run(gate, monkeypatch, report(sim_reads_per_s=0.9,
-                                         cpu_ms_per_kread=1.1)) == 0
+                                         cpu_ms_per_kread=1.1,
+                                         peak_rss_mb=1.05)) == 0
     assert "perf gate: ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("metric,scale", [("sim_reads_per_s", 0.7),
-                                          ("cpu_ms_per_kread", 1.3)])
+                                          ("cpu_ms_per_kread", 1.3),
+                                          ("peak_rss_mb", 1.15)])
 def test_regression_past_bound_fails(gate, monkeypatch, capsys,
                                      metric, scale):
     assert run(gate, monkeypatch, report(**{metric: scale})) == 1
@@ -54,7 +57,8 @@ def test_regression_past_bound_fails(gate, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("metric,scale", [("sim_reads_per_s", 1.3),
-                                          ("cpu_ms_per_kread", 0.7)])
+                                          ("cpu_ms_per_kread", 0.7),
+                                          ("peak_rss_mb", 0.7)])
 def test_improvement_passes(gate, monkeypatch, metric, scale):
     assert run(gate, monkeypatch, report(**{metric: scale})) == 0
 
@@ -90,6 +94,14 @@ def test_unreadable_baseline_refuses(gate, monkeypatch, content):
     else:
         gate.BASELINE.write_text(content)
     assert run(gate, monkeypatch, report()) == 2
+
+
+def test_baseline_without_rss_refuses(gate, monkeypatch, capsys):
+    baseline = json.loads(gate.BASELINE.read_text())
+    del baseline["metrics"]["peak_rss_mb"]
+    gate.BASELINE.write_text(json.dumps(baseline))
+    assert run(gate, monkeypatch, report()) == 2
+    assert "peak_rss_mb" in capsys.readouterr().err
 
 
 def test_refusal_runs_nothing(gate, monkeypatch):

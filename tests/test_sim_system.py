@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.cpu.cache import L2_CONFIG
+from repro.cpu.cache import IMAGE_DIRTY, L2_CONFIG
 from repro.dram.request import LINE_BYTES
 from repro.sim import system as system_mod
 from repro.sim.checkpoint import Checkpointer, load_checkpoint
@@ -165,14 +165,40 @@ def _reference_warm_image(profile, num_cores, num_sets, assoc):
     return tuple(tuple(s.values()) for s in sets), evicted, dirty_evicted
 
 
+def _decode_image(image):
+    """The flat ``(offsets, lines, meta)`` image as one tuple of
+    ``(line, dirty, critical_word)`` triples per set, LRU first."""
+    offsets, lines, meta = image
+    return tuple(
+        tuple((lines[i], meta[i] >= IMAGE_DIRTY, meta[i] % IMAGE_DIRTY)
+              for i in range(lo, hi))
+        for lo, hi in zip(offsets, offsets[1:]))
+
+
+DEFAULT_GEOMETRY = (SimConfig().num_cores, L2_CONFIG.num_sets,
+                    L2_CONFIG.associativity)
+
+
 class TestWarmImageReference:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_matches_reference_fill(self, name):
         profile = profile_for(name)
-        geometry = (SimConfig().num_cores, L2_CONFIG.num_sets,
-                    L2_CONFIG.associativity)
-        assert system_mod._warm_image(profile, *geometry) == \
-            _reference_warm_image(profile, *geometry)
+        image, evicted, dirty_evicted = system_mod._warm_image(
+            profile, *DEFAULT_GEOMETRY)
+        assert len(image[0]) == L2_CONFIG.num_sets + 1
+        assert len(image[1]) == len(image[2]) == image[0][-1]
+        decoded = _decode_image(image)
+        ref_sets, ref_evicted, ref_dirty = _reference_warm_image(
+            profile, *DEFAULT_GEOMETRY)
+        for index, (got, want) in enumerate(zip(decoded, ref_sets)):
+            assert got == want, f"set {index}"
+        assert len(decoded) == len(ref_sets)
+        assert (evicted, dirty_evicted) == (ref_evicted, ref_dirty)
+
+    def test_image_buffers_fit_in_one_mib(self):
+        image, _, _ = system_mod._warm_image(profile_for("mcf"),
+                                             *DEFAULT_GEOMETRY)
+        assert sum(memoryview(buf).nbytes for buf in image) <= 1 << 20
 
 
 class TestPrewarmMemo:
@@ -207,7 +233,8 @@ class TestPrewarmMemo:
         system = _warm_system(profile, config)
         l2 = system.uncore.l2
         before = l2.occupancy()
-        assert before == sum(len(entries) for entries in l2._sets.image)
+        offsets = l2._sets.image[0]
+        assert before == sum(hi - lo for lo, hi in zip(offsets, offsets[1:]))
         assert len(l2._sets) == 0
         assert sum(len(s) for s in _l2_sets(l2)) == before
         assert len(l2._sets) == l2.config.num_sets

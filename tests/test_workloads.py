@@ -3,14 +3,14 @@
 import random
 import statistics
 import zlib
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Deque, List, Optional, Tuple
 
 import pytest
 
-from repro.core.placement import PAGE_LINES, profile_page_heat, rank_pages
+from repro.core.placement import PAGE_LINES, rank_pages
 from repro.cpu.core import TraceRecord
 from repro.dram.request import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
 from repro.sim.config import SimConfig, build_memory
@@ -340,6 +340,29 @@ class TestInlinedRandbelow:
 PAGE_RECORDS = 4000
 
 
+def _most_common_order(page_streams):
+    """Reference page ranking: ``Counter.most_common()``'s order."""
+    counts = Counter()
+    for pages in page_streams:
+        counts.update(pages)
+    return [page for page, _ in counts.most_common()]
+
+
+class TestRankPages:
+    """``rank_pages`` sorts the pages themselves; hot first, ties in
+    first-seen order, exactly as ``most_common()`` ranks them."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_matches_most_common_order(self, name):
+        profile = profile_for(name)
+        for seed in (1, 42):
+            streams = [trace_pages(profile, core, seed, PAGE_RECORDS,
+                                   PAGE_LINES) for core in range(8)]
+            ranking = rank_pages(streams)
+            assert ranking == _most_common_order(streams)
+            assert len(ranking) == len(set().union(*streams))
+
+
 class TestTracePages:
     """``trace_pages`` makes ``_record_stream``'s draws without building
     records; its pages, and the ranking, must match the records'."""
@@ -354,8 +377,10 @@ class TestTracePages:
                     .records(PAGE_RECORDS)
                 pages = trace_pages(profile, core_id, seed, PAGE_RECORDS,
                                     PAGE_LINES)
-                assert pages == [r.address // page_bytes for r in records]
-                assert rank_pages([pages]) == profile_page_heat([records])
+                record_pages = [r.address // page_bytes for r in records]
+                assert pages == record_pages
+                assert rank_pages([pages]) == _most_common_order(
+                    [record_pages])
 
     def test_rejects_non_power_of_two_pages(self):
         with pytest.raises(ValueError, match="power of two"):
