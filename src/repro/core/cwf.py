@@ -57,10 +57,14 @@ from repro.dram.request import (
 )
 from repro.dram.timing import TimingSet
 from repro.core.ecc import FaultInjector
-from repro.memsys.base import MemorySystem, MemorySystemStats
-from repro.dram.power import ChipActivity
+from repro.memsys.base import (
+    ChipGroup,
+    MemorySystem,
+    MemorySystemStats,
+    mean_bus_utilization,
+    per_read_mean,
+)
 from repro.util.events import EventQueue
-from repro.util.sums import left_sum
 
 # A DDR3 part used as the critical-word store in the DL configuration:
 # x9 (8 data bits + parity), close-page, auto-precharge style operation.
@@ -172,7 +176,6 @@ class _CWFReadTxn:
                 memory.stats.critical_served_slow += 1
             if memory._telemetry_attached:
                 memory._h_critical.observe(t - self.start)
-                (memory._c_fast if from_fast else memory._c_slow).inc()
         self.on_critical(t)
 
     def _check_complete(self) -> None:
@@ -225,11 +228,9 @@ class CriticalWordMemory(MemorySystem):
 
         bulk_cc = bulk_controller_config or ControllerConfig(
             aggressive_powerdown=(bulk_dev.kind is DRAMKind.LPDDR2))
-        self.bulk_channels: List[Channel] = []
         self.bulk_controllers: List[MemoryController] = []
         for i in range(config.num_bulk_channels):
             channel = Channel(self.bulk_timing, num_data_buses=1, index=i)
-            self.bulk_channels.append(channel)
             self.bulk_controllers.append(MemoryController(
                 device=bulk_dev, timing=self.bulk_timing, channel=channel,
                 num_ranks=1, events=events, config=bulk_cc,
@@ -244,7 +245,6 @@ class CriticalWordMemory(MemorySystem):
             # pumped command bus — 16 x9 chips total.
             channel = Channel(self.fast_timing, num_data_buses=n_sub,
                               cmd_slots_per_cycle=2, index=0)
-            self.fast_channels = [channel]
             self.fast_controllers = [MemoryController(
                 device=fast_dev, timing=self.fast_timing, channel=channel,
                 num_ranks=n_sub * ranks_per_sub, events=events,
@@ -254,11 +254,9 @@ class CriticalWordMemory(MemorySystem):
                 name=f"fast-{fast_dev.kind.value}")]
         else:
             # Unoptimised design (Fig 5b): one controller per sub-channel.
-            self.fast_channels = []
             self.fast_controllers = []
             for i in range(n_sub):
                 channel = Channel(self.fast_timing, num_data_buses=1, index=i)
-                self.fast_channels.append(channel)
                 self.fast_controllers.append(MemoryController(
                     device=fast_dev, timing=self.fast_timing, channel=channel,
                     num_ranks=ranks_per_sub, events=events, config=fast_cc,
@@ -390,10 +388,6 @@ class CriticalWordMemory(MemorySystem):
         self.stats.reads += 1
         if not is_prefetch:
             self.stats.demand_reads += 1
-        if self._telemetry_attached:
-            self._c_reads.inc()
-            if not is_prefetch:
-                self._c_demand_reads.inc()
         return True
 
     # ------------------------------------------------------------------
@@ -419,76 +413,33 @@ class CriticalWordMemory(MemorySystem):
         if not bulk_mc.enqueue(bulk_req) or not fast_mc.enqueue(fast_req):
             raise RuntimeError("CWF write enqueue failed after capacity check")
         self.stats.writes += 1
-        if self._telemetry_attached:
-            self._c_writes.inc()
         return True
 
     # ------------------------------------------------------------------
     # Roll-ups
     # ------------------------------------------------------------------
 
-    def telemetry_controllers(self) -> List[MemoryController]:
-        return self.bulk_controllers + self.fast_controllers
+    def chip_groups(self) -> List[ChipGroup]:
+        config = self.config
+        return [
+            (f"bulk:{config.bulk_device.kind.value}", self.bulk_controllers,
+             config.bulk_devices_per_rank),
+            (f"fast:{config.fast_device.kind.value}", self.fast_controllers,
+             1),
+        ]
 
-    def finalize(self) -> None:
-        for mc in self.bulk_controllers + self.fast_controllers:
-            mc.finalize()
+    # Protocol overrides: the bulk side carries the line fill, so the
+    # bus and queue/core views report bulk controllers only (the fast
+    # channel's shallow queues would dilute the Fig 1b comparison).
 
     def bus_utilization(self, elapsed_cycles: int) -> float:
-        chans = self.bulk_channels
-        return left_sum(c.utilization(elapsed_cycles) for c in chans) / len(chans)
-
-    def chip_activities(self, elapsed_cycles: int) -> Dict[str, List[ChipActivity]]:
-        self.finalize()
-        ghz = self.config.cpu_freq_ghz
-        to_ns = lambda c: c / ghz  # noqa: E731
-        elapsed_ns = max(1.0, to_ns(elapsed_cycles))
-        out: Dict[str, List[ChipActivity]] = {}
-
-        def collect(controllers, t_burst_ns, chips_per_rank, key):
-            acts = out.setdefault(key, [])
-            for mc in controllers:
-                for rank in mc.ranks:
-                    tally = rank.finalize_tally(self.events.now)
-                    reads, writes = rank.read_count, rank.write_count
-                    activity = ChipActivity(
-                        elapsed_ns=elapsed_ns,
-                        activates=rank.activate_count,
-                        reads=reads, writes=writes,
-                        read_bus_ns=reads * t_burst_ns,
-                        write_bus_ns=writes * t_burst_ns,
-                        active_standby_ns=to_ns(tally.active),
-                        precharge_standby_ns=to_ns(tally.standby),
-                        power_down_ns=to_ns(tally.power_down),
-                        self_refresh_ns=to_ns(tally.self_refresh))
-                    acts.extend([activity] * chips_per_rank)
-
-        bulk_key = f"bulk:{self.config.bulk_device.kind.value}"
-        fast_key = f"fast:{self.config.fast_device.kind.value}"
-        collect(self.bulk_controllers, self.config.bulk_device.timing.t_burst,
-                self.config.bulk_devices_per_rank, bulk_key)
-        collect(self.fast_controllers, self.config.fast_device.timing.t_burst,
-                1, fast_key)
-        return out
-
-    # --- latency views ---------------------------------------------------
-    # Protocol overrides: the bulk side carries the line fill, so the
-    # queue/core views report bulk controllers only (the fast channel's
-    # shallow queues would dilute the Fig 1b comparison).
+        return mean_bus_utilization(self.bulk_controllers, elapsed_cycles)
 
     def avg_queue_latency(self) -> float:
-        done = sum(c.stats.reads_done for c in self.bulk_controllers)
-        if not done:
-            return 0.0
-        return sum(c.stats.sum_queue_latency
-                   for c in self.bulk_controllers) / done
+        return per_read_mean(self.bulk_controllers, "sum_queue_latency")
 
     def avg_core_latency(self) -> float:
-        done = sum(c.stats.reads_done for c in self.bulk_controllers)
-        if not done:
-            return 0.0
-        return sum(c.stats.sum_core_latency
-                   for c in self.bulk_controllers) / done
+        return per_read_mean(self.bulk_controllers, "sum_core_latency")
 
     def describe(self) -> Dict[str, object]:
         info = super().describe()

@@ -75,6 +75,24 @@ HMC_LP_DEVICE = DeviceConfig(
     single_command_addressing=True,
 )
 
+
+class HMCConfig(CWFConfig):
+    """CWF geometry with the critical word on HMC-HF, the bulk on HMC-LP.
+
+    CWFConfig resolves devices through properties, so this subclass
+    swaps in the HMC presets without touching the CWF machinery. It
+    lives at module level so a memory built from it can be pickled.
+    """
+
+    @property
+    def fast_device(self) -> DeviceConfig:   # type: ignore[override]
+        return HMC_HF_DEVICE
+
+    @property
+    def bulk_device(self) -> DeviceConfig:   # type: ignore[override]
+        return HMC_LP_DEVICE
+
+
 # The registry backends "hmc_hf" / "hmc_lp" / "hmc_cwf" (see
 # repro.memsys.backends) expose these presets to the CLI, sweeps, and
 # RunSpecs; this factory remains the programmatic entry point.
@@ -92,18 +110,6 @@ def build_hmc_memory(events: EventQueue,
     the whole CWF machinery (split fills, parity, adaptive tags) applies
     unchanged.
     """
-    # CWFConfig resolves devices through properties, so a subclass can
-    # swap in the HMC presets without touching the CWF machinery.
-
-    class HMCConfig(CWFConfig):
-        @property
-        def fast_device(self) -> DeviceConfig:   # type: ignore[override]
-            return HMC_HF_DEVICE
-
-        @property
-        def bulk_device(self) -> DeviceConfig:   # type: ignore[override]
-            return HMC_LP_DEVICE
-
     hmc_config = HMCConfig(policy=policy, num_bulk_channels=num_channels,
                            cpu_freq_ghz=cpu_freq_ghz)
     return CriticalWordMemory(events, hmc_config, tag_seeder=tag_seeder)

@@ -20,7 +20,6 @@ from repro.dram.address import AddressMapper, MappingScheme
 from repro.dram.channel import Channel
 from repro.dram.controller import ControllerConfig, MemoryController
 from repro.dram.device import LPDDR2_DEVICE, RLDRAM3_DEVICE
-from repro.dram.power import ChipActivity
 from repro.dram.request import (
     DecodedAddress,
     LINE_BYTES,
@@ -28,9 +27,14 @@ from repro.dram.request import (
     RequestKind,
 )
 from repro.dram.timing import TimingSet
-from repro.memsys.base import MemorySystem, MemorySystemStats
+from repro.memsys.base import (
+    ChipGroup,
+    MemorySystem,
+    MemorySystemStats,
+    ReadComplete,
+    ReadCritical,
+)
 from repro.util.events import EventQueue
-from repro.util.sums import left_sum
 
 PAGE_LINES = 64  # 4 KB pages
 
@@ -80,19 +84,17 @@ class PagePlacementMemory(MemorySystem):
             scheme=MappingScheme.OPEN_PAGE)
 
         lp_cc = controller_config or ControllerConfig(aggressive_powerdown=True)
-        self.lpddr_channels: List[Channel] = []
         self.lpddr_controllers: List[MemoryController] = []
         for i in range(config.num_lpddr_channels):
             channel = Channel(self.lpddr_timing, num_data_buses=1, index=i)
-            self.lpddr_channels.append(channel)
             self.lpddr_controllers.append(MemoryController(
                 device=LPDDR2_DEVICE, timing=self.lpddr_timing,
                 channel=channel, num_ranks=1, events=events, config=lp_cc,
                 name=f"pp-lpddr2-ch{i}"))
-        self.rldram_channel = Channel(self.rldram_timing, num_data_buses=1)
         self.rldram_controller = MemoryController(
             device=RLDRAM3_DEVICE, timing=self.rldram_timing,
-            channel=self.rldram_channel, num_ranks=1, events=events,
+            channel=Channel(self.rldram_timing, num_data_buses=1),
+            num_ranks=1, events=events,
             config=controller_config or ControllerConfig(),
             name="pp-rldram3")
         self.stats = MemorySystemStats()
@@ -129,39 +131,18 @@ class PagePlacementMemory(MemorySystem):
             return False
         start = self.events.now
         fast = controller is self.rldram_controller
-
-        def critical_cb(t: int) -> None:
-            if not is_prefetch:
-                self.stats.sum_critical_latency += t - start
-                if fast:
-                    self.stats.critical_served_fast += 1
-                else:
-                    self.stats.critical_served_slow += 1
-                if self._telemetry_attached:
-                    self._h_critical.observe(t - start)
-                    (self._c_fast if fast else self._c_slow).inc()
-            on_critical(t)
-
-        def complete_cb(t: int) -> None:
-            self.stats.sum_fill_latency += t - start
-            if self._telemetry_attached:
-                self._h_fill.observe(t - start)
-            on_complete(t)
-
         request = MemoryRequest(
             kind=RequestKind.READ, address=line_address * LINE_BYTES,
             critical_word=critical_word, is_prefetch=is_prefetch,
             core_id=core_id, decoded=decoded,
-            on_critical_word=critical_cb, on_complete=complete_cb)
+            on_critical_word=ReadCritical(self, start, is_prefetch, fast,
+                                          on_critical),
+            on_complete=ReadComplete(self, start, on_complete))
         if not controller.enqueue(request):
             return False
         self.stats.reads += 1
         if not is_prefetch:
             self.stats.demand_reads += 1
-        if self._telemetry_attached:
-            self._c_reads.inc()
-            if not is_prefetch:
-                self._c_demand_reads.inc()
         return True
 
     def issue_write(self, line_address: int, critical_word_tag: int,
@@ -173,18 +154,17 @@ class PagePlacementMemory(MemorySystem):
         if not controller.enqueue(request):
             return False
         self.stats.writes += 1
-        if self._telemetry_attached:
-            self._c_writes.inc()
         return True
 
     # ------------------------------------------------------------------
 
-    @property
-    def _all_controllers(self) -> List[MemoryController]:
-        return self.lpddr_controllers + [self.rldram_controller]
-
-    def telemetry_controllers(self) -> List[MemoryController]:
-        return self._all_controllers
+    def chip_groups(self) -> List[ChipGroup]:
+        config = self.config
+        return [
+            ("lpddr2", self.lpddr_controllers, config.lpddr_devices_per_rank),
+            ("rldram3", [self.rldram_controller],
+             config.rldram_devices_per_rank),
+        ]
 
     def describe(self) -> Dict[str, object]:
         info = super().describe()
@@ -195,40 +175,3 @@ class PagePlacementMemory(MemorySystem):
             "num_lpddr_channels": self.config.num_lpddr_channels,
         })
         return info
-
-    def finalize(self) -> None:
-        for mc in self._all_controllers:
-            mc.finalize()
-
-    def bus_utilization(self, elapsed_cycles: int) -> float:
-        chans = self.lpddr_channels + [self.rldram_channel]
-        return left_sum(c.utilization(elapsed_cycles) for c in chans) / len(chans)
-
-    def chip_activities(self, elapsed_cycles: int) -> Dict[str, List[ChipActivity]]:
-        self.finalize()
-        ghz = self.config.cpu_freq_ghz
-        elapsed_ns = max(1.0, elapsed_cycles / ghz)
-        out: Dict[str, List[ChipActivity]] = {"lpddr2": [], "rldram3": []}
-
-        def make(rank, t_burst_ns):
-            tally = rank.finalize_tally(self.events.now)
-            return ChipActivity(
-                elapsed_ns=elapsed_ns, activates=rank.activate_count,
-                reads=rank.read_count, writes=rank.write_count,
-                read_bus_ns=rank.read_count * t_burst_ns,
-                write_bus_ns=rank.write_count * t_burst_ns,
-                active_standby_ns=tally.active / ghz,
-                precharge_standby_ns=tally.standby / ghz,
-                power_down_ns=tally.power_down / ghz,
-                self_refresh_ns=tally.self_refresh / ghz)
-
-        for mc in self.lpddr_controllers:
-            for rank in mc.ranks:
-                out["lpddr2"].extend(
-                    [make(rank, LPDDR2_DEVICE.timing.t_burst)]
-                    * self.config.lpddr_devices_per_rank)
-        for rank in self.rldram_controller.ranks:
-            out["rldram3"].extend(
-                [make(rank, RLDRAM3_DEVICE.timing.t_burst)]
-                * self.config.rldram_devices_per_rank)
-        return out

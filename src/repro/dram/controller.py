@@ -37,11 +37,7 @@ from repro.dram.request import MemoryRequest, WORDS_PER_LINE
 from repro.dram.rank import PowerState, Rank
 from repro.dram.scheduler import SchedulingPolicy, promote_aged_prefetches
 from repro.dram.timing import TimingSet
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
-)
+from repro.telemetry.registry import MetricsRegistry, NULL_HISTOGRAM
 from repro.telemetry.trace import NULL_TRACER
 from repro.util.events import EventQueue
 
@@ -99,6 +95,7 @@ class ControllerStats:
     __slots__ = (
         "reads_done", "writes_done", "sum_queue_latency",
         "sum_core_latency", "refreshes", "prefetches_done",
+        "prefetch_promotions",
     )
 
     def __init__(self) -> None:
@@ -108,6 +105,7 @@ class ControllerStats:
         self.sum_core_latency = 0
         self.refreshes = 0
         self.prefetches_done = 0
+        self.prefetch_promotions = 0
 
     @property
     def avg_queue_latency(self) -> float:
@@ -132,7 +130,6 @@ class MemoryController:
         "_draining_writes", "_tick_event", "_next_refresh",
         "registry", "tracer",
         "_h_queue_lat", "_h_critical_lat",
-        "_c_refreshes", "_c_promotions",
         # Precomputed hot-path constants and fast-path state.
         "_bus_cycle", "_t_rl", "_t_wl", "_t_rc", "_t_refi", "_t_rfc",
         "_beat", "_slots_per_cycle", "_cmd_bus", "_cmd_earliest",
@@ -180,8 +177,6 @@ class MemoryController:
         self.tracer = NULL_TRACER
         self._h_queue_lat = NULL_HISTOGRAM
         self._h_critical_lat = NULL_HISTOGRAM
-        self._c_refreshes = NULL_COUNTER
-        self._c_promotions = NULL_COUNTER
         self._telemetry = False
         # Flat per-command timing constants (CPU cycles).
         self._bus_cycle = timing.bus_cycle
@@ -234,28 +229,29 @@ class MemoryController:
 
     def attach_telemetry(self, registry: MetricsRegistry,
                          tracer=None) -> None:
-        """Bind hot-path metric handles under ``dram.<name>.*``."""
+        """Bind the latency histograms under ``dram.<name>.*``."""
         ns = f"dram.{self.name}"
         self.registry = registry
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._h_queue_lat = registry.histogram(f"{ns}.queue_latency_cycles")
         self._h_critical_lat = registry.histogram(
             f"{ns}.critical_latency_cycles")
-        self._c_refreshes = registry.counter(f"{ns}.refreshes")
-        self._c_promotions = registry.counter(f"{ns}.prefetch_promotions")
         self._telemetry = True
 
     def export_telemetry(self, elapsed_cycles: int) -> None:
-        """Publish end-of-run structural counters (per rank, per bank).
+        """Publish end-of-run counts and structural gauges.
 
-        These are read off the existing bank/rank statistics rather than
-        incremented on the hot path, so the per-bank breakdown costs
-        nothing during simulation.
+        These are read off the existing controller/bank/rank statistics
+        rather than incremented on the hot path, so the per-bank
+        breakdown costs nothing during simulation.
         """
         if self.registry is None:
             return
         registry = self.registry
         ns = f"dram.{self.name}"
+        registry.counter(f"{ns}.refreshes").inc(self.stats.refreshes)
+        registry.counter(f"{ns}.prefetch_promotions").inc(
+            self.stats.prefetch_promotions)
         registry.gauge(f"{ns}.reads_done").set(self.stats.reads_done)
         registry.gauge(f"{ns}.writes_done").set(self.stats.writes_done)
         registry.gauge(f"{ns}.prefetches_done").set(self.stats.prefetches_done)
@@ -355,7 +351,7 @@ class MemoryController:
             if promoted:
                 self._unpromoted_prefetches -= promoted
                 self._queue_version += 1
-                self._c_promotions.inc(promoted)
+                self.stats.prefetch_promotions += promoted
         write_depth = len(self.write_queue)
         if self._draining_writes:
             if write_depth <= self._low_wm:
@@ -718,7 +714,6 @@ class MemoryController:
             next_refresh[i] = max(next_refresh[i] + self._t_refi,
                                   now + self._t_refi // 2)
             self.stats.refreshes += 1
-            self._c_refreshes.inc()
         self._refresh_due = min(next_refresh)
 
     def _try_powerdown(self, now: int) -> None:

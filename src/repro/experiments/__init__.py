@@ -39,7 +39,6 @@ from repro.experiments.runner import (
     ExperimentTable,
     ResultCache,
     default_config,
-    run_cached,
 )
 from repro.experiments.resilience import (
     MISSING,
@@ -119,7 +118,7 @@ def suite_specs(keys, config):
 
 
 __all__ = ["ExperimentConfig", "ExperimentTable", "ResultCache", "RunSpec",
-           "ParallelExecutor", "default_config", "run_cached", "run_specs",
+           "ParallelExecutor", "default_config", "run_specs",
            "resolve_results", "resolve_jobs", "execute_spec",
            "register_runner", "spec_cache_key", "suite_specs",
            "ALL_EXPERIMENTS", "EXPERIMENT_SPECS",

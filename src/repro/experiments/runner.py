@@ -6,8 +6,7 @@ plus a digest of the fully resolved simulation config. Figure modules
 declare their spec lists up front, resolve them through
 :mod:`repro.experiments.executor` (serial or process-pool parallel),
 and return an :class:`ExperimentTable` that formats itself for the
-console and for EXPERIMENTS.md. :func:`run_cached` remains as the
-single-run convenience wrapper over the same cache.
+console and for EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -18,10 +17,9 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.resilience import MISSING
-from repro.experiments.specs import RunSpec, execute_spec, spec_cache_key
 from repro.sim.config import SimConfig
 from repro.sim.system import SimResult
 from repro.store import ArtifactStore, parse_size
@@ -254,50 +252,6 @@ class ResultCache:
         if self.store is None:
             return None
         return self.store.gc(max_bytes=max_bytes, dry_run=dry_run)
-
-
-_caches: Dict[Tuple[str, Optional[int]], ResultCache] = {}
-
-
-def _cache_for(config: ExperimentConfig) -> ResultCache:
-    budget = getattr(config, "cache_budget_bytes", None)
-    key = (config.cache_dir or "__off__", budget)
-    if key not in _caches:
-        _caches[key] = ResultCache(config.cache_dir, budget_bytes=budget)
-    return _caches[key]
-
-
-def run_cached(benchmark: str, memory: str,
-               config: ExperimentConfig,
-               variant: str = "",
-               runner: Optional[Callable[[], SimResult]] = None) -> SimResult:
-    """Run (or recall) one benchmark on one memory organisation.
-
-    ``memory`` is a registry backend name or alias, canonicalised by
-    :class:`RunSpec`.
-
-    ``variant`` distinguishes non-default setups (e.g. "noprefetch");
-    ``runner`` overrides the default run for such variants. New code
-    should declare a :class:`~repro.experiments.specs.RunSpec` and go
-    through the executor instead; this wrapper shares the same cache
-    keys, so both paths recall each other's results.
-    """
-    spec = RunSpec(benchmark=benchmark, memory=memory, variant=variant)
-    key = spec_cache_key(spec, config)
-    cache = _cache_for(config)
-    # With an active telemetry session a recalled result would have no
-    # metrics or trace spans to contribute, so force a real run (the
-    # fresh result still refreshes the cache for later plain runs).
-    if active_session() is None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    if runner is not None:
-        result = runner()
-    else:
-        result = execute_spec(spec, config)
-    cache.put(key, result)
-    return result
 
 
 @dataclass

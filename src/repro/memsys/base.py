@@ -14,15 +14,22 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.dram.controller import MemoryController
 from repro.dram.power import ChipActivity
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
-)
+from repro.telemetry.registry import MetricsRegistry, NULL_HISTOGRAM
 from repro.telemetry.trace import NULL_TRACER
+from repro.util.sums import left_sum
+
+# One DRAM family of an organisation: (family key, its controllers,
+# chips per rank). The key names the power model (its last
+# ``:``-separated part is a DRAMKind value).
+ChipGroup = Tuple[str, List[MemoryController], int]
+
+# The MemorySystemStats fields published as ``memsys.<field>`` counters.
+_STATS_COUNTERS = ("reads", "demand_reads", "writes",
+                   "critical_served_fast", "critical_served_slow")
 
 
 @dataclass
@@ -53,6 +60,76 @@ class MemorySystemStats:
         return self.critical_served_fast / total if total else 0.0
 
 
+class ReadCritical:
+    """Critical-word callback of a one-part read (picklable, not a closure).
+
+    Records the arrival -> critical word latency of a demand read and
+    which side served it, then wakes the requester. ``fast`` is None
+    where the organisation counts the serving side at issue instead (a
+    homogeneous memory has only the slow one).
+    """
+
+    __slots__ = ("memory", "start", "is_prefetch", "fast", "on_critical")
+
+    def __init__(self, memory: "MemorySystem", start: int, is_prefetch: bool,
+                 fast: Optional[bool],
+                 on_critical: Callable[[int], None]) -> None:
+        self.memory = memory
+        self.start = start
+        self.is_prefetch = is_prefetch
+        self.fast = fast
+        self.on_critical = on_critical
+
+    def __call__(self, t: int) -> None:
+        memory = self.memory
+        if not self.is_prefetch:
+            stats = memory.stats
+            stats.sum_critical_latency += t - self.start
+            if self.fast:
+                stats.critical_served_fast += 1
+            elif self.fast is not None:
+                stats.critical_served_slow += 1
+            if memory._telemetry_attached:
+                memory._h_critical.observe(t - self.start)
+        self.on_critical(t)
+
+
+class ReadComplete:
+    """Fill-complete callback of a one-part read (picklable, not a closure)."""
+
+    __slots__ = ("memory", "start", "on_complete")
+
+    def __init__(self, memory: "MemorySystem", start: int,
+                 on_complete: Callable[[int], None]) -> None:
+        self.memory = memory
+        self.start = start
+        self.on_complete = on_complete
+
+    def __call__(self, t: int) -> None:
+        memory = self.memory
+        memory.stats.sum_fill_latency += t - self.start
+        if memory._telemetry_attached:
+            memory._h_fill.observe(t - self.start)
+        self.on_complete(t)
+
+
+def per_read_mean(controllers: List[MemoryController], field: str) -> float:
+    """Mean of a controller latency sum over the reads they completed."""
+    done = sum(c.stats.reads_done for c in controllers)
+    if not done:
+        return 0.0
+    return sum(getattr(c.stats, field) for c in controllers) / done
+
+
+def mean_bus_utilization(controllers: List[MemoryController],
+                          elapsed_cycles: int) -> float:
+    """Mean data-bus utilisation over the controllers' channels."""
+    if not controllers:
+        return 0.0
+    return left_sum(c.channel.utilization(elapsed_cycles)
+                    for c in controllers) / len(controllers)
+
+
 class MemorySystem(abc.ABC):
     """A main memory reachable from the LLC.
 
@@ -66,6 +143,11 @@ class MemorySystem(abc.ABC):
       (caller must retry).
     * :meth:`issue_write` enqueues a writeback. ``critical_word_tag`` is
       the observed critical word the adaptive scheme may persist.
+    * :meth:`chip_groups` declares the DRAM families and their
+      controllers. Every roll-up (:meth:`telemetry_controllers`,
+      :meth:`finalize`, :meth:`chip_activities`,
+      :meth:`bus_utilization`, the latency views) derives from it, and
+      the issue paths count each event once, in :attr:`stats`.
     """
 
     stats: MemorySystemStats
@@ -78,20 +160,23 @@ class MemorySystem(abc.ABC):
     # attributes, so subclasses need no __init__ cooperation). The
     # ``_telemetry_attached`` flag lets per-request paths skip even the
     # no-op calls: an un-instrumented run pays one bool check per probe.
+    # Only the latency distributions are live; counts are published from
+    # ``stats`` at export.
     telemetry_registry: Optional[MetricsRegistry] = None
     _telemetry_attached = False
     tracer = NULL_TRACER
     _h_critical = NULL_HISTOGRAM     # arrival -> critical word (demands)
     _h_fill = NULL_HISTOGRAM         # arrival -> full line (all reads)
-    _c_demand_reads = NULL_COUNTER
-    _c_reads = NULL_COUNTER
-    _c_writes = NULL_COUNTER
-    _c_fast = NULL_COUNTER           # critical word from the fast DIMM
-    _c_slow = NULL_COUNTER
 
-    def telemetry_controllers(self):
-        """Memory controllers to instrument; overridden by subclasses."""
-        return []
+    @abc.abstractmethod
+    def chip_groups(self) -> List[ChipGroup]:
+        """``(family key, controllers, chips per rank)`` per DRAM family."""
+        ...
+
+    def telemetry_controllers(self) -> List[MemoryController]:
+        """Every memory controller, in :meth:`chip_groups` order."""
+        return [mc for _, controllers, _ in self.chip_groups()
+                for mc in controllers]
 
     def attach_telemetry(self, registry: MetricsRegistry,
                          tracer=None) -> None:
@@ -100,36 +185,23 @@ class MemorySystem(abc.ABC):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._h_critical = registry.histogram("memsys.critical_latency_cycles")
         self._h_fill = registry.histogram("memsys.fill_latency_cycles")
-        self._c_demand_reads = registry.counter("memsys.demand_reads")
-        self._c_reads = registry.counter("memsys.reads")
-        self._c_writes = registry.counter("memsys.writes")
-        self._c_fast = registry.counter("memsys.critical_served_fast")
-        self._c_slow = registry.counter("memsys.critical_served_slow")
         self._telemetry_attached = True
         for controller in self.telemetry_controllers():
             controller.attach_telemetry(registry, self.tracer)
 
     def export_telemetry(self, elapsed_cycles: int) -> None:
-        """Publish end-of-run structural metrics (per channel/rank/bank)."""
+        """Publish end-of-run counts and structural metrics."""
         if self.telemetry_registry is None:
             return
         registry = self.telemetry_registry
+        for field in _STATS_COUNTERS:
+            registry.counter(f"memsys.{field}").inc(getattr(self.stats, field))
         registry.gauge("memsys.bus_utilization").set(
             self.bus_utilization(elapsed_cycles))
         registry.gauge("memsys.fast_service_fraction").set(
             self.stats.fast_service_fraction)
         for controller in self.telemetry_controllers():
             controller.export_telemetry(elapsed_cycles)
-
-    def derived_avg_critical_latency(self) -> float:
-        """``avg_critical_latency`` recomputed purely from the registry.
-
-        Must agree with :attr:`MemorySystemStats.avg_critical_latency`
-        (the histogram sums the same observations; the demand-read
-        counter increments where ``stats.demand_reads`` does).
-        """
-        demands = self._c_demand_reads.value
-        return self._h_critical.sum / demands if demands else 0.0
 
     # --- aggregate latency views (protocol methods, paper Fig 1b) ----
     #
@@ -141,19 +213,13 @@ class MemorySystem(abc.ABC):
 
     def avg_queue_latency(self) -> float:
         """Mean cycles a demand read waited in controller queues."""
-        controllers = self.telemetry_controllers()
-        done = sum(c.stats.reads_done for c in controllers)
-        if not done:
-            return 0.0
-        return sum(c.stats.sum_queue_latency for c in controllers) / done
+        return per_read_mean(self.telemetry_controllers(),
+                              "sum_queue_latency")
 
     def avg_core_latency(self) -> float:
         """Mean cycles from issue to data once a read left the queue."""
-        controllers = self.telemetry_controllers()
-        done = sum(c.stats.reads_done for c in controllers)
-        if not done:
-            return 0.0
-        return sum(c.stats.sum_core_latency for c in controllers) / done
+        return per_read_mean(self.telemetry_controllers(),
+                              "sum_core_latency")
 
     def describe(self) -> Dict[str, object]:
         """Structural self-description (capability hook).
@@ -181,18 +247,49 @@ class MemorySystem(abc.ABC):
                     core_id: int) -> bool:
         ...
 
-    @abc.abstractmethod
-    def chip_activities(self, elapsed_cycles: int) -> Dict[str, List[ChipActivity]]:
-        """Per-chip activity factors keyed by chip family name."""
-        ...
-
-    @abc.abstractmethod
-    def bus_utilization(self, elapsed_cycles: int) -> float:
-        """Mean data-bus utilisation across the system's channels."""
-        ...
+    # --- roll-ups derived from chip_groups ----------------------------
 
     def finalize(self) -> None:
-        """Fold any residency tallies; called once at end of run."""
+        """Fold every rank's residency tally; called once at end of run."""
+        for controller in self.telemetry_controllers():
+            controller.finalize()
+
+    def bus_utilization(self, elapsed_cycles: int) -> float:
+        """Mean data-bus utilisation across the system's channels."""
+        return mean_bus_utilization(self.telemetry_controllers(),
+                                     elapsed_cycles)
+
+    def chip_activities(self, elapsed_cycles: int) -> Dict[str, List[ChipActivity]]:
+        """Per-chip activity factors keyed by chip family.
+
+        One record per chip; all chips of a rank are alike.
+        """
+        self.finalize()
+        out: Dict[str, List[ChipActivity]] = {}
+        for key, controllers, chips_per_rank in self.chip_groups():
+            chips = out.setdefault(key, [])
+            for mc in controllers:
+                ghz = mc.timing.cpu_freq_ghz
+                elapsed_ns = max(1.0, elapsed_cycles / ghz)
+                t_burst_ns = mc.device.timing.t_burst
+                for rank in mc.ranks:
+                    tally = rank.finalize_tally(mc.events.now)
+                    reads = rank.read_count
+                    writes = rank.write_count
+                    activity = ChipActivity(
+                        elapsed_ns=elapsed_ns,
+                        activates=rank.activate_count,
+                        reads=reads,
+                        writes=writes,
+                        read_bus_ns=reads * t_burst_ns,
+                        write_bus_ns=writes * t_burst_ns,
+                        active_standby_ns=tally.active / ghz,
+                        precharge_standby_ns=tally.standby / ghz,
+                        power_down_ns=tally.power_down / ghz,
+                        self_refresh_ns=tally.self_refresh / ghz,
+                    )
+                    chips.extend([activity] * chips_per_rank)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,14 @@ import hashlib
 import json
 import os
 import pickle
+import sys
 from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.dram.request import request_id_allocator
 from repro.store import atomic_write_bytes, quarantine_file
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 ENV_CHECKPOINT_EVERY = "REPRO_CHECKPOINT_EVERY"
@@ -131,9 +132,11 @@ class Checkpointer:
         try:
             payload = pickle.dumps(system, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # unpicklable extension state: give up
-            # once, loudly in the counters, instead of failing the run.
+            # once, with one line on stderr, instead of failing the run.
             self.disabled = True
             self.last_error = f"{type(exc).__name__}: {exc}"
+            print(f"checkpointing disabled for {self.benchmark or '?'} "
+                  f"({self.path.name}): {self.last_error}", file=sys.stderr)
             return False
         header = {
             "version": CHECKPOINT_VERSION,

@@ -19,6 +19,7 @@ from repro.cpu.uncore import UncoreConfig
 from repro.memsys.base import MemorySystem
 from repro.memsys.registry import create_memory, resolve_name
 from repro.util.events import EventQueue
+from repro.workloads.synthetic import preferred_word_for_global_line
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,31 @@ class SimConfig:
         return replace(self, uncore=uncore)
 
 
+class _AdaptiveTagSeeder:
+    """The warm-tag fallback of :func:`adaptive_tag_seeder`.
+
+    A slotted callable rather than a closure, so a memory holding one
+    can be pickled into a checkpoint.
+    """
+
+    __slots__ = ("profile", "seed_probability")
+
+    def __init__(self, profile, seed_probability: float) -> None:
+        self.profile = profile
+        self.seed_probability = seed_probability
+
+    def __call__(self, line_address: int) -> int:
+        h = (line_address * 0x2545F4914F6CDD1D) & ((1 << 64) - 1)
+        if (h >> 33) % 1000 >= self.seed_probability * 1000:
+            return 0  # never written during warm-up: layout unaltered
+        # Re-organised to its last critical word: word 0 for lines
+        # touched by streams, the stable preferred word for chased lines.
+        profile = self.profile
+        if ((h >> 13) % 1000) < profile.stream_fraction * 1000:
+            return 0
+        return preferred_word_for_global_line(profile, line_address)
+
+
 def adaptive_tag_seeder(profile, seed_probability: float = 0.8):
     """Steady-state adaptive tags (paper Sec 4.2.5).
 
@@ -65,19 +91,7 @@ def adaptive_tag_seeder(profile, seed_probability: float = 0.8):
     (the chance it was dirtied and re-organised before measurement),
     else to word 0 (never written — layout never altered).
     """
-    from repro.workloads.synthetic import preferred_word_for_global_line
-
-    def seeder(line_address: int) -> int:
-        h = (line_address * 0x2545F4914F6CDD1D) & ((1 << 64) - 1)
-        if (h >> 33) % 1000 >= seed_probability * 1000:
-            return 0  # never written during warm-up: layout unaltered
-        # Re-organised to its last critical word: word 0 for lines
-        # touched by streams, the stable preferred word for chased lines.
-        if ((h >> 13) % 1000) < profile.stream_fraction * 1000:
-            return 0
-        return preferred_word_for_global_line(profile, line_address)
-
-    return seeder
+    return _AdaptiveTagSeeder(profile, seed_probability)
 
 
 def build_memory(config: SimConfig, events: EventQueue,

@@ -356,13 +356,16 @@ class SimulationSystem:
         for core in self.cores:
             for key, value in core.telemetry_items().items():
                 registry.gauge(f"core{core.core_id}.{key}").set(value)
-        # Compact summary carried on the SimResult. The derived average
-        # must agree with the legacy field (same observation stream).
+        # Compact summary carried on the SimResult. The histogram observes
+        # every latency ``stats.sum_critical_latency`` adds, so this
+        # average must agree with the SimResult field.
         critical = registry.get("memsys.critical_latency_cycles")
         fill = registry.get("memsys.fill_latency_cycles")
+        demands = self.memory.stats.demand_reads
         result.telemetry = {
             "memory": self.memory.describe(),
-            "avg_critical_latency": self.memory.derived_avg_critical_latency(),
+            "avg_critical_latency": (critical.sum / demands
+                                     if critical and demands else 0.0),
             "critical_latency": critical.snapshot() if critical else None,
             "fill_latency": fill.snapshot() if fill else None,
             "queue_latency_by_channel": {

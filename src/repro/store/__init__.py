@@ -10,7 +10,6 @@ and a ``repro store gc|stats|verify`` CLI (:mod:`.cli`).
 from repro.store.atomic import (
     CORRUPT_SUFFIX,
     atomic_write_bytes,
-    atomic_write_text,
     file_lock,
     format_size,
     fsync_dir,
@@ -30,7 +29,6 @@ __all__ = [
     "StoreEntry",
     "CORRUPT_SUFFIX",
     "atomic_write_bytes",
-    "atomic_write_text",
     "file_lock",
     "format_size",
     "fsync_dir",

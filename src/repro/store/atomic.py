@@ -78,11 +78,6 @@ def atomic_write_bytes(path: PathLike, data: bytes,
         fsync_dir(path.parent)
 
 
-def atomic_write_text(path: PathLike, text: str,
-                      durable: bool = True) -> None:
-    atomic_write_bytes(path, text.encode(), durable=durable)
-
-
 @contextlib.contextmanager
 def file_lock(path: PathLike) -> Iterator[None]:
     """Advisory exclusive ``flock`` on ``path`` (created if missing).

@@ -18,6 +18,7 @@ import pytest
 from repro.experiments.resilience import FaultPlan
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.specs import RunSpec, execute_spec
+from repro.memsys.registry import backend_names
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -114,7 +115,7 @@ def test_midrun_snapshot_resumes_byte_identical(tmp_path, sim_config,
 
 
 def test_unpicklable_state_disables_checkpointer(tmp_path, sim_config,
-                                                 baseline):
+                                                 baseline, capsys):
     system = fresh_system("mcf", sim_config)
     system._poison = lambda: None  # lambdas cannot pickle
     ckpt = Checkpointer(tmp_path / "never.ckpt", "key", every_reads=EVERY)
@@ -125,6 +126,29 @@ def test_unpicklable_state_disables_checkpointer(tmp_path, sim_config,
     assert "lambda" in (ckpt.last_error or "").lower() \
         or "pickle" in (ckpt.last_error or "").lower()
     assert not (tmp_path / "never.ckpt").exists()
+    # Disabling is reported once, on stderr, with the error.
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and ckpt.last_error in lines[0]
+
+
+@pytest.mark.parametrize("memory", backend_names())
+def test_every_backend_checkpoints_and_resumes(tmp_path, memory):
+    """Each registered organisation pickles mid-run (no closures or
+    local classes in its state) and resumes byte-identically."""
+    config = SimConfig(memory=memory, target_dram_reads=800, seed=42)
+    expected = result_bytes(run_benchmark("mcf", config))
+    path = tmp_path / "backend.ckpt"
+    ckpt = Checkpointer(path, "key", benchmark="mcf", every_reads=300)
+    uninterrupted = fresh_system("mcf", config).run(checkpointer=ckpt)
+    assert not ckpt.disabled, ckpt.last_error
+    assert ckpt.saves >= 1
+    uninterrupted.benchmark = "mcf"
+    assert result_bytes(uninterrupted) == expected
+
+    restored, executed, _ = load_checkpoint(path, expect_cache_key="key")
+    resumed = restored.resume_run(executed=executed)
+    resumed.benchmark = "mcf"
+    assert result_bytes(resumed) == expected
 
 
 # ---------------------------------------------------------------------------

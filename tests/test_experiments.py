@@ -3,12 +3,13 @@
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.executor import ParallelExecutor
 from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentTable,
     ResultCache,
-    run_cached,
 )
+from repro.experiments.specs import RunSpec
 from repro.experiments.power_curves import figure_2
 from repro.experiments.tables import table_1, table_2
 from repro.sim.system import SimResult
@@ -63,21 +64,17 @@ class TestResultCache:
         cache.put("k", self.make_result())
         assert cache.get("k") is None
 
-    def test_run_cached_uses_cache(self, tmp_path):
+    def test_executor_recalls_cached_result(self, tmp_path):
         config = ExperimentConfig(target_dram_reads=100,
                                   benchmarks=("mcf",),
                                   cache_dir=str(tmp_path))
-        calls = []
-
-        def runner():
-            calls.append(1)
-            return self.make_result()
-
-        a = run_cached("mcf", "ddr3", config, variant="test",
-                       runner=runner)
-        b = run_cached("mcf", "ddr3", config, variant="test",
-                       runner=runner)
-        assert len(calls) == 1
+        spec = RunSpec("mcf", "ddr3")
+        first = ParallelExecutor(config, jobs=1)
+        a = first.run([spec])[spec]
+        second = ParallelExecutor(config, jobs=1)
+        b = second.run([spec])[spec]
+        assert [t["cached"] for t in first.timings] == [False]
+        assert [t["cached"] for t in second.timings] == [True]
         assert a.elapsed_cycles == b.elapsed_cycles
 
 

@@ -7,7 +7,12 @@ import pytest
 
 from repro.experiments.runner import ExperimentConfig, ResultCache
 from repro.sim.config import SimConfig
-from repro.sim.system import SimulationSystem, make_traces, run_benchmark
+from repro.sim.system import (
+    SimulationSystem,
+    make_traces,
+    run_benchmark,
+    simulate_benchmark,
+)
 from repro.telemetry import (
     ChromeTracer,
     Counter,
@@ -299,6 +304,31 @@ class TestRunTelemetry:
         assert hist.sum / demands.value == pytest.approx(
             result.avg_critical_latency, rel=1e-9)
 
+    def test_published_counts_equal_stats_fields(self):
+        """Counts are kept once, in the stats objects, and published at
+        export: each counter reads exactly its field."""
+        session = TelemetrySession()
+        run = session.begin_run("libquantum", "rl")
+        system, _ = simulate_benchmark(
+            "libquantum", tiny_config("rl", reads=600), telemetry=run)
+        registry = run.registry
+        stats = system.memory.stats
+        for field in ("reads", "demand_reads", "writes",
+                      "critical_served_fast", "critical_served_slow"):
+            counter = registry.get(f"memsys.{field}")
+            assert isinstance(counter, Counter)
+            assert counter.value == getattr(stats, field), field
+        controllers = system.memory.telemetry_controllers()
+        for mc in controllers:
+            for field in ("refreshes", "prefetch_promotions"):
+                counter = registry.get(f"dram.{mc.name}.{field}")
+                assert isinstance(counter, Counter)
+                assert counter.value == getattr(mc.stats, field), field
+        # The run exercises every count, so no equality holds vacuously.
+        assert stats.critical_served_fast and stats.critical_served_slow
+        assert sum(mc.stats.refreshes for mc in controllers)
+        assert sum(mc.stats.prefetch_promotions for mc in controllers)
+
     def test_per_channel_queue_histograms_exported(self):
         session = TelemetrySession()
         run = session.begin_run("mcf", "ddr3")
@@ -376,14 +406,16 @@ class TestExport:
         assert doc["columns"] and doc["rows"]
 
     def test_active_session_bypasses_cache_reads(self, tmp_path):
-        from repro.experiments.runner import run_cached
+        from repro.experiments.executor import run_specs
+        from repro.experiments.specs import RunSpec
         config = ExperimentConfig(target_dram_reads=120,
                                   benchmarks=("mcf",),
                                   cache_dir=str(tmp_path))
-        first = run_cached("mcf", "ddr3", config)
+        spec = RunSpec("mcf", "ddr3")
+        first = run_specs([spec], config, jobs=1)[spec]
         session = activate(TelemetrySession())
         try:
-            second = run_cached("mcf", "ddr3", config)
+            second = run_specs([spec], config, jobs=1)[spec]
         finally:
             deactivate()
         assert second.telemetry is not None      # real run, not a recall
