@@ -196,10 +196,13 @@ class MemoryController:
         self._rank_bus = [channel.data_buses[self.rank_to_bus[i]]
                           for i in range(num_ranks)]
         self._close_page = device.page_policy is PagePolicy.CLOSE
-        # The page policy's queue scan, bound once: ``_issue_one`` calls
-        # it for the served queue and again for the other one.
-        self._issue_queue = (self._issue_close_page if self._close_page
-                             else self._issue_open_page)
+        # The page policy's queue scan, picked once: ``_issue_one`` calls
+        # it for the served queue and again for the other one. The plain
+        # function, not a bound method, so the controller holds no
+        # reference to itself.
+        self._issue_queue = (MemoryController._issue_close_page
+                             if self._close_page
+                             else MemoryController._issue_open_page)
         # Live count of queued unpromoted prefetches: while it is zero the
         # scheduler skips promotion scans and demand/prefetch partitions.
         self._unpromoted_prefetches = 0
@@ -321,6 +324,19 @@ class MemoryController:
         """Fold power-state residency tallies up to the current time."""
         for rank in self.ranks:
             rank.finalize_tally(self.events.now)
+
+    def release_in_flight(self) -> None:
+        """Drop the queued requests once the run is over.
+
+        A queued read's callbacks lead back, through its memory system,
+        to this controller; while they stay, a finished system is a
+        reference cycle.
+        """
+        self.read_queue.clear()
+        self.write_queue.clear()
+        self._unpromoted_prefetches = 0
+        self._partition = None
+        self._partition_version = -1
 
     # ------------------------------------------------------------------
     # Tick machinery
@@ -465,13 +481,13 @@ class MemoryController:
         # on this check and do not repeat it.
         if self._cmd_earliest(now) != now:
             return False
-        if self._issue_queue(now, queue):
+        if self._issue_queue(self, now, queue):
             return True
         # Drain gaps: while a write drain waits on bank timing, let a
         # ready read slip in rather than stalling the channel (and vice
         # versa when serving reads leaves the cycle idle).
         other = self.write_queue if queue is self.read_queue else self.read_queue
-        return bool(other) and self._issue_queue(now, other)
+        return bool(other) and self._issue_queue(self, now, other)
 
     # --- open-page (DDR3 / LPDDR2) -------------------------------------
 

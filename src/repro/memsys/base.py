@@ -64,15 +64,13 @@ class ReadCritical:
     """Critical-word callback of a one-part read (picklable, not a closure).
 
     Records the arrival -> critical word latency of a demand read and
-    which side served it, then wakes the requester. ``fast`` is None
-    where the organisation counts the serving side at issue instead (a
-    homogeneous memory has only the slow one).
+    which side served it, then wakes the requester.
     """
 
     __slots__ = ("memory", "start", "is_prefetch", "fast", "on_critical")
 
     def __init__(self, memory: "MemorySystem", start: int, is_prefetch: bool,
-                 fast: Optional[bool],
+                 fast: bool,
                  on_critical: Callable[[int], None]) -> None:
         self.memory = memory
         self.start = start
@@ -87,7 +85,7 @@ class ReadCritical:
             stats.sum_critical_latency += t - self.start
             if self.fast:
                 stats.critical_served_fast += 1
-            elif self.fast is not None:
+            else:
                 stats.critical_served_slow += 1
             if memory._telemetry_attached:
                 memory._h_critical.observe(t - self.start)
@@ -145,7 +143,8 @@ class MemorySystem(abc.ABC):
       the observed critical word the adaptive scheme may persist.
     * :meth:`chip_groups` declares the DRAM families and their
       controllers. Every roll-up (:meth:`telemetry_controllers`,
-      :meth:`finalize`, :meth:`chip_activities`,
+      :meth:`finalize`, :meth:`release_in_flight`,
+      :meth:`chip_activities`,
       :meth:`bus_utilization`, the latency views) derives from it, and
       the issue paths count each event once, in :attr:`stats`.
     """
@@ -254,6 +253,11 @@ class MemorySystem(abc.ABC):
         for controller in self.telemetry_controllers():
             controller.finalize()
 
+    def release_in_flight(self) -> None:
+        """Drop every controller's queued requests after the run."""
+        for controller in self.telemetry_controllers():
+            controller.release_in_flight()
+
     def bus_utilization(self, elapsed_cycles: int) -> float:
         """Mean data-bus utilisation across the system's channels."""
         return mean_bus_utilization(self.telemetry_controllers(),
@@ -306,6 +310,7 @@ PROTOCOL_METHODS = (
     "chip_activities",
     "bus_utilization",
     "finalize",
+    "release_in_flight",
     "avg_queue_latency",
     "avg_core_latency",
     "describe",

@@ -84,17 +84,15 @@ class HomogeneousMemory(MemorySystem):
             kind=RequestKind.READ, address=address,
             critical_word=critical_word, is_prefetch=is_prefetch,
             core_id=core_id, decoded=decoded)
-
-        # Every critical word is served slow, counted here at issue.
+        # Every critical word is served by the one (slow) side.
         request.on_critical_word = ReadCritical(self, start, is_prefetch,
-                                                None, on_critical)
+                                                False, on_critical)
         request.on_complete = ReadComplete(self, start, on_complete)
         if not controller.enqueue(request):
             return False
         self.stats.reads += 1
         if not is_prefetch:
             self.stats.demand_reads += 1
-            self.stats.critical_served_slow += 1
         return True
 
     def issue_write(self, line_address: int, critical_word_tag: int,

@@ -113,27 +113,42 @@ class _WriteQueueProbe:
 class _BusUtilProbe:
     """Sampler probe: channel data-bus utilization in percent (picklable)."""
 
-    __slots__ = ("system", "mc")
+    __slots__ = ("events", "mc")
 
-    def __init__(self, system: "SimulationSystem", mc) -> None:
-        self.system = system
+    def __init__(self, events: EventQueue, mc) -> None:
+        self.events = events
         self.mc = mc
 
     def __call__(self) -> float:
-        return 100.0 * self.mc.channel.utilization(
-            max(1, self.system.events.now))
+        return 100.0 * self.mc.channel.utilization(max(1, self.events.now))
 
 
 class _MSHRProbe:
     """Sampler probe: MSHR file occupancy (picklable)."""
 
-    __slots__ = ("system",)
+    __slots__ = ("mshrs",)
 
-    def __init__(self, system: "SimulationSystem") -> None:
-        self.system = system
+    def __init__(self, mshrs) -> None:
+        self.mshrs = mshrs
 
     def __call__(self) -> int:
-        return len(self.system.uncore.mshrs)
+        return len(self.mshrs)
+
+
+class _FinishCounter:
+    """Counts the cores that have finished (each core's ``on_finish``).
+
+    A separate object the system owns, rather than a bound method of the
+    system, so the cores hold no reference back to it.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def __call__(self, core: Core) -> None:
+        self.count += 1
 
 
 class SimulationSystem:
@@ -168,13 +183,13 @@ class SimulationSystem:
                              config.uncore)
         self.profiler = CriticalityProfiler()
         self.uncore.demand_miss_observer = self.profiler.observe
-        self._finished = 0
+        self._finished = _FinishCounter()
         # Each per-core trace may be a materialized list or a lazy
         # stream; Core consumes either through a one-record lookahead
         # and takes ownership without copying.
         self.cores: List[Core] = [
             Core(i, trace, self.uncore, self.events, config.core,
-                 on_finish=self._core_finished)
+                 on_finish=self._finished)
             for i, trace in enumerate(traces)
         ]
         self.telemetry = telemetry
@@ -213,12 +228,10 @@ class SimulationSystem:
             # Percent scale so the integer-bucketed histogram resolves it.
             self.sampler.add_probe(
                 f"dram.{mc.name}.bus_utilization_pct",
-                _BusUtilProbe(self, mc))
-        self.sampler.add_probe("mshr.occupancy", _MSHRProbe(self))
+                _BusUtilProbe(self.events, mc))
+        self.sampler.add_probe("mshr.occupancy",
+                               _MSHRProbe(self.uncore.mshrs))
         self.sampler.start()
-
-    def _core_finished(self, core: Core) -> None:
-        self._finished += 1
 
     def run(self, max_events: int = 200_000_000,
             checkpointer=None) -> "SimResult":
@@ -241,13 +254,14 @@ class SimulationSystem:
                   checkpointer) -> "SimResult":
         num_cores = len(self.cores)
         step = self.events.step
+        finished = self._finished
         if checkpointer is None and self._san_report is None:
             # Tight path: unchanged from the plain simulator — no
             # per-event probes when neither feature is active.
-            while self._finished < num_cores:
+            while finished.count < num_cores:
                 if not step():
                     raise RuntimeError(
-                        f"deadlock: {self._finished}/{num_cores} cores "
+                        f"deadlock: {finished.count}/{num_cores} cores "
                         f"finished, event queue empty at t={self.events.now}")
                 executed += 1
                 if executed > max_events:
@@ -256,10 +270,10 @@ class SimulationSystem:
         events = self.events
         report = self._san_report
         last_now = events.now
-        while self._finished < num_cores:
+        while finished.count < num_cores:
             if not step():
                 raise RuntimeError(
-                    f"deadlock: {self._finished}/{num_cores} cores "
+                    f"deadlock: {finished.count}/{num_cores} cores "
                     f"finished, event queue empty at t={events.now}")
             executed += 1
             if executed > max_events:
@@ -312,6 +326,15 @@ class SimulationSystem:
             self._export_telemetry(elapsed, result)
         if self._san_report is not None:
             self._finalize_sanitizer()
+        # Drop the work still in flight. Pending events and queued
+        # requests hold callbacks that lead back into the components
+        # owning them; without them, dropping the last reference to the
+        # finished system frees it by reference counting. Open MSHR
+        # entries hold no waiter (every core finished, so every load was
+        # woken). What a view reads after the run (stats, power model,
+        # profiler) stays.
+        self.events.clear()
+        self.memory.release_in_flight()
         return result
 
     def _finalize_sanitizer(self) -> None:
@@ -454,9 +477,8 @@ def _warm_image(profile: BenchmarkProfile, num_cores: int, num_sets: int,
         _HASH_MASK,
         _HASH_MULT,
         _WORD_BITS,
-        _table_cache,
-        _word_lookup_table,
         CORE_ADDRESS_STRIDE,
+        word_table,
     )
     sets: List[dict] = [{} for _ in range(num_sets)]
     per_core = num_sets * assoc // num_cores
@@ -474,10 +496,7 @@ def _warm_image(profile: BenchmarkProfile, num_cores: int, num_sets: int,
     # Inlined expected_critical_word / preferred_word_for_global_line:
     # the loop samples a word per resident line (~64k draws), and the
     # per-call profile-attribute chasing dominates the hash.
-    table = _table_cache.get(profile.name)
-    if table is None:
-        table = _word_lookup_table(profile.chase_word_weights)
-        _table_cache[profile.name] = table
+    table = word_table(profile.chase_word_weights)
     for core_id in range(num_cores):
         rng = _random.Random(0xC0FFEE ^ core_id)
         random = rng.random

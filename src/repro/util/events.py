@@ -77,6 +77,22 @@ class EventQueue:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
         return self.schedule(self.now + delay, callback)
 
+    def clear(self) -> None:
+        """Cancel every pending event and drop its callback.
+
+        A pending callback is bound to a component that holds this
+        queue, so a finished run's leftover events tie its components
+        into reference cycles; clearing them lets the run be freed by
+        reference counting. ``now`` and the sequence counter carry on,
+        so events scheduled afterwards still fire in (time, seq) order.
+        """
+        for _time, _seq, event in self._heap:
+            event.cancelled = True
+            event.callback = None
+            event._queue = None
+        self._heap.clear()
+        self._live = 0
+
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or None if the queue is empty."""
         heap = self._heap

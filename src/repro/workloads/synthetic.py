@@ -14,7 +14,7 @@ import random
 import zlib
 from collections import deque
 from itertools import islice
-from typing import Deque, Iterator, List
+from typing import Deque, Dict, Iterator, List
 
 from repro.cpu.core import TraceRecord
 from repro.dram.request import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
@@ -43,6 +43,22 @@ def _word_lookup_table(weights: dict) -> List[int]:
     return table[:_BUCKETS]
 
 
+# Word tables by chase-word distribution, shared read-only by every
+# generator, the warm-L2 fill and adaptive-tag seeding. Keyed by the
+# weights rather than the profile name, so a profile re-registered with
+# other weights under the same name gets its own table.
+_table_cache: Dict[tuple, List[int]] = {}
+
+
+def word_table(weights: dict) -> List[int]:
+    """The (cached, never mutated) lookup table for ``weights``."""
+    key = tuple(sorted(weights.items()))
+    table = _table_cache.get(key)
+    if table is None:
+        table = _table_cache[key] = _word_lookup_table(weights)
+    return table
+
+
 def preferred_word(line: int, table: List[int]) -> int:
     """Deterministic per-line preferred critical word."""
     h = (line * _HASH_MULT) & _HASH_MASK
@@ -63,7 +79,7 @@ class TraceGenerator:
         self.profile = profile
         self.core_id = core_id
         self.rng = _trace_rng(profile, core_id, seed)
-        self.word_table = _word_lookup_table(profile.chase_word_weights)
+        self.word_table = word_table(profile.chase_word_weights)
         self._stream = _record_stream(profile, core_id, self.rng,
                                       self.word_table)
 
@@ -371,14 +387,7 @@ def preferred_word_for_global_line(profile: BenchmarkProfile,
     """
     lines_per_core = CORE_ADDRESS_STRIDE // LINE_BYTES
     local_line = global_line % lines_per_core
-    table = _table_cache.get(profile.name)
-    if table is None:
-        table = _word_lookup_table(profile.chase_word_weights)
-        _table_cache[profile.name] = table
-    return preferred_word(local_line, table)
-
-
-_table_cache: dict = {}
+    return preferred_word(local_line, word_table(profile.chase_word_weights))
 
 
 def expected_critical_word(profile: BenchmarkProfile, global_line: int,

@@ -125,3 +125,52 @@ def test_events_scheduled_during_execution():
     q.run()
     assert log == [0, 1, 2, 3]
     assert q.now == 3
+
+
+def test_clear_empties_the_queue():
+    q = EventQueue()
+    for t in (5, 6, 7):
+        q.schedule(t, lambda: None)
+    q.schedule(8, lambda: None).cancel()
+    q.clear()
+    assert len(q) == 0
+    assert q.peek_time() is None
+    assert not q.step()
+
+
+def test_late_cancel_of_a_cleared_event_leaves_len_alone():
+    q = EventQueue()
+    event = q.schedule(5, lambda: None)
+    q.clear()
+    q.schedule(6, lambda: None)
+    event.cancel()
+    assert len(q) == 1
+
+
+def test_cleared_callbacks_never_fire():
+    q = EventQueue()
+    fired = []
+    events = [q.schedule(t, lambda t=t: fired.append(t)) for t in (5, 9)]
+    q.clear()
+    assert all(event.callback is None for event in events)
+    q.schedule(10, lambda: None)
+    assert q.run() == 1
+    assert fired == []
+
+
+def test_scheduling_after_clear_fires_in_time_seq_order():
+    q = EventQueue()
+    log = []
+    q.schedule(3, lambda: log.append("x"))
+    q.step()
+    q.schedule(9, lambda: log.append("dropped"))
+    q.clear()
+    assert q.now == 3
+    q.schedule(8, lambda: log.append("c"))
+    q.schedule(4, lambda: log.append("a"))
+    q.schedule(8, lambda: log.append("d"))
+    q.schedule(4, lambda: log.append("b"))
+    assert len(q) == 4
+    q.run()
+    assert log == ["x", "a", "b", "c", "d"]
+    assert q.now == 8

@@ -9,6 +9,9 @@ from repro.core.placement import (
 from repro.cpu.core import TraceRecord
 from repro.dram.device import DRAMKind
 from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
+from repro.sim.config import SimConfig
+from repro.sim.system import simulate_benchmark
+from repro.telemetry.session import TelemetrySession
 from repro.util.events import EventQueue
 
 
@@ -41,6 +44,33 @@ class TestHomogeneous:
         finish_read(events, memory, line=1234, word=0, is_prefetch=True)
         assert memory.stats.demand_reads == 0
         assert memory.stats.reads == 1
+
+    def test_slow_side_counted_at_delivery(self):
+        events = EventQueue()
+        memory = HomogeneousMemory(events)
+        assert memory.issue_read(7, 2, 0, False, lambda t: None,
+                                 lambda t: None)
+        assert memory.stats.demand_reads == 1
+        assert memory.stats.critical_served_slow == 0   # still in flight
+        events.run(5000)
+        assert memory.stats.critical_served_slow == 1
+        assert memory.stats.critical_served_fast == 0
+
+    def test_run_counts_only_delivered_critical_words(self):
+        """ddr3/sjeng at 600 reads ends with a store miss's critical
+        word in flight; it is a demand read but was never served."""
+        session = TelemetrySession()
+        run = session.begin_run("sjeng", "ddr3")
+        system, result = simulate_benchmark(
+            "sjeng", SimConfig(memory="ddr3", target_dram_reads=600),
+            telemetry=run)
+        stats = system.memory.stats
+        delivered = run.registry.get("memsys.critical_latency_cycles").count
+        assert stats.demand_reads == 691
+        assert delivered == 690
+        assert stats.critical_served_fast + stats.critical_served_slow \
+            == delivered
+        assert result.fast_service_fraction == 0.0
 
     def test_writes_counted(self):
         events = EventQueue()

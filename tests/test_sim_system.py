@@ -1,12 +1,24 @@
 """End-to-end simulation harness tests (small but real runs)."""
 
 import dataclasses
+import gc
 import random
 
 import pytest
 
-from repro.cpu.cache import IMAGE_DIRTY, L2_CONFIG
+from repro.core.criticality import CriticalityProfiler
+from repro.cpu.cache import IMAGE_DIRTY, L2_CONFIG, Cache, CacheLine
+from repro.cpu.core import Core
+from repro.cpu.mshr import MSHRFile
+from repro.cpu.uncore import Uncore
+from repro.dram.controller import MemoryController
 from repro.dram.request import LINE_BYTES
+from repro.experiments.runner import ExperimentConfig
+from repro.experiments.energy_eval import sec72_spec
+from repro.experiments.specs import RunSpec, execute_spec
+from repro.memsys.base import MemorySystem
+from repro.memsys.registry import backend_names
+from repro.sanitizer import reset_global_report
 from repro.sim import system as system_mod
 from repro.sim.checkpoint import Checkpointer, load_checkpoint
 from repro.sim.config import SimConfig, TABLE1, build_memory
@@ -15,7 +27,9 @@ from repro.sim.system import (
     make_traces,
     prewarm_l2,
     run_benchmark,
+    simulate_benchmark,
 )
+from repro.telemetry.session import TelemetrySession, activate, deactivate
 from repro.util.events import EventQueue
 from repro.workloads.profiles import benchmark_names, profile_for
 from repro.workloads.synthetic import (
@@ -304,3 +318,99 @@ class TestSpeedupMath:
         result = run_benchmark("mcf", small_config())
         assert result.memory_energy_mj == pytest.approx(
             result.memory_power_mw * result.elapsed_cycles)
+
+
+# ---------------------------------------------------------------------------
+# A finished system is freed by reference counting alone
+# ---------------------------------------------------------------------------
+
+# The slotted classes take no weak references, so the test looks for
+# surviving instances in the collector's object list instead.
+_RUN_STATE = (SimulationSystem, EventQueue, Uncore, Cache, CacheLine,
+              MSHRFile, Core, MemoryController, CriticalityProfiler,
+              MemorySystem)
+
+
+def _run_state_objects():
+    return [o for o in gc.get_objects() if isinstance(o, _RUN_STATE)]
+
+
+@pytest.fixture
+def released_runs(monkeypatch):
+    """Runs the test body with the cyclic collector off; yields a list
+    that records, per finished run, what was in flight at its end, and
+    a check that the run left no instance of its object graph behind."""
+    in_flight = []
+    collect = SimulationSystem._collect
+
+    def spy(system):
+        in_flight.append((len(system.uncore.mshrs), len(system.events)))
+        return collect(system)
+
+    monkeypatch.setattr(SimulationSystem, "_collect", spy)
+    gc.collect()
+    before = _run_state_objects()
+    known = {id(o) for o in before}
+
+    def leftovers():
+        return sorted({type(o).__name__ for o in _run_state_objects()
+                       if id(o) not in known})
+
+    gc.disable()
+    try:
+        yield in_flight, leftovers
+    finally:
+        gc.enable()
+
+
+class TestFinishedSystemIsFreed:
+    @pytest.mark.parametrize("name", backend_names())
+    def test_every_backend(self, name, released_runs):
+        in_flight, leftovers = released_runs
+        system, result = simulate_benchmark(
+            "mcf", SimConfig(memory=name, target_dram_reads=600))
+        # mcf at 600 reads ends with a read in flight on every backend.
+        [(mshrs, pending)] = in_flight
+        assert mshrs > 0 and pending > 0
+        assert result.dram_reads > 0
+        del system
+        assert leftovers() == []
+
+    def test_strict_sanitizer(self, released_runs, monkeypatch):
+        in_flight, leftovers = released_runs
+        monkeypatch.setenv("REPRO_SANITIZE", "strict")
+        report = reset_global_report()
+        try:
+            simulate_benchmark(
+                "leslie3d", SimConfig(memory="rl", target_dram_reads=600))
+            assert report.clean, report.summary()
+        finally:
+            reset_global_report()
+        assert in_flight[0][0] > 0
+        assert leftovers() == []
+
+    def test_active_telemetry_session(self, released_runs):
+        in_flight, leftovers = released_runs
+        session = activate(TelemetrySession())
+        try:
+            system, result = simulate_benchmark(
+                "leslie3d", SimConfig(memory="rl", target_dram_reads=600))
+        finally:
+            deactivate()
+        assert system.sampler is not None
+        assert result.telemetry is not None and session.runs
+        assert in_flight[0][0] > 0
+        del system
+        assert leftovers() == []
+
+    def test_view_sharing_its_base(self, released_runs):
+        in_flight, leftovers = released_runs
+        config = ExperimentConfig(target_dram_reads=600, cache_dir=None)
+        shared = {}
+        base = execute_spec(RunSpec("leslie3d", "rl"), config, shared=shared)
+        view = execute_spec(sec72_spec("leslie3d"), config, shared=shared)
+        assert len(in_flight) == 1 and in_flight[0][0] > 0
+        assert view.extra["sec72"]["native_mw"] > 0
+        assert view.elapsed_cycles == base.elapsed_cycles
+        shared.clear()
+        assert leftovers() == []

@@ -1,5 +1,6 @@
 """Benchmark profiles and the synthetic trace generator."""
 
+import dataclasses
 import random
 import statistics
 import zlib
@@ -98,6 +99,29 @@ class TestWordTables:
             global_line = 3 * lines_per_core + local
             assert (preferred_word_for_global_line(profile, global_line)
                     == preferred_word(local, gen.word_table))
+
+    def test_cores_share_one_word_table(self):
+        profile = profile_for("mcf")
+        tables = [TraceGenerator(profile, core_id).word_table
+                  for core_id in range(4)]
+        assert all(table is tables[0] for table in tables)
+        assert tables[0] == _word_lookup_table(profile.chase_word_weights)
+
+    def test_table_follows_the_weights_not_the_name(self):
+        from repro.cpu.cache import IMAGE_DIRTY
+        from repro.sim.system import _warm_image
+
+        mcf = profile_for("mcf")
+        preferred_word_for_global_line(mcf, 5)   # mcf's table is cached
+        # Same name, other chase distribution: every chase access and
+        # every warm line must use word 3.
+        only3 = dataclasses.replace(mcf, chase_word_weights={3: 1.0},
+                                    stream_fraction=0.0, chase_line_bias=1.0)
+        assert TraceGenerator(only3, 0).word_table == [3] * 1024
+        assert {preferred_word_for_global_line(only3, line)
+                for line in range(256)} == {3}
+        (_, _, metas), _, _ = _warm_image(only3, 2, 64, 4)
+        assert {meta & ~IMAGE_DIRTY for meta in metas} == {3}
 
 
 class TestGenerator:
