@@ -34,11 +34,27 @@ class BankState(enum.Enum):
     ACTIVE = "active"      # a row is open
 
 
+class OpenBankCount:
+    """Number of banks with an open row, shared by a rank and its banks.
+
+    Banks bump it on every ACT/PRE/refresh transition, so rank-wide "any
+    bank open?" questions (power management, refresh) are O(1). It is a
+    separate object, as the system's ``_FinishCounter`` is for cores,
+    so a bank holds no reference back to its rank and a finished rank is
+    freed by reference counting.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
 class Bank:
     """One DRAM bank's timing state."""
 
     __slots__ = (
-        "timing", "index", "owner", "state", "open_row",
+        "timing", "index", "open_count", "state", "open_row",
         "next_activate", "next_read", "next_write", "next_precharge",
         "activate_count", "read_count", "write_count", "row_hit_count",
         "last_activate_time", "last_use",
@@ -48,14 +64,14 @@ class Bank:
         "_access_write_latency",
     )
 
-    def __init__(self, timing: TimingSet, index: int = 0) -> None:
+    def __init__(self, timing: TimingSet, index: int = 0,
+                 open_count: Optional[OpenBankCount] = None) -> None:
         self.timing = timing
         self.index = index
-        # Owning rank, set by Rank.__init__: state transitions keep the
-        # rank's open-bank count current so rank-wide "any bank open?"
-        # questions (power management, refresh) are O(1) instead of a
-        # per-call scan. None for standalone banks (unit tests).
-        self.owner = None
+        # The owning rank's open-bank count (a private one for a
+        # standalone bank).
+        self.open_count = (OpenBankCount() if open_count is None
+                           else open_count)
         self.state = BankState.IDLE
         self.open_row: Optional[int] = None
         # Earliest legal issue times (CPU cycles).
@@ -110,9 +126,7 @@ class Bank:
                 f"bank {self.index}: illegal ACT at {now} "
                 f"(state={self.state}, next_activate={self.next_activate})")
         self.state = BankState.ACTIVE
-        owner = self.owner
-        if owner is not None:
-            owner.open_banks += 1
+        self.open_count.value += 1
         self.open_row = row
         self.next_read = now + self.t_rcd
         self.next_write = now + self.t_rcd
@@ -164,9 +178,7 @@ class Bank:
         if not self.can_precharge(now):
             raise RuntimeError(f"bank {self.index}: illegal PRE at {now}")
         self.state = BankState.IDLE
-        owner = self.owner
-        if owner is not None:
-            owner.open_banks -= 1
+        self.open_count.value -= 1
         self.open_row = None
         ready = now + self.t_rp
         if ready > self.next_activate:
@@ -208,9 +220,7 @@ class Bank:
             # Controller must have precharged first; be forgiving in the
             # model and force-close the row.
             self.state = BankState.IDLE
-            owner = self.owner
-            if owner is not None:
-                owner.open_banks -= 1
+            self.open_count.value -= 1
             self.open_row = None
             self.next_read = FAR_FUTURE
             self.next_write = FAR_FUTURE

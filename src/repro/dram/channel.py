@@ -17,7 +17,7 @@ once at construction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.dram.request import RequestKind
 from repro.dram.timing import TimingSet
@@ -114,49 +114,57 @@ class DataBus:
 
 
 class CommandBus:
-    """Slotted address/command bus shared by one or more data buses."""
+    """Slotted address/command bus shared by one or more data buses.
 
-    __slots__ = ("timing", "slots_per_cycle", "_used", "stats", "bus_cycle")
+    Commands issue in time order, so the bus keeps only the last bus
+    cycle it reserved and how many of its slots are taken; every earlier
+    cycle is over. Reserving in an earlier bus cycle is an error.
+    """
+
+    __slots__ = ("timing", "slots_per_cycle", "_cycle", "_count", "stats",
+                 "bus_cycle")
 
     def __init__(self, timing: TimingSet, slots_per_cycle: int = 1) -> None:
         if slots_per_cycle < 1:
             raise ValueError("slots_per_cycle must be >= 1")
         self.timing = timing
         self.slots_per_cycle = slots_per_cycle
-        self._used: Dict[int, int] = {}
+        self._cycle = -1  # last reserved bus cycle
+        self._count = 0   # slots taken in it
         self.stats = BusStats()
         self.bus_cycle = timing.bus_cycle
 
-    def _bus_cycle(self, time: int) -> int:
-        return time // self.bus_cycle
-
     def earliest_slot(self, desired: int) -> int:
-        """Earliest time >= desired with a free command slot."""
+        """Earliest time >= desired at which a command may reserve a slot."""
         bus_cycle = self.bus_cycle
         cyc = desired // bus_cycle
-        used = self._used
-        if not used:
+        last = self._cycle
+        if cyc > last:
             return desired
-        slots = self.slots_per_cycle
-        get = used.get
-        while get(cyc, 0) >= slots:
-            cyc += 1
+        if self._count >= self.slots_per_cycle:
+            cyc = last + 1
+        else:
+            cyc = last
         slot_time = cyc * bus_cycle
         return slot_time if slot_time > desired else desired
 
     def reserve(self, time: int, n_commands: int = 1) -> None:
         """Consume ``n_commands`` slots in the bus cycle containing ``time``."""
         cyc = time // self.bus_cycle
-        used = self._used.get(cyc, 0)
-        if used + n_commands > self.slots_per_cycle:
+        last = self._cycle
+        if cyc > last:
+            used = n_commands
+        elif cyc == last:
+            used = self._count + n_commands
+        else:
+            raise RuntimeError(
+                f"command bus reserve at bus cycle {cyc}, after bus cycle "
+                f"{last}")
+        if used > self.slots_per_cycle:
             raise RuntimeError(f"command bus overflow at bus cycle {cyc}")
-        self._used[cyc] = used + n_commands
+        self._cycle = cyc
+        self._count = used
         self.stats.cmd_busy_cycles += n_commands
-        # Prune old entries so the dict stays small.
-        if len(self._used) > 4096:
-            cutoff = cyc - 2048
-            for key in [k for k in self._used if k < cutoff]:
-                del self._used[key]
 
 
 class Channel:

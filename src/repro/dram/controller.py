@@ -18,11 +18,13 @@ The issue loops are the simulator's inner kernel, so the controller
 follows the same discipline as the bank/rank/bus models: ``__slots__``,
 per-command timing constraints flattened to integer attributes at
 construction (bus-cycle alignment, CAS data latencies, the burst beat),
-a per-rank data-bus table replacing the ``rank_to_bus`` dict lookup,
-and a live count of unpromoted prefetches so the common no-prefetch
-case skips the demand/prefetch partition and the promotion scan
-entirely. All of it is bit-identical to the straightforward form: the
-same commands issue at the same cycles in the same order.
+each queued request's rank, bank, data bus and row resolved once at
+enqueue, one pass over a demand class per scan, a live count of
+unpromoted prefetches so the common no-prefetch case skips the
+demand/prefetch partition, and a promotion due time so the promotion
+scan runs only when some prefetch can have aged. All of it is
+bit-identical to the straightforward form: the same commands issue at
+the same cycles in the same order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.dram.bank import BankState
+from repro.dram.bank import FAR_FUTURE, BankState
 from repro.dram.channel import Channel
 from repro.dram.device import DeviceConfig, PagePolicy
 from repro.dram.request import MemoryRequest, WORDS_PER_LINE
@@ -40,8 +42,6 @@ from repro.dram.timing import TimingSet
 from repro.telemetry.registry import MetricsRegistry, NULL_HISTOGRAM
 from repro.telemetry.trace import NULL_TRACER
 from repro.util.events import EventQueue
-
-FAR_FUTURE = 1 << 62
 
 
 class _DeliverCritical:
@@ -135,11 +135,11 @@ class MemoryController:
         "_beat", "_slots_per_cycle", "_cmd_bus", "_cmd_earliest",
         "_cmd_reserve", "_rank_bus",
         "_close_page", "_issue_queue", "_unpromoted_prefetches",
-        "_refresh_due",
+        "_promote_due", "_refresh_due",
         "_telemetry",
         # Config knobs flattened to instance attributes: the config is
         # never mutated after construction, and these are read every tick.
-        "_refresh_enabled", "_aggressive_pd", "_pd_threshold",
+        "_aggressive_pd", "_pd_threshold",
         "_age_threshold", "_fr_fcfs", "_rd_size", "_wr_size",
         "_high_wm", "_low_wm",
         "_queue_version", "_partition_version", "_partition",
@@ -204,8 +204,14 @@ class MemoryController:
                              if self._close_page
                              else MemoryController._issue_open_page)
         # Live count of queued unpromoted prefetches: while it is zero the
-        # scheduler skips promotion scans and demand/prefetch partitions.
+        # scans skip the demand/prefetch partition.
         self._unpromoted_prefetches = 0
+        # No queued prefetch can age before this time (the oldest
+        # unpromoted one's arrival plus the age threshold), so the
+        # promotion scan waits for it. It may be early (the prefetch was
+        # served first), which costs one scan that finds nothing; it is
+        # never late.
+        self._promote_due = FAR_FUTURE
         # Read-queue demand/prefetch partition, rebuilt only when the
         # queue (or a promotion) changes. ``_queue_version`` is bumped by
         # every mutation; the cached partition carries the version it was
@@ -213,9 +219,12 @@ class MemoryController:
         self._queue_version = 0
         self._partition_version = -1
         self._partition = None
-        self._refresh_due = min(self._next_refresh) if num_ranks else FAR_FUTURE
         cfg = self.config
-        self._refresh_enabled = cfg.refresh_enabled
+        # The earliest per-rank refresh deadline; with refresh off no
+        # refresh is ever due.
+        self._refresh_due = (min(self._next_refresh)
+                             if num_ranks and cfg.refresh_enabled
+                             else FAR_FUTURE)
         self._aggressive_pd = cfg.aggressive_powerdown
         self._pd_threshold = cfg.powerdown_idle_threshold
         self._age_threshold = cfg.prefetch_age_threshold
@@ -295,17 +304,24 @@ class MemoryController:
             return False
         now = self.events.now
         request.arrival_time = now
+        d = request.decoded
+        rank = self.ranks[d.rank]
+        request.dram_rank = rank
+        request.dram_bank = rank.banks[d.bank]
+        request.data_bus = self._rank_bus[d.rank]
+        request.row = d.row
         queue.append(request)
         if request.is_read:
             self._queue_version += 1
         if request.is_prefetch and not request.promoted:
             self._unpromoted_prefetches += 1
-        rank = self.ranks[request.decoded.rank]
+            due = now + self._age_threshold
+            if due < self._promote_due:
+                self._promote_due = due
         if rank.power_state in (PowerState.POWER_DOWN, PowerState.SELF_REFRESH):
             rank.wake(now)
             if self._san is not None:
-                self._san.note_wake(now, request.decoded.rank,
-                                    rank.wake_time)
+                self._san.note_wake(now, d.rank, rank.wake_time)
         self._schedule_tick(now)
         return True
 
@@ -335,6 +351,7 @@ class MemoryController:
         self.read_queue.clear()
         self.write_queue.clear()
         self._unpromoted_prefetches = 0
+        self._promote_due = FAR_FUTURE
         self._partition = None
         self._partition_version = -1
 
@@ -359,10 +376,10 @@ class MemoryController:
     def _tick(self) -> None:
         self._tick_event = None
         now = self.events.now
-        if self._refresh_enabled and now >= self._refresh_due:
+        if now >= self._refresh_due:
             self._service_refresh(now)
-        if self._unpromoted_prefetches:
-            promoted = promote_aged_prefetches(
+        if now >= self._promote_due:
+            promoted, self._promote_due = promote_aged_prefetches(
                 self.read_queue, now, self._age_threshold)
             if promoted:
                 self._unpromoted_prefetches -= promoted
@@ -395,9 +412,7 @@ class MemoryController:
             # Idle: wake for the next refresh, and — when the sleep
             # policy is on — once the idle threshold elapses so ranks
             # can actually enter power-down.
-            target = FAR_FUTURE
-            if self._refresh_enabled:
-                target = min(self._next_refresh)
+            target = self._refresh_due
             if self._aggressive_pd and any(
                     r.power_state is PowerState.STANDBY for r in self.ranks):
                 target = min(target, now + self._pd_threshold)
@@ -411,43 +426,48 @@ class MemoryController:
         """Conservative earliest time any queued command could issue.
 
         Per request: the bank's next legal command time, floored by the
-        rank's wake-up (and, for an activate, its activate window). The
-        bound is inlined — this runs for every queued request on every
-        idle tick, where method calls and ``max()`` dominate the
-        arithmetic.
+        rank's wake-up (and, for an activate, its activate window, which
+        is computed once per rank). The bound is inlined — this runs for
+        every queued request on every idle tick, where method calls and
+        ``max()`` dominate the arithmetic.
         """
         best = FAR_FUTURE
-        ranks = self.ranks
-        close = self._close_page
-        active = BankState.ACTIVE
-        for queue in (self.read_queue, self.write_queue):
-            for req in queue:
-                d = req.decoded
-                rank = ranks[d.rank]
-                bank = rank.banks[d.bank]
-                if close:
-                    t = bank.next_activate
+        queues = (self.read_queue, self.write_queue)
+        if self._close_page:
+            for queue in queues:
+                for req in queue:
+                    rank = req.dram_rank
+                    t = req.dram_bank.next_activate
                     w = rank.wake_time
                     if w > t:
                         t = w
                     w = rank.next_act_allowed
                     if w > t:
                         t = w
-                elif bank.state is active:
-                    if bank.open_row == d.row:
-                        t = bank.next_read if req.is_read else bank.next_write
+                    if t < best:
+                        best = t
+        else:
+            act_floor = {}
+            for queue in queues:
+                for req in queue:
+                    bank = req.dram_bank
+                    open_row = bank.open_row
+                    if open_row is not None:
+                        if open_row == req.row:
+                            t = bank.next_read if req.is_read else bank.next_write
+                        else:
+                            t = bank.next_precharge
+                        w = req.dram_rank.wake_time
                     else:
-                        t = bank.next_precharge
-                    w = rank.wake_time
+                        t = bank.next_activate
+                        rank = req.dram_rank
+                        w = act_floor.get(rank)
+                        if w is None:
+                            w = act_floor[rank] = rank.earliest_activate(now)
                     if w > t:
                         t = w
-                else:
-                    t = bank.next_activate
-                    w = rank.earliest_activate(now)
-                    if w > t:
-                        t = w
-                if t < best:
-                    best = t
+                    if t < best:
+                        best = t
         if best <= now:
             best = now + self._bus_cycle
         cap = now + self._t_rc
@@ -506,11 +526,6 @@ class MemoryController:
             classes = self._partition
         else:
             classes = (queue,)
-        ranks = self.ranks
-        rank_bus = self._rank_bus
-        t_rl = self._t_rl
-        t_wl = self._t_wl
-        active = BankState.ACTIVE
         for cls in classes:
             if not cls:
                 continue
@@ -518,76 +533,77 @@ class MemoryController:
                 # Strict FCFS: only the oldest request of the class may
                 # act, and by the queue-order invariant that is cls[0].
                 cls = cls[:1]
-            # FR step: the first column-ready row hit in queue order. The
-            # queue-order invariant (see :meth:`enqueue`) makes it the
-            # best (arrival_time, request_id) candidate in its demand
-            # class, so the scan stops at the first match.
-            for r in cls:
-                d = r.decoded
-                rank = ranks[d.rank]
-                if now < rank.wake_time:
-                    continue
-                bank = rank.banks[d.bank]
-                if bank.state is not active or bank.open_row != d.row:
-                    continue
-                if r.is_read:
-                    if now < bank.next_read:
-                        continue
-                    t_data = now + t_rl
-                else:
-                    if now < bank.next_write:
-                        continue
-                    t_data = now + t_wl
-                # The data bus must be free exactly when this burst
-                # would start.
-                bus = rank_bus[d.rank]
-                if bus.earliest_start(t_data, r.kind, d.rank) != t_data:
-                    continue
-                self._issue_cas(now, r, queue)
-                return True
-            # Progress PRE/ACT oldest-first *per bank*: younger requests
-            # to ready banks must not stall behind one blocked oldest
-            # (bank-level parallelism), but within a bank strict age
-            # order prevents precharge ping-pong. Queue order is already
-            # (arrival_time, request_id) order, so no sort is needed.
+            # One walk in queue order. The first column-ready row hit is
+            # issued at once: the queue-order invariant (see
+            # :meth:`enqueue`) makes it the best (arrival_time,
+            # request_id) candidate in its demand class. Meanwhile the
+            # walk remembers the first request whose PRE/ACT is legal,
+            # issued only if no row hit is ready. PRE/ACT progress is
+            # oldest-first *per bank*: the first request to a bank claims
+            # it, so younger requests to ready banks do not stall behind
+            # one blocked oldest (bank-level parallelism), but within a
+            # bank strict age order prevents precharge ping-pong.
             claimed = set()
-            for req in cls:
-                d = req.decoded
-                key = (d.rank, d.bank)
-                if key in claimed:
+            pending = None
+            for r in cls:
+                bank = r.dram_bank
+                open_row = bank.open_row
+                if open_row == r.row:
+                    rank = r.dram_rank
+                    if now >= rank.wake_time:
+                        if r.is_read:
+                            ready = now >= bank.next_read
+                            t_data = now + self._t_rl
+                        else:
+                            ready = now >= bank.next_write
+                            t_data = now + self._t_wl
+                        # The data bus must be free exactly when this
+                        # burst would start.
+                        if ready and r.data_bus.earliest_start(
+                                t_data, r.kind, rank.index) == t_data:
+                            self._issue_cas(now, r, queue)
+                            return True
+                    # A row hit that must wait still claims its bank: no
+                    # younger request may precharge its row away.
+                    if pending is None:
+                        claimed.add(bank)
                     continue
-                claimed.add(key)
-                rank = ranks[d.rank]
+                if pending is not None or bank in claimed:
+                    continue
+                claimed.add(bank)
+                rank = r.dram_rank
                 if now < rank.wake_time:
                     continue
-                bank = rank.banks[d.bank]
-                if bank.state is active:
-                    if bank.open_row == d.row or now < bank.next_precharge:
-                        continue
-                    self._cmd_reserve(now)
+                if open_row is not None:
+                    if now >= bank.next_precharge:
+                        pending = r
+                elif (now >= bank.next_activate
+                        and rank.earliest_activate(now) <= now):
+                    pending = r
+            if pending is not None:
+                bank = pending.dram_bank
+                rank = pending.dram_rank
+                self._cmd_reserve(now)
+                if bank.open_row is not None:
                     bank.precharge(now)
                     rank.touch(now)
                     if self._san is not None:
-                        self._san.note_pre(now, d.rank, d.bank)
+                        self._san.note_pre(now, rank.index, bank.index)
                 else:
-                    if (now < bank.next_activate
-                            or rank.earliest_activate(now) > now):
-                        continue
-                    self._cmd_reserve(now)
-                    bank.activate(now, d.row)
+                    bank.activate(now, pending.row)
                     rank.note_activate(now)
                     if self._san is not None:
-                        self._san.note_act(now, d.rank, d.bank, d.row)
-                if req.first_command_time is None:
-                    req.first_command_time = now
+                        self._san.note_act(now, rank.index, bank.index,
+                                           pending.row)
+                if pending.first_command_time is None:
+                    pending.first_command_time = now
                 return True
         return False
 
     def _issue_cas(self, now: int, req: MemoryRequest,
                    queue: List[MemoryRequest]) -> None:
-        d = req.decoded
-        rank = self.ranks[d.rank]
-        bank = rank.banks[d.bank]
+        rank = req.dram_rank
+        bank = req.dram_bank
         rank.touch(now)
         self._cmd_reserve(now)
         if req.first_command_time is None:
@@ -597,10 +613,10 @@ class MemoryController:
             data_start = bank.column_read(now)
         else:
             data_start = bank.column_write(now)
-        end = self._rank_bus[d.rank].reserve(data_start, req.kind, d.rank)
+        end = req.data_bus.reserve(data_start, req.kind, rank.index)
         if self._san is not None:
-            self._san.note_cas(now, d.rank, d.bank, d.row, req.is_read,
-                               data_start, end)
+            self._san.note_cas(now, rank.index, bank.index, req.row,
+                               req.is_read, data_start, end)
         self._retire(now, req, queue, data_start, end)
 
     # --- close-page (RLDRAM3) ------------------------------------------
@@ -612,21 +628,17 @@ class MemoryController:
         # demand in queue order wins outright; the first legal
         # unpromoted prefetch is remembered as the fallback.
         best = None
-        ranks = self.ranks
-        rank_bus = self._rank_bus
         t_rl = self._t_rl
         t_wl = self._t_wl
         for req in queue:
-            d = req.decoded
-            rank = ranks[d.rank]
+            rank = req.dram_rank
             if now < rank.wake_time or now < rank.next_act_allowed:
                 continue
-            bank = rank.banks[d.bank]
-            if now < bank.next_activate:
+            if now < req.dram_bank.next_activate:
                 continue
             t_data = now + (t_rl if req.is_read else t_wl)
-            bus = rank_bus[d.rank]
-            if bus.earliest_start(t_data, req.kind, d.rank) != t_data:
+            if req.data_bus.earliest_start(
+                    t_data, req.kind, rank.index) != t_data:
                 continue
             if req.is_prefetch and not req.promoted:
                 if best is None:
@@ -636,16 +648,15 @@ class MemoryController:
             break
         if best is None:
             return False
-        d = best.decoded
-        rank = ranks[d.rank]
-        bank = rank.banks[d.bank]
+        rank = best.dram_rank
+        bank = best.dram_bank
         rank.touch(now)
         self._cmd_reserve(now)
         data_start = bank.access(now, is_write=not best.is_read)
         rank.note_activate(now)
-        end = rank_bus[d.rank].reserve(data_start, best.kind, d.rank)
+        end = best.data_bus.reserve(data_start, best.kind, rank.index)
         if self._san is not None:
-            self._san.note_access(now, d.rank, d.bank,
+            self._san.note_access(now, rank.index, bank.index,
                                   not best.is_read, data_start, end)
         self._retire(now, best, queue, data_start, end)
         return True
@@ -748,9 +759,9 @@ class MemoryController:
             # busy set is built lazily so a fully sleeping channel pays
             # nothing per tick.
             if busy_ranks is None:
-                busy_ranks = {r.decoded.rank for r in self.read_queue}
-                busy_ranks.update(r.decoded.rank for r in self.write_queue)
-            if i in busy_ranks:
+                busy_ranks = {r.dram_rank for r in self.read_queue}
+                busy_ranks.update(r.dram_rank for r in self.write_queue)
+            if rank in busy_ranks:
                 continue
             # Close rows that have idled past the threshold so the rank
             # can reach precharge power-down (open-page otherwise pins

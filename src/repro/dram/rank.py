@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import List
 
-from repro.dram.bank import Bank
+from repro.dram.bank import Bank, OpenBankCount
 from repro.dram.device import DeviceConfig
 from repro.dram.timing import TimingSet
 
@@ -60,7 +60,7 @@ class Rank:
     """Banks plus rank-wide constraints (tFAW, tRRD, power-down)."""
 
     __slots__ = (
-        "device", "timing", "index", "banks", "open_banks",
+        "device", "timing", "index", "banks", "_open",
         "_recent_activates",
         "next_act_allowed", "power_state", "wake_time",
         "last_activity_time", "tally", "_tally_mark", "power_down_entries",
@@ -72,14 +72,13 @@ class Rank:
         self.device = device
         self.timing = timing
         self.index = index
-        self.banks: List[Bank] = [
-            Bank(timing=timing, index=b) for b in range(device.num_banks)
-        ]
         # Count of banks with an open row, maintained by the banks
         # themselves on every ACT/PRE/refresh transition.
-        self.open_banks = 0
-        for bank in self.banks:
-            bank.owner = self
+        self._open = OpenBankCount()
+        self.banks: List[Bank] = [
+            Bank(timing=timing, index=b, open_count=self._open)
+            for b in range(device.num_banks)
+        ]
         # Sliding window of recent ACT times for the tFAW constraint.
         self._recent_activates: List[int] = []
         self.next_act_allowed = 0  # tRRD across banks
@@ -94,6 +93,11 @@ class Rank:
         self.t_rrd = timing.t_rrd
         self.t_pd_exit = timing.t_pd_exit
         self._supports_power_down = device.supports_power_down
+
+    @property
+    def open_banks(self) -> int:
+        """Number of banks with an open row."""
+        return self._open.value
 
     # --- tFAW / tRRD ----------------------------------------------------
 
@@ -148,7 +152,7 @@ class Rank:
             return False
         if now - self.last_activity_time < idle_threshold:
             return False
-        if self.open_banks:
+        if self._open.value:
             return False
         self._fold_tally(now)
         self.power_state = PowerState.POWER_DOWN
@@ -175,7 +179,7 @@ class Rank:
         # Runs inside every tally fold (i.e. on every command); the
         # open-bank count makes the any-bank-open question O(1).
         state = self.power_state
-        if state is PowerState.STANDBY and self.open_banks:
+        if state is PowerState.STANDBY and self._open.value:
             return PowerState.ACTIVE
         return state
 

@@ -99,6 +99,8 @@ class MemoryRequest:
         "arrival_time", "request_id", "decoded", "on_critical_word",
         "on_complete", "first_command_time", "data_start_time",
         "critical_word_time", "completion_time", "promoted", "is_read",
+        # Resolved once by the controller at enqueue from ``decoded``.
+        "dram_rank", "dram_bank", "data_bus", "row",
     )
 
     def __init__(self, kind: RequestKind, address: int,
@@ -131,6 +133,13 @@ class MemoryRequest:
         # Promotion flag: an aged prefetch is treated as a demand (Sec 5).
         self.promoted = False
         self.is_read = kind is RequestKind.READ
+        # Target rank and bank objects, the rank's data bus and the row,
+        # resolved by the controller at enqueue: the issue scans visit a
+        # queued request on every tick and read these directly.
+        self.dram_rank = None
+        self.dram_bank = None
+        self.data_bus = None
+        self.row = None
 
     def __repr__(self) -> str:
         return (f"MemoryRequest(kind={self.kind}, address={self.address:#x}, "

@@ -12,13 +12,18 @@ relies on the controller's queue-order invariant (queues stay sorted by
 
 Demand requests outrank prefetches unless a prefetch has aged past the
 promotion threshold (paper Sec 5), at which point it competes as a demand.
+The controller does not scan for aged prefetches on every tick: it keeps
+the time the oldest unpromoted prefetch will age, which
+:func:`promote_aged_prefetches` returns, and scans again only once that
+time is reached.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from typing import Iterable, Tuple
 
+from repro.dram.bank import FAR_FUTURE
 from repro.dram.request import MemoryRequest
 
 
@@ -28,12 +33,22 @@ class SchedulingPolicy(enum.Enum):
 
 
 def promote_aged_prefetches(queue: Iterable[MemoryRequest], now: int,
-                            age_threshold: int) -> int:
-    """Promote prefetches older than ``age_threshold``; returns count."""
+                            age_threshold: int) -> Tuple[int, int]:
+    """Promote prefetches older than ``age_threshold``.
+
+    Returns ``(promoted, next_due)``: how many were promoted, and the
+    time the oldest prefetch left unpromoted will age (``FAR_FUTURE``
+    when none is left). Before ``next_due`` a scan would promote
+    nothing.
+    """
     promoted = 0
+    next_due = FAR_FUTURE
     for req in queue:
         if req.is_prefetch and not req.promoted:
-            if now - req.arrival_time >= age_threshold:
+            due = req.arrival_time + age_threshold
+            if now >= due:
                 req.promoted = True
                 promoted += 1
-    return promoted
+            elif due < next_due:
+                next_due = due
+    return promoted, next_due

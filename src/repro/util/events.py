@@ -10,7 +10,9 @@ Combined with ``__slots__`` on :class:`Event`, this keeps the simulator's
 single hottest data structure free of generated-``__lt__`` dispatch and
 per-event ``__dict__`` allocations while preserving the exact firing
 order of the original dataclass implementation (ordered by
-``(time, seq)``, cancellation skipped at pop).
+``(time, seq)``, cancellation skipped at pop). No live-event count is
+kept: ``len()`` counts the heap's non-cancelled entries, and only
+end-of-run checks and tests ask for it.
 """
 
 from __future__ import annotations
@@ -22,26 +24,18 @@ from typing import Any, Callable, List, Optional, Tuple
 class Event:
     """A scheduled callback. Fires in (time, seq) order for determinism."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "_queue")
+    __slots__ = ("time", "seq", "callback", "cancelled")
 
-    def __init__(self, time: int, seq: int, callback: Callable[[], Any],
-                 _queue: Optional["EventQueue"] = None) -> None:
+    def __init__(self, time: int, seq: int,
+                 callback: Callable[[], Any]) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.cancelled = False
-        # Owning queue while the event is pending; cleared on execution so
-        # a late cancel() cannot corrupt the queue's live-event count.
-        self._queue = _queue
 
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        if self._queue is not None:
-            self._queue._live -= 1
-            self._queue = None
 
     def __repr__(self) -> str:  # debugging aid; never on the hot path
         state = "cancelled" if self.cancelled else "pending"
@@ -51,25 +45,24 @@ class Event:
 class EventQueue:
     """Deterministic priority queue of :class:`Event` objects."""
 
-    __slots__ = ("_heap", "_seq", "_live", "now")
+    __slots__ = ("_heap", "_seq", "now")
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
-        self._live = 0  # pending non-cancelled events (O(1) __len__)
         self.now = 0
 
     def __len__(self) -> int:
-        return self._live
+        """Pending non-cancelled events (a heap scan: not for hot paths)."""
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def schedule(self, time: int, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` to run at absolute ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, now is {self.now}")
         seq = self._seq
-        event = Event(time, seq, callback, self)
+        event = Event(time, seq, callback)
         self._seq = seq + 1
-        self._live += 1
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
@@ -89,9 +82,7 @@ class EventQueue:
         for _time, _seq, event in self._heap:
             event.cancelled = True
             event.callback = None
-            event._queue = None
         self._heap.clear()
-        self._live = 0
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or None if the queue is empty."""
@@ -108,8 +99,6 @@ class EventQueue:
             time, _seq, event = pop(heap)
             if event.cancelled:
                 continue
-            self._live -= 1
-            event._queue = None
             self.now = time
             event.callback()
             return True

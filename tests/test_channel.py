@@ -89,6 +89,44 @@ class TestCommandBus:
         with pytest.raises(ValueError):
             CommandBus(DDR3, slots_per_cycle=0)
 
+    def test_single_slot_earliest_slot(self):
+        cyc = DDR3.bus_cycle
+        bus = CommandBus(DDR3, slots_per_cycle=1)
+        assert bus.earliest_slot(5 * cyc + 1) == 5 * cyc + 1
+        bus.reserve(5 * cyc + 1)
+        # The full cycle pushes any time in it, or before it, to the
+        # next cycle; a later time is free as asked.
+        assert bus.earliest_slot(5 * cyc) == 6 * cyc
+        assert bus.earliest_slot(5 * cyc + 2) == 6 * cyc
+        assert bus.earliest_slot(2 * cyc) == 6 * cyc
+        assert bus.earliest_slot(6 * cyc + 3) == 6 * cyc + 3
+        bus.reserve(6 * cyc)
+        assert bus.earliest_slot(6 * cyc) == 7 * cyc
+        assert bus.stats.cmd_busy_cycles == 2
+
+    def test_dual_slot_earliest_slot(self):
+        cyc = DDR3.bus_cycle
+        bus = CommandBus(DDR3, slots_per_cycle=2)
+        bus.reserve(3 * cyc + 1)
+        assert bus.earliest_slot(3 * cyc + 2) == 3 * cyc + 2
+        assert bus.earliest_slot(cyc) == 3 * cyc
+        bus.reserve(3 * cyc + 2)
+        assert bus.earliest_slot(3 * cyc + 2) == 4 * cyc
+        bus.reserve(4 * cyc, n_commands=2)
+        assert bus.earliest_slot(4 * cyc) == 5 * cyc
+        with pytest.raises(RuntimeError):
+            bus.reserve(4 * cyc)
+
+    def test_reserve_in_an_earlier_cycle_raises(self):
+        cyc = DDR3.bus_cycle
+        bus = CommandBus(DDR3, slots_per_cycle=2)
+        bus.reserve(5 * cyc)
+        with pytest.raises(RuntimeError):
+            bus.reserve(5 * cyc - 1)
+        # The refused command took no slot.
+        assert bus.earliest_slot(5 * cyc) == 5 * cyc
+        assert bus.stats.cmd_busy_cycles == 1
+
 
 class TestChannel:
     def test_aggregated_channel_shape(self):

@@ -261,3 +261,94 @@ class TestSubchannelMapping:
         # With 2 command slots per bus cycle and private data buses, all
         # four transfers overlap (no full-burst serialisation).
         assert starts[-1] - starts[0] < 4 * RLD.t_burst
+
+
+class TestOnePassScan:
+    """The open-page scan walks each demand class once.
+
+    It issues the first column-ready row hit at once and otherwise the
+    first legal PRE/ACT, where only a bank's oldest request may move
+    the bank. Each test builds one queue by hand and runs one tick.
+    """
+
+    NOW = 2 * DDR3.t_rc  # bus-cycle aligned; every ACT/PRE window open
+
+    def _setup(self, **config):
+        events, mc = make_controller(
+            config=ControllerConfig(refresh_enabled=False, **config))
+        # Open row 1 of bank 0 at cycle 0, as a scheduled ACT would.
+        rank = mc.ranks[0]
+        rank.banks[0].activate(0, 1)
+        rank.note_activate(0)
+        return events, mc, rank.banks
+
+    @staticmethod
+    def _tick(events, mc, *requests):
+        for req in requests:
+            assert mc.enqueue(req)
+        assert events.peek_time() == events.now
+        events.step()
+
+    def test_waiting_row_hit_keeps_its_bank_from_a_younger_precharge(self):
+        events, mc, banks = self._setup()
+        events.run_until(self.NOW)
+        # Book the data bus across the hit's burst slot: the bank is
+        # column-ready, but the row hit cannot issue this cycle.
+        mc.channel.data_buses[0].reserve(self.NOW + DDR3.t_rl,
+                                         RequestKind.READ, rank=0)
+        hit = read_request(bank=0, row=1)
+        miss = read_request(bank=0, row=2)
+        assert banks[0].can_precharge(self.NOW)
+        self._tick(events, mc, hit, miss)
+        assert banks[0].open_row == 1
+        assert hit.first_command_time is None
+        assert miss.first_command_time is None
+
+    def test_ready_younger_row_hit_beats_an_older_legal_activate(self):
+        events, mc, banks = self._setup()
+        events.run_until(self.NOW)
+        old = read_request(bank=1, row=5)
+        hit = read_request(bank=0, row=1)
+        assert banks[1].can_activate(self.NOW)
+        self._tick(events, mc, old, hit)
+        assert hit.first_command_time == self.NOW
+        assert hit.data_start_time == self.NOW + DDR3.t_rl
+        assert banks[1].open_row is None
+        assert old.first_command_time is None
+
+    def test_demand_activate_beats_a_ready_prefetch_row_hit(self):
+        events, mc, banks = self._setup(prefetch_age_threshold=10**9)
+        events.run_until(self.NOW)
+        prefetch = read_request(bank=0, row=1, is_prefetch=True)
+        demand = read_request(bank=1, row=5)
+        self._tick(events, mc, prefetch, demand)
+        assert banks[1].open_row == 5
+        assert demand.first_command_time == self.NOW
+        assert prefetch.first_command_time is None
+
+    def _oldest_blocked(self, scheduling):
+        events, mc, banks = self._setup(scheduling=scheduling)
+        # Column commands are legal but the row may not close yet.
+        now = DDR3.t_rcd + 5 * DDR3.bus_cycle
+        assert banks[0].next_read <= now < banks[0].next_precharge
+        events.run_until(now)
+        oldest = read_request(bank=0, row=2)
+        hit = read_request(bank=0, row=1)
+        other = read_request(bank=1, row=5)
+        assert banks[1].can_activate(now) and mc.ranks[0].can_activate(now)
+        self._tick(events, mc, oldest, hit, other)
+        return banks, oldest, hit, other
+
+    def test_fcfs_acts_only_on_the_oldest_request(self):
+        banks, oldest, hit, other = self._oldest_blocked(SchedulingPolicy.FCFS)
+        assert (oldest.first_command_time, hit.first_command_time,
+                other.first_command_time) == (None, None, None)
+        assert banks[0].open_row == 1
+        assert banks[1].open_row is None
+
+    def test_fr_fcfs_serves_the_row_hit_behind_the_same_oldest(self):
+        banks, oldest, hit, other = self._oldest_blocked(
+            SchedulingPolicy.FR_FCFS)
+        assert hit.first_command_time is not None
+        assert oldest.first_command_time is None
+        assert other.first_command_time is None

@@ -11,7 +11,9 @@ from repro.cpu.cache import IMAGE_DIRTY, L2_CONFIG, Cache, CacheLine
 from repro.cpu.core import Core
 from repro.cpu.mshr import MSHRFile
 from repro.cpu.uncore import Uncore
+from repro.dram.bank import Bank
 from repro.dram.controller import MemoryController
+from repro.dram.rank import PowerStateTally, Rank
 from repro.dram.request import LINE_BYTES
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.energy_eval import sec72_spec
@@ -328,7 +330,7 @@ class TestSpeedupMath:
 # surviving instances in the collector's object list instead.
 _RUN_STATE = (SimulationSystem, EventQueue, Uncore, Cache, CacheLine,
               MSHRFile, Core, MemoryController, CriticalityProfiler,
-              MemorySystem)
+              MemorySystem, Rank, Bank, PowerStateTally)
 
 
 def _run_state_objects():
