@@ -3,7 +3,8 @@
 Implements the paper's controller model (Section 5):
 
 * separate read and write queues (48 entries each) with high/low
-  watermark write draining (32/16),
+  watermark write draining (32/16); queued unpromoted prefetches wait
+  in their own queue and count against the read limit,
 * FR-FCFS scheduling for open-page devices, close-page single-command
   scheduling for RLDRAM3,
 * demand-over-prefetch priority with age-based promotion,
@@ -19,18 +20,18 @@ follows the same discipline as the bank/rank/bus models: ``__slots__``,
 per-command timing constraints flattened to integer attributes at
 construction (bus-cycle alignment, CAS data latencies, the burst beat),
 each queued request's rank, bank, data bus and row resolved once at
-enqueue, one pass over a demand class per scan, a live count of
-unpromoted prefetches so the common no-prefetch case skips the
-demand/prefetch partition, and a promotion due time so the promotion
-scan runs only when some prefetch can have aged. All of it is
-bit-identical to the straightforward form: the same commands issue at
-the same cycles in the same order.
+enqueue, and one pass over each demand class per scan. A request's
+demand class is the queue it waits in, so the scans walk
+``read_queue`` and then ``prefetch_queue`` and never sort or filter.
+The prefetch queue is in arrival order, so promotion only has to look
+at its head. All of it is bit-identical to the straightforward form:
+the same commands issue at the same cycles in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dram.bank import FAR_FUTURE, BankState
 from repro.dram.channel import Channel
@@ -126,7 +127,8 @@ class MemoryController:
 
     __slots__ = (
         "device", "timing", "channel", "events", "config", "name",
-        "ranks", "rank_to_bus", "read_queue", "write_queue", "stats",
+        "ranks", "rank_to_bus", "read_queue", "prefetch_queue",
+        "write_queue", "stats",
         "_draining_writes", "_tick_event", "_next_refresh",
         "registry", "tracer",
         "_h_queue_lat", "_h_critical_lat",
@@ -134,15 +136,14 @@ class MemoryController:
         "_bus_cycle", "_t_rl", "_t_wl", "_t_rc", "_t_refi", "_t_rfc",
         "_beat", "_slots_per_cycle", "_cmd_bus", "_cmd_earliest",
         "_cmd_reserve", "_rank_bus",
-        "_close_page", "_issue_queue", "_unpromoted_prefetches",
-        "_promote_due", "_refresh_due",
+        "_close_page", "_issue_queue", "_read_classes", "_write_classes",
+        "_refresh_due",
         "_telemetry",
         # Config knobs flattened to instance attributes: the config is
         # never mutated after construction, and these are read every tick.
         "_aggressive_pd", "_pd_threshold",
         "_age_threshold", "_fr_fcfs", "_rd_size", "_wr_size",
         "_high_wm", "_low_wm",
-        "_queue_version", "_partition_version", "_partition",
         # Optional protocol sanitizer (shadow timing/FSM model); None on
         # un-instrumented runs so every hook costs one identity check.
         "_san",
@@ -162,7 +163,11 @@ class MemoryController:
         self.name = name
         self.ranks: List[Rank] = [Rank(device, timing, i) for i in range(num_ranks)]
         self.rank_to_bus = rank_to_bus or {i: 0 for i in range(num_ranks)}
+        # Demand reads and promoted prefetches; queued unpromoted
+        # prefetches wait in ``prefetch_queue`` until they are served or
+        # age into ``read_queue``.
         self.read_queue: List[MemoryRequest] = []
+        self.prefetch_queue: List[MemoryRequest] = []
         self.write_queue: List[MemoryRequest] = []
         self.stats = ControllerStats()
         self._draining_writes = False
@@ -197,28 +202,16 @@ class MemoryController:
                           for i in range(num_ranks)]
         self._close_page = device.page_policy is PagePolicy.CLOSE
         # The page policy's queue scan, picked once: ``_issue_one`` calls
-        # it for the served queue and again for the other one. The plain
-        # function, not a bound method, so the controller holds no
+        # it for the served direction and again for the other one. The
+        # plain function, not a bound method, so the controller holds no
         # reference to itself.
         self._issue_queue = (MemoryController._issue_close_page
                              if self._close_page
                              else MemoryController._issue_open_page)
-        # Live count of queued unpromoted prefetches: while it is zero the
-        # scans skip the demand/prefetch partition.
-        self._unpromoted_prefetches = 0
-        # No queued prefetch can age before this time (the oldest
-        # unpromoted one's arrival plus the age threshold), so the
-        # promotion scan waits for it. It may be early (the prefetch was
-        # served first), which costs one scan that finds nothing; it is
-        # never late.
-        self._promote_due = FAR_FUTURE
-        # Read-queue demand/prefetch partition, rebuilt only when the
-        # queue (or a promotion) changes. ``_queue_version`` is bumped by
-        # every mutation; the cached partition carries the version it was
-        # built against.
-        self._queue_version = 0
-        self._partition_version = -1
-        self._partition = None
+        # What a scan walks, in priority order: reads by demand class,
+        # writes as one class.
+        self._read_classes = (self.read_queue, self.prefetch_queue)
+        self._write_classes = (self.write_queue,)
         cfg = self.config
         # The earliest per-rank refresh deadline; with refresh off no
         # refresh is ever due.
@@ -284,24 +277,32 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def enqueue(self, request: MemoryRequest) -> bool:
-        """Accept a request; returns False if the target queue is full.
+        """Accept a request; returns False if its queue is full.
+
+        An unpromoted prefetch read waits in ``prefetch_queue``, any
+        other read in ``read_queue``; the read limit covers both.
 
         Queue-order invariant: requests are appended with a monotone
         ``arrival_time`` and monotone ``request_id`` (ids are allocated
         at construction and requests are enqueued as they are created),
-        and removal never reorders, so each queue is always sorted by
-        ``(arrival_time, request_id)``. The issue scans rely on this:
-        within one demand class the first ready request in queue order
-        *is* the FR-FCFS winner, with no per-candidate key comparisons.
+        removal never reorders, and promotion inserts a prefetch at its
+        ``(arrival_time, request_id)`` place, so each queue is always
+        sorted by ``(arrival_time, request_id)``. The issue scans rely on
+        this: within one demand class the first ready request in queue
+        order *is* the FR-FCFS winner, with no per-candidate key
+        comparisons.
         """
         if request.is_read:
-            queue = self.read_queue
-            limit = self._rd_size
+            if (len(self.read_queue) + len(self.prefetch_queue)
+                    >= self._rd_size):
+                return False
+            queue = (self.prefetch_queue
+                     if request.is_prefetch and not request.promoted
+                     else self.read_queue)
         else:
             queue = self.write_queue
-            limit = self._wr_size
-        if len(queue) >= limit:
-            return False
+            if len(queue) >= self._wr_size:
+                return False
         now = self.events.now
         request.arrival_time = now
         d = request.decoded
@@ -311,13 +312,6 @@ class MemoryController:
         request.data_bus = self._rank_bus[d.rank]
         request.row = d.row
         queue.append(request)
-        if request.is_read:
-            self._queue_version += 1
-        if request.is_prefetch and not request.promoted:
-            self._unpromoted_prefetches += 1
-            due = now + self._age_threshold
-            if due < self._promote_due:
-                self._promote_due = due
         if rank.power_state in (PowerState.POWER_DOWN, PowerState.SELF_REFRESH):
             rank.wake(now)
             if self._san is not None:
@@ -327,14 +321,16 @@ class MemoryController:
 
     @property
     def read_queue_free(self) -> int:
-        return self.config.read_queue_size - len(self.read_queue)
+        return (self.config.read_queue_size - len(self.read_queue)
+                - len(self.prefetch_queue))
 
     @property
     def write_queue_free(self) -> int:
         return self.config.write_queue_size - len(self.write_queue)
 
     def busy(self) -> bool:
-        return bool(self.read_queue or self.write_queue)
+        return bool(self.read_queue or self.prefetch_queue
+                    or self.write_queue)
 
     def finalize(self) -> None:
         """Fold power-state residency tallies up to the current time."""
@@ -349,11 +345,8 @@ class MemoryController:
         reference cycle.
         """
         self.read_queue.clear()
+        self.prefetch_queue.clear()
         self.write_queue.clear()
-        self._unpromoted_prefetches = 0
-        self._promote_due = FAR_FUTURE
-        self._partition = None
-        self._partition_version = -1
 
     # ------------------------------------------------------------------
     # Tick machinery
@@ -378,13 +371,12 @@ class MemoryController:
         now = self.events.now
         if now >= self._refresh_due:
             self._service_refresh(now)
-        if now >= self._promote_due:
-            promoted, self._promote_due = promote_aged_prefetches(
-                self.read_queue, now, self._age_threshold)
-            if promoted:
-                self._unpromoted_prefetches -= promoted
-                self._queue_version += 1
-                self.stats.prefetch_promotions += promoted
+        # The head of the prefetch queue is the oldest, so it is the
+        # first to age.
+        prefetches = self.prefetch_queue
+        if prefetches and now >= prefetches[0].arrival_time + self._age_threshold:
+            self.stats.prefetch_promotions += promote_aged_prefetches(
+                prefetches, self.read_queue, now, self._age_threshold)
         write_depth = len(self.write_queue)
         if self._draining_writes:
             if write_depth <= self._low_wm:
@@ -403,7 +395,7 @@ class MemoryController:
         if self._aggressive_pd:
             self._try_powerdown(now)
 
-        if self.read_queue or self.write_queue:
+        if self.read_queue or self.prefetch_queue or self.write_queue:
             next_time = (now + self._bus_cycle if issued_any
                          else self._next_wake_time(now))
             floor = now + 1
@@ -432,7 +424,7 @@ class MemoryController:
         ``max()`` dominate the arithmetic.
         """
         best = FAR_FUTURE
-        queues = (self.read_queue, self.write_queue)
+        queues = (self.read_queue, self.prefetch_queue, self.write_queue)
         if self._close_page:
             for queue in queues:
                 for req in queue:
@@ -488,51 +480,38 @@ class MemoryController:
     def _issue_one(self, now: int) -> bool:
         # Drain mode serves writes; otherwise reads, falling back to
         # writes when no read is queued.
-        if self._draining_writes:
-            queue = self.write_queue
-        elif self.read_queue:
-            queue = self.read_queue
+        if self._draining_writes or not (self.read_queue
+                                         or self.prefetch_queue):
+            served, other = self._write_classes, self._read_classes
+            if not self.write_queue:
+                return False
         else:
-            queue = self.write_queue
-        if not queue:
-            return False
+            served, other = self._read_classes, self._write_classes
         # Every command class needs a command-bus slot at ``now``; when
         # none is free nothing can issue this tick. The scans below rely
         # on this check and do not repeat it.
         if self._cmd_earliest(now) != now:
             return False
-        if self._issue_queue(self, now, queue):
+        if self._issue_queue(self, now, served):
             return True
         # Drain gaps: while a write drain waits on bank timing, let a
         # ready read slip in rather than stalling the channel (and vice
         # versa when serving reads leaves the cycle idle).
-        other = self.write_queue if queue is self.read_queue else self.read_queue
-        return bool(other) and self._issue_queue(self, now, other)
+        return any(other) and self._issue_queue(self, now, other)
 
     # --- open-page (DDR3 / LPDDR2) -------------------------------------
 
-    def _issue_open_page(self, now: int, queue: List[MemoryRequest]) -> bool:
-        # Demand requests strictly outrank prefetches (paper Sec 5):
-        # prefetches only consume bandwidth no demand can use this cycle.
-        # Prefetches live only in the read queue, and its partition is
-        # cached across the (many) scans between queue mutations.
-        if self._unpromoted_prefetches and queue is self.read_queue:
-            if self._partition_version != self._queue_version:
-                self._partition = (
-                    [r for r in queue if not r.is_prefetch or r.promoted],
-                    [r for r in queue if r.is_prefetch and not r.promoted],
-                )
-                self._partition_version = self._queue_version
-            classes = self._partition
-        else:
-            classes = (queue,)
-        for cls in classes:
-            if not cls:
+    def _issue_open_page(self, now: int,
+                         classes: Tuple[List[MemoryRequest], ...]) -> bool:
+        # ``classes`` are queues in priority order. Demand requests
+        # strictly outrank prefetches (paper Sec 5): prefetches only
+        # consume bandwidth no demand can use this cycle.
+        for queue in classes:
+            if not queue:
                 continue
-            if not self._fr_fcfs:
-                # Strict FCFS: only the oldest request of the class may
-                # act, and by the queue-order invariant that is cls[0].
-                cls = cls[:1]
+            # Strict FCFS: only the oldest request of the class may act,
+            # and by the queue-order invariant that is queue[0].
+            cls = queue if self._fr_fcfs else queue[:1]
             # One walk in queue order. The first column-ready row hit is
             # issued at once: the queue-order invariant (see
             # :meth:`enqueue`) makes it the best (arrival_time,
@@ -621,52 +600,45 @@ class MemoryController:
 
     # --- close-page (RLDRAM3) ------------------------------------------
 
-    def _issue_close_page(self, now: int, queue: List[MemoryRequest]) -> bool:
+    def _issue_close_page(self, now: int,
+                          classes: Tuple[List[MemoryRequest], ...]) -> bool:
         """Single-command SRAM-style access with auto-precharge."""
-        # Best = lowest (demand-class, arrival_time, request_id). By the
-        # queue-order invariant (see :meth:`enqueue`) the first legal
-        # demand in queue order wins outright; the first legal
-        # unpromoted prefetch is remembered as the fallback.
-        best = None
+        # Best = lowest (demand-class, arrival_time, request_id): by the
+        # queue-order invariant (see :meth:`enqueue`) that is the first
+        # legal request of the first class that has one.
         t_rl = self._t_rl
         t_wl = self._t_wl
-        for req in queue:
-            rank = req.dram_rank
-            if now < rank.wake_time or now < rank.next_act_allowed:
-                continue
-            if now < req.dram_bank.next_activate:
-                continue
-            t_data = now + (t_rl if req.is_read else t_wl)
-            if req.data_bus.earliest_start(
-                    t_data, req.kind, rank.index) != t_data:
-                continue
-            if req.is_prefetch and not req.promoted:
-                if best is None:
-                    best = req
-                continue
-            best = req
-            break
-        if best is None:
-            return False
-        rank = best.dram_rank
-        bank = best.dram_bank
-        rank.touch(now)
-        self._cmd_reserve(now)
-        data_start = bank.access(now, is_write=not best.is_read)
-        rank.note_activate(now)
-        end = best.data_bus.reserve(data_start, best.kind, rank.index)
-        if self._san is not None:
-            self._san.note_access(now, rank.index, bank.index,
-                                  not best.is_read, data_start, end)
-        self._retire(now, best, queue, data_start, end)
-        return True
+        for queue in classes:
+            for req in queue:
+                rank = req.dram_rank
+                if now < rank.wake_time or now < rank.next_act_allowed:
+                    continue
+                bank = req.dram_bank
+                if now < bank.next_activate:
+                    continue
+                t_data = now + (t_rl if req.is_read else t_wl)
+                if req.data_bus.earliest_start(
+                        t_data, req.kind, rank.index) != t_data:
+                    continue
+                rank.touch(now)
+                self._cmd_reserve(now)
+                data_start = bank.access(now, is_write=not req.is_read)
+                rank.note_activate(now)
+                end = req.data_bus.reserve(data_start, req.kind, rank.index)
+                if self._san is not None:
+                    self._san.note_access(now, rank.index, bank.index,
+                                          not req.is_read, data_start, end)
+                self._retire(now, req, queue, data_start, end)
+                return True
+        return False
 
     # --- completion ------------------------------------------------------
 
     def _retire(self, now: int, req: MemoryRequest,
                 queue: List[MemoryRequest], data_start: int,
                 end: int) -> None:
-        """Account a request whose data burst is booked; dequeue it."""
+        """Account a request whose data burst is booked; dequeue it
+        from ``queue``, the queue it waited in."""
         if req.first_command_time is None:
             req.first_command_time = now
         req.data_start_time = data_start
@@ -694,11 +666,7 @@ class MemoryController:
             self.tracer.record_request(req, self.name)
         if req.on_complete is not None:
             self.events.schedule(end, _DeliverComplete(req))
-        if req.is_prefetch and not req.promoted:
-            self._unpromoted_prefetches -= 1
         queue.remove(req)
-        if req.is_read:
-            self._queue_version += 1
 
     # ------------------------------------------------------------------
     # Refresh and power-down
@@ -746,7 +714,8 @@ class MemoryController:
     def _try_powerdown(self, now: int) -> None:
         # Single-rank channel (every shipped power-down channel): queued
         # work makes its one rank busy, so skip the busy-set build.
-        if len(self.ranks) == 1 and (self.read_queue or self.write_queue):
+        if len(self.ranks) == 1 and (self.read_queue or self.prefetch_queue
+                                     or self.write_queue):
             return
         threshold = self._pd_threshold
         busy_ranks = None
@@ -760,6 +729,7 @@ class MemoryController:
             # nothing per tick.
             if busy_ranks is None:
                 busy_ranks = {r.dram_rank for r in self.read_queue}
+                busy_ranks.update(r.dram_rank for r in self.prefetch_queue)
                 busy_ranks.update(r.dram_rank for r in self.write_queue)
             if rank in busy_ranks:
                 continue

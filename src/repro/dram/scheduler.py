@@ -12,18 +12,17 @@ relies on the controller's queue-order invariant (queues stay sorted by
 
 Demand requests outrank prefetches unless a prefetch has aged past the
 promotion threshold (paper Sec 5), at which point it competes as a demand.
-The controller does not scan for aged prefetches on every tick: it keeps
-the time the oldest unpromoted prefetch will age, which
-:func:`promote_aged_prefetches` returns, and scans again only once that
-time is reached.
+The controller keeps the two classes in two queues: unpromoted
+prefetches in ``prefetch_queue``, everything else in ``read_queue``.
+:func:`promote_aged_prefetches` moves aged prefetches from the first to
+the second.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Tuple
+from typing import List
 
-from repro.dram.bank import FAR_FUTURE
 from repro.dram.request import MemoryRequest
 
 
@@ -32,23 +31,29 @@ class SchedulingPolicy(enum.Enum):
     FCFS = "fcfs"
 
 
-def promote_aged_prefetches(queue: Iterable[MemoryRequest], now: int,
-                            age_threshold: int) -> Tuple[int, int]:
-    """Promote prefetches older than ``age_threshold``.
+def promote_aged_prefetches(prefetches: List[MemoryRequest],
+                            demands: List[MemoryRequest], now: int,
+                            age_threshold: int) -> int:
+    """Promote the prefetches that have waited ``age_threshold`` cycles.
 
-    Returns ``(promoted, next_due)``: how many were promoted, and the
-    time the oldest prefetch left unpromoted will age (``FAR_FUTURE``
-    when none is left). Before ``next_due`` a scan would promote
-    nothing.
+    ``prefetches`` is in arrival order, so the aged ones are a prefix.
+    Each is marked promoted and moved into ``demands`` at its
+    ``(arrival_time, request_id)`` place, which keeps ``demands`` in
+    queue order. Returns how many were promoted.
     """
-    promoted = 0
-    next_due = FAR_FUTURE
-    for req in queue:
-        if req.is_prefetch and not req.promoted:
-            due = req.arrival_time + age_threshold
-            if now >= due:
-                req.promoted = True
-                promoted += 1
-            elif due < next_due:
-                next_due = due
-    return promoted, next_due
+    count = 0
+    for req in prefetches:
+        if now < req.arrival_time + age_threshold:
+            break
+        count += 1
+    i = 0
+    for req in prefetches[:count]:
+        req.promoted = True
+        key = (req.arrival_time, req.request_id)
+        while i < len(demands) and (demands[i].arrival_time,
+                                    demands[i].request_id) < key:
+            i += 1
+        demands.insert(i, req)
+        i += 1
+    del prefetches[:count]
+    return count

@@ -106,12 +106,6 @@ def specs_figure_4(config: ExperimentConfig) -> List[RunSpec]:
     return specs
 
 
-def profiling_result(benchmark: str, config: ExperimentConfig):
-    """Cached run of the shrunken-footprint profiling pass."""
-    spec = profiling_spec(benchmark)
-    return resolve_results([spec], config)[spec]
-
-
 def profile_benchmark(benchmark: str,
                       config: ExperimentConfig) -> CriticalityProfiler:
     """Run the profiling pass once, returning the live profiler object."""

@@ -36,6 +36,9 @@ from repro.service.jobs import JobValidationError
 from repro.service.scheduler import JobScheduler, QueueFull, SchedulerStopped
 
 MAX_BODY_BYTES = 4 * 1024 * 1024  # a job manifest, not a dataset
+#: Seconds a connection may stay silent (idle, or part-way through a
+#: request) before the server closes it and frees its handler thread.
+IDLE_TIMEOUT_S = 60.0
 
 
 class ReproHTTPServer(ThreadingHTTPServer):
@@ -57,6 +60,12 @@ class JobRequestHandler(BaseHTTPRequestHandler):
     # _reply writes headers and body separately; with Nagle's algorithm
     # the body waits for the client's delayed ACK (~40 ms per reply).
     disable_nagle_algorithm = True
+
+    @property
+    def timeout(self) -> float:
+        """Socket timeout ``setup()`` applies to each accepted connection;
+        a client that sends nothing for this long is disconnected."""
+        return IDLE_TIMEOUT_S
 
     @property
     def scheduler(self) -> JobScheduler:

@@ -87,7 +87,8 @@ class SimResult:
 
 
 class _ReadQueueProbe:
-    """Sampler probe: controller read-queue occupancy (picklable)."""
+    """Sampler probe: controller read-queue occupancy, queued prefetches
+    included (picklable)."""
 
     __slots__ = ("mc",)
 
@@ -95,7 +96,7 @@ class _ReadQueueProbe:
         self.mc = mc
 
     def __call__(self) -> int:
-        return len(self.mc.read_queue)
+        return len(self.mc.read_queue) + len(self.mc.prefetch_queue)
 
 
 class _WriteQueueProbe:

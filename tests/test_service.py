@@ -38,6 +38,7 @@ from repro.service import (
     spec_to_dict,
 )
 from repro.experiments.specs import RunSpec
+import repro.service.http as http_module
 from repro.service.http import JobRequestHandler
 
 READS = 60
@@ -675,6 +676,21 @@ class TestHTTP:
         _, client = service
         client.health()
         assert len(seen) == 1 and seen[0] != 0
+
+    @pytest.mark.parametrize("sent", [b"", b"GET /heal"],
+                             ids=["idle", "half_request_line"])
+    def test_silent_connection_is_closed(self, service, monkeypatch, sent):
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.2)
+        _, client = service
+        host, port = client.url[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(sent)
+            # The server gives up on the silent client and closes the
+            # connection without a reply; with no timeout this recv
+            # would wait out the client's own 10 s timeout and raise.
+            assert sock.recv(1024) == b""
+        # The server still answers well-behaved clients.
+        assert client.health()["status"] == "ok"
 
     def test_backpressure_429_retry_after(self, service):
         sched, client = service
