@@ -19,6 +19,7 @@ Also here:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -141,8 +142,25 @@ class _KeyConfig:
         return SimConfig(memory=memory, target_dram_reads=600, seed=12345)
 
 
+#: The cache-key version and the sha256 of the golden matrix it answers
+#: for. Results recorded under one key version must not change.
+PINNED_KEY_GOLDEN = (
+    "v8", "2e69386e30de7f661882d9740e4a2d6efdc921d5b054feb40c7c68a51888bbfc")
+
+
 def test_cache_key_version_unchanged():
-    assert CACHE_KEY_VERSION == "v8"
+    """Re-recording the golden matrix changes what a cached result
+    means, so it must come with a new cache-key version: otherwise a
+    warm cache or service store serves the old results under the same
+    key."""
+    golden = hashlib.sha256(GOLDEN_PATH.read_bytes()).hexdigest()
+    version, pinned = PINNED_KEY_GOLDEN
+    assert (CACHE_KEY_VERSION, golden) == PINNED_KEY_GOLDEN, (
+        f"{GOLDEN_PATH.name} is {golden} under cache-key version "
+        f"{CACHE_KEY_VERSION!r}, pinned ({version!r}, {pinned}). When the "
+        f"simulated results change on purpose, bump "
+        f"experiments/specs.py::CACHE_KEY_VERSION past {version!r} and "
+        f"pin the new version with the new digest here")
 
 
 def test_cache_key_format_unchanged():
