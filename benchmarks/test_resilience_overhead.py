@@ -76,7 +76,7 @@ def test_serial_executor_with_retry_policy(benchmark):
 # Sanitizer overhead: collect mode must stay cheap enough for CI smokes
 # ---------------------------------------------------------------------------
 
-SANITIZE_BUDGET = 2.5  # sanitized run <= 2.5x the null-sink run
+SANITIZE_BUDGET = 2.5  # sanitized run <= 2.5x the un-instrumented run
 
 
 def test_sanitizer_overhead_budget():
@@ -129,6 +129,6 @@ def test_sanitizer_overhead_budget():
 
     ratio = san_t / plain_t
     assert ratio <= SANITIZE_BUDGET, (
-        f"sanitized run is {ratio:.2f}x the null-sink run "
+        f"sanitized run is {ratio:.2f}x the un-instrumented run "
         f"(budget {SANITIZE_BUDGET}x): plain={plain_t:.3f}s "
         f"sanitized={san_t:.3f}s")

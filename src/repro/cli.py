@@ -523,7 +523,7 @@ def _report_sanitizer(session: TelemetrySession) -> int:
     """Summarise ``sanitizer.*`` counters after a --check run."""
     from repro.sanitizer import global_report
 
-    counters = session.counters
+    counters = session.counters.snapshot()
     runs = counters.get("sanitizer.runs", 0)
     total = counters.get("sanitizer.violations", 0)
     print(f"sanitizer: {runs} run(s) checked, {total} violation(s)")

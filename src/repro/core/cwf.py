@@ -174,7 +174,7 @@ class _CWFReadTxn:
                 memory.stats.critical_served_fast += 1
             else:
                 memory.stats.critical_served_slow += 1
-            if memory._telemetry_attached:
+            if memory._h_critical is not None:
                 memory._h_critical.observe(t - self.start)
         self.on_critical(t)
 
@@ -189,7 +189,7 @@ class _CWFReadTxn:
             self._wake(t, from_fast=False)
         memory = self.memory
         memory.stats.sum_fill_latency += t - self.start
-        if memory._telemetry_attached:
+        if memory._h_fill is not None:
             memory._h_fill.observe(t - self.start)
         self.on_complete(t)
 

@@ -40,8 +40,8 @@ from repro.dram.request import MemoryRequest, WORDS_PER_LINE
 from repro.dram.rank import PowerState, Rank
 from repro.dram.scheduler import SchedulingPolicy, promote_aged_prefetches
 from repro.dram.timing import TimingSet
-from repro.telemetry.registry import MetricsRegistry, NULL_HISTOGRAM
-from repro.telemetry.trace import NULL_TRACER
+from repro.telemetry.registry import Histogram, MetricsRegistry
+from repro.telemetry.trace import ChromeTracer
 from repro.util.events import EventQueue
 
 
@@ -138,7 +138,6 @@ class MemoryController:
         "_cmd_reserve", "_rank_bus",
         "_close_page", "_issue_queue", "_read_classes", "_write_classes",
         "_refresh_due",
-        "_telemetry",
         # Config knobs flattened to instance attributes: the config is
         # never mutated after construction, and these are read every tick.
         "_aggressive_pd", "_pd_threshold",
@@ -176,13 +175,12 @@ class MemoryController:
             (i + 1) * max(1, timing.t_refi // max(1, num_ranks))
             for i in range(num_ranks)
         ]
-        # Telemetry handles default to the shared null sink; an
-        # un-instrumented run pays only a single identity check.
+        # Telemetry handles stay None until attach_telemetry; an
+        # un-instrumented run pays one ``is not None`` test per handle.
         self.registry: Optional[MetricsRegistry] = None
-        self.tracer = NULL_TRACER
-        self._h_queue_lat = NULL_HISTOGRAM
-        self._h_critical_lat = NULL_HISTOGRAM
-        self._telemetry = False
+        self.tracer: Optional[ChromeTracer] = None
+        self._h_queue_lat: Optional[Histogram] = None
+        self._h_critical_lat: Optional[Histogram] = None
         # Flat per-command timing constants (CPU cycles).
         self._bus_cycle = timing.bus_cycle
         self._t_rl = timing.t_rl
@@ -233,15 +231,14 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def attach_telemetry(self, registry: MetricsRegistry,
-                         tracer=None) -> None:
+                         tracer: Optional[ChromeTracer] = None) -> None:
         """Bind the latency histograms under ``dram.<name>.*``."""
         ns = f"dram.{self.name}"
         self.registry = registry
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self._h_queue_lat = registry.histogram(f"{ns}.queue_latency_cycles")
         self._h_critical_lat = registry.histogram(
             f"{ns}.critical_latency_cycles")
-        self._telemetry = True
 
     def export_telemetry(self, elapsed_cycles: int) -> None:
         """Publish end-of-run counts and structural gauges.
@@ -655,14 +652,14 @@ class MemoryController:
             queue_latency = req.first_command_time - req.arrival_time
             stats.sum_queue_latency += queue_latency
             stats.sum_core_latency += critical_time - req.first_command_time
-            if self._telemetry:
+            if self.registry is not None:
                 self._h_queue_lat.observe(queue_latency)
                 self._h_critical_lat.observe(critical_time - req.arrival_time)
             if req.on_critical_word is not None:
                 self.events.schedule(critical_time, _DeliverCritical(req))
         else:
             stats.writes_done += 1
-        if self.tracer is not NULL_TRACER:
+        if self.tracer is not None:
             self.tracer.record_request(req, self.name)
         if req.on_complete is not None:
             self.events.schedule(end, _DeliverComplete(req))

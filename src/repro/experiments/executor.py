@@ -77,6 +77,7 @@ from repro.experiments.specs import (
 )
 from repro.sim.system import SimResult
 from repro.telemetry.session import (
+    Counters,
     TelemetrySession,
     activate,
     active_session,
@@ -166,21 +167,23 @@ def _worker_execute(members: Sequence[RunSpec], config,
         session = activate(TelemetrySession(**telemetry_opts))
     try:
         outcomes = _execute_group(members, config, attempt)
+        # Under the worker's session, so the cache and store counts
+        # reach the parent's as a serial run's do.
+        cache = ResultCache(config.cache_dir,
+                            budget_bytes=getattr(config, "cache_budget_bytes",
+                                                 None))
+        for spec, (outcome, _seconds, _shared) in zip(members, outcomes):
+            if is_valid_result(outcome):
+                cache.put(spec_cache_key(spec, config), outcome)
     finally:
         if session is not None:
             deactivate()
-    cache = ResultCache(config.cache_dir,
-                        budget_bytes=getattr(config, "cache_budget_bytes",
-                                             None))
-    for spec, (outcome, _seconds, _shared) in zip(members, outcomes):
-        if is_valid_result(outcome):
-            cache.put(spec_cache_key(spec, config), outcome)
     runs: List[dict] = session.runs if session is not None else []
     trace_events: List[dict] = []
     if session is not None:
         for tracer in session._tracers:
             trace_events.extend(tracer.events)
-    counters: Dict[str, int] = dict(session.counters) if session else {}
+    counters = session.counters.snapshot() if session else {}
     return outcomes, runs, trace_events, counters
 
 
@@ -241,7 +244,9 @@ class ParallelExecutor:
             degrade_serial if degrade_serial is not None
             else bool(getattr(config, "degrade_serial", False)))
         self.failures: List[FailedRun] = []
-        self.counters: Dict[str, int] = {}
+        # Retries and failures by kind, also added to any active
+        # telemetry session under the same names.
+        self.counters = Counters(session_prefix="")
 
     # ------------------------------------------------------------------
     # Worker-count property: reconfiguring a live pool is an error
@@ -288,7 +293,7 @@ class ParallelExecutor:
                 except (OSError, AttributeError) as exc:
                     # A worker we cannot terminate may outlive the
                     # suite — say so instead of swallowing the error.
-                    self._count("resilience.terminate_errors")
+                    self.counters.incr("resilience.terminate_errors")
                     print(f"[executor] could not terminate worker "
                           f"{getattr(proc, 'pid', '?')}: {exc}",
                           file=sys.stderr)
@@ -539,12 +544,6 @@ class ParallelExecutor:
                                       results, config):
                 tasks.append(((spec,), attempt + 1))
 
-    def _count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-        session = active_session()
-        if session is not None:
-            session.incr(name, n)
-
     def _register_failure(self, spec: RunSpec, kind: str, attempt: int,
                           error: BaseException, seconds: float,
                           results: Dict[RunSpec, SimResult],
@@ -556,11 +555,11 @@ class ParallelExecutor:
         a :class:`FailedRun` (``keep_going``), or raises
         :class:`SuiteError` (fail-fast, the default).
         """
-        self._count(f"resilience.failures.{kind}")
+        self.counters.incr(f"resilience.failures.{kind}")
         self._record(spec, seconds, cached=False, attempt=attempt,
                      status=kind)
         if attempt < self.policy.attempts_allowed:
-            self._count("resilience.retries")
+            self.counters.incr("resilience.retries")
             return True
         if (self.degrade_serial and kind != TIMEOUT
                 and self._attempt_degraded(spec, results, config)):
@@ -571,7 +570,7 @@ class ParallelExecutor:
             error=f"{type(error).__name__}: {error}")
         if not self.keep_going:
             raise SuiteError(failed)
-        self._count("resilience.failed_runs")
+        self.counters.incr("resilience.failed_runs")
         results[spec] = failed
         self.failures.append(failed)
         return False
@@ -593,7 +592,7 @@ class ParallelExecutor:
             # The degraded path is the last line of defence; its own
             # failure must be visible in counters and on stderr, not
             # silently folded into the original failure's record.
-            self._count("resilience.degraded_failures")
+            self.counters.incr("resilience.degraded_failures")
             print(f"[executor] degraded serial run for {spec.label} "
                   f"failed too: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
@@ -602,7 +601,7 @@ class ParallelExecutor:
             return False
         self.cache.put(spec_cache_key(spec, config), result)
         results[spec] = result
-        self._count("resilience.degraded_runs")
+        self.counters.incr("resilience.degraded_runs")
         self._record(spec, time.perf_counter() - start, cached=False,
                      status="degraded")
         return True

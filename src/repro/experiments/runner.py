@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -23,7 +22,7 @@ from repro.experiments.resilience import MISSING
 from repro.sim.config import SimConfig
 from repro.sim.system import SimResult
 from repro.store import ArtifactStore, parse_size
-from repro.telemetry.session import active_session
+from repro.telemetry.session import Counters
 from repro.workloads.profiles import benchmark_names
 
 DEFAULT_READS = 2000
@@ -144,26 +143,16 @@ class ResultCache:
             self.directory.mkdir(parents=True, exist_ok=True)
             self.store = ArtifactStore(self.directory, tier="results",
                                        budget_bytes=budget_bytes)
-        # Per-instance traffic counters, exposed via stats(); the
-        # quarantine event is additionally mirrored into any active
-        # telemetry session (legacy cache.quarantined counter). The
-        # service shares one handle between threads, so updates take
-        # a lock.
-        self.counters: Dict[str, int] = {
-            "hits": 0, "misses": 0, "writes": 0, "quarantined": 0}
-        self._counter_lock = threading.Lock()
-
-    def _count(self, name: str) -> None:
-        with self._counter_lock:
-            self.counters[name] += 1
+        # Per-instance traffic counters, exposed via stats() and added
+        # to any active telemetry session as ``cache.<name>``.
+        self.counters = Counters(("hits", "misses", "writes", "quarantined"),
+                                 session_prefix="cache.")
 
     def stats(self) -> Dict[str, object]:
         """Traffic counters for this cache handle (hits/misses/writes/
         quarantined), plus the directory they describe."""
-        with self._counter_lock:
-            counters = dict(self.counters)
         return {"directory": str(self.directory) if self.directory else None,
-                **counters}
+                **self.counters.snapshot()}
 
     def store_stats(self) -> Optional[Dict[str, object]]:
         """Underlying artifact-store tier stats (entries/bytes/budget/
@@ -194,16 +183,14 @@ class ResultCache:
         plain miss.
         """
         if self.store is None:
-            self._count("misses")
+            self.counters.incr("misses")
             return None
         # Ask this call, not the shared store counters, whether it
         # quarantined: another thread may quarantine concurrently.
         quarantined: List[Path] = []
         raw = self.store.get_bytes(key, quarantined)
         if raw is None:
-            if quarantined:
-                return self._count_quarantine()
-            self._count("misses")
+            self.counters.incr("quarantined" if quarantined else "misses")
             return None
         result = self._parse(key, raw)
         if result is None:
@@ -213,8 +200,9 @@ class ResultCache:
             if record is not None:
                 self.store._quarantine(self.store.blob_path(record["digest"]))
             self.store.delete(key)
-            return self._count_quarantine()
-        self._count("hits")
+            self.counters.incr("quarantined")
+            return None
+        self.counters.incr("hits")
         return result
 
     def _parse(self, key: str, raw: bytes) -> Optional[SimResult]:
@@ -231,17 +219,10 @@ class ResultCache:
         except (TypeError, ValueError):
             return None
 
-    def _count_quarantine(self) -> None:
-        self._count("quarantined")
-        session = active_session()
-        if session is not None:
-            session.incr("cache.quarantined")
-        return None
-
     def put(self, key: str, result: SimResult) -> None:
         if self.store is None:
             return
-        self._count("writes")
+        self.counters.incr("writes")
         data = dataclasses.asdict(result)
         data["__key__"] = key
         self.store.put_bytes(key, json.dumps(data).encode())

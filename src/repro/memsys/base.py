@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dram.controller import MemoryController
 from repro.dram.power import ChipActivity
-from repro.telemetry.registry import MetricsRegistry, NULL_HISTOGRAM
-from repro.telemetry.trace import NULL_TRACER
+from repro.telemetry.registry import Histogram, MetricsRegistry
+from repro.telemetry.trace import ChromeTracer
 from repro.util.sums import left_sum
 
 # One DRAM family of an organisation: (family key, its controllers,
@@ -87,7 +87,7 @@ class ReadCritical:
                 stats.critical_served_fast += 1
             else:
                 stats.critical_served_slow += 1
-            if memory._telemetry_attached:
+            if memory._h_critical is not None:
                 memory._h_critical.observe(t - self.start)
         self.on_critical(t)
 
@@ -106,7 +106,7 @@ class ReadComplete:
     def __call__(self, t: int) -> None:
         memory = self.memory
         memory.stats.sum_fill_latency += t - self.start
-        if memory._telemetry_attached:
+        if memory._h_fill is not None:
             memory._h_fill.observe(t - self.start)
         self.on_complete(t)
 
@@ -155,17 +155,15 @@ class MemorySystem(abc.ABC):
     # instance was built through it (None for hand-assembled memories).
     backend_name: Optional[str] = None
 
-    # Telemetry handles default to the shared null sink (class
-    # attributes, so subclasses need no __init__ cooperation). The
-    # ``_telemetry_attached`` flag lets per-request paths skip even the
-    # no-op calls: an un-instrumented run pays one bool check per probe.
-    # Only the latency distributions are live; counts are published from
-    # ``stats`` at export.
+    # Telemetry handles are None until attach_telemetry (class
+    # attributes, so subclasses need no __init__ cooperation); each
+    # per-request path tests its histogram once. Only the latency
+    # distributions are live; counts are published from ``stats`` at
+    # export.
     telemetry_registry: Optional[MetricsRegistry] = None
-    _telemetry_attached = False
-    tracer = NULL_TRACER
-    _h_critical = NULL_HISTOGRAM     # arrival -> critical word (demands)
-    _h_fill = NULL_HISTOGRAM         # arrival -> full line (all reads)
+    # arrival -> critical word (demands); arrival -> full line (all reads)
+    _h_critical: Optional[Histogram] = None
+    _h_fill: Optional[Histogram] = None
 
     @abc.abstractmethod
     def chip_groups(self) -> List[ChipGroup]:
@@ -178,15 +176,14 @@ class MemorySystem(abc.ABC):
                 for mc in controllers]
 
     def attach_telemetry(self, registry: MetricsRegistry,
-                         tracer=None) -> None:
-        """Bind this memory system (and its controllers) to a registry."""
+                         tracer: Optional[ChromeTracer] = None) -> None:
+        """Bind this memory system to a registry, and its controllers
+        to the registry and ``tracer``."""
         self.telemetry_registry = registry
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._h_critical = registry.histogram("memsys.critical_latency_cycles")
         self._h_fill = registry.histogram("memsys.fill_latency_cycles")
-        self._telemetry_attached = True
         for controller in self.telemetry_controllers():
-            controller.attach_telemetry(registry, self.tracer)
+            controller.attach_telemetry(registry, tracer)
 
     def export_telemetry(self, elapsed_cycles: int) -> None:
         """Publish end-of-run counts and structural metrics."""

@@ -48,7 +48,7 @@ from typing import Optional, Tuple
 from repro.dram.request import request_id_allocator
 from repro.store import atomic_write_bytes, quarantine_file
 
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 ENV_CHECKPOINT_EVERY = "REPRO_CHECKPOINT_EVERY"

@@ -352,13 +352,14 @@ class SimulationSystem:
         session = active_session()
         if session is None:
             return
-        session.incr("sanitizer.runs", 1)
+        counters = session.counters
+        counters.incr("sanitizer.runs")
         before = self._san_counts_before or {}
         for rule, count in self._san_report.counts.items():
             delta = count - before.get(rule, 0)
             if delta > 0:
-                session.incr(f"sanitizer.{rule}", delta)
-                session.incr("sanitizer.violations", delta)
+                counters.incr(f"sanitizer.{rule}", delta)
+                counters.incr("sanitizer.violations", delta)
         self._san_counts_before = dict(self._san_report.counts)
 
     def _export_telemetry(self, elapsed: int, result: SimResult) -> None:

@@ -3,7 +3,8 @@
 See ``registry`` (Counter/Gauge/Histogram + MetricsRegistry),
 ``trace`` (Chrome trace_event spans), ``sampler`` (EventQueue-driven
 periodic probes), ``export`` (JSON/CSV artefacts + run manifest), and
-``session`` (per-run scoping and the process-wide active session).
+``session`` (per-run scoping, the process-wide active session, and the
+``Counters`` type every component counts events with).
 """
 
 from repro.telemetry.export import (
@@ -19,14 +20,10 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    NullRegistry,
 )
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.session import (
+    Counters,
     RunTelemetry,
     TelemetrySession,
     activate,
@@ -35,8 +32,6 @@ from repro.telemetry.session import (
 )
 from repro.telemetry.trace import (
     ChromeTracer,
-    NULL_TRACER,
-    NullTracer,
     merge_traces,
     validate_trace,
     write_trace,
@@ -45,16 +40,10 @@ from repro.telemetry.trace import (
 __all__ = [
     "ChromeTracer",
     "Counter",
+    "Counters",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
-    "NullRegistry",
-    "NullTracer",
     "RunTelemetry",
     "Sampler",
     "TelemetrySession",

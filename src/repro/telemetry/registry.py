@@ -5,12 +5,11 @@ Metrics are hierarchically named with dot-separated components
 ``core2.rob_stall_retries``) so exports can be grouped per channel,
 bank, or core without any registry-side tree structure.
 
-The hot path is designed around a **null sink**: every metric type has
-a null twin whose mutators are no-ops, and :data:`NULL_REGISTRY` hands
-those twins out from its factory methods. Simulator components keep
-metric handles as plain attributes defaulting to the null singletons,
-so an un-instrumented run pays only an attribute lookup and an empty
-method call per event — no branching, no isinstance checks.
+Telemetry is off unless a run attaches a registry. Simulator
+components hold their metric handles as plain attributes that are
+``None`` until then, and test the handle itself once per event before
+using it; an un-instrumented run pays that one ``is not None`` test and
+no call.
 """
 
 from __future__ import annotations
@@ -168,55 +167,6 @@ class Histogram(Metric):
         return out
 
 
-# ---------------------------------------------------------------------------
-# Null sink
-# ---------------------------------------------------------------------------
-
-class NullCounter(Counter):
-    def inc(self, n: int = 1) -> None:  # noqa: D102 - no-op by design
-        pass
-
-    def __reduce__(self):
-        # Components compare their handles against the module singletons
-        # by identity (``is NULL_COUNTER``); pickling must round-trip to
-        # the same object, not a copy, or checkpoints would flip every
-        # "is telemetry attached?" check.
-        return (_null_counter, ())
-
-
-class NullGauge(Gauge):
-    def set(self, value: float) -> None:
-        pass
-
-    def __reduce__(self):
-        return (_null_gauge, ())
-
-
-class NullHistogram(Histogram):
-    def observe(self, value: int) -> None:
-        pass
-
-    def __reduce__(self):
-        return (_null_histogram, ())
-
-
-NULL_COUNTER = NullCounter("null")
-NULL_GAUGE = NullGauge("null")
-NULL_HISTOGRAM = NullHistogram("null")
-
-
-def _null_counter() -> NullCounter:
-    return NULL_COUNTER
-
-
-def _null_gauge() -> NullGauge:
-    return NULL_GAUGE
-
-
-def _null_histogram() -> NullHistogram:
-    return NULL_HISTOGRAM
-
-
 class MetricsRegistry:
     """Flat namespace of metrics, created on first use.
 
@@ -268,26 +218,3 @@ class MetricsRegistry:
     def snapshot(self, prefix: str = "") -> Dict[str, dict]:
         """Machine-readable dump of every metric under ``prefix``."""
         return {name: metric.snapshot() for name, metric in self.items(prefix)}
-
-
-class NullRegistry(MetricsRegistry):
-    """Registry twin whose factories return shared no-op metrics."""
-
-    def counter(self, name: str) -> Counter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return NULL_GAUGE
-
-    def histogram(self, name: str) -> Histogram:
-        return NULL_HISTOGRAM
-
-    def __reduce__(self):
-        return (_null_registry, ())
-
-
-NULL_REGISTRY = NullRegistry()
-
-
-def _null_registry() -> NullRegistry:
-    return NULL_REGISTRY

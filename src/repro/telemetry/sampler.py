@@ -5,7 +5,7 @@ The sampler rides the simulation's own event queue: every
 utilisation, MSHR fill, ...) and records each value into a gauge (last
 value) and a histogram (distribution over the run) under
 ``sample.<probe>``. It is only ever constructed when telemetry is
-active, so the null-sink default run schedules no events at all.
+active, so an un-instrumented run schedules no events at all.
 
 The sampler keeps rescheduling itself until :meth:`stop`; the
 simulation loop exits on core completion, so a pending sample event

@@ -13,12 +13,20 @@ the CLI activates a session, ``run_benchmark`` consults it. While a
 session is active the result cache is bypassed for reads (a recalled
 result has no telemetry to contribute), so exported stats always
 describe actual simulated work.
+
+:class:`Counters` is the one way anything in the repo counts events:
+the session's own named counters, the result cache, the store tiers,
+the job store, the service scheduler and the executor each hold one.
+A handle built with a session prefix also adds every count to the
+active session under that prefix, so the counts reach the
+``--stats-json`` manifest without code at the call site.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.telemetry.export import (
     run_manifest,
@@ -27,7 +35,49 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sampler import DEFAULT_INTERVAL
-from repro.telemetry.trace import ChromeTracer, NULL_TRACER, merge_traces, write_trace
+from repro.telemetry.trace import ChromeTracer, merge_traces, write_trace
+
+
+class Counters:
+    """Named event counts, safe to bump from several threads.
+
+    ``names`` start at zero, so a snapshot lists them before their
+    first event; any other name starts at zero on its first
+    :meth:`incr`. With ``session_prefix`` set, every count is also
+    added to the active session's counters as
+    ``<session_prefix><name>``.
+    """
+
+    __slots__ = ("_counts", "_lock", "_session_prefix")
+
+    def __init__(self, names: Iterable[str] = (),
+                 session_prefix: Optional[str] = None) -> None:
+        self._counts: Dict[str, int] = dict.fromkeys(names, 0)
+        self._lock = threading.Lock()
+        self._session_prefix = session_prefix
+
+    def incr(self, name: str, n: int = 1) -> None:
+        self.merge({name: n})
+
+    def merge(self, counts: Mapping[str, int]) -> None:
+        """Add each of ``counts``, e.g. a worker session's snapshot."""
+        with self._lock:
+            for name, n in counts.items():
+                self._counts[name] = self._counts.get(name, 0) + n
+        prefix, session = self._session_prefix, _active
+        if prefix is not None and session is not None:
+            session.counters.merge(
+                {prefix + name: n for name, n in counts.items()})
+
+    def get(self, name: str, default: int = 0) -> int:
+        return self._counts.get(name, default)
+
+    def __getitem__(self, name: str) -> int:
+        return self._counts.get(name, 0)
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
 
 
 class RunTelemetry:
@@ -40,9 +90,10 @@ class RunTelemetry:
         self.memory = memory
         self.sample_interval = sample_interval
         self.registry = MetricsRegistry()
-        self.tracer = (ChromeTracer(cpu_freq_ghz, pid=pid,
-                                    process_name=f"{benchmark}/{memory}")
-                       if trace_enabled else NULL_TRACER)
+        self.tracer: Optional[ChromeTracer] = (
+            ChromeTracer(cpu_freq_ghz, pid=pid,
+                         process_name=f"{benchmark}/{memory}")
+            if trace_enabled else None)
         # Monotonic, not wall-clock: an NTP step or DST shift mid-run
         # must not distort (or negate) the exported duration.
         self.started = time.monotonic()
@@ -62,15 +113,9 @@ class TelemetrySession:
         self.started = time.monotonic()
         self._tracers: List[ChromeTracer] = []
         self.runs: List[dict] = []
-        # Named event counters (retries, failures by kind, cache
-        # quarantines, ...): cheap to bump anywhere, exported with the
-        # run manifest.
-        self.counters: Dict[str, int] = {}
-
-    def incr(self, name: str, n: int = 1) -> int:
-        """Bump a named counter, creating it at zero first."""
-        self.counters[name] = self.counters.get(name, 0) + n
-        return self.counters[name]
+        # Named event counters (retries, failures by kind, cache and
+        # store traffic, ...), exported with the run manifest.
+        self.counters = Counters()
 
     # ------------------------------------------------------------------
 
@@ -79,7 +124,7 @@ class TelemetrySession:
                            cpu_freq_ghz=self.cpu_freq_ghz,
                            trace_enabled=self.trace_enabled,
                            sample_interval=self.sample_interval)
-        if run.tracer.enabled:
+        if run.tracer is not None:
             self._tracers.append(run.tracer)
         return run
 
@@ -106,8 +151,7 @@ class TelemetrySession:
         parent's.
         """
         self.runs.extend(runs)
-        for name, value in (counters or {}).items():
-            self.incr(name, value)
+        self.counters.merge(counters or {})
         if not trace_events:
             return
         pid_map: dict = {}
@@ -130,7 +174,7 @@ class TelemetrySession:
         return run_manifest(config=config, seed=seed, argv=argv,
                             wall_time_s=time.monotonic() - self.started,
                             extra={"num_runs": len(self.runs),
-                                   "counters": dict(self.counters)})
+                                   "counters": self.counters.snapshot()})
 
     def export_stats(self, path: str, config=None,
                      seed: Optional[int] = None,

@@ -30,8 +30,6 @@ PH_COUNTER = "C"
 class ChromeTracer:
     """Collects trace events for one simulated run (one pid)."""
 
-    enabled = True
-
     def __init__(self, cpu_freq_ghz: float = 3.2, pid: int = 0,
                  process_name: Optional[str] = None) -> None:
         self.pid = pid
@@ -114,41 +112,6 @@ class ChromeTracer:
             self.instant("critical_word", req.critical_word_time, track,
                          {"line": req.line_address,
                           "word": req.critical_word})
-
-
-class NullTracer(ChromeTracer):
-    """No-op twin: the default sink for un-instrumented runs."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.events = []
-
-    def complete(self, *args, **kwargs) -> None:
-        pass
-
-    def instant(self, *args, **kwargs) -> None:
-        pass
-
-    def counter(self, *args, **kwargs) -> None:
-        pass
-
-    def record_request(self, req, track: str) -> None:
-        pass
-
-    def __reduce__(self):
-        # Identity checks (``tracer is NULL_TRACER``) gate the tracing
-        # hot path; a checkpointed system must round-trip to the shared
-        # singleton rather than a copy.
-        return (_null_tracer, ())
-
-
-NULL_TRACER = NullTracer()
-
-
-def _null_tracer() -> NullTracer:
-    return NULL_TRACER
 
 
 def merge_traces(tracers) -> dict:

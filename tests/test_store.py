@@ -137,8 +137,8 @@ class TestAtomicWrite:
 
         def bump():
             for _ in range(per_thread):
-                store._emit("hits")
-                cache._count("hits")
+                store.counters.incr("hits")
+                cache.counters.incr("hits")
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -415,7 +415,7 @@ class TestResultCacheCounters:
         real_get_bytes = store.get_bytes
 
         def get_bytes(key, *args):
-            store._emit("quarantined")
+            store.counters.incr("quarantined")
             return real_get_bytes(key, *args)
 
         store.get_bytes = get_bytes
