@@ -546,7 +546,7 @@ def cmd_resume(argv: List[str]) -> int:
                     "completion; the result is byte-identical to an "
                     "uninterrupted run. The checkpoint file is deleted "
                     "on success.")
-    parser.add_argument("checkpoint", help="checkpoint file (ck-*.ckpt)")
+    parser.add_argument("checkpoint", help="checkpoint file (ck-<digest>.ckpt)")
     parser.add_argument("--keep", action="store_true",
                         help="keep the checkpoint file after finishing")
     parser.add_argument("--json", action="store_true",

@@ -26,6 +26,7 @@ from repro.telemetry.session import Counters
 from repro.workloads.profiles import benchmark_names
 
 DEFAULT_READS = 2000
+DEFAULT_CACHE_DIR = ".repro_cache"
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class ExperimentConfig:
 
     target_dram_reads: int = DEFAULT_READS
     benchmarks: Sequence[str] = ()
-    cache_dir: Optional[str] = ".repro_cache"
+    cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     seed: int = 42
     # Parallel worker count for the spec executor: None defers to the
     # REPRO_JOBS environment variable (default 1, fully serial).
@@ -94,7 +95,7 @@ def default_config() -> ExperimentConfig:
     reads = _env_number("REPRO_READS", DEFAULT_READS, int)
     benches = tuple(b for b in os.environ.get("REPRO_BENCHMARKS", "").split(",")
                     if b.strip())
-    cache = os.environ.get("REPRO_CACHE", ".repro_cache")
+    cache = os.environ.get("REPRO_CACHE", DEFAULT_CACHE_DIR)
     keep_going = os.environ.get("REPRO_KEEP_GOING", "").strip().lower()
     ckpt_dir = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
     try:
@@ -129,8 +130,8 @@ class ResultCache:
     ``<file>.corrupt``, never returned.
 
     With ``budget_bytes`` set the tier is size-bounded: writes past the
-    budget LRU-evict the least-recently-accessed unpinned entries (the
-    access journal, not mtime, orders them). An evicted entry reads as
+    budget LRU-evict the least-recently-accessed entries (the access
+    journal, not mtime, orders them). An evicted entry reads as
     a clean miss and is recomputed byte-identically — parallel/serial/
     resume determinism guarantees survive eviction by construction.
     """
@@ -158,12 +159,6 @@ class ResultCache:
         """Underlying artifact-store tier stats (entries/bytes/budget/
         evictions), or None for a disabled cache."""
         return self.store.stats() if self.store is not None else None
-
-    def _path(self, key: str) -> Optional[Path]:
-        """The on-disk index entry for ``key`` (None if caching is off)."""
-        if self.store is None:
-            return None
-        return self.store.index_path(key)
 
     def contains(self, key: str) -> bool:
         """Cheap existence probe (no read, no counters): does an entry
@@ -194,12 +189,8 @@ class ResultCache:
             return None
         result = self._parse(key, raw)
         if result is None:
-            # Readable bytes, wrong shape: schema drift. Quarantine the
-            # blob (the evidence) and drop the index entry.
-            record = self.store._read_index(key)
-            if record is not None:
-                self.store._quarantine(self.store.blob_path(record["digest"]))
-            self.store.delete(key)
+            # Readable bytes, wrong shape: schema drift.
+            self.store.quarantine(key)
             self.counters.incr("quarantined")
             return None
         self.counters.incr("hits")
@@ -226,13 +217,6 @@ class ResultCache:
         data = dataclasses.asdict(result)
         data["__key__"] = key
         self.store.put_bytes(key, json.dumps(data).encode())
-
-    def gc(self, max_bytes: Optional[int] = None,
-           dry_run: bool = False) -> Optional[dict]:
-        """Run the store tier's gc (see :meth:`ArtifactStore.gc`)."""
-        if self.store is None:
-            return None
-        return self.store.gc(max_bytes=max_bytes, dry_run=dry_run)
 
 
 @dataclass

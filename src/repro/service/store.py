@@ -15,9 +15,12 @@ every spec that already completed instead of recomputing it. Finished
 jobs keep their result rows and rendered table in the manifest so
 ``GET /v1/jobs/<id>`` answers without touching the cache.
 
-With ``budget_bytes`` set, :meth:`gc` bounds the directory by
-LRU-evicting *terminal* manifests (queued/running ones are pinned by
-state and never touched), oldest save first.
+The directory is the ``manifests`` store tier
+(:func:`manifest_store`). With ``budget_bytes`` set, :meth:`gc` bounds
+it by LRU-evicting *terminal* manifests, oldest save first: a manifest
+is pinned unless it parses as a finished job. ``repro store verify``
+flags exactly the manifests :meth:`JobStore.load` would quarantine,
+because both judge a file with :func:`_parse_manifest`.
 
 Saves of one job are serialised, and the job is encoded under that
 lock: the HTTP thread that accepted a job and the scheduler thread
@@ -32,7 +35,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.service.jobs import TERMINAL_STATES, Job
 from repro.store import FileStore, atomic_write_bytes, quarantine_file
@@ -40,19 +43,47 @@ from repro.telemetry.session import Counters
 
 DEFAULT_STATE_DIR = ".repro_jobs"
 
+#: The manifest files of a state directory (``<job-id>.json``).
+MANIFEST_PATTERN = "j-*.json"
+
 #: Save locks, striped by job id: bounded however many jobs a server
 #: sees, and two different jobs rarely wait on each other.
 _SAVE_STRIPES = 64
 
 
-def _manifest_pinned(path: Path) -> bool:
-    """Eviction must never touch a manifest still queued or running."""
+def _parse_manifest(path: Path) -> Tuple[Optional[Job], Optional[str]]:
+    """Read one manifest: ``(job, None)`` when this version can load it,
+    ``(None, problem)`` when it is corrupt, and ``(None, None)`` when it
+    cannot be read now (absent, or mid-replace: a race, not
+    corruption)."""
     try:
         data = json.loads(path.read_text())
-        return (not isinstance(data, dict)
-                or data.get("state") not in TERMINAL_STATES)
-    except (OSError, ValueError):
-        return True  # unreadable: refuse to evict what we can't judge
+    except OSError:
+        return None, None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        return None, f"unreadable manifest ({exc})"
+    if not isinstance(data, dict):
+        return None, "manifest is not a job object"
+    try:
+        return Job.from_dict(data), None
+    except Exception as exc:
+        return None, f"not a job this version loads ({exc!r})"
+
+
+def _manifest_pinned(path: Path) -> bool:
+    """Eviction touches only a manifest that parses as a finished job:
+    a queued or running job, or a file it cannot judge, stays."""
+    job, _ = _parse_manifest(path)
+    return job is None or job.state not in TERMINAL_STATES
+
+
+def manifest_store(directory,
+                   budget_bytes: Optional[int] = None) -> FileStore:
+    """The ``manifests`` tier of a state directory."""
+    return FileStore(directory, MANIFEST_PATTERN, tier="manifests",
+                     budget_bytes=budget_bytes,
+                     pinned_check=_manifest_pinned,
+                     validator=lambda path: _parse_manifest(path)[1])
 
 
 class JobStore:
@@ -64,10 +95,7 @@ class JobStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.counters = Counters(("manifests_quarantined",),
                                  session_prefix="service.")
-        self.file_store = FileStore(self.directory, "j-*.json",
-                                    tier="manifests",
-                                    budget_bytes=budget_bytes,
-                                    pinned_check=_manifest_pinned)
+        self.file_store = manifest_store(self.directory, budget_bytes)
         self._save_locks = [threading.RLock()
                             for _ in range(_SAVE_STRIPES)]
 
@@ -108,25 +136,15 @@ class JobStore:
             path = self._path(job_id)
         except ValueError:
             return None
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        job, problem = _parse_manifest(path)
+        if problem is not None:
             return self._quarantine(path)
-        except OSError:
-            return None
-        if not isinstance(data, dict):
-            return self._quarantine(path)
-        try:
-            return Job.from_dict(data)
-        except Exception:
-            return self._quarantine(path)
+        return job
 
     def _quarantine(self, path: Path) -> None:
         """Set a corrupt manifest aside as ``<manifest>.json.corrupt``.
 
-        The renamed file no longer matches the ``j-*.json`` glob, so
+        The renamed file no longer matches :data:`MANIFEST_PATTERN`, so
         listings and recovery skip it naturally.
         """
         quarantine_file(path)
@@ -142,7 +160,7 @@ class JobStore:
         return self.file_store.stats()
 
     def job_ids(self) -> List[str]:
-        return sorted(p.stem for p in self.directory.glob("j-*.json"))
+        return sorted(p.stem for p in self.directory.glob(MANIFEST_PATTERN))
 
     def load_all(self) -> List[Job]:
         jobs = [self.load(job_id) for job_id in self.job_ids()]

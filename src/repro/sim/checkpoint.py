@@ -20,12 +20,15 @@ Snapshots go through the shared artifact-store write path
 (:func:`~repro.store.atomic_write_bytes`: temp sibling + fsync +
 ``os.replace`` + parent-dir fsync) every N simulated DRAM reads, so a
 crash — even a power loss — leaves either the previous complete
-checkpoint or the new complete checkpoint, never a torn one. While a
-run is snapshotting, a ``<file>.ckpt.pin`` sibling carrying the owning
-pid protects the checkpoint from ``repro store gc`` eviction; the pin
-dies with the file (and expires automatically if the process crashes).
-A checkpoint that fails validation on load is quarantined as
-``<file>.corrupt`` and the run starts from scratch.
+checkpoint or the new complete checkpoint, never a torn one. The
+directory is the ``checkpoints`` store tier (:func:`checkpoint_store`).
+While a run is snapshotting, its :class:`~repro.store.FileStore` pin (a
+``<file>.ckpt.pin`` sibling carrying the owning pid) protects the
+checkpoint from ``repro store gc`` eviction; the pin dies with the file
+(and expires automatically if the process crashes). A checkpoint that
+fails validation on load is quarantined as ``<file>.corrupt`` and the
+run starts from scratch; ``repro store verify`` applies the same checks,
+short of unpickling.
 
 Determinism: the snapshot captures the entire event-driven simulator —
 event queue, cores (with their materialized trace iterators), caches,
@@ -46,9 +49,12 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.dram.request import request_id_allocator
-from repro.store import atomic_write_bytes, quarantine_file
+from repro.store import FileStore, atomic_write_bytes, quarantine_file
 
 CHECKPOINT_VERSION = 10
+
+#: The checkpoint files of a directory (see :func:`checkpoint_path`).
+CHECKPOINT_PATTERN = "ck-*.ckpt"
 
 ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 ENV_CHECKPOINT_EVERY = "REPRO_CHECKPOINT_EVERY"
@@ -81,16 +87,19 @@ def checkpoint_path(directory, cache_key: str) -> Path:
     return Path(directory) / f"ck-{digest}.ckpt"
 
 
-def checkpoint_pin_path(path) -> Path:
-    """The pid-carrying pin shielding an in-flight checkpoint from gc."""
-    path = Path(path)
-    return path.with_name(path.name + ".pin")
+def checkpoint_store(directory,
+                     budget_bytes: Optional[int] = None) -> FileStore:
+    """The ``checkpoints`` tier: files pinned while their run lives,
+    validated by :func:`checkpoint_problem`."""
+    return FileStore(directory, CHECKPOINT_PATTERN, tier="checkpoints",
+                     budget_bytes=budget_bytes,
+                     validator=checkpoint_problem)
 
 
 def delete_checkpoint(path) -> None:
     """Remove a checkpoint and its pin (a finished run leaves nothing)."""
-    checkpoint_pin_path(path).unlink(missing_ok=True)
-    Path(path).unlink(missing_ok=True)
+    path = Path(path)
+    checkpoint_store(path.parent).delete(path)
 
 
 class Checkpointer:
@@ -154,10 +163,7 @@ class Checkpointer:
             # Pin on the first snapshot: gc must never evict a
             # checkpoint whose run is still alive. The pin carries our
             # pid, so it expires automatically if we crash.
-            try:
-                checkpoint_pin_path(self.path).write_text(str(os.getpid()))
-            except OSError:  # pragma: no cover - read-only directory
-                pass
+            checkpoint_store(self.path.parent).write_pin(self.path)
         self.saves += 1
         if self.kill_after is not None and self.saves >= self.kill_after:
             os._exit(1)  # injected mid-flight death; checkpoint survives
@@ -166,18 +172,56 @@ class Checkpointer:
 
 def _quarantine(path: Path, reason: str) -> CheckpointError:
     quarantine_file(path)
-    checkpoint_pin_path(path).unlink(missing_ok=True)
+    checkpoint_store(path.parent).drop_pin(path)
     return CheckpointError(f"checkpoint {path}: {reason} (quarantined)")
 
 
-def read_header(path) -> dict:
-    """The JSON header of a checkpoint file (no payload validation)."""
+def _read_checked(path: Path, expect_cache_key: Optional[str] = None
+                  ) -> Tuple[dict, bytes]:
+    """The header and payload of a checkpoint that passes every check
+    short of unpickling: header, version, cache key (when expected),
+    payload length and sha256, request-id position.
+
+    Raises ``ValueError`` naming the first check that fails; an
+    ``OSError`` from reading the file passes through.
+    """
     with open(path, "rb") as handle:
         line = handle.readline()
-    header = json.loads(line)
-    if not isinstance(header, dict):
-        raise ValueError("header is not an object")
-    return header
+        payload = handle.read()
+    try:
+        header = json.loads(line)
+        if not isinstance(header, dict):
+            raise ValueError("header is not an object")
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"unreadable header ({exc})") from None
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"version {header.get('version')!r} != "
+                         f"{CHECKPOINT_VERSION}")
+    if (expect_cache_key is not None
+            and header.get("cache_key") != expect_cache_key):
+        raise ValueError("cache key mismatch (stale spec/config)")
+    if len(payload) != header.get("payload_bytes"):
+        raise ValueError(f"payload truncated ({len(payload)} of "
+                         f"{header.get('payload_bytes')} bytes)")
+    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+        raise ValueError("payload sha256 mismatch")
+    request_ids = header.get("request_ids")
+    if not isinstance(request_ids, int) or request_ids < 0:
+        raise ValueError("missing request-id position")
+    return header, payload
+
+
+def checkpoint_problem(path) -> Optional[str]:
+    """Why :func:`load_checkpoint` would quarantine ``path`` (short of
+    unpickling it), or ``None``. A file that cannot be read now (it
+    finished and was deleted mid-scan) has no problem."""
+    try:
+        _read_checked(Path(path))
+    except OSError:
+        return None
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def load_checkpoint(path, expect_cache_key: Optional[str] = None
@@ -187,41 +231,22 @@ def load_checkpoint(path, expect_cache_key: Optional[str] = None
     Returns ``(system, executed, header)`` with the process-wide
     request-id allocator already rewound to the snapshot position. Any
     validation failure — unreadable header, version or cache-key
-    mismatch, short payload, digest mismatch, unpicklable payload —
-    quarantines the file as ``<file>.corrupt`` and raises
-    :class:`CheckpointError`.
+    mismatch, short payload, digest mismatch, missing request-id
+    position, unpicklable payload — quarantines the file as
+    ``<file>.corrupt`` and raises :class:`CheckpointError`.
     """
     path = Path(path)
     try:
-        with open(path, "rb") as handle:
-            line = handle.readline()
-            header = json.loads(line)
-            if not isinstance(header, dict):
-                raise ValueError("header is not an object")
-            payload = handle.read()
-    except (OSError, ValueError, UnicodeDecodeError) as exc:
+        header, payload = _read_checked(path, expect_cache_key)
+    except OSError as exc:
         raise _quarantine(path, f"unreadable header ({exc})") from None
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise _quarantine(
-            path, f"version {header.get('version')!r} != "
-            f"{CHECKPOINT_VERSION}")
-    if (expect_cache_key is not None
-            and header.get("cache_key") != expect_cache_key):
-        raise _quarantine(path, "cache key mismatch (stale spec/config)")
-    if len(payload) != header.get("payload_bytes"):
-        raise _quarantine(
-            path, f"payload truncated ({len(payload)} of "
-            f"{header.get('payload_bytes')} bytes)")
-    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
-        raise _quarantine(path, "payload sha256 mismatch")
+    except ValueError as exc:
+        raise _quarantine(path, str(exc)) from None
     try:
         system = pickle.loads(payload)
     except Exception as exc:
         raise _quarantine(path, f"unpicklable payload ({exc})") from None
-    request_ids = header.get("request_ids")
-    if not isinstance(request_ids, int) or request_ids < 0:
-        raise _quarantine(path, "missing request-id position")
-    request_id_allocator().next_id = request_ids
+    request_id_allocator().next_id = header["request_ids"]
     return system, int(header.get("executed", 0)), header
 
 

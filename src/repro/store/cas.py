@@ -1,38 +1,38 @@
 """Content-addressed, size-bounded artifact store.
 
-One subsystem now backs every on-disk tier the repo grew over nine
-PRs — the simulation :class:`~repro.experiments.runner.ResultCache`,
-``sim/checkpoint.py`` snapshots, and the service
-:class:`~repro.service.store.JobStore` manifests — the way TL-DRAM
-exploits reuse under a bounded fast tier: a high-hit-rate cache of
-bounded size in front of arbitrarily expensive recompute. An evicted
-entry is never an error, only a clean recompute.
+Every on-disk tier sits on this module: the simulation
+:class:`~repro.experiments.runner.ResultCache`, ``sim/checkpoint.py``
+snapshots, and the service :class:`~repro.service.store.JobStore`
+manifests. Like TL-DRAM's bounded fast tier, each is a high-hit-rate
+cache of bounded size in front of arbitrarily expensive recompute: an
+evicted entry is never an error, only a clean recompute.
 
 Two store flavours share the discipline:
 
 :class:`ArtifactStore` (the *results* tier)
     sha256-addressed blobs under ``blobs/``, deduplicated across keys,
-    with a ``index/<keydigest>.json`` key→digest index replacing the old
-    flat ``<digest>.json`` layout. Every ``get`` re-verifies the blob
-    digest, so bit rot is caught (and quarantined) before a caller sees
-    it. Reads don't rewrite files, so LRU state lives in an append-only
-    access-time ``journal.log`` (compacted by ``gc``).
+    behind an ``index/<keydigest>.json`` key→digest index. Every
+    ``get`` re-verifies the blob digest, so bit rot is caught (and
+    quarantined) before a caller sees it. Reads don't rewrite files,
+    so LRU state lives in an append-only access-time ``journal.log``
+    (compacted by ``gc``).
 
 :class:`FileStore` (the *checkpoints* and *manifests* tiers)
-    wraps a directory of standalone content-validated files
-    (``ck-*.ckpt``, ``j-*.json``) that external tooling addresses by
-    path; writes update mtime, so mtime is the LRU clock and no journal
-    is kept (their directories must stay empty-able — checkpoint tests
-    assert a finished run leaves nothing behind).
+    wraps a directory of standalone files that their owners address by
+    path. The owner defines the tier: its file pattern, which entries
+    are pinned, and what makes a file invalid. Writes update mtime, so
+    mtime is the LRU clock and no journal is kept (the directories must
+    stay empty-able: a finished run leaves no checkpoint behind).
+    Entries are pinned by a ``<name>.pin`` sibling carrying the owning
+    pid (the pin of a dead process expires, so a crashed writer cannot
+    strand disk) or by the owner's rule.
 
-Both enforce a per-tier byte budget with LRU eviction, skip *pinned*
-entries (a ``<name>.pin`` sibling carrying the owning pid — pins of
-dead processes expire automatically, so a crashed writer cannot strand
-disk), quarantine corruption as ``<file>.corrupt``, and add their
-``hits/misses/writes/evictions/quarantined`` counters to any active
-telemetry session as ``store.<tier>.<event>`` so they surface in
-``repro report --json`` manifests; the service ``/metrics`` reads them
-from :meth:`stats`.
+Both enforce a per-tier byte budget with LRU eviction that skips
+pinned entries, quarantine corruption as ``<file>.corrupt``, and add
+their ``hits/misses/writes/evictions/quarantined`` counters to any
+active telemetry session as ``store.<tier>.<event>`` so they surface
+in ``python -m repro.report --json`` manifests; the service
+``/metrics`` reads them from :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.store.atomic import (
     CORRUPT_SUFFIX,
@@ -57,10 +57,6 @@ from repro.telemetry.session import Counters
 #: indexes are addressed by it: changing it orphans every entry.
 KEY_DIGEST_LEN = 24
 
-#: Over-budget slack tolerated between automatic gc passes: a put only
-#: triggers eviction once the (locally estimated) usage exceeds the
-#: budget, so concurrent writers overshoot by at most their in-flight
-#: entries, never unboundedly.
 _JOURNAL_NAME = "journal.log"
 
 
@@ -103,13 +99,13 @@ class StoreEntry:
     path: Path            # index file (CAS) or the entry file itself
     size: int             # bytes charged against the tier budget
     last_access: float    # unix seconds (journal or mtime)
-    pinned: bool = False
+    pinned: bool = False  # FileStore only
     digest: str = ""      # blob sha256 (CAS only)
     access_seq: int = -1  # journal position of the last access (CAS only)
 
 
 class _StoreBase:
-    """Counters, pins, eviction and stats shared by both store flavours.
+    """Counters, eviction and stats shared by both store flavours.
 
     A store handle may be shared by threads (the service reads the
     results tier on HTTP threads while its scheduler thread writes
@@ -145,26 +141,6 @@ class _StoreBase:
         """Disk bytes of the tier, given its ``entries()``."""
         return sum(entry.size for entry in entries)
 
-    # -- pins ----------------------------------------------------------
-
-    def _pin_path(self, entry_path: Path) -> Path:
-        return entry_path.with_name(entry_path.name + ".pin")
-
-    def pin_path_live(self, entry_path: Path) -> bool:
-        pin = self._pin_path(entry_path)
-        return pin.exists() and _pin_live(pin)
-
-    def write_pin(self, entry_path: Path) -> None:
-        pin = self._pin_path(entry_path)
-        try:
-            pin.parent.mkdir(parents=True, exist_ok=True)
-            pin.write_text(str(os.getpid()))
-        except OSError:  # pragma: no cover - read-only store
-            pass
-
-    def drop_pin(self, entry_path: Path) -> None:
-        self._pin_path(entry_path).unlink(missing_ok=True)
-
     # -- shared eviction loop ------------------------------------------
 
     def _evict_lru(self, entries: List[StoreEntry], used: int,
@@ -199,6 +175,32 @@ class _StoreBase:
         return report
 
 
+def _read_record(path: Path, key: Optional[str] = None
+                 ) -> Tuple[Optional[dict], Optional[str]]:
+    """Read one index record: ``(record, None)`` when it is well formed,
+    ``(None, problem)`` when it is corrupt, and ``(None, None)`` when
+    there is nothing to judge.
+
+    An ``OSError`` is a read race (the file is absent, or mid-replace),
+    not corruption. With ``key`` given, a record naming another key (a
+    truncated-digest collision) is not ours to judge either: the key
+    is checked before the shape.
+    """
+    try:
+        record = json.loads(path.read_text())
+    except OSError:
+        return None, None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        return None, f"unreadable index ({exc})"
+    if not isinstance(record, dict):
+        return None, "index record is not an object"
+    if key is not None and record.get("key") != key:
+        return None, None
+    if not isinstance(record.get("digest"), str):
+        return None, "index record has no digest string"
+    return record, None
+
+
 class ArtifactStore(_StoreBase):
     """sha256-addressed blob store with a key index and an LRU journal.
 
@@ -212,14 +214,12 @@ class ArtifactStore(_StoreBase):
     ``get_bytes`` verifies the payload digest on every read; an entry
     whose bytes no longer hash to its name is quarantined, never
     returned. Identical payloads stored under different keys share one
-    blob (``dedup_hits`` counts the savings).
+    blob (``dedup_hits`` counts the savings). No entry is pinned.
     """
 
     def __init__(self, directory, tier: str = "results",
-                 budget_bytes: Optional[int] = None,
-                 durable: bool = True) -> None:
+                 budget_bytes: Optional[int] = None) -> None:
         super().__init__(directory, tier, budget_bytes)
-        self.durable = durable
         self.index_dir = self.directory / "index"
         self.blobs_dir = self.directory / "blobs"
         self.locks_dir = self.directory / "locks"
@@ -277,7 +277,7 @@ class ArtifactStore(_StoreBase):
 
     # -- core API ------------------------------------------------------
 
-    def put_bytes(self, key: str, data: bytes, pin: bool = False) -> str:
+    def put_bytes(self, key: str, data: bytes) -> str:
         """Store ``data`` under ``key``; returns the content digest.
 
         The blob is published first, then the index entry — a reader
@@ -290,18 +290,15 @@ class ArtifactStore(_StoreBase):
         if blob.exists():
             self.counters.incr("dedup_hits")
         else:
-            atomic_write_bytes(blob, data, durable=self.durable)
+            atomic_write_bytes(blob, data)
         entry = {"key": key, "digest": digest, "size": len(data),
                  "created_unix": time.time()}
         kd = key_digest(key)
         with file_lock(self.locks_dir / f"{kd}.lock"):
             atomic_write_bytes(self.index_path(key),
-                               json.dumps(entry).encode(),
-                               durable=self.durable)
+                               json.dumps(entry).encode())
         self._journal(kd)
         self.counters.incr("writes")
-        if pin:
-            self.write_pin(self.index_path(key))
         if self.budget_bytes is not None:
             if self._approx_bytes is None:
                 self._approx_bytes = self.total_bytes()
@@ -315,29 +312,10 @@ class ArtifactStore(_StoreBase):
                     quarantined: Optional[List[Path]] = None
                     ) -> Optional[dict]:
         path = self.index_path(key)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        record, problem = _read_record(path, key)
+        if problem is not None:
             self._quarantine(path, quarantined)
-            return None
-        except OSError:
-            return None  # read race (mid-replace), not corruption
-        if not isinstance(data, dict):
-            self._quarantine(path, quarantined)
-            return None
-        # Key check before schema check: a record naming another key
-        # (truncated-digest collision, or a legacy-format payload with
-        # a different ``__key__``) is not ours to judge — a plain miss,
-        # left in place. Only a record claiming *this* key with a
-        # broken shape is corruption.
-        if data.get("key", data.get("__key__")) != key:
-            return None
-        if not isinstance(data.get("digest"), str):
-            self._quarantine(path, quarantined)
-            return None
-        return data
+        return record
 
     def get_bytes(self, key: str,
                   quarantined: Optional[List[Path]] = None
@@ -376,16 +354,17 @@ class ArtifactStore(_StoreBase):
         return self.index_path(key).exists()
 
     def delete(self, key: str) -> None:
-        path = self.index_path(key)
-        self.drop_pin(path)
-        path.unlink(missing_ok=True)
+        self.index_path(key).unlink(missing_ok=True)
         # The blob may be shared; orphan blobs are collected by gc.
 
-    def pin(self, key: str) -> None:
-        self.write_pin(self.index_path(key))
-
-    def unpin(self, key: str) -> None:
-        self.drop_pin(self.index_path(key))
+    def quarantine(self, key: str) -> None:
+        """Set ``key``'s blob aside as ``<blob>.corrupt`` and drop its
+        index entry: its bytes hash right but the caller cannot use
+        them (schema drift)."""
+        record = self._read_index(key)
+        if record is not None:
+            self._quarantine(self.blob_path(record["digest"]))
+        self.delete(key)
 
     def _quarantine(self, path: Path,
                     quarantined: Optional[List[Path]] = None) -> None:
@@ -401,13 +380,10 @@ class ArtifactStore(_StoreBase):
         accesses = self._last_access_map()
         seq = {kd: i for i, kd in enumerate(accesses)}
         for path in sorted(self.index_dir.glob("*.json")):
-            try:
-                record = json.loads(path.read_text())
-                if (not isinstance(record, dict)
-                        or not isinstance(record.get("digest"), str)):
-                    raise ValueError("not an index record")
-            except (OSError, ValueError):
+            record, problem = _read_record(path)
+            if problem is not None:
                 self._quarantine(path)
+            if record is None:
                 continue
             out.append(StoreEntry(
                 key=record.get("key", path.stem),
@@ -416,7 +392,6 @@ class ArtifactStore(_StoreBase):
                 last_access=accesses.get(
                     path.stem, _mtime_or(path, record.get("created_unix",
                                                           0.0))),
-                pinned=self.pin_path_live(path),
                 access_seq=seq.get(path.stem, -1),
                 digest=record["digest"]))
         return out
@@ -453,13 +428,11 @@ class ArtifactStore(_StoreBase):
             if self.blob_path(entry.digest).exists():
                 live.append(entry)
             elif not dry_run:
-                self.drop_pin(entry.path)
                 entry.path.unlink(missing_ok=True)
         used = self.total_bytes()
         report = self._evict_lru(
             live, used, budget if budget is not None else used,
-            dry_run, lambda e: (self.drop_pin(e.path),
-                                e.path.unlink(missing_ok=True)))
+            dry_run, lambda e: e.path.unlink(missing_ok=True))
         if not dry_run:
             self._sweep_orphan_blobs(report)
             self._compact_journal()
@@ -497,16 +470,14 @@ class ArtifactStore(_StoreBase):
         """
         problems: List[str] = []
         for path in sorted(self.index_dir.glob("*.json")):
-            try:
-                record = json.loads(path.read_text())
-                if not isinstance(record, dict):
-                    raise ValueError("index record is not an object")
-                digest = record["digest"]
-            except (OSError, ValueError, KeyError) as exc:
-                problems.append(f"{path.name}: unreadable index ({exc})")
+            record, problem = _read_record(path)
+            if problem is not None:
+                problems.append(f"{path.name}: {problem}")
                 if repair:
                     self._quarantine(path)
+            if record is None:
                 continue
+            digest = record["digest"]
             blob = self.blob_path(digest)
             try:
                 data = blob.read_bytes()
@@ -528,15 +499,18 @@ class ArtifactStore(_StoreBase):
 class FileStore(_StoreBase):
     """Budget/pin/verify management for a directory of standalone files.
 
-    Checkpoints (``ck-*.ckpt``) and job manifests (``j-*.json``) are
-    addressed by path from outside the store, so their on-disk layout
-    stays flat; this class brings them under the same eviction,
-    pinning, and verification regime as the CAS tier. Each save
-    rewrites the file (updating mtime), so mtime is the LRU clock.
+    Checkpoints and job manifests are addressed by path from outside
+    the store, so their on-disk layout stays flat; this class brings
+    them under the same eviction and verification regime as the CAS
+    tier. Each save rewrites the file (updating mtime), so mtime is the
+    LRU clock. The module that writes a tier defines it once
+    (``pattern``, ``pinned_check``, ``validator``) and every user builds
+    the tier from that definition.
 
-    ``pinned_check`` marks entries eviction must never touch even
-    without a ``.pin`` sibling — e.g. a job manifest whose recorded
-    state is still ``queued``/``running``.
+    An entry is pinned while a live process holds its ``.pin`` sibling
+    (:meth:`write_pin`), or while ``pinned_check`` says so, e.g. for a
+    job manifest still ``queued``/``running``. ``validator`` names what
+    is wrong with a file (``None`` when nothing is).
     """
 
     def __init__(self, directory, pattern: str, tier: str,
@@ -549,6 +523,29 @@ class FileStore(_StoreBase):
         self.pinned_check = pinned_check
         self.validator = validator
 
+    # -- pins ----------------------------------------------------------
+
+    @staticmethod
+    def _pin_path(path: Path) -> Path:
+        return path.with_name(path.name + ".pin")
+
+    def write_pin(self, path: Path) -> None:
+        """Shield ``path`` from eviction while this process lives."""
+        try:
+            self._pin_path(path).write_text(str(os.getpid()))
+        except OSError:  # pragma: no cover - read-only directory
+            pass
+
+    def drop_pin(self, path: Path) -> None:
+        self._pin_path(path).unlink(missing_ok=True)
+
+    def delete(self, path: Path) -> None:
+        """Remove an entry and its pin."""
+        self.drop_pin(path)
+        path.unlink(missing_ok=True)
+
+    # -- scanning / gc -------------------------------------------------
+
     def entries(self) -> List[StoreEntry]:
         out: List[StoreEntry] = []
         for path in sorted(self.directory.glob(self.pattern)):
@@ -556,15 +553,12 @@ class FileStore(_StoreBase):
                     or ".tmp." in path.name:
                 continue
             size = _size_or_zero(path)
-            pinned = self.pin_path_live(path) or bool(
+            pinned = _pin_live(self._pin_path(path)) or bool(
                 self.pinned_check and self.pinned_check(path))
             out.append(StoreEntry(key=path.name, path=path, size=size,
                                   last_access=_mtime_or(path, 0.0),
                                   pinned=pinned))
         return out
-
-    def total_bytes(self) -> int:
-        return sum(entry.size for entry in self.entries())
 
     def gc(self, max_bytes: Optional[int] = None,
            dry_run: bool = False) -> dict:
@@ -574,8 +568,7 @@ class FileStore(_StoreBase):
         used = sum(entry.size for entry in entries)
         return self._evict_lru(
             entries, used, budget if budget is not None else used,
-            dry_run, lambda e: (self.drop_pin(e.path),
-                                e.path.unlink(missing_ok=True)))
+            dry_run, lambda e: self.delete(e.path))
 
     def verify(self, repair: bool = False) -> List[str]:
         problems: List[str] = []

@@ -9,13 +9,18 @@ Usage::
     repro store verify                    # end-to-end digest checks
     repro store verify --repair           # quarantine what fails
 
-Tiers are discovered from the usual knobs — ``--cache`` (default
+Tiers are discovered from the usual knobs: ``--cache`` (default
 ``REPRO_CACHE`` or ``.repro_cache``), ``--jobs-dir`` (default
 ``.repro_jobs``), ``--checkpoint-dir`` (default
-``REPRO_CHECKPOINT_DIR``) — and silently skipped when the directory
-does not exist. ``gc`` never touches pinned entries (in-flight
-checkpoints, queued/running job manifests); ``verify`` exits 1 when
-problems remain so CI can gate on store health.
+``REPRO_CHECKPOINT_DIR``). A default directory that does not exist is
+skipped; a directory named on the command line must exist. Each tier
+is built from its owner's definition, so ``gc`` pins and ``verify``
+judges exactly what the code that writes the tier would: results
+through :class:`~repro.store.ArtifactStore`, manifests through
+:func:`~repro.service.store.manifest_store`, checkpoints through
+:func:`~repro.sim.checkpoint.checkpoint_store`. ``gc`` never touches
+pinned entries (in-flight checkpoints, manifests not yet finished);
+``verify`` exits 1 when problems remain so CI can gate on store health.
 """
 
 from __future__ import annotations
@@ -27,77 +32,38 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro.experiments.runner import DEFAULT_CACHE_DIR
+from repro.service.store import DEFAULT_STATE_DIR, manifest_store
+from repro.sim.checkpoint import ENV_CHECKPOINT_DIR, checkpoint_store
 from repro.store.atomic import format_size, parse_size
-from repro.store.cas import ArtifactStore, FileStore
-
-
-def _manifest_pinned(path: Path) -> bool:
-    """A queued/running job manifest must survive any gc."""
-    from repro.service.jobs import TERMINAL_STATES
-    try:
-        data = json.loads(path.read_text())
-        return (isinstance(data, dict)
-                and data.get("state") not in TERMINAL_STATES)
-    except (OSError, ValueError):
-        return True  # unreadable: refuse to evict what we can't judge
-
-
-def _manifest_problem(path: Path) -> Optional[str]:
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        return f"unreadable manifest ({exc})"
-    if not isinstance(data, dict) or not data.get("id"):
-        return "manifest is not a job object"
-    return None
-
-
-def _checkpoint_problem(path: Path) -> Optional[str]:
-    import hashlib
-
-    from repro.sim.checkpoint import read_header
-    try:
-        header = read_header(path)
-        with open(path, "rb") as handle:
-            handle.readline()
-            payload = handle.read()
-    except (OSError, ValueError) as exc:
-        return f"unreadable header ({exc})"
-    if len(payload) != header.get("payload_bytes"):
-        return (f"payload truncated ({len(payload)} of "
-                f"{header.get('payload_bytes')} bytes)")
-    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
-        return "payload sha256 mismatch"
-    return None
+from repro.store.cas import ArtifactStore
 
 
 def discover_tiers(cache_dir: Optional[str], jobs_dir: Optional[str],
                    checkpoint_dir: Optional[str],
                    budget: Optional[int] = None) -> List[object]:
-    """Stores for every tier whose directory exists (explicit or default)."""
-    explicit = cache_dir or jobs_dir or checkpoint_dir
-    cache_dir = cache_dir or os.environ.get("REPRO_CACHE") or ".repro_cache"
-    jobs_dir = jobs_dir or ".repro_jobs"
-    checkpoint_dir = (checkpoint_dir
-                      or os.environ.get("REPRO_CHECKPOINT_DIR") or "")
-    tiers: List[object] = []
-    if cache_dir.lower() != "off" and Path(cache_dir).is_dir():
-        tiers.append(ArtifactStore(cache_dir, tier="results",
-                                   budget_bytes=budget))
-    if jobs_dir and Path(jobs_dir).is_dir():
-        tiers.append(FileStore(jobs_dir, "j-*.json", tier="manifests",
-                               budget_bytes=budget,
-                               pinned_check=_manifest_pinned,
-                               validator=_manifest_problem))
-    if checkpoint_dir and Path(checkpoint_dir).is_dir():
-        tiers.append(FileStore(checkpoint_dir, "ck-*.ckpt",
-                               tier="checkpoints", budget_bytes=budget,
-                               validator=_checkpoint_problem))
-    if explicit and not tiers:
-        raise SystemExit(
-            f"repro store: no store found under the given director"
-            f"{'ies' if sum(bool(d) for d in (cache_dir, jobs_dir)) > 1 else 'y'}")
-    return tiers
+    """Stores for every tier whose directory exists.
+
+    A directory named here must exist (``off`` names no cache); an
+    unnamed tier falls back to its default directory, skipped when
+    absent.
+    """
+    missing = [d for d in (cache_dir, jobs_dir, checkpoint_dir)
+               if d and d.lower() != "off" and not Path(d).is_dir()]
+    if missing:
+        raise SystemExit("repro store: no such directory: "
+                         + ", ".join(missing))
+    cache_dir = cache_dir or os.environ.get("REPRO_CACHE") or DEFAULT_CACHE_DIR
+    builders = (
+        (None if cache_dir.lower() == "off" else cache_dir,
+         lambda d: ArtifactStore(d, budget_bytes=budget)),
+        (jobs_dir or DEFAULT_STATE_DIR,
+         lambda d: manifest_store(d, budget)),
+        (checkpoint_dir or os.environ.get(ENV_CHECKPOINT_DIR),
+         lambda d: checkpoint_store(d, budget)),
+    )
+    return [build(directory) for directory, build in builders
+            if directory and Path(directory).is_dir()]
 
 
 def _parse_common(prog: str, argv: List[str], extra=None

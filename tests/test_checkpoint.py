@@ -29,7 +29,6 @@ from repro.sim.checkpoint import (
     checkpoint_every,
     checkpoint_path,
     load_checkpoint,
-    read_header,
     simulate_checkpointed,
 )
 from repro.sim.config import SimConfig
@@ -103,7 +102,7 @@ def test_midrun_snapshot_resumes_byte_identical(tmp_path, sim_config,
     uninterrupted.benchmark = "mcf"  # run() leaves the label to callers
     assert result_bytes(uninterrupted) == baseline
 
-    header = read_header(path)
+    header = json.loads(path.read_bytes().partition(b"\n")[0])
     assert header["version"] == CHECKPOINT_VERSION
     assert header["cache_key"] == "key-1"
     assert header["benchmark"] == "mcf"

@@ -505,7 +505,7 @@ class TestCacheStats:
     def test_corrupt_entry_counted_as_quarantined(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put("key", make_result())
-        cache._path("key").write_text("not json {")
+        cache.store.index_path("key").write_text("not json {")
         assert cache.get("key") is None
         assert cache.stats()["quarantined"] == 1
 

@@ -228,7 +228,7 @@ class TestResolveJobsValidation:
 
 class TestCacheQuarantine:
     def _entry_path(self, cache, key):
-        return cache._path(key)
+        return cache.store.index_path(key)
 
     def test_corrupt_json_is_quarantined(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -241,14 +241,14 @@ class TestCacheQuarantine:
     def test_schema_drift_is_quarantined(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         path = self._entry_path(cache, "key")
-        path.write_text(json.dumps({"__key__": "key", "not_a_field": 1}))
+        path.write_text(json.dumps({"key": "key", "not_a_field": 1}))
         assert cache.get("key") is None
         assert path.with_suffix(".json.corrupt").exists()
 
     def test_key_mismatch_is_a_plain_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         path = self._entry_path(cache, "key")
-        path.write_text(json.dumps({"__key__": "other-key"}))
+        path.write_text(json.dumps({"key": "other-key"}))
         assert cache.get("key") is None
         assert path.exists()  # left in place: valid entry, different key
 

@@ -9,9 +9,10 @@ The tentpole guarantees under test:
 * content addressing — payload digests are re-verified on read, bit
   rot quarantines instead of returning garbage;
 * size bounding — a tier filled past its byte budget LRU-evicts
-  unpinned entries (journal order, not mtime), pinned entries survive,
-  and an evicted cache entry is recomputed *byte-identically* on the
-  next request, never surfaced as an error;
+  unpinned entries (journal order, not mtime), pinned checkpoints and
+  unfinished job manifests survive, and an evicted cache entry is
+  recomputed *byte-identically* on the next request, never surfaced as
+  an error;
 * concurrency — multi-process writers under the per-key flock never
   produce a torn or lost entry.
 
@@ -39,15 +40,15 @@ from repro.service.client import parse_retry_after
 from repro.service.jobs import Job
 from repro.service.store import JobStore
 from repro.sim.checkpoint import (
+    CHECKPOINT_VERSION,
     Checkpointer,
     checkpoint_path,
-    checkpoint_pin_path,
+    checkpoint_store,
     delete_checkpoint,
 )
 from repro.sim.system import SimResult
 from repro.store import (
     ArtifactStore,
-    FileStore,
     atomic_write_bytes,
     format_size,
     key_digest,
@@ -131,7 +132,7 @@ class TestAtomicWrite:
     def test_counter_updates_from_many_threads_all_land(self, tmp_path):
         """The service bumps one store's counters from HTTP threads and
         the scheduler thread at once; no increment may be lost."""
-        store = ArtifactStore(tmp_path / "store", durable=False)
+        store = ArtifactStore(tmp_path / "store")
         cache = ResultCache(str(tmp_path / "cache"))
         per_thread, workers = 1500, 8
 
@@ -303,26 +304,14 @@ class TestEviction:
         report = store.gc(max_bytes=store.total_bytes() - 2000)
         assert report["evicted"] == ["key-2", "key-3"]
 
-    def test_pinned_entries_survive_zero_budget(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put_bytes("pinned", b"precious", pin=True)
-        store.put_bytes("victim", b"expendable")
-        report = store.gc(max_bytes=0)
-        assert report["pinned_kept"] == 1
-        assert store.get_bytes("pinned") == b"precious"
-        assert store.get_bytes("victim") is None
-        store.unpin("pinned")
-        store.gc(max_bytes=0)
-        assert store.get_bytes("pinned") is None
-
     def test_dead_process_pin_expires(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put_bytes("stale", b"abandoned")
-        pin = store.index_path("stale").with_name(
-            store.index_path("stale").name + ".pin")
+        path = checkpoint_path(tmp_path, "stale")
+        path.write_bytes(b"abandoned")
+        pin = path.with_name(path.name + ".pin")
         pin.write_text("999999999")  # pid that cannot exist
-        store.gc(max_bytes=0)
-        assert store.get_bytes("stale") is None
+        report = checkpoint_store(tmp_path).gc(max_bytes=0)
+        assert report["evicted"] == [path.name]
+        assert list(tmp_path.iterdir()) == []  # entry and pin both gone
 
     def test_gc_sweeps_orphan_blobs_and_compacts_journal(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -400,7 +389,7 @@ class TestResultCacheCounters:
     def test_own_quarantine_counts_as_quarantined(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put("key", make_result())
-        record = json.loads(cache._path("key").read_text())
+        record = json.loads(cache.store.index_path("key").read_text())
         cache.store.blob_path(record["digest"]).write_bytes(b"rot")
         assert cache.get("key") is None
         stats = cache.stats()
@@ -432,7 +421,7 @@ class TestBudgetedRecompute:
         first = run_specs([spec], config, jobs=1)[spec]
 
         cache = ResultCache(str(tmp_path))
-        cache.gc(max_bytes=0)
+        cache.store.gc(max_bytes=0)
         assert not cache.contains(spec_cache_key(spec, config))
 
         second = run_specs([spec], config, jobs=1)[spec]
@@ -520,11 +509,10 @@ class TestCheckpointPins:
         path = checkpoint_path(tmp_path, "cache-key")
         ckpt = Checkpointer(path, "cache-key", every_reads=100)
         assert ckpt.save(self._FakeSystem(), executed=1)
-        pin = checkpoint_pin_path(path)
+        pin = path.with_name(path.name + ".pin")
         assert pin.exists() and pin.read_text() == str(os.getpid())
         # A live pin shields the checkpoint from gc.
-        store = FileStore(tmp_path, "ck-*.ckpt", tier="checkpoints")
-        report = store.gc(max_bytes=0)
+        report = checkpoint_store(tmp_path).gc(max_bytes=0)
         assert report["pinned_kept"] == 1 and path.exists()
         delete_checkpoint(path)
         assert list(tmp_path.iterdir()) == []  # nothing left behind
@@ -570,6 +558,75 @@ class TestStoreCli:
 
     def test_unknown_subcommand_usage(self, capsys):
         assert cmd_store(["frobnicate"]) == 2
+
+
+class TestStoreCliOwnersRules:
+    """``repro store`` judges each tier by the rules of the code that
+    writes it: what the owner keeps, gc keeps; what the owner would
+    quarantine, verify flags."""
+
+    @pytest.fixture(autouse=True)
+    def isolated(self, tmp_path, monkeypatch):
+        # No default tier of the working directory may join in.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+
+    def test_gc_keeps_a_manifest_the_server_keeps(self, tmp_path):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        path = jobs / "j-list0001.json"
+        path.write_text("[]")
+        assert JobStore(str(jobs)).gc(max_bytes=0)["pinned_kept"] == 1
+        assert cmd_store(["gc", "--jobs-dir", str(jobs),
+                          "--max-bytes", "0"]) == 0
+        assert path.exists()
+
+    def test_verify_flags_a_manifest_load_quarantines(self, tmp_path,
+                                                      capsys):
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        (jobs / "j-drift001.json").write_text(json.dumps({
+            "id": "j-drift001", "state": "done",
+            "specs": [{"spec": {"benchmark": "no-such-benchmark",
+                                "memory": "ddr3"}}]}))
+        assert cmd_store(["verify", "--jobs-dir", str(jobs)]) == 1
+        assert "j-drift001.json" in capsys.readouterr().out
+        store = JobStore(str(jobs))
+        assert store.load("j-drift001") is None
+        assert store.counters["manifests_quarantined"] == 1
+        assert cmd_store(["verify", "--jobs-dir", str(jobs)]) == 0
+
+    def test_verify_flags_a_checkpoint_of_another_version(self, tmp_path,
+                                                          capsys):
+        directory = tmp_path / "ckpt"
+        path = checkpoint_path(directory, "key")
+        system = TestCheckpointPins._FakeSystem()
+        assert Checkpointer(path, "key").save(system, executed=0)
+        header_line, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(header_line)
+        header["version"] = CHECKPOINT_VERSION - 1  # digest still valid
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert cmd_store(["verify", "--checkpoint-dir", str(directory)]) == 1
+        assert (f"version {CHECKPOINT_VERSION - 1}"
+                in capsys.readouterr().out)
+
+    def test_verify_flags_a_non_string_digest(self, tmp_path, capsys):
+        store = ArtifactStore(tmp_path / "cache")
+        index = store.index_path("k")
+        index.write_text(json.dumps({"key": "k", "digest": 7}))
+        assert cmd_store(["verify", "--cache", str(tmp_path / "cache")]) == 1
+        assert index.name in capsys.readouterr().out
+
+    def test_named_missing_directory_is_an_error(self, tmp_path, capsys):
+        ArtifactStore(tmp_path / ".repro_cache").put_bytes("k", b"v")
+        missing = tmp_path / "nonexistent" / "jobs"
+        with pytest.raises(SystemExit) as exc:
+            cmd_store(["stats", "--jobs-dir", str(missing)])
+        assert str(exc.value) == f"repro store: no such directory: {missing}"
+        # An absent default directory is still skipped.
+        assert cmd_store(["stats"]) == 0
+        assert capsys.readouterr().out.startswith("results ")
 
 
 # ---------------------------------------------------------------------------

@@ -460,7 +460,7 @@ class TestResultCacheHardening:
 
     def test_truncated_json_is_a_miss_and_rewritable(self, tmp_path):
         cache, result = self._cache_with_entry(tmp_path)
-        path = cache._path("k")
+        path = cache.store.index_path("k")
         path.write_text(path.read_text()[:40])     # truncate mid-object
         assert cache.get("k") is None
         cache.put("k", result)                      # rewrite works
@@ -468,16 +468,16 @@ class TestResultCacheHardening:
 
     def test_garbage_bytes_are_a_miss(self, tmp_path):
         cache, _ = self._cache_with_entry(tmp_path)
-        cache._path("k").write_bytes(b"\x00\xff not json")
+        cache.store.index_path("k").write_bytes(b"\x00\xff not json")
         assert cache.get("k") is None
 
     def test_non_dict_payload_is_a_miss(self, tmp_path):
         cache, _ = self._cache_with_entry(tmp_path)
-        cache._path("k").write_text("[1, 2, 3]")
+        cache.store.index_path("k").write_text("[1, 2, 3]")
         assert cache.get("k") is None
 
     def test_schema_drift_is_a_miss(self, tmp_path):
         cache, _ = self._cache_with_entry(tmp_path)
-        cache._path("k").write_text(json.dumps(
-            {"__key__": "k", "no_such_field": 1}))
+        cache.store.index_path("k").write_text(json.dumps(
+            {"key": "k", "no_such_field": 1}))
         assert cache.get("k") is None
