@@ -40,9 +40,10 @@ def _run(telemetry=None):
     config = SimConfig(memory="rl", target_dram_reads=READS)
     profile = profile_for(BENCH)
     traces = make_traces(profile, config)
-    system = SimulationSystem(config, traces, profile=profile,
-                              telemetry=telemetry)
+    system = SimulationSystem(config, traces, profile=profile)
     prewarm_l2(system, profile)
+    if telemetry is not None:
+        system.attach_telemetry(telemetry)
     return system.run()
 
 

@@ -10,10 +10,11 @@ all DRAM fetches (paper: word 0 critical for >50 % of fetches in 21 of
 These are trace-level profiles: we drive the cache hierarchy with the
 benchmark's traces on the baseline memory and observe demand LLC misses
 through :class:`~repro.core.criticality.CriticalityProfiler`. The
-profiling pass is a named runner, so it parallelises and caches like
-ordinary runs. Fig 3 is a view of that pass: it reads the finished
-profiling simulation (Fig 4 needs it too, so a suite runs it once) and
-packs the live profiler's per-line histograms into ``SimResult.extra``.
+profiling pass is a named runner, so it parallelises, caches,
+checkpoints and reaches ``--stats-json`` like ordinary runs. Fig 3 is
+a view of that pass: it reads the finished profiling simulation (Fig 4
+needs it too, so a suite runs it once) and packs the live profiler's
+per-line histograms into ``SimResult.extra``.
 """
 
 from __future__ import annotations

@@ -50,10 +50,10 @@ class ExperimentConfig:
     keep_going: bool = False
     degrade_serial: bool = False
     # Crash-safe checkpointing (see repro.sim.checkpoint): when a
-    # directory is set, non-runner specs snapshot the whole simulator
-    # every `checkpoint_every` DRAM reads (0 = module default) and a
-    # retried spec resumes from the last snapshot instead of starting
-    # over. Neither knob affects cache keys: a resumed result is
+    # directory is set, every simulated spec snapshots the whole
+    # simulator every `checkpoint_every` DRAM reads (0 = module
+    # default) and a retried spec resumes from the last snapshot
+    # instead of starting over. Neither knob affects cache keys: a resumed result is
     # byte-identical to an uninterrupted one.
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 0

@@ -26,11 +26,13 @@ finished simulation: the Sec 7.2 unterminated-LPDRAM power report reads
 the RL run, the Fig 3 per-line histograms read the profiling run. A
 view computes only ``SimResult.extra`` from ``(system, result)``; every
 other field is its base's. :func:`simulate` runs a base spec and
-returns ``(system, result)`` on the plain, checkpointed and named-runner
-paths; :func:`execute_spec` goes through it for every spec, and takes a
-``shared`` memo so that the executor, which groups pending specs by
-base simulation, simulates each group once and hands every member an
-independent copy of the result.
+returns ``(system, result)``: one build-and-run sequence for every
+spec, named runners included, so every simulated run reaches the
+active telemetry session and, when configured, the checkpoint
+directory. :func:`execute_spec` goes through it for every spec, and
+takes a ``shared`` memo so that the executor, which groups pending
+specs by base simulation, simulates each group once and hands every
+member an independent copy of the result.
 
 Cache keys (``v8``) embed a digest of the fully resolved ``SimConfig``
 so any config-knob change — present or future — invalidates stale
@@ -59,7 +61,22 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.experiments.resilience import active_fault_plan
 from repro.memsys.registry import resolve_name
 from repro.sim.config import SimConfig
-from repro.sim.system import SimResult, SimulationSystem, simulate_benchmark
+from repro.sim.checkpoint import (
+    ENV_CHECKPOINT_DIR,
+    CheckpointError,
+    Checkpointer,
+    checkpoint_every,
+    checkpoint_path,
+    delete_checkpoint,
+    load_checkpoint,
+)
+from repro.sim.system import (
+    SimResult,
+    SimulationSystem,
+    build_benchmark,
+    run_system,
+)
+from repro.telemetry.session import active_session
 from repro.workloads.registry import resolve_workload, workload_cache_token
 
 CACHE_KEY_VERSION = "v8"
@@ -134,7 +151,8 @@ def register_runner(name: str):
     """Register a module-level runner so workers can resolve it by name.
 
     A runner builds the spec's prewarmed, not yet run
-    :class:`SimulationSystem`; :func:`simulate` runs it.
+    :class:`SimulationSystem`; :func:`simulate` runs it like any other,
+    so the system must pickle when checkpointing is on.
     """
 
     def decorator(fn: Callable[["RunSpec", object], SimulationSystem]):
@@ -282,33 +300,55 @@ def simulate(spec: RunSpec, config, kill_after: Optional[int] = None
              ) -> Tuple[SimulationSystem, SimResult]:
     """Run the simulation of base spec ``spec``; return ``(system, result)``.
 
-    Three paths: a named runner builds the system and it is run here;
-    with a checkpoint directory configured the run snapshots
-    periodically and a retry resumes from the last snapshot
-    (``kill_after`` is the ``ckptkill`` fault, see
-    :mod:`repro.sim.checkpoint`); otherwise a plain
-    :func:`~repro.sim.system.simulate_benchmark`. All three produce the
-    same result for the same spec.
+    One sequence for every spec, named runners included: resume the
+    spec's checkpoint when checkpointing is on and a valid one exists,
+    else build the system (a named runner builds its own, any other
+    spec gets :func:`~repro.sim.system.build_benchmark`'s); run it with
+    :func:`~repro.sim.system.run_system`, which attaches and records
+    the active session's run telemetry, snapshotting every
+    ``checkpoint_every`` reads when checkpointing is on; and delete the
+    checkpoint once the run completes. The checkpoint is keyed by
+    ``spec``'s cache key, and ``kill_after`` is the ``ckptkill`` fault
+    (see :mod:`repro.sim.checkpoint`). A resumed run's result is
+    byte-identical to an uninterrupted one.
     """
-    if spec.runner:
-        system = resolve_runner(spec.runner)(spec, config)
-        result = system.run()
-        result.benchmark = spec.benchmark
-        return system, result
-    sim_config = spec.resolved_sim_config(config)
-    directory = (getattr(config, "checkpoint_dir", None)
-                 or os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-                 or None)
+    # Checkpointing is off while a telemetry session is active: a run's
+    # registry cannot be stitched across the process boundary a resume
+    # implies.
+    directory = active_session() is None and (
+        getattr(config, "checkpoint_dir", None)
+        or os.environ.get(ENV_CHECKPOINT_DIR, "").strip())
+    restored = checkpointer = executed = None
     if directory:
-        # Crash-safe path. Named runners are excluded — they build
-        # their own system — and the result stays byte-identical to a
-        # plain run (see repro.sim.checkpoint).
-        from repro.sim.checkpoint import simulate_checkpointed
-        every = int(getattr(config, "checkpoint_every", 0)) or None
-        return simulate_checkpointed(
-            spec.benchmark, sim_config, spec_cache_key(spec, config),
-            directory, every_reads=every, kill_after=kill_after)
-    return simulate_benchmark(spec.benchmark, sim_config)
+        key = spec_cache_key(spec, config)
+        path = checkpoint_path(directory, key)
+        if path.exists():
+            try:
+                restored = load_checkpoint(path, expect_cache_key=key)
+            except CheckpointError:
+                pass  # quarantined; build afresh
+    if restored is not None:
+        system, executed, header = restored
+        benchmark = header.get("benchmark", spec.benchmark)
+    elif spec.runner:
+        system = resolve_runner(spec.runner)(spec, config)
+        benchmark = spec.benchmark
+    else:
+        system, benchmark = build_benchmark(
+            spec.benchmark, spec.resolved_sim_config(config),
+            materialize=bool(directory))
+    if directory:
+        every = max(1, int(getattr(config, "checkpoint_every", 0))
+                    or checkpoint_every())
+        checkpointer = Checkpointer(
+            path, key, benchmark=benchmark, every_reads=every,
+            kill_after=kill_after,
+            first_mark=system.uncore.dram_reads + every)
+    result = run_system(system, benchmark, variant=spec.variant,
+                        checkpointer=checkpointer, executed=executed)
+    if directory:
+        delete_checkpoint(path)
+    return system, result
 
 
 def execute_spec(spec: RunSpec, config, attempt: int = 1,

@@ -28,7 +28,8 @@ checkpoint from ``repro store gc`` eviction; the pin dies with the file
 (and expires automatically if the process crashes). A checkpoint that
 fails validation on load is quarantined as ``<file>.corrupt`` and the
 run starts from scratch; ``repro store verify`` applies the same checks,
-short of unpickling.
+short of unpickling. :func:`repro.experiments.specs.simulate` is the
+one run sequence that saves and resumes checkpoints.
 
 Determinism: the snapshot captures the entire event-driven simulator —
 event queue, cores (with their materialized trace iterators), caches,
@@ -49,7 +50,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.dram.request import request_id_allocator
-from repro.store import FileStore, atomic_write_bytes, quarantine_file
+from repro.store import FileStore, atomic_write_bytes
 
 CHECKPOINT_VERSION = 10
 
@@ -171,8 +172,7 @@ class Checkpointer:
 
 
 def _quarantine(path: Path, reason: str) -> CheckpointError:
-    quarantine_file(path)
-    checkpoint_store(path.parent).drop_pin(path)
+    checkpoint_store(path.parent).quarantine(path)
     return CheckpointError(f"checkpoint {path}: {reason} (quarantined)")
 
 
@@ -248,71 +248,3 @@ def load_checkpoint(path, expect_cache_key: Optional[str] = None
         raise _quarantine(path, f"unpicklable payload ({exc})") from None
     request_id_allocator().next_id = header["request_ids"]
     return system, int(header.get("executed", 0)), header
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint-aware benchmark execution (the execute_spec integration)
-# ---------------------------------------------------------------------------
-
-
-def simulate_checkpointed(benchmark: str, sim_config, cache_key: str,
-                          directory, every_reads: Optional[int] = None,
-                          kill_after: Optional[int] = None,
-                          warm: bool = True):
-    """Run ``benchmark`` with periodic checkpoints, resuming if one exists.
-
-    Mirrors :func:`~repro.sim.system.simulate_benchmark` exactly — same
-    workload resolution, same prewarm, and the same ``(system, result)``
-    return — except the per-core streams are materialized (generators
-    cannot be pickled; the records are identical), so the completed
-    :class:`SimResult` is byte-identical to an uninterrupted,
-    un-checkpointed run. The checkpoint file is deleted on completion.
-
-    Telemetry-instrumented runs (an active session) fall back to a
-    plain run: a registry cannot be stitched across the process
-    boundary a resume implies, and instrumented runs are diagnostics,
-    not long-haul suite work.
-    """
-    from repro.sim.system import (
-        SimulationSystem,
-        prewarm_l2,
-        simulate_benchmark,
-    )
-    from repro.telemetry.session import active_session
-    from repro.workloads.registry import create_workload
-
-    if active_session() is not None:
-        return simulate_benchmark(benchmark, sim_config)
-    every = checkpoint_every() if every_reads is None else max(1, every_reads)
-    path = checkpoint_path(directory, cache_key)
-
-    if path.exists():
-        try:
-            system, executed, header = load_checkpoint(
-                path, expect_cache_key=cache_key)
-        except CheckpointError:
-            system = None  # quarantined; fall through to a fresh run
-        if system is not None:
-            checkpointer = Checkpointer(
-                path, cache_key, benchmark=header.get("benchmark", ""),
-                every_reads=every, kill_after=kill_after,
-                first_mark=system.uncore.dram_reads + every)
-            result = system.resume_run(executed=executed,
-                                       checkpointer=checkpointer)
-            result.benchmark = header.get("benchmark", benchmark)
-            delete_checkpoint(path)
-            return system, result
-
-    source = create_workload(benchmark)
-    profile = source.profile
-    traces = [list(stream) for stream in source.streams(sim_config)]
-    display = source.display_benchmark()
-    system = SimulationSystem(sim_config, traces, profile=profile)
-    if warm and profile is not None:
-        prewarm_l2(system, profile)
-    checkpointer = Checkpointer(path, cache_key, benchmark=display,
-                                every_reads=every, kill_after=kill_after)
-    result = system.run(checkpointer=checkpointer)
-    result.benchmark = display
-    delete_checkpoint(path)
-    return system, result

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -86,54 +87,19 @@ class SimResult:
         return self.throughput / baseline.throughput if baseline.throughput else 0.0
 
 
-class _ReadQueueProbe:
-    """Sampler probe: controller read-queue occupancy, queued prefetches
-    included (picklable)."""
-
-    __slots__ = ("mc",)
-
-    def __init__(self, mc) -> None:
-        self.mc = mc
-
-    def __call__(self) -> int:
-        return len(self.mc.read_queue) + len(self.mc.prefetch_queue)
+# Sampler probes: module-level functions bound with functools.partial,
+# so an instrumented system still pickles.
+def _read_queue_depth(mc) -> int:
+    """Controller read-queue occupancy, queued prefetches included."""
+    return len(mc.read_queue) + len(mc.prefetch_queue)
 
 
-class _WriteQueueProbe:
-    """Sampler probe: controller write-queue occupancy (picklable)."""
-
-    __slots__ = ("mc",)
-
-    def __init__(self, mc) -> None:
-        self.mc = mc
-
-    def __call__(self) -> int:
-        return len(self.mc.write_queue)
+def _write_queue_depth(mc) -> int:
+    return len(mc.write_queue)
 
 
-class _BusUtilProbe:
-    """Sampler probe: channel data-bus utilization in percent (picklable)."""
-
-    __slots__ = ("events", "mc")
-
-    def __init__(self, events: EventQueue, mc) -> None:
-        self.events = events
-        self.mc = mc
-
-    def __call__(self) -> float:
-        return 100.0 * self.mc.channel.utilization(max(1, self.events.now))
-
-
-class _MSHRProbe:
-    """Sampler probe: MSHR file occupancy (picklable)."""
-
-    __slots__ = ("mshrs",)
-
-    def __init__(self, mshrs) -> None:
-        self.mshrs = mshrs
-
-    def __call__(self) -> int:
-        return len(self.mshrs)
+def _bus_utilization_pct(events: EventQueue, mc) -> float:
+    return 100.0 * mc.channel.utilization(max(1, events.now))
 
 
 class _FinishCounter:
@@ -159,8 +125,7 @@ class SimulationSystem:
                  traces: Sequence[Iterable[TraceRecord]],
                  memory_builder: Optional[
                      Callable[[EventQueue], MemorySystem]] = None,
-                 profile: Optional[BenchmarkProfile] = None,
-                 telemetry: Optional[RunTelemetry] = None) -> None:
+                 profile: Optional[BenchmarkProfile] = None) -> None:
         self.config = config
         self.events = EventQueue()
         if memory_builder is not None:
@@ -193,10 +158,8 @@ class SimulationSystem:
                  on_finish=self._finished)
             for i, trace in enumerate(traces)
         ]
-        self.telemetry = telemetry
+        self.telemetry: Optional[RunTelemetry] = None
         self.sampler: Optional[Sampler] = None
-        if telemetry is not None:
-            self._attach_telemetry(telemetry)
         # Optional protocol sanitizer (REPRO_SANITIZE / repro run
         # --check): shadow FSM/timing checkers on every conventional
         # controller plus read conservation at the uncore. Off by
@@ -214,24 +177,24 @@ class SimulationSystem:
             self._san_report = report
             self._san_counts_before = dict(report.counts)
 
-    def _attach_telemetry(self, telemetry: RunTelemetry) -> None:
-        """Instrument the memory hierarchy and start periodic sampling."""
+    def attach_telemetry(self, telemetry: RunTelemetry) -> None:
+        """Instrument the memory hierarchy and start periodic sampling;
+        call once, before the run, which then exports into ``telemetry``."""
+        self.telemetry = telemetry
         self.memory.attach_telemetry(telemetry.registry, telemetry.tracer)
         self.sampler = Sampler(self.events, telemetry.registry,
                                telemetry.sample_interval)
         for mc in self.memory.telemetry_controllers():
-            self.sampler.add_probe(
-                f"dram.{mc.name}.read_queue_occupancy",
-                _ReadQueueProbe(mc))
-            self.sampler.add_probe(
-                f"dram.{mc.name}.write_queue_occupancy",
-                _WriteQueueProbe(mc))
+            self.sampler.add_probe(f"dram.{mc.name}.read_queue_occupancy",
+                                   partial(_read_queue_depth, mc))
+            self.sampler.add_probe(f"dram.{mc.name}.write_queue_occupancy",
+                                   partial(_write_queue_depth, mc))
             # Percent scale so the integer-bucketed histogram resolves it.
-            self.sampler.add_probe(
-                f"dram.{mc.name}.bus_utilization_pct",
-                _BusUtilProbe(self.events, mc))
+            self.sampler.add_probe(f"dram.{mc.name}.bus_utilization_pct",
+                                   partial(_bus_utilization_pct,
+                                           self.events, mc))
         self.sampler.add_probe("mshr.occupancy",
-                               _MSHRProbe(self.uncore.mshrs))
+                               partial(len, self.uncore.mshrs))
         self.sampler.start()
 
     def run(self, max_events: int = 200_000_000,
@@ -573,37 +536,70 @@ def simulate_benchmark(
     :class:`SimResult` does not carry, such as the live power model or
     the criticality profiler.
     """
+    system, display = build_benchmark(benchmark, config, traces, warm)
+    return system, run_system(system, display, telemetry=telemetry)
+
+
+def build_benchmark(
+        benchmark: str, config: SimConfig,
+        traces: Optional[Sequence[Iterable[TraceRecord]]] = None,
+        warm: bool = True, materialize: bool = False,
+) -> Tuple[SimulationSystem, str]:
+    """Build ``benchmark``'s prewarmed, not yet run system; return
+    ``(system, display name)``. ``materialize`` turns the source's
+    streams into lists: a checkpointed run pickles its cores, and
+    generators cannot be pickled (the records are the same)."""
     from repro.workloads.registry import create_workload
 
     source = create_workload(benchmark)
     profile = source.profile
     if traces is None:
         traces = source.streams(config)
-    display = source.display_benchmark()
+        if materialize:
+            traces = [list(stream) for stream in traces]
+    system = SimulationSystem(config, traces, profile=profile)
+    if warm and profile is not None:
+        prewarm_l2(system, profile)
+    return system, source.display_benchmark()
+
+
+# The SimResult scalars a session run record summarises.
+_SUMMARY_FIELDS = ("elapsed_cycles", "instructions", "throughput",
+                   "dram_reads", "avg_critical_latency", "avg_fill_latency",
+                   "avg_queue_latency", "bus_utilization")
+
+
+def run_system(system: SimulationSystem, benchmark: str,
+               telemetry: Optional[RunTelemetry] = None, variant: str = "",
+               checkpointer=None, executed: Optional[int] = None
+               ) -> SimResult:
+    """Run a built ``system`` to completion as ``benchmark``'s run.
+
+    With no explicit ``telemetry``, an active session's run telemetry
+    is attached and the finished run recorded with the session, under
+    ``benchmark``, the memory and ``variant``. ``executed`` continues a
+    checkpoint-restored system (:meth:`SimulationSystem.resume_run`)
+    instead of starting one; ``checkpointer`` snapshots the run.
+    """
     session = None
     if telemetry is None:
         session = active_session()
         if session is not None:
-            telemetry = session.begin_run(display, config.memory)
-    system = SimulationSystem(config, traces, profile=profile,
-                              telemetry=telemetry)
-    if warm and profile is not None:
-        prewarm_l2(system, profile)
-    result = system.run()
-    result.benchmark = display
-    if session is not None and telemetry is not None:
-        session.end_run(telemetry, summary={
-            "elapsed_cycles": result.elapsed_cycles,
-            "instructions": result.instructions,
-            "throughput": result.throughput,
-            "dram_reads": result.dram_reads,
-            "avg_critical_latency": result.avg_critical_latency,
-            "avg_fill_latency": result.avg_fill_latency,
-            "avg_queue_latency": result.avg_queue_latency,
-            "bus_utilization": result.bus_utilization,
-            "seed": config.seed,
-        })
-    return system, result
+            telemetry = session.begin_run(benchmark, system.config.memory,
+                                          variant)
+    if telemetry is not None:
+        system.attach_telemetry(telemetry)
+    if executed is None:
+        result = system.run(checkpointer=checkpointer)
+    else:
+        result = system.resume_run(executed=executed,
+                                   checkpointer=checkpointer)
+    result.benchmark = benchmark
+    if session is not None:
+        summary = {name: getattr(result, name) for name in _SUMMARY_FIELDS}
+        summary["seed"] = system.config.seed
+        session.end_run(telemetry, summary=summary)
+    return result
 
 
 def make_traces(profile: BenchmarkProfile,
@@ -630,16 +626,10 @@ def run_weighted_speedup(benchmark: str, config: SimConfig,
     from repro.workloads.registry import create_workload
 
     shared = run_benchmark(benchmark, config, warm=warm)
-    source = create_workload(benchmark)
-    profile = source.profile
     alone_config = dataclasses.replace(config, num_cores=1)
-    alone_ipcs = []
     # Re-derive each core's stream from a fresh source view and run it
     # on a single-core system (the paper's IPC_alone definition).
-    for trace in source.streams(config):
-        system = SimulationSystem(alone_config, [trace], profile=profile)
-        if warm and profile is not None:
-            prewarm_l2(system, profile)
-        result = system.run()
-        alone_ipcs.append(result.per_core_ipc[0])
+    alone_ipcs = [
+        run_benchmark(benchmark, alone_config, [trace], warm).per_core_ipc[0]
+        for trace in create_workload(benchmark).streams(config)]
     return weighted_speedup(shared.per_core_ipc, alone_ipcs)

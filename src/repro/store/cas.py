@@ -28,7 +28,8 @@ Two store flavours share the discipline:
     strand disk) or by the owner's rule.
 
 Both enforce a per-tier byte budget with LRU eviction that skips
-pinned entries, quarantine corruption as ``<file>.corrupt``, and add
+pinned entries, quarantine corruption as ``<file>.corrupt`` (``stats``
+only reads: it moves no file), and add
 their ``hits/misses/writes/evictions/quarantined`` counters to any
 active telemetry session as ``store.<tier>.<event>`` so they surface
 in ``python -m repro.report --json`` manifests; the service
@@ -375,14 +376,17 @@ class ArtifactStore(_StoreBase):
 
     # -- scanning / gc -------------------------------------------------
 
-    def entries(self) -> List[StoreEntry]:
+    def entries(self, corrupt: Optional[List[Path]] = None
+                ) -> List[StoreEntry]:
+        """The well-formed index records, moving no file; ``corrupt``,
+        when given, receives each record that fails to parse."""
         out: List[StoreEntry] = []
         accesses = self._last_access_map()
         seq = {kd: i for i, kd in enumerate(accesses)}
         for path in sorted(self.index_dir.glob("*.json")):
             record, problem = _read_record(path)
-            if problem is not None:
-                self._quarantine(path)
+            if problem is not None and corrupt is not None:
+                corrupt.append(path)
             if record is None:
                 continue
             out.append(StoreEntry(
@@ -421,8 +425,13 @@ class ArtifactStore(_StoreBase):
         """
         budget = max_bytes if max_bytes is not None else self.budget_bytes
         self.counters.incr("gc_runs")
-        entries = self.entries()
-        # Heal: an index entry whose blob vanished can never be read.
+        corrupt: List[Path] = []
+        entries = self.entries(corrupt)
+        # Heal: a corrupt index record, or an index entry whose blob
+        # vanished, can never be read.
+        if not dry_run:
+            for path in corrupt:
+                self._quarantine(path)
         live: List[StoreEntry] = []
         for entry in entries:
             if self.blob_path(entry.digest).exists():
@@ -544,6 +553,12 @@ class FileStore(_StoreBase):
         self.drop_pin(path)
         path.unlink(missing_ok=True)
 
+    def quarantine(self, path: Path) -> None:
+        """Set an entry aside as ``<file>.corrupt`` and drop its pin."""
+        if quarantine_file(path) is not None:
+            self.counters.incr("quarantined")
+        self.drop_pin(path)
+
     # -- scanning / gc -------------------------------------------------
 
     def entries(self) -> List[StoreEntry]:
@@ -578,8 +593,8 @@ class FileStore(_StoreBase):
             problem = self.validator(entry.path)
             if problem:
                 problems.append(f"{entry.path.name}: {problem}")
-                if repair and quarantine_file(entry.path) is not None:
-                    self.counters.incr("quarantined")
+                if repair:
+                    self.quarantine(entry.path)
         return problems
 
 

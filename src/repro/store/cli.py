@@ -9,11 +9,11 @@ Usage::
     repro store verify                    # end-to-end digest checks
     repro store verify --repair           # quarantine what fails
 
-Tiers are discovered from the usual knobs: ``--cache`` (default
-``REPRO_CACHE`` or ``.repro_cache``), ``--jobs-dir`` (default
-``.repro_jobs``), ``--checkpoint-dir`` (default
-``REPRO_CHECKPOINT_DIR``). A default directory that does not exist is
-skipped; a directory named on the command line must exist. Each tier
+A command acts on the tiers named with ``--cache``, ``--jobs-dir`` and
+``--checkpoint-dir`` only, and a named directory must exist. With none
+named, every tier falls back to its default directory (``REPRO_CACHE``
+or ``.repro_cache``, ``.repro_jobs``, ``REPRO_CHECKPOINT_DIR``),
+skipped when absent. Each tier
 is built from its owner's definition, so ``gc`` pins and ``verify``
 judges exactly what the code that writes the tier would: results
 through :class:`~repro.store.ArtifactStore`, manifests through
@@ -42,25 +42,29 @@ from repro.store.cas import ArtifactStore
 def discover_tiers(cache_dir: Optional[str], jobs_dir: Optional[str],
                    checkpoint_dir: Optional[str],
                    budget: Optional[int] = None) -> List[object]:
-    """Stores for every tier whose directory exists.
+    """Stores for the tiers a command acts on.
 
-    A directory named here must exist (``off`` names no cache); an
-    unnamed tier falls back to its default directory, skipped when
+    A directory named here must exist (``off`` names no cache). When
+    any tier is named, only the named tiers are returned; otherwise
+    every tier falls back to its default directory, skipped when
     absent.
     """
-    missing = [d for d in (cache_dir, jobs_dir, checkpoint_dir)
-               if d and d.lower() != "off" and not Path(d).is_dir()]
+    named = [d for d in (cache_dir, jobs_dir, checkpoint_dir)
+             if d and d.lower() != "off"]
+    missing = [d for d in named if not Path(d).is_dir()]
     if missing:
         raise SystemExit("repro store: no such directory: "
                          + ", ".join(missing))
-    cache_dir = cache_dir or os.environ.get("REPRO_CACHE") or DEFAULT_CACHE_DIR
+    if not named:
+        cache_dir = (cache_dir or os.environ.get("REPRO_CACHE")
+                     or DEFAULT_CACHE_DIR)
+        jobs_dir = DEFAULT_STATE_DIR
+        checkpoint_dir = os.environ.get(ENV_CHECKPOINT_DIR)
     builders = (
-        (None if cache_dir.lower() == "off" else cache_dir,
+        (None if cache_dir and cache_dir.lower() == "off" else cache_dir,
          lambda d: ArtifactStore(d, budget_bytes=budget)),
-        (jobs_dir or DEFAULT_STATE_DIR,
-         lambda d: manifest_store(d, budget)),
-        (checkpoint_dir or os.environ.get(ENV_CHECKPOINT_DIR),
-         lambda d: checkpoint_store(d, budget)),
+        (jobs_dir, lambda d: manifest_store(d, budget)),
+        (checkpoint_dir, lambda d: checkpoint_store(d, budget)),
     )
     return [build(directory) for directory, build in builders
             if directory and Path(directory).is_dir()]

@@ -5,7 +5,7 @@ The stats document written by ``--stats-json`` has the shape::
     {
       "manifest": {schema, created_unix, git_rev, config_hash, seed, ...},
       "runs": [
-        {"benchmark": ..., "memory": ...,
+        {"benchmark": ..., "memory": ..., "variant": ...,
          "summary": {...SimResult scalars...},
          "metrics": {"dram.ddr3-ch0.queue_latency_cycles": {...}, ...}},
         ...

@@ -81,18 +81,20 @@ class Counters:
 
 
 class RunTelemetry:
-    """Registry + tracer for one simulated run."""
+    """Registry + tracer for one (benchmark, memory, variant) run."""
 
     def __init__(self, benchmark: str, memory: str, pid: int,
                  cpu_freq_ghz: float, trace_enabled: bool,
-                 sample_interval: int = DEFAULT_INTERVAL) -> None:
+                 sample_interval: int = DEFAULT_INTERVAL,
+                 variant: str = "") -> None:
         self.benchmark = benchmark
         self.memory = memory
+        self.variant = variant
         self.sample_interval = sample_interval
         self.registry = MetricsRegistry()
+        label = f"{benchmark}/{memory}" + (f"/{variant}" if variant else "")
         self.tracer: Optional[ChromeTracer] = (
-            ChromeTracer(cpu_freq_ghz, pid=pid,
-                         process_name=f"{benchmark}/{memory}")
+            ChromeTracer(cpu_freq_ghz, pid=pid, process_name=label)
             if trace_enabled else None)
         # Monotonic, not wall-clock: an NTP step or DST shift mid-run
         # must not distort (or negate) the exported duration.
@@ -119,11 +121,13 @@ class TelemetrySession:
 
     # ------------------------------------------------------------------
 
-    def begin_run(self, benchmark: str, memory: str) -> RunTelemetry:
+    def begin_run(self, benchmark: str, memory: str,
+                  variant: str = "") -> RunTelemetry:
         run = RunTelemetry(benchmark, memory, pid=len(self._tracers) + 1,
                            cpu_freq_ghz=self.cpu_freq_ghz,
                            trace_enabled=self.trace_enabled,
-                           sample_interval=self.sample_interval)
+                           sample_interval=self.sample_interval,
+                           variant=variant)
         if run.tracer is not None:
             self._tracers.append(run.tracer)
         return run
@@ -132,6 +136,7 @@ class TelemetrySession:
         record = {
             "benchmark": run.benchmark,
             "memory": run.memory,
+            "variant": run.variant,
             "wall_time_s": time.monotonic() - run.started,
             "summary": summary or {},
             "metrics": run.registry.snapshot(),

@@ -20,7 +20,12 @@ import pytest
 
 from repro.experiments.resilience import FaultPlan
 from repro.experiments.runner import ExperimentConfig
-from repro.experiments.specs import RunSpec, execute_spec
+from repro.experiments.specs import (
+    RunSpec,
+    execute_spec,
+    simulate,
+    spec_cache_key,
+)
 from repro.memsys.registry import backend_names
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
@@ -29,7 +34,6 @@ from repro.sim.checkpoint import (
     checkpoint_every,
     checkpoint_path,
     load_checkpoint,
-    simulate_checkpointed,
 )
 from repro.sim.config import SimConfig
 from repro.sim.system import SimulationSystem, prewarm_l2, run_benchmark
@@ -307,23 +311,29 @@ def test_cache_key_mismatch_quarantines(tmp_path, sim_config):
 
 
 # ---------------------------------------------------------------------------
-# simulate_checkpointed
+# specs.simulate with a checkpoint directory
 # ---------------------------------------------------------------------------
 
 
-def test_checkpointed_run_matches_plain_and_cleans_up(tmp_path, sim_config,
-                                                      baseline):
-    _, result = simulate_checkpointed(
-        "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
+def checkpointed_config(directory) -> ExperimentConfig:
+    return ExperimentConfig(target_dram_reads=READS, cache_dir=None,
+                            checkpoint_dir=str(directory),
+                            checkpoint_every=EVERY)
+
+
+def test_checkpointed_run_matches_plain_and_cleans_up(tmp_path, baseline):
+    _, result = simulate(RunSpec("mcf", "rl"), checkpointed_config(tmp_path))
     assert result_bytes(result) == baseline
     assert list(tmp_path.iterdir()) == []  # checkpoint deleted on success
 
 
 def test_resume_from_orphaned_checkpoint(tmp_path, sim_config, baseline):
     # Orphan a mid-run snapshot, as a killed worker would.
-    path = checkpoint_path(tmp_path, "key-1")
+    spec, config = RunSpec("mcf", "rl"), checkpointed_config(tmp_path)
+    key = spec_cache_key(spec, config)
+    path = checkpoint_path(tmp_path, key)
     system = fresh_system("mcf", sim_config)
-    ckpt = Checkpointer(path, "key-1", benchmark="mcf", every_reads=EVERY,
+    ckpt = Checkpointer(path, key, benchmark="mcf", every_reads=EVERY,
                         first_mark=EVERY)
     for core in system.cores:
         core.start()
@@ -334,31 +344,28 @@ def test_resume_from_orphaned_checkpoint(tmp_path, sim_config, baseline):
         ckpt.maybe_save(system, executed)
     assert ckpt.saves >= 1 and path.exists()
 
-    _, result = simulate_checkpointed(
-        "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
+    _, result = simulate(spec, config)
     assert result_bytes(result) == baseline
     assert not path.exists()
 
 
-def test_corrupt_checkpoint_falls_back_to_fresh_run(tmp_path, sim_config,
-                                                    baseline):
-    path = checkpoint_path(tmp_path, "key-1")
+def test_corrupt_checkpoint_falls_back_to_fresh_run(tmp_path, baseline):
+    spec, config = RunSpec("mcf", "rl"), checkpointed_config(tmp_path)
+    path = checkpoint_path(tmp_path, spec_cache_key(spec, config))
     path.write_bytes(b"torn write, no header")
-    _, result = simulate_checkpointed(
-        "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
+    _, result = simulate(spec, config)
     assert result_bytes(result) == baseline
     assert path.with_suffix(".ckpt.corrupt").exists()  # evidence kept
 
 
 def test_active_telemetry_session_falls_back_to_plain_run(tmp_path,
-                                                          sim_config,
                                                           baseline):
     from repro.telemetry.session import TelemetrySession, activate, deactivate
 
     activate(TelemetrySession())
     try:
-        _, result = simulate_checkpointed(
-            "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
+        _, result = simulate(RunSpec("mcf", "rl"),
+                             checkpointed_config(tmp_path))
     finally:
         deactivate()
     # Instrumented runs carry a telemetry blob; the simulation itself
@@ -413,4 +420,25 @@ def test_ckptkill_worker_resumes_byte_identical(tmp_path, baseline,
     results = executor.run([spec])
     assert executor.counters.get("resilience.failures.broken-pool") == 1
     assert result_bytes(results[spec]) == baseline
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ckptkill_named_runner_resumes_byte_identical(tmp_path,
+                                                      monkeypatch):
+    """A named runner's system checkpoints like any other: the worker
+    dies after the profiling pass's first snapshot, and the retry
+    resumes it to the result of a run without a checkpoint dir."""
+    from repro.experiments.criticality import profiling_spec
+    from repro.experiments.executor import ParallelExecutor
+
+    spec = profiling_spec("mcf")
+    plain = ExperimentConfig(target_dram_reads=READS, cache_dir=None)
+    expected = result_bytes(execute_spec(spec, plain))
+    config = dataclasses.replace(plain, checkpoint_dir=str(tmp_path),
+                                 checkpoint_every=EVERY, retries=2, jobs=2)
+    monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3/profiling=ckptkill")
+    executor = ParallelExecutor(config, jobs=2)
+    results = executor.run([spec])
+    assert executor.counters.get("resilience.failures.broken-pool") == 1
+    assert result_bytes(results[spec]) == expected
     assert list(tmp_path.iterdir()) == []

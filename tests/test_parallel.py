@@ -177,7 +177,7 @@ class FinishedSystem:
     def __init__(self, result):
         self.result = result
 
-    def run(self):
+    def run(self, checkpointer=None):
         return self.result
 
 
@@ -292,6 +292,28 @@ class TestParallelTelemetry:
         assert {r["memory"] for r in session.runs} == {"ddr3", "rl"}
         for record in session.runs:
             assert "memsys.critical_latency_cycles" in record["metrics"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_named_runner_specs_record_session_runs(self, jobs):
+        """A named runner's run reaches the session like a plain one,
+        told apart from its plain base run by the spec's variant."""
+        from repro.sweep import sweep_spec
+        from repro.telemetry import TelemetrySession, activate, deactivate
+
+        config = ExperimentConfig(target_dram_reads=120, cache_dir=None)
+        specs = [RunSpec("mcf", "ddr3"), profiling_spec("mcf"),
+                 sweep_spec("mcf", config.sim_config("ddr3"),
+                            "read_queue_size", 16)]
+        session = activate(TelemetrySession(trace_enabled=False))
+        try:
+            results = run_specs(specs, config, jobs=jobs)
+        finally:
+            deactivate()
+        assert len(session.runs) == 3
+        assert sorted(r["variant"] for r in session.runs) == sorted(
+            spec.variant for spec in specs)
+        for spec in specs:
+            assert results[spec].telemetry is not None, spec.label
 
     def test_ingest_remaps_trace_pids(self):
         from repro.telemetry import TelemetrySession

@@ -618,6 +618,40 @@ class TestStoreCliOwnersRules:
         assert cmd_store(["verify", "--cache", str(tmp_path / "cache")]) == 1
         assert index.name in capsys.readouterr().out
 
+    def test_naming_one_tier_leaves_the_others_alone(self, tmp_path):
+        cache = ArtifactStore(tmp_path / ".repro_cache")
+        cache.put_bytes("k", b"v")
+        jobs = tmp_path / "jobs"
+        jobs.mkdir()
+        assert cmd_store(["gc", "--jobs-dir", str(jobs),
+                          "--max-bytes", "0"]) == 0
+        assert cache.get_bytes("k") == b"v"
+
+    def test_stats_moves_no_file(self, tmp_path, capsys):
+        store = ArtifactStore(tmp_path / "cache")
+        store.put_bytes("k", b"v")
+        index = store.index_path("k")
+        index.write_text('{"key": "k", "dig')  # torn write
+        assert cmd_store(["stats", "--cache", str(tmp_path / "cache")]) == 0
+        assert "0 entries" in capsys.readouterr().out
+        assert index.exists()
+        # gc still quarantines what can never be read.
+        store.gc()
+        assert not index.exists()
+        assert index.with_name(index.name + ".corrupt").exists()
+
+    def test_verify_repair_drops_the_quarantined_checkpoints_pin(
+            self, tmp_path):
+        directory = tmp_path / "ckpt"
+        path = checkpoint_path(directory, "key")
+        system = TestCheckpointPins._FakeSystem()
+        assert Checkpointer(path, "key").save(system, executed=0)
+        path.write_bytes(b"torn write, no header")
+        assert cmd_store(["verify", "--checkpoint-dir", str(directory),
+                          "--repair"]) == 1
+        assert sorted(p.name for p in directory.iterdir()) == [
+            path.name + ".corrupt"]
+
     def test_named_missing_directory_is_an_error(self, tmp_path, capsys):
         ArtifactStore(tmp_path / ".repro_cache").put_bytes("k", b"v")
         missing = tmp_path / "nonexistent" / "jobs"

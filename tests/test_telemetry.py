@@ -142,7 +142,8 @@ class TestTrace:
         config = tiny_config()
         profile = profile_for("mcf")
         system = SimulationSystem(config, make_traces(profile, config),
-                                  profile=profile, telemetry=run)
+                                  profile=profile)
+        system.attach_telemetry(run)
         result = system.run()
         session.end_run(run)
         return session, result
