@@ -4,30 +4,23 @@ Each benchmark regenerates one table/figure of the paper and prints it.
 Simulation results are cached in ``.repro_cache`` so artefacts that
 share runs (Fig 6/7/8/9...) simulate each configuration once.
 
-Scale knobs (environment):
+Scale knobs are the ``REPRO_*`` environment variables that
+:func:`repro.experiments.runner.default_config` reads (README lists
+them all), e.g.:
 
 * ``REPRO_READS``   — demand fetches per run (default 2000 here; the
   paper uses 2M. Raise for tighter numbers, e.g. REPRO_READS=20000).
 * ``REPRO_BENCHMARKS`` — subset of the 26-program suite.
 """
 
-import os
-
 import pytest
 
-from repro.experiments.runner import ExperimentConfig
+from repro.experiments.runner import default_config
 
 
 @pytest.fixture(scope="session")
 def experiment_config():
-    reads = int(os.environ.get("REPRO_READS", 2000))
-    benches = tuple(b for b in os.environ.get("REPRO_BENCHMARKS",
-                                              "").split(",") if b.strip())
-    cache = os.environ.get("REPRO_CACHE", ".repro_cache")
-    return ExperimentConfig(
-        target_dram_reads=reads,
-        benchmarks=benches,
-        cache_dir=None if cache.lower() == "off" else cache)
+    return default_config()
 
 
 def run_and_print(benchmark, fn, config):

@@ -17,10 +17,12 @@ import dataclasses
 from repro.core.cwf import CriticalWordMemory, CWFConfig
 from repro.cpu.prefetch import PrefetcherConfig
 from repro.cpu.uncore import UncoreConfig
-from repro.dram.controller import ControllerConfig
+from repro.dram.controller import ControllerConfig, MemoryController
 from repro.dram.device import DRAMKind, LPDDR2_DEVICE, PagePolicy
 from repro.dram.scheduler import SchedulingPolicy
+from repro.experiments.runner import default_config
 from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
+from repro.sanitizer import MODE_OFF
 from repro.sim.config import SimConfig
 from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
 from repro.workloads.profiles import profile_for
@@ -31,6 +33,8 @@ READS = 1500
 
 def run_custom(memory_builder=None, uncore_override=None,
                benchmark=BENCH, memory_kind="ddr3"):
+    """One hand-built run, sanitized in the mode ``REPRO_SANITIZE`` sets."""
+    mode = default_config().sanitize
     config = SimConfig(memory=memory_kind, target_dram_reads=READS)
     if uncore_override is not None:
         config = dataclasses.replace(config, uncore=uncore_override)
@@ -39,6 +43,14 @@ def run_custom(memory_builder=None, uncore_override=None,
     system = SimulationSystem(config, traces, profile=profile,
                               memory_builder=memory_builder)
     prewarm_l2(system, profile)
+    system.attach_sanitizer(mode)
+    if mode != MODE_OFF:
+        # A sanitized ablation must check every controller it runs,
+        # not quietly become a plain run.
+        controllers = [mc for mc in system.memory.telemetry_controllers()
+                       if isinstance(mc, MemoryController)]
+        assert controllers and all(mc._san is not None
+                                   for mc in controllers)
     result = system.run()
     result.benchmark = benchmark
     return result

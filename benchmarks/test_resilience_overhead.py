@@ -80,7 +80,7 @@ SANITIZE_BUDGET = 2.5  # sanitized run <= 2.5x the un-instrumented run
 
 
 def test_sanitizer_overhead_budget():
-    """REPRO_SANITIZE=1 (collect mode) must cost <= 2.5x a plain run.
+    """A collect-mode sanitized run must cost <= 2.5x a plain run.
 
     Interleaved best-of-3 CPU time, same discipline as the telemetry
     budget bench: both modes measured in the same loop so machine-wide
@@ -89,43 +89,47 @@ def test_sanitizer_overhead_budget():
     regression — shadow checks leaking onto the unsanitized path, or
     per-command allocations growing — trips it, not scheduler noise.
     The *off* case costing nothing at all is tier-1
-    (tests/test_sanitizer.py asserts no probes attach without the env).
+    (tests/test_sanitizer.py asserts an unsanitized system attaches no
+    probes).
     """
-    import os
     import time
 
-    from repro.sanitizer import global_report, reset_global_report
+    from repro.sanitizer import (
+        MODE_COLLECT,
+        MODE_OFF,
+        global_report,
+        reset_global_report,
+    )
     from repro.sim.config import SimConfig
-    from repro.sim.system import run_benchmark
+    from repro.sim.system import build_benchmark, run_system
 
     config = SimConfig(memory="rl", target_dram_reads=1500)
 
+    def run(mode):
+        system, name = build_benchmark(BENCH, config)
+        system.attach_sanitizer(mode)
+        return run_system(system, name)
+
     def plain():
-        os.environ.pop("REPRO_SANITIZE", None)
-        return run_benchmark(BENCH, config)
+        return run(MODE_OFF)
 
     def sanitized():
-        os.environ["REPRO_SANITIZE"] = "1"
         reset_global_report()
         try:
-            result = run_benchmark(BENCH, config)
+            result = run(MODE_COLLECT)
             assert global_report().clean, global_report().summary()
             return result
         finally:
-            os.environ.pop("REPRO_SANITIZE", None)
             reset_global_report()
 
     plain_t = san_t = float("inf")
-    try:
-        for _ in range(3):
-            start = time.process_time()
-            plain()
-            plain_t = min(plain_t, time.process_time() - start)
-            start = time.process_time()
-            sanitized()
-            san_t = min(san_t, time.process_time() - start)
-    finally:
-        os.environ.pop("REPRO_SANITIZE", None)
+    for _ in range(3):
+        start = time.process_time()
+        plain()
+        plain_t = min(plain_t, time.process_time() - start)
+        start = time.process_time()
+        sanitized()
+        san_t = min(san_t, time.process_time() - start)
 
     ratio = san_t / plain_t
     assert ratio <= SANITIZE_BUDGET, (

@@ -76,7 +76,12 @@ from repro.experiments import (
     failure_appendix,
     suite_specs,
 )
-from repro.experiments.runner import ExperimentConfig, default_config
+from repro.experiments.runner import (
+    ConfigError,
+    ExperimentConfig,
+    default_config,
+    flag_type,
+)
 from repro.telemetry import (
     TelemetrySession,
     activate,
@@ -95,15 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment",
                         help="experiment id(s), comma-separated "
                              "(see 'list'), or 'all'/'list'")
-    parser.add_argument("--reads", type=int, default=None,
-                        help="target demand DRAM fetches per run")
-    parser.add_argument("--benchmarks", default=None,
-                        help="comma-separated benchmark subset")
-    parser.add_argument("--cache", default=None,
-                        help="cache directory, or 'off'")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker processes (default REPRO_JOBS "
-                             "or 1; 0 = one per CPU)")
+    add_scale_args(parser)
     add_resilience_args(parser)
     parser.add_argument("--output", default=None,
                         help="append formatted tables to this file")
@@ -120,13 +117,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def add_scale_args(parser: argparse.ArgumentParser) -> None:
+    """Run-scale flags shared by the experiment, run and serve commands.
+
+    Each knob flag parses like its ``REPRO_*`` variable (see
+    :data:`~repro.experiments.runner.KNOBS`) and wins over it.
+    """
+    parser.add_argument("--reads", type=flag_type("REPRO_READS"),
+                        help="target demand DRAM fetches per run")
+    parser.add_argument("--benchmarks", type=flag_type("REPRO_BENCHMARKS"),
+                        help="comma-separated benchmark subset "
+                             "(default: whole suite)")
+    # Absent unless given, because "off" parses to None.
+    parser.add_argument("--cache", type=flag_type("REPRO_CACHE"),
+                        default=argparse.SUPPRESS,
+                        help="result-cache directory, or 'off'")
+    parser.add_argument("--jobs", type=flag_type("REPRO_JOBS"),
+                        help="parallel worker processes (default REPRO_JOBS "
+                             "or 1; 0 = one per CPU)")
+
+
 def add_resilience_args(parser: argparse.ArgumentParser) -> None:
     """Failure-handling flags shared by the experiment and run commands."""
     group = parser.add_argument_group("failure handling")
-    group.add_argument("--retries", type=int, default=None, metavar="N",
+    group.add_argument("--retries", type=flag_type("REPRO_RETRIES"),
+                       metavar="N",
                        help="re-run a crashed/hung/corrupt spec up to N "
                             "times (default REPRO_RETRIES or 0)")
-    group.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    group.add_argument("--timeout", type=flag_type("REPRO_TIMEOUT"),
+                       metavar="SEC",
                        help="per-spec wall-clock deadline in seconds, "
                             "enforced with --jobs >= 2 "
                             "(default REPRO_TIMEOUT or none)")
@@ -142,49 +161,43 @@ def add_resilience_args(parser: argparse.ArgumentParser) -> None:
                             "once in-process (never for timeouts)")
 
 
+#: The knob flags whose value sets an ExperimentConfig field as is.
+_FLAG_FIELDS = {"reads": "target_dram_reads", "benchmarks": "benchmarks",
+                "jobs": "jobs", "retries": "retries", "timeout": "timeout_s",
+                "checkpoint_dir": "checkpoint_dir",
+                "checkpoint_every": "checkpoint_every",
+                "cache_budget": "cache_budget_bytes"}
+
+
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = default_config()
-    kwargs = {}
-    if args.reads is not None:
-        kwargs["target_dram_reads"] = args.reads
-    if args.benchmarks is not None:
-        kwargs["benchmarks"] = tuple(b for b in args.benchmarks.split(",") if b)
-    if args.cache is not None:
-        kwargs["cache_dir"] = None if args.cache == "off" else args.cache
-    if getattr(args, "jobs", None) is not None:
-        kwargs["jobs"] = args.jobs
-    if getattr(args, "retries", None) is not None:
-        kwargs["retries"] = args.retries
-    if getattr(args, "timeout", None) is not None:
-        kwargs["timeout_s"] = args.timeout
-    if getattr(args, "keep_going", None):
-        kwargs["keep_going"] = True
-    if getattr(args, "fail_fast", False):
-        kwargs["keep_going"] = False
-    if getattr(args, "degrade_serial", None):
-        kwargs["degrade_serial"] = True
-    if getattr(args, "checkpoint_dir", None):
-        kwargs["checkpoint_dir"] = args.checkpoint_dir
-    if getattr(args, "checkpoint_every", None) is not None:
-        kwargs["checkpoint_every"] = args.checkpoint_every
-    if getattr(args, "cache_budget", None):
-        from repro.store import parse_size
-        kwargs["cache_budget_bytes"] = parse_size(args.cache_budget)
-    if kwargs:
-        from dataclasses import replace
-        config = replace(config, **kwargs)
-    return config
+    """:func:`default_config` with the knob flags given on the command
+    line applied (their ``type=`` parsers have checked them)."""
+    given = vars(args)
+    updates = {field: given[name] for name, field in _FLAG_FIELDS.items()
+               if given.get(name) is not None}
+    if "cache" in given:
+        updates["cache_dir"] = given["cache"]
+    if given.get("keep_going"):
+        updates["keep_going"] = True
+    if given.get("fail_fast"):
+        updates["keep_going"] = False
+    if given.get("degrade_serial"):
+        updates["degrade_serial"] = True
+    from dataclasses import replace
+    return replace(default_config(), **updates)
 
 
 def add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     """Crash-safe checkpointing flags shared by run and serve."""
     group = parser.add_argument_group("checkpointing")
-    group.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+    group.add_argument("--checkpoint-dir",
+                       type=flag_type("REPRO_CHECKPOINT_DIR"), metavar="DIR",
                        help="snapshot each in-flight simulation here so a "
                             "crashed/killed run's retry resumes instead of "
                             "starting over (default REPRO_CHECKPOINT_DIR "
                             "or off)")
-    group.add_argument("--checkpoint-every", type=int, default=None,
+    group.add_argument("--checkpoint-every",
+                       type=flag_type("REPRO_CHECKPOINT_EVERY"),
                        metavar="READS",
                        help="snapshot cadence in simulated DRAM reads "
                             "(default REPRO_CHECKPOINT_EVERY or 1000)")
@@ -426,28 +439,20 @@ def cmd_run(argv: List[str]) -> int:
     parser.add_argument("--memory", default="ddr3",
                         help="comma-separated backend names "
                              "(see 'repro list-backends')")
-    parser.add_argument("--benchmarks", default=None,
-                        help="comma-separated benchmark subset "
-                             "(default: whole suite)")
     parser.add_argument("--workload", default=None,
                         help="comma-separated workload names — any "
                              "registry form, including trace:<path> "
                              "replays (overrides --benchmarks; see "
                              "'repro list-workloads')")
-    parser.add_argument("--reads", type=int, default=None,
-                        help="target demand DRAM fetches per run")
-    parser.add_argument("--cache", default=None,
-                        help="cache directory, or 'off'")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker processes (default REPRO_JOBS "
-                             "or 1; 0 = one per CPU)")
+    add_scale_args(parser)
     add_resilience_args(parser)
     add_checkpoint_args(parser)
     parser.add_argument("--check", action="store_true",
                         help="run under the DRAM protocol sanitizer "
-                             "(REPRO_SANITIZE=1): every command stream is "
-                             "replayed against a shadow timing/FSM model; "
-                             "exit 1 on any violation")
+                             "(collect mode unless REPRO_SANITIZE sets "
+                             "one): every command stream is replayed "
+                             "against a shadow timing/FSM model; exit 1 "
+                             "on any violation")
     parser.add_argument("--json", action="store_true",
                         help="emit the table as structured JSON")
     args = parser.parse_args(argv)
@@ -467,21 +472,16 @@ def cmd_run(argv: List[str]) -> int:
              for bench in workloads for memory in memories]
     check_session: Optional[TelemetrySession] = None
     if args.check:
-        import os as _os
+        from dataclasses import replace
 
-        from repro.sanitizer import (
-            MODE_OFF,
-            reset_global_report,
-            sanitize_mode,
-        )
-        if sanitize_mode() == MODE_OFF:
-            # The environment variable is the transport that reaches
-            # pool workers too; an explicit strict/collect setting wins.
-            _os.environ["REPRO_SANITIZE"] = "1"
+        from repro.sanitizer import MODE_COLLECT, reset_global_report
+
+        # The config carries the mode to pool workers too; an explicit
+        # strict/collect REPRO_SANITIZE wins.
+        config = replace(config, sanitize=config.sanitize or MODE_COLLECT)
         reset_global_report()
-        # An active telemetry session forces real (uncached) runs — a
-        # recalled result was never checked — and is how worker-process
-        # sanitizer counters flow back to this process.
+        # The session is how worker-process sanitizer counters flow
+        # back to this process.
         check_session = activate(TelemetrySession())
     executor = ParallelExecutor(config, progress=True)
     try:
@@ -599,17 +599,9 @@ def cmd_serve(argv: List[str]) -> int:
                     "drains in-flight work gracefully.")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the persistent pool "
-                             "(default REPRO_JOBS or 1; 0 = one per CPU)")
-    parser.add_argument("--reads", type=int, default=None,
-                        help="default target demand DRAM fetches per run "
-                             "(jobs may override)")
-    parser.add_argument("--benchmarks", default=None,
-                        help="default benchmark subset (jobs may override)")
-    parser.add_argument("--cache", default=None,
-                        help="result-cache directory, or 'off'")
-    parser.add_argument("--cache-budget", default=None, metavar="SIZE",
+    add_scale_args(parser)  # a job's request may override the scale
+    parser.add_argument("--cache-budget", type=flag_type("REPRO_CACHE_BUDGET"),
+                        metavar="SIZE",
                         help="byte budget for the result-cache store "
                              "(e.g. 64M); past it the least-recently-"
                              "used entries are evicted and recomputed "
@@ -624,10 +616,12 @@ def cmd_serve(argv: List[str]) -> int:
     parser.add_argument("--queue-limit", type=int, default=32, metavar="N",
                         help="bounded queue depth; beyond it POST answers "
                              "429 + Retry-After (default 32)")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
+    parser.add_argument("--retries", type=flag_type("REPRO_RETRIES"),
+                        metavar="N",
                         help="per-spec retries for crashed/hung/corrupt "
                              "runs (default REPRO_RETRIES or 0)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    parser.add_argument("--timeout", type=flag_type("REPRO_TIMEOUT"),
+                        metavar="SEC",
                         help="per-spec wall-clock deadline (needs "
                              "--jobs >= 2)")
     add_checkpoint_args(parser)
@@ -644,7 +638,7 @@ def cmd_serve(argv: List[str]) -> int:
     from repro.store import parse_size
 
     try:
-        config = make_config(args)  # parses --cache-budget
+        config = make_config(args)
         manifest_budget = parse_size(args.manifest_budget)
     except ValueError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
@@ -825,7 +819,16 @@ def cmd_status(argv: List[str]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Every command: a bad run knob, from a flag or from the
+    environment, is one error line and exit status 2."""
+    try:
+        return _main(list(sys.argv[1:] if argv is None else argv))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _main(argv: List[str]) -> int:
     if argv and argv[0] in ("--version", "-V"):
         from repro import __version__
         print(f"repro {__version__}")

@@ -111,7 +111,7 @@ class Uncore:
         self._path_latency = config.dram_path_latency
         self._cw_wakeup = config.critical_word_wakeup
         # Optional protocol sanitizer (read-conservation invariant);
-        # attached by SimulationSystem when REPRO_SANITIZE is active.
+        # attached by SimulationSystem.attach_sanitizer.
         self._san = None
 
     # ------------------------------------------------------------------

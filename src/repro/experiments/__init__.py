@@ -9,23 +9,10 @@ serially or over a process pool — and results are cached on disk
 (keyed by spec plus a digest of the full simulation config), so
 figures that share runs — e.g. Fig 6/7/8 — simulate once.
 
-Environment knobs:
-
-* ``REPRO_READS`` — target demand fetches per run (default 2000; the
-  paper uses 2M — scale up for tighter numbers).
-* ``REPRO_BENCHMARKS`` — comma-separated subset of the suite.
-* ``REPRO_CACHE`` — cache directory (default ``.repro_cache``), or
-  ``off`` to disable.
-* ``REPRO_JOBS`` — parallel worker processes (default 1 = serial
-  in-process; 0 = one per CPU). Parallel and serial runs emit
-  byte-identical tables for the same seed.
-* ``REPRO_RETRIES`` / ``REPRO_TIMEOUT`` / ``REPRO_KEEP_GOING`` —
-  failure handling: retries per failed spec, per-spec wall-clock
-  timeout in seconds (parallel mode), and whether exhausted specs
-  become ``—`` cells instead of aborting the suite (see
-  :mod:`repro.experiments.resilience`).
-* ``REPRO_FAULT_PLAN`` — deterministic fault injection for testing
-  the above (``"mcf/ddr3=crash;mcf/rldram3=hang:*:20"``).
+The ``REPRO_*`` environment knobs (README's knob table) are read once,
+by :func:`~repro.experiments.runner.default_config`, into the
+:class:`~repro.experiments.runner.ExperimentConfig` that every layer
+below takes, pool workers included.
 """
 
 from repro.experiments.executor import (

@@ -4,10 +4,11 @@ The figure modules declare *what* to simulate; this module decides
 *how*: recall from the disk cache, run in-process (``jobs=1``, fully
 deterministic, the default), or fan out over a
 ``concurrent.futures.ProcessPoolExecutor``. The worker count comes from
-an explicit ``jobs`` argument, ``ExperimentConfig.jobs``, or the
-``REPRO_JOBS`` environment variable; ``0``/negative means "one worker
-per CPU". Parallel and serial execution produce byte-identical tables
-for the same seed — results are keyed by spec, so completion order
+an explicit ``jobs`` argument, else ``ExperimentConfig.jobs``;
+``0``/negative means "one worker per CPU". Every other run knob rides
+in the config, which each task pickles to its worker. Parallel and
+serial execution produce byte-identical tables for the same seed —
+results are keyed by spec, so completion order
 never leaks into table order, and every simulation is deterministic
 given its config. Pending specs are grouped by the simulation they
 read (:func:`~repro.experiments.specs.base_spec`: a view and its base
@@ -75,6 +76,7 @@ from repro.experiments.specs import (
     execute_spec,
     spec_cache_key,
 )
+from repro.sanitizer import MODE_OFF
 from repro.sim.system import SimResult
 from repro.telemetry.session import (
     Counters,
@@ -86,18 +88,10 @@ from repro.telemetry.session import (
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit arg, else ``REPRO_JOBS``, else 1 (serial)."""
+    """Worker count: ``jobs``, 1 (serial) when None, one per CPU when
+    zero or negative."""
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer worker count, got {env!r}; "
-                "use N for N workers, 0 for one per CPU, or unset it for "
-                "the default (1, serial)") from None
+        return 1
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
@@ -170,8 +164,7 @@ def _worker_execute(members: Sequence[RunSpec], config,
         # Under the worker's session, so the cache and store counts
         # reach the parent's as a serial run's do.
         cache = ResultCache(config.cache_dir,
-                            budget_bytes=getattr(config, "cache_budget_bytes",
-                                                 None))
+                            budget_bytes=config.cache_budget_bytes)
         for spec, (outcome, _seconds, _shared) in zip(members, outcomes):
             if is_valid_result(outcome):
                 cache.put(spec_cache_key(spec, config), outcome)
@@ -224,25 +217,21 @@ class ParallelExecutor:
 
         self.config = config
         # Resolved exactly once, at construction: a live pool is sized
-        # from this, so later REPRO_JOBS changes never apply silently.
-        self._jobs = resolve_jobs(
-            jobs if jobs is not None else getattr(config, "jobs", None))
+        # from this.
+        self._jobs = resolve_jobs(jobs if jobs is not None else config.jobs)
         self.persistent = persistent
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._starts = None  # the live pool's task-start slots
         self.progress = progress
-        self.cache = ResultCache(
-            config.cache_dir,
-            budget_bytes=getattr(config, "cache_budget_bytes", None))
+        self.cache = ResultCache(config.cache_dir,
+                                 budget_bytes=config.cache_budget_bytes)
         self.timings: List[dict] = []
         self.policy = policy if policy is not None else RetryPolicy(
-            max_retries=getattr(config, "retries", 0) or 0,
-            timeout_s=getattr(config, "timeout_s", None))
+            max_retries=config.retries, timeout_s=config.timeout_s)
         self.keep_going = (keep_going if keep_going is not None
-                           else bool(getattr(config, "keep_going", False)))
-        self.degrade_serial = (
-            degrade_serial if degrade_serial is not None
-            else bool(getattr(config, "degrade_serial", False)))
+                           else config.keep_going)
+        self.degrade_serial = (degrade_serial if degrade_serial is not None
+                               else config.degrade_serial)
         self.failures: List[FailedRun] = []
         # Retries and failures by kind, also added to any active
         # telemetry session under the same names.
@@ -326,11 +315,13 @@ class ParallelExecutor:
         session = active_session()
         results: Dict[RunSpec, SimResult] = {}
         pending: List[RunSpec] = []
+        # A recalled result has no telemetry to contribute and was never
+        # sanitized, so an active session or a sanitized config forces
+        # real runs.
+        recall = session is None and config.sanitize == MODE_OFF
         for spec in ordered:
-            # A recalled result has no telemetry to contribute, so an
-            # active session forces real runs.
             cached = (self.cache.get(spec_cache_key(spec, config))
-                      if session is None else None)
+                      if recall else None)
             if cached is not None:
                 results[spec] = cached
                 self._record(spec, 0.0, cached=True)

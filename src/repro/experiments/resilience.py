@@ -21,7 +21,8 @@ whole run. This module holds the pieces the executor composes:
   byte-identical to a clean run.
 * :class:`FaultPlan` — deterministic fault injection, consulted by
   :func:`~repro.experiments.specs.execute_spec` (serial *and* worker
-  paths). ``REPRO_FAULT_PLAN`` chooses specs by label and makes them
+  paths) through ``ExperimentConfig.fault_plan``, which
+  ``REPRO_FAULT_PLAN`` sets. It chooses specs by label and makes them
   crash, hard-exit, hang, or return a corrupt payload on chosen
   attempts, which makes every branch above testable end-to-end.
 
@@ -274,8 +275,6 @@ FAULT_MODES = ("crash", "kill", "hang", "corrupt", "ckptkill")
 #: What a ``corrupt``-mode fault returns in place of a SimResult.
 CORRUPT_PAYLOAD: Dict[str, bool] = {"__injected_corrupt__": True}
 
-ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
-
 
 @dataclass(frozen=True)
 class Fault:
@@ -304,8 +303,8 @@ class FaultPlan:
     """A set of planned faults, keyed by spec label.
 
     Consulted by ``execute_spec`` around every real run attempt —
-    identically in the serial path and in pool workers (workers inherit
-    the plan through the environment variable). ``attempt`` numbering
+    identically in the serial path and in pool workers, which receive
+    it with the pickled ``ExperimentConfig.fault_plan``. ``attempt`` numbering
     makes the plan fully deterministic: ``crash`` with ``times=1``
     always fails the first attempt and always lets the retry succeed.
     """
@@ -339,18 +338,6 @@ class FaultPlan:
             faults.append(Fault(label=label.strip(), mode=mode,
                                 times=times, seconds=seconds))
         return cls(faults=tuple(faults))
-
-    @classmethod
-    def from_env(cls, environ=None) -> Optional["FaultPlan"]:
-        text = (environ or os.environ).get(ENV_FAULT_PLAN, "").strip()
-        if not text:
-            return None
-        try:
-            return cls.parse(text)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(
-                f"malformed {ENV_FAULT_PLAN}={text!r}: {exc}; expected "
-                "entries like 'mcf/ddr3=crash;mcf/rl=hang:*:20'") from None
 
     def fault_for(self, label: str, attempt: int) -> Optional[Fault]:
         for fault in self.faults:
@@ -395,32 +382,3 @@ class FaultPlan:
         if fault is not None and fault.mode == "corrupt":
             return dict(CORRUPT_PAYLOAD)
         return result
-
-
-# Programmatic activation (tests, serial in-process runs); the
-# environment variable remains the cross-process transport.
-_active_plan: Optional[FaultPlan] = None
-_env_cache: Tuple[str, Optional[FaultPlan]] = ("", None)
-
-
-def activate_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    global _active_plan
-    _active_plan = plan
-    return plan
-
-
-def deactivate_fault_plan() -> None:
-    activate_fault_plan(None)
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    """The programmatically activated plan, else the environment's."""
-    global _env_cache
-    if _active_plan is not None:
-        return _active_plan
-    text = os.environ.get(ENV_FAULT_PLAN, "").strip()
-    if not text:
-        return None
-    if _env_cache[0] != text:
-        _env_cache = (text, FaultPlan.from_env())
-    return _env_cache[1]

@@ -16,14 +16,17 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.resilience import MISSING
+from repro.experiments.resilience import MISSING, FaultPlan
+from repro.sanitizer import MODE_OFF, parse_switch, sanitize_mode
+from repro.sim.checkpoint import DEFAULT_EVERY_READS
 from repro.sim.config import SimConfig
 from repro.sim.system import SimResult
 from repro.store import ArtifactStore, parse_size
 from repro.telemetry.session import Counters
 from repro.workloads.profiles import benchmark_names
+from repro.workloads.registry import resolve_workload
 
 DEFAULT_READS = 2000
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -31,37 +34,46 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Run-scale knobs, overridable via environment variables."""
+    """Every knob of a suite run, parsed once at the edge
+    (:func:`default_config` and the command-line flags) and pickled with
+    each task to the pool workers, so nothing below the edge reads the
+    environment."""
 
     target_dram_reads: int = DEFAULT_READS
     benchmarks: Sequence[str] = ()
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     seed: int = 42
-    # Parallel worker count for the spec executor: None defers to the
-    # REPRO_JOBS environment variable (default 1, fully serial).
-    jobs: Optional[int] = None
+    # Parallel worker count for the spec executor: 1 is fully serial
+    # in-process, 0 or negative one worker per CPU.
+    jobs: int = 1
     # Resilience knobs for the executor (see experiments.resilience):
     # retries per failed spec, per-spec wall-clock timeout (parallel
-    # mode only), record FailedRun sentinels instead of raising, and
-    # degrade exhausted specs to one in-process serial run. None of
+    # mode only), record FailedRun sentinels instead of raising,
+    # degrade exhausted specs to one in-process serial run, and the
+    # deterministic faults that test all of it (None = none). None of
     # these affect cache keys — a retried result is the same result.
     retries: int = 0
     timeout_s: Optional[float] = None
     keep_going: bool = False
     degrade_serial: bool = False
+    fault_plan: Optional[FaultPlan] = None
     # Crash-safe checkpointing (see repro.sim.checkpoint): when a
     # directory is set, every simulated spec snapshots the whole
-    # simulator every `checkpoint_every` DRAM reads (0 = module
-    # default) and a retried spec resumes from the last snapshot
-    # instead of starting over. Neither knob affects cache keys: a resumed result is
-    # byte-identical to an uninterrupted one.
+    # simulator every `checkpoint_every` DRAM reads and a retried spec
+    # resumes from the last snapshot instead of starting over. Neither
+    # knob affects cache keys: a resumed result is byte-identical to an
+    # uninterrupted one.
     checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 0
+    checkpoint_every: int = DEFAULT_EVERY_READS
     # Result-store byte budget (see repro.store): when set, the cache
     # LRU-evicts past it after writes — an evicted entry is recomputed
     # on the next request, never an error. None = unbounded (the
     # pre-store behaviour). Does not affect cache keys.
     cache_budget_bytes: Optional[int] = None
+    # DRAM protocol sanitizer mode (repro.sanitizer.MODE_*). A sanitized
+    # run neither recalls a cached result nor checkpoints; its result is
+    # byte-identical, so no cache key carries the mode.
+    sanitize: int = MODE_OFF
 
     def suite(self) -> List[str]:
         return list(self.benchmarks) if self.benchmarks else benchmark_names()
@@ -71,50 +83,103 @@ class ExperimentConfig:
                          target_dram_reads=self.target_dram_reads)
 
 
-def _env_number(name: str, default, convert):
-    """Parse a numeric environment knob with a clear error message."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be {'an integer' if convert is int else 'a number'}"
-            f", got {raw!r}; unset it for the default ({default})") from None
+class ConfigError(ValueError):
+    """A run knob has a value no run can use; the message names it."""
+
+
+def _knob(convert: Callable[[str], object], what: str,
+          valid: Callable[[object], bool] = lambda value: True):
+    """The parser of one knob, shared by its environment variable and
+    its command-line flag: ``convert(text)``, which must be ``valid``,
+    or ValueError with the knob's one message (the caller names it)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            # A bare type's own error says nothing the message does not.
+            detail = "" if isinstance(convert, type) else f": {exc}"
+            raise ValueError(f"must be {what}, got {text!r}{detail}") from None
+        if not valid(value):
+            raise ValueError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _workloads(text: str) -> Tuple[str, ...]:
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    for name in names:
+        resolve_workload(name)
+    return names
+
+
+def _not_a_file(path: Optional[str]) -> bool:
+    return path is None or os.path.isdir(path) or not os.path.exists(path)
+
+
+_DRAM_READS = _knob(int, "a positive number of DRAM reads",
+                    lambda reads: reads > 0)
+
+#: Every environment knob: the ExperimentConfig field it sets and its
+#: parser (:func:`flag_type` hands the same parser to its flag).
+KNOBS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "REPRO_READS": ("target_dram_reads", _DRAM_READS),
+    "REPRO_BENCHMARKS": ("benchmarks", _knob(
+        _workloads, "registered workload names")),
+    "REPRO_CACHE": ("cache_dir", _knob(
+        lambda text: None if text.lower() == "off" else text,
+        "a directory or 'off'", _not_a_file)),
+    "REPRO_CACHE_BUDGET": ("cache_budget_bytes", _knob(
+        parse_size, "a byte count")),
+    "REPRO_JOBS": ("jobs", _knob(
+        int, "an integer worker count (0 = one per CPU)")),
+    "REPRO_RETRIES": ("retries", _knob(
+        int, "a non-negative retry count", lambda retries: retries >= 0)),
+    "REPRO_TIMEOUT": ("timeout_s", _knob(
+        float, "a positive number of seconds", lambda seconds: seconds > 0)),
+    "REPRO_KEEP_GOING": ("keep_going", parse_switch),
+    "REPRO_CHECKPOINT_DIR": ("checkpoint_dir", _knob(
+        str, "a directory", _not_a_file)),
+    "REPRO_CHECKPOINT_EVERY": ("checkpoint_every", _DRAM_READS),
+    "REPRO_SANITIZE": ("sanitize", sanitize_mode),
+    "REPRO_FAULT_PLAN": ("fault_plan", _knob(
+        FaultPlan.parse, "entries like 'mcf/ddr3=crash;mcf/rl=hang:*:20'")),
+}
 
 
 def default_config() -> ExperimentConfig:
-    """ExperimentConfig from the ``REPRO_*`` environment knobs.
+    """ExperimentConfig from the ``REPRO_*`` environment knobs
+    (:data:`KNOBS`; an unset or empty one keeps its default).
 
-    ``REPRO_READS`` / ``REPRO_BENCHMARKS`` / ``REPRO_CACHE`` scale the
-    runs; ``REPRO_RETRIES`` / ``REPRO_TIMEOUT`` / ``REPRO_KEEP_GOING``
-    configure the executor's failure handling (see
-    :mod:`repro.experiments.resilience`).
+    The one reader of the environment: everything below it takes the
+    config. A bad value raises :class:`ConfigError` naming the variable.
     """
-    reads = _env_number("REPRO_READS", DEFAULT_READS, int)
-    benches = tuple(b for b in os.environ.get("REPRO_BENCHMARKS", "").split(",")
-                    if b.strip())
-    cache = os.environ.get("REPRO_CACHE", DEFAULT_CACHE_DIR)
-    keep_going = os.environ.get("REPRO_KEEP_GOING", "").strip().lower()
-    ckpt_dir = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-    try:
-        budget = parse_size(os.environ.get("REPRO_CACHE_BUDGET"))
-    except ValueError:
-        raise ValueError(
-            "REPRO_CACHE_BUDGET must be a byte count with an optional "
-            f"K/M/G suffix, got {os.environ['REPRO_CACHE_BUDGET']!r}; "
-            "unset it for an unbounded cache") from None
-    return ExperimentConfig(
-        target_dram_reads=reads,
-        benchmarks=benches,
-        cache_dir=None if cache.lower() == "off" else cache,
-        retries=_env_number("REPRO_RETRIES", 0, int),
-        timeout_s=_env_number("REPRO_TIMEOUT", None, float),
-        keep_going=keep_going in ("1", "true", "yes", "on"),
-        checkpoint_dir=ckpt_dir or None,
-        checkpoint_every=_env_number("REPRO_CHECKPOINT_EVERY", 0, int),
-        cache_budget_bytes=budget)
+    values = {}
+    for name, (field_name, parse) in KNOBS.items():
+        text = os.environ.get(name, "").strip()
+        if text:
+            try:
+                values[field_name] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{name} {exc}") from None
+    return ExperimentConfig(**values)
+
+
+def flag_type(name: str) -> Callable[[str], object]:
+    """The parser of knob ``name`` as an argparse ``type=``: a bad flag
+    value exits 2 with the message its variable would get."""
+    import argparse
+
+    parse = KNOBS[name][1]
+
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 class ResultCache:

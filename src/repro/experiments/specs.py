@@ -54,18 +54,15 @@ import copy
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.experiments.resilience import active_fault_plan
 from repro.memsys.registry import resolve_name
+from repro.sanitizer import MODE_OFF
 from repro.sim.config import SimConfig
 from repro.sim.checkpoint import (
-    ENV_CHECKPOINT_DIR,
     CheckpointError,
     Checkpointer,
-    checkpoint_every,
     checkpoint_path,
     delete_checkpoint,
     load_checkpoint,
@@ -303,21 +300,22 @@ def simulate(spec: RunSpec, config, kill_after: Optional[int] = None
     One sequence for every spec, named runners included: resume the
     spec's checkpoint when checkpointing is on and a valid one exists,
     else build the system (a named runner builds its own, any other
-    spec gets :func:`~repro.sim.system.build_benchmark`'s); run it with
+    spec gets :func:`~repro.sim.system.build_benchmark`'s); attach the
+    config's sanitizer; run it with
     :func:`~repro.sim.system.run_system`, which attaches and records
     the active session's run telemetry, snapshotting every
-    ``checkpoint_every`` reads when checkpointing is on; and delete the
-    checkpoint once the run completes. The checkpoint is keyed by
-    ``spec``'s cache key, and ``kill_after`` is the ``ckptkill`` fault
-    (see :mod:`repro.sim.checkpoint`). A resumed run's result is
-    byte-identical to an uninterrupted one.
+    ``config.checkpoint_every`` reads when checkpointing is on; and
+    delete the checkpoint once the run completes. The checkpoint is
+    keyed by ``spec``'s cache key, and ``kill_after`` is the
+    ``ckptkill`` fault (see :mod:`repro.sim.checkpoint`). A resumed
+    run's result is byte-identical to an uninterrupted one.
     """
-    # Checkpointing is off while a telemetry session is active: a run's
+    # Checkpointing is off while a telemetry session is active (a run's
     # registry cannot be stitched across the process boundary a resume
-    # implies.
-    directory = active_session() is None and (
-        getattr(config, "checkpoint_dir", None)
-        or os.environ.get(ENV_CHECKPOINT_DIR, "").strip())
+    # implies) and for a sanitized run (the sanitizer must see the whole
+    # run, so it never lands on a system restored mid-run).
+    directory = (config.checkpoint_dir if active_session() is None
+                 and config.sanitize == MODE_OFF else None)
     restored = checkpointer = executed = None
     if directory:
         key = spec_cache_key(spec, config)
@@ -337,9 +335,9 @@ def simulate(spec: RunSpec, config, kill_after: Optional[int] = None
         system, benchmark = build_benchmark(
             spec.benchmark, spec.resolved_sim_config(config),
             materialize=bool(directory))
+    system.attach_sanitizer(config.sanitize)
     if directory:
-        every = max(1, int(getattr(config, "checkpoint_every", 0))
-                    or checkpoint_every())
+        every = config.checkpoint_every
         checkpointer = Checkpointer(
             path, key, benchmark=benchmark, every_reads=every,
             kill_after=kill_after,
@@ -356,7 +354,7 @@ def execute_spec(spec: RunSpec, config, attempt: int = 1,
     """Actually compute ``spec`` (no caching — the executor handles it).
 
     ``attempt`` (1-based) is threaded through by the executor so the
-    deterministic fault-injection plan (``REPRO_FAULT_PLAN``, see
+    config's deterministic fault-injection plan (``fault_plan``, see
     :mod:`repro.experiments.resilience`) can target specific retries of
     specific specs — identically in the serial path and in pool
     workers. ``attempt=0`` disables injection: the executor's
@@ -369,7 +367,7 @@ def execute_spec(spec: RunSpec, config, attempt: int = 1,
     the result, so no two members share a mutable object. Fault hooks
     still fire per member, before and after its own share of the work.
     """
-    plan = active_fault_plan() if attempt >= 1 else None
+    plan = config.fault_plan if attempt >= 1 else None
     if plan is not None:
         plan.before_run(spec.label, attempt)
     view = resolve_view(spec.runner)

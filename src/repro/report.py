@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -23,7 +24,13 @@ from repro.experiments import (
     failure_appendix,
     suite_specs,
 )
-from repro.experiments.runner import ExperimentConfig, ExperimentTable, default_config
+from repro.experiments.runner import (
+    ConfigError,
+    ExperimentConfig,
+    ExperimentTable,
+    default_config,
+    flag_type,
+)
 
 
 @dataclass
@@ -239,14 +246,16 @@ def render_report(config: Optional[ExperimentConfig] = None,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="EXPERIMENTS.md")
-    parser.add_argument("--reads", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--reads", type=flag_type("REPRO_READS"))
+    parser.add_argument("--jobs", type=flag_type("REPRO_JOBS"),
                         help="parallel worker processes (default REPRO_JOBS "
                              "or 1; 0 = one per CPU)")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
+    parser.add_argument("--retries", type=flag_type("REPRO_RETRIES"),
+                        metavar="N",
                         help="re-run a crashed/hung/corrupt spec up to N "
                              "times (default REPRO_RETRIES or 0)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    parser.add_argument("--timeout", type=flag_type("REPRO_TIMEOUT"),
+                        metavar="SEC",
                         help="per-spec wall-clock deadline, enforced with "
                              "--jobs >= 2 (default REPRO_TIMEOUT or none)")
     parser.add_argument("--keep-going", action="store_true", default=None,
@@ -261,25 +270,14 @@ def main(argv=None) -> int:
                         help="also write the tables as structured JSON "
                              "with a run manifest")
     args = parser.parse_args(argv)
-    config = default_config()
-    updates = {}
-    if args.reads is not None:
-        updates["target_dram_reads"] = args.reads
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
-    if args.retries is not None:
-        updates["retries"] = args.retries
-    if args.timeout is not None:
-        updates["timeout_s"] = args.timeout
-    if args.keep_going:
-        updates["keep_going"] = True
-    if args.fail_fast:
-        updates["keep_going"] = False
-    if updates:
-        from dataclasses import replace
-        config = replace(config, **updates)
+    from repro.cli import make_config
+    try:
+        config = make_config(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     keys = args.experiments.split(",") if args.experiments else None
-    text = render_report(config, keys, jobs=args.jobs)
+    text = render_report(config, keys)
     with open(args.output, "w") as handle:
         handle.write(text)
     print(f"wrote {args.output}")
@@ -289,7 +287,7 @@ def main(argv=None) -> int:
         # A second executor pass recalls everything the report pass just
         # simulated, so its cache stats record hit/miss/quarantine
         # traffic for exactly this artefact's runs.
-        executor = ParallelExecutor(config, jobs=args.jobs)
+        executor = ParallelExecutor(config)
         results = executor.run(suite_specs(json_keys, config))
         tables = [ALL_EXPERIMENTS[k](config, results=results)
                   for k in json_keys]
@@ -297,7 +295,7 @@ def main(argv=None) -> int:
         manifest = run_manifest(
             config={"target_dram_reads": config.target_dram_reads,
                     "benchmarks": list(config.suite()),
-                    "jobs": args.jobs},
+                    "jobs": executor.jobs},
             seed=config.seed, argv=argv,
             extra={"cache": executor.cache.stats(),
                    # Pin which workload *contents* produced these

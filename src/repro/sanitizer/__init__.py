@@ -2,8 +2,9 @@
 
 Off by default. Enable with ``REPRO_SANITIZE=1`` (collect violations),
 ``REPRO_SANITIZE=strict`` (raise on the first one), or ``repro run
---check``. When active, every memory controller replays its command
-stream against a shadow protocol model re-derived from the timing set
+--check``; the mode travels in ``ExperimentConfig.sanitize``. When
+active, every memory controller replays its command stream against a
+shadow protocol model re-derived from the timing set
 (bank FSM legality, tRC/tRCD/tRP/tRAS windows, tFAW/tRRD rank spacing,
 tRTRS/tWTR bus turnaround, single-driver bus occupancy, power-down
 legality), and the uncore checks read conservation. Violations are
@@ -17,6 +18,7 @@ from repro.sanitizer.runtime import (
     ControllerSanitizer,
     UncoreSanitizer,
     attach_sanitizers,
+    parse_switch,
     sanitize_mode,
 )
 from repro.sanitizer.violations import (
@@ -37,6 +39,7 @@ __all__ = [
     "SanitizerError",
     "SanitizerReport",
     "attach_sanitizers",
+    "parse_switch",
     "global_report",
     "reset_global_report",
     "sanitize_mode",

@@ -6,9 +6,10 @@ against the shadow protocol model (:mod:`repro.sanitizer.shadow`).
 ``UncoreSanitizer`` checks read conservation at the MSHR boundary:
 every DRAM read issued by the uncore retires exactly once.
 
-Both are attached only when sanitizing is enabled (``REPRO_SANITIZE`` /
-``repro run --check``); an un-instrumented run pays one ``is None``
-check per hook site and nothing else.
+Both are attached only to a system whose run is sanitized
+(:meth:`~repro.sim.system.SimulationSystem.attach_sanitizer`, which
+``ExperimentConfig.sanitize`` drives); an un-instrumented run pays one
+``is None`` check per hook site and nothing else.
 
 Command notifications come in two flavours:
 
@@ -22,8 +23,7 @@ Command notifications come in two flavours:
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dram.timing import TimingSet
 from repro.sanitizer.shadow import (
@@ -38,25 +38,35 @@ MODE_OFF = 0
 MODE_COLLECT = 1
 MODE_STRICT = 2
 
-_OFF_VALUES = frozenset(("", "0", "off", "false", "no", "none"))
-_STRICT_VALUES = frozenset(("2", "strict", "raise"))
+#: The spellings of a yes/no knob; the sanitizer's mode accepts them too.
+ON_WORDS = ("1", "on", "true", "yes")
+OFF_WORDS = ("0", "off", "false", "no")
+
+_MODE_WORDS = {
+    **dict.fromkeys(OFF_WORDS + ("", "none"), MODE_OFF),
+    **dict.fromkeys(ON_WORDS + ("collect",), MODE_COLLECT),
+    **dict.fromkeys(("2", "strict", "raise"), MODE_STRICT),
+}
 
 
-def sanitize_mode(value: Optional[str] = None) -> int:
-    """Parse ``REPRO_SANITIZE`` (or an explicit value) into a mode.
+def parse_switch(text: str) -> bool:
+    """A yes/no knob: one of :data:`ON_WORDS` or :data:`OFF_WORDS`."""
+    word = text.strip().lower()
+    if word not in ON_WORDS + OFF_WORDS:
+        raise ValueError(f"must be one of {'/'.join(ON_WORDS)} or "
+                         f"{'/'.join(OFF_WORDS)}, got {text!r}")
+    return word in ON_WORDS
 
-    ``""``/``0``/``off`` -> off; ``strict``/``2``/``raise`` -> strict
-    (raise on first violation); anything else truthy (``1``, ``on``,
-    ``collect``) -> collect.
-    """
-    if value is None:
-        value = os.environ.get("REPRO_SANITIZE", "")
-    text = str(value).strip().lower()
-    if text in _OFF_VALUES:
-        return MODE_OFF
-    if text in _STRICT_VALUES:
-        return MODE_STRICT
-    return MODE_COLLECT
+
+def sanitize_mode(text: str) -> int:
+    """A sanitizer setting's mode: off, collect (record every violation)
+    or strict (raise on the first one)."""
+    try:
+        return _MODE_WORDS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(
+            "must be off (0/off/none), collect (1/on/collect) or strict "
+            f"(2/strict/raise), got {text!r}") from None
 
 
 class ControllerSanitizer:

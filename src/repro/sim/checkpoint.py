@@ -57,29 +57,12 @@ CHECKPOINT_VERSION = 10
 #: The checkpoint files of a directory (see :func:`checkpoint_path`).
 CHECKPOINT_PATTERN = "ck-*.ckpt"
 
-ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
-ENV_CHECKPOINT_EVERY = "REPRO_CHECKPOINT_EVERY"
-
 #: Default snapshot cadence, in simulated DRAM reads.
 DEFAULT_EVERY_READS = 1000
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint file failed validation (and was quarantined)."""
-
-
-def checkpoint_every(default: int = DEFAULT_EVERY_READS) -> int:
-    """Snapshot cadence from ``REPRO_CHECKPOINT_EVERY`` (reads)."""
-    raw = os.environ.get(ENV_CHECKPOINT_EVERY, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_CHECKPOINT_EVERY} must be an integer number of DRAM "
-            f"reads, got {raw!r}") from None
-    return max(1, value)
 
 
 def checkpoint_path(directory, cache_key: str) -> Path:

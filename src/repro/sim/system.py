@@ -28,7 +28,6 @@ from repro.sanitizer import (
     ProtocolViolation,
     attach_sanitizers,
     global_report,
-    sanitize_mode,
 )
 from repro.sim.config import SimConfig, build_memory
 from repro.telemetry.sampler import Sampler
@@ -160,22 +159,25 @@ class SimulationSystem:
         ]
         self.telemetry: Optional[RunTelemetry] = None
         self.sampler: Optional[Sampler] = None
-        # Optional protocol sanitizer (REPRO_SANITIZE / repro run
-        # --check): shadow FSM/timing checkers on every conventional
-        # controller plus read conservation at the uncore. Off by
+        # Optional protocol sanitizer (see attach_sanitizer). Off by
         # default; the hot path then pays one `is None` check per hook.
         self._san_report = None
         self._san_uncore = None
         self._san_counts_before: Optional[Dict[str, int]] = None
-        mode = sanitize_mode()
-        if mode != MODE_OFF:
-            report = global_report()
-            if mode == MODE_STRICT:
-                report.strict = True
-            _, self._san_uncore = attach_sanitizers(
-                self.memory, self.uncore, report)
-            self._san_report = report
-            self._san_counts_before = dict(report.counts)
+
+    def attach_sanitizer(self, mode: int) -> None:
+        """Check the run's DRAM protocol and read conservation into the
+        process-wide report, in a :func:`~repro.sanitizer.sanitize_mode`
+        ``mode``; call once, before the run."""
+        if mode == MODE_OFF:
+            return
+        report = global_report()
+        if mode == MODE_STRICT:
+            report.strict = True
+        _, self._san_uncore = attach_sanitizers(self.memory, self.uncore,
+                                                report)
+        self._san_report = report
+        self._san_counts_before = dict(report.counts)
 
     def attach_telemetry(self, telemetry: RunTelemetry) -> None:
         """Instrument the memory hierarchy and start periodic sampling;

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.experiments.runner import DEFAULT_CACHE_DIR
+from repro.experiments.runner import default_config
 from repro.service.store import DEFAULT_STATE_DIR, manifest_store
-from repro.sim.checkpoint import ENV_CHECKPOINT_DIR, checkpoint_store
+from repro.sim.checkpoint import checkpoint_store
 from repro.store.atomic import format_size, parse_size
 from repro.store.cas import ArtifactStore
 
@@ -47,7 +46,7 @@ def discover_tiers(cache_dir: Optional[str], jobs_dir: Optional[str],
     A directory named here must exist (``off`` names no cache). When
     any tier is named, only the named tiers are returned; otherwise
     every tier falls back to its default directory, skipped when
-    absent.
+    absent (the defaults are :func:`default_config`'s).
     """
     named = [d for d in (cache_dir, jobs_dir, checkpoint_dir)
              if d and d.lower() != "off"]
@@ -56,10 +55,10 @@ def discover_tiers(cache_dir: Optional[str], jobs_dir: Optional[str],
         raise SystemExit("repro store: no such directory: "
                          + ", ".join(missing))
     if not named:
-        cache_dir = (cache_dir or os.environ.get("REPRO_CACHE")
-                     or DEFAULT_CACHE_DIR)
+        defaults = default_config()
+        cache_dir = cache_dir or defaults.cache_dir
         jobs_dir = DEFAULT_STATE_DIR
-        checkpoint_dir = os.environ.get(ENV_CHECKPOINT_DIR)
+        checkpoint_dir = defaults.checkpoint_dir
     builders = (
         (None if cache_dir and cache_dir.lower() == "off" else cache_dir,
          lambda d: ArtifactStore(d, budget_bytes=budget)),

@@ -99,9 +99,9 @@ def sweep(benchmark: str, parameter: str, values: Sequence[object],
           jobs: Optional[int] = None) -> ExperimentTable:
     """Sweep one parameter; returns a table of performance metrics.
 
-    ``jobs`` fans the points out over worker processes (None defers to
-    ``REPRO_JOBS``; 1 = serial in-process). Sweeps are not cached —
-    every call simulates.
+    ``jobs`` fans the points out over worker processes (None or 1 =
+    serial in-process; 0 = one per CPU). Sweeps are not cached — every
+    call simulates.
     """
     memory = resolve_name(memory)
     base = base or SimConfig(memory=memory,
@@ -110,7 +110,7 @@ def sweep(benchmark: str, parameter: str, values: Sequence[object],
     specs = [sweep_spec(benchmark, base, parameter, value)
              for value in values]
     config = ExperimentConfig(target_dram_reads=base.target_dram_reads,
-                              seed=base.seed, cache_dir=None, jobs=jobs)
+                              seed=base.seed, cache_dir=None)
     results = run_specs(specs, config, jobs=jobs)
     table = ExperimentTable(
         experiment_id=f"sweep:{parameter}",

@@ -19,7 +19,11 @@ import pickletools
 import pytest
 
 from repro.experiments.resilience import FaultPlan
-from repro.experiments.runner import ExperimentConfig
+from repro.experiments.runner import (
+    ConfigError,
+    ExperimentConfig,
+    default_config,
+)
 from repro.experiments.specs import (
     RunSpec,
     execute_spec,
@@ -31,7 +35,6 @@ from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
     Checkpointer,
-    checkpoint_every,
     checkpoint_path,
     load_checkpoint,
 )
@@ -81,14 +84,15 @@ def test_checkpoint_path_is_deterministic(tmp_path):
 
 def test_checkpoint_every_env(monkeypatch):
     monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
-    assert checkpoint_every() == 1000
+    assert default_config().checkpoint_every == 1000
     monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "250")
-    assert checkpoint_every() == 250
-    monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "-3")
-    assert checkpoint_every() == 1  # clamped to at least one read
-    monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "soon")
-    with pytest.raises(ValueError, match="REPRO_CHECKPOINT_EVERY"):
-        checkpoint_every()
+    assert default_config().checkpoint_every == 250
+    # No cadence below one read: -3 and "soon" get the same one answer.
+    for text in ("-3", "0", "soon"):
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", text)
+        with pytest.raises(ConfigError, match="REPRO_CHECKPOINT_EVERY "
+                           "must be a positive number of DRAM reads"):
+            default_config()
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +408,7 @@ def test_kill_after_saves_parsing():
     assert plan.kill_after_saves("x/y", 1) is None  # unplanned spec
 
 
-def test_ckptkill_worker_resumes_byte_identical(tmp_path, baseline,
-                                                monkeypatch):
+def test_ckptkill_worker_resumes_byte_identical(tmp_path, baseline):
     """End-to-end: the worker dies right after its first snapshot lands
     (a genuine BrokenProcessPool), the retry resumes from the checkpoint,
     and the delivered result is byte-identical to an uninterrupted run."""
@@ -414,8 +417,8 @@ def test_ckptkill_worker_resumes_byte_identical(tmp_path, baseline,
     spec = RunSpec("mcf", "rl")
     config = ExperimentConfig(target_dram_reads=READS, cache_dir=None,
                               checkpoint_dir=str(tmp_path),
-                              checkpoint_every=EVERY, retries=2, jobs=2)
-    monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/rl=ckptkill")
+                              checkpoint_every=EVERY, retries=2, jobs=2,
+                              fault_plan=FaultPlan.parse("mcf/rl=ckptkill"))
     executor = ParallelExecutor(config, jobs=2)
     results = executor.run([spec])
     assert executor.counters.get("resilience.failures.broken-pool") == 1
@@ -423,8 +426,7 @@ def test_ckptkill_worker_resumes_byte_identical(tmp_path, baseline,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ckptkill_named_runner_resumes_byte_identical(tmp_path,
-                                                      monkeypatch):
+def test_ckptkill_named_runner_resumes_byte_identical(tmp_path):
     """A named runner's system checkpoints like any other: the worker
     dies after the profiling pass's first snapshot, and the retry
     resumes it to the result of a run without a checkpoint dir."""
@@ -434,9 +436,10 @@ def test_ckptkill_named_runner_resumes_byte_identical(tmp_path,
     spec = profiling_spec("mcf")
     plain = ExperimentConfig(target_dram_reads=READS, cache_dir=None)
     expected = result_bytes(execute_spec(spec, plain))
-    config = dataclasses.replace(plain, checkpoint_dir=str(tmp_path),
-                                 checkpoint_every=EVERY, retries=2, jobs=2)
-    monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3/profiling=ckptkill")
+    config = dataclasses.replace(
+        plain, checkpoint_dir=str(tmp_path), checkpoint_every=EVERY,
+        retries=2, jobs=2,
+        fault_plan=FaultPlan.parse("mcf/ddr3/profiling=ckptkill"))
     executor = ParallelExecutor(config, jobs=2)
     results = executor.run([spec])
     assert executor.counters.get("resilience.failures.broken-pool") == 1

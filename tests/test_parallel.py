@@ -24,6 +24,7 @@ from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentTable,
     ResultCache,
+    default_config,
 )
 from repro.experiments.specs import (
     RUNNER_REGISTRY,
@@ -158,14 +159,15 @@ class TestResolveJobs:
     def test_default_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs() == 1
+        assert default_config().jobs == 1
 
     def test_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs() == 3
+        assert default_config().jobs == 3
 
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs(2) == 2
+        assert ParallelExecutor(default_config(), jobs=2).jobs == 2
 
     def test_zero_means_cpu_count(self):
         assert resolve_jobs(0) >= 1
@@ -176,6 +178,9 @@ class FinishedSystem:
 
     def __init__(self, result):
         self.result = result
+
+    def attach_sanitizer(self, mode):
+        pass
 
     def run(self, checkpointer=None):
         return self.result
@@ -364,10 +369,10 @@ class TestPersistentExecutor:
         assert executor.jobs == 4
 
     def test_jobs_resolved_once_at_construction(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        executor = ParallelExecutor(self.config(tmp_path))
+        config = dataclasses.replace(self.config(tmp_path), jobs=3)
+        executor = ParallelExecutor(config)
         monkeypatch.setenv("REPRO_JOBS", "7")
-        assert executor.jobs == 3  # later env changes never apply silently
+        assert executor.jobs == 3  # the environment is never consulted
 
     def test_per_call_config_override(self, tmp_path):
         base = self.config(tmp_path)

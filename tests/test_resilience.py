@@ -20,7 +20,7 @@ from repro.experiments import (
     failure_appendix,
     run_specs,
 )
-from repro.experiments.executor import resolve_jobs
+from repro.experiments.runner import ConfigError, default_config
 from repro.experiments.homogeneous import figure_1a, specs_figure_1a
 from repro.experiments.resilience import (
     BROKEN_POOL,
@@ -29,9 +29,7 @@ from repro.experiments.resilience import (
     TIMEOUT,
     Fault,
     InjectedCrash,
-    activate_fault_plan,
     classify_failure,
-    deactivate_fault_plan,
 )
 from repro.experiments.specs import spec_cache_key
 from repro.telemetry import TelemetrySession, activate, deactivate
@@ -40,17 +38,13 @@ READS = 60
 FAST = RetryPolicy(max_retries=1, backoff_base_s=0.001)
 
 
-@pytest.fixture(autouse=True)
-def _no_leftover_plan(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    yield
-    deactivate_fault_plan()
-
-
-def config_for(tmp_path=None, **kwargs):
+def config_for(tmp_path=None, plan=None, **kwargs):
+    """The test config; ``plan`` is a fault-plan text, carried to every
+    run (pool workers included) by the config."""
     return ExperimentConfig(
         target_dram_reads=READS, benchmarks=("mcf",),
-        cache_dir=str(tmp_path) if tmp_path else None, **kwargs)
+        cache_dir=str(tmp_path) if tmp_path else None,
+        fault_plan=FaultPlan.parse(plan) if plan else None, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +177,11 @@ class TestFaultPlan:
 
     def test_from_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=explode")
-        with pytest.raises(ValueError, match="REPRO_FAULT_PLAN"):
-            FaultPlan.from_env()
+        with pytest.raises(ConfigError, match="REPRO_FAULT_PLAN"):
+            default_config()
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=crash:2")
+        assert default_config().fault_plan == FaultPlan.parse(
+            "mcf/ddr3=crash:2")
 
     def test_crash_fires_on_leading_attempts_only(self):
         plan = FaultPlan.parse("a/b=crash:2")
@@ -202,23 +199,24 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: resolve_jobs on malformed REPRO_JOBS
+# Satellite: malformed REPRO_JOBS
 # ---------------------------------------------------------------------------
 
 
 class TestResolveJobsValidation:
     def test_malformed_env_names_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "two")
-        with pytest.raises(ValueError, match="REPRO_JOBS.*'two'"):
-            resolve_jobs()
+        with pytest.raises(ConfigError, match="REPRO_JOBS.*'two'"):
+            default_config()
 
     def test_empty_env_still_defaults_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "  ")
-        assert resolve_jobs() == 1
+        assert default_config().jobs == 1
 
     def test_explicit_arg_bypasses_env(self, monkeypatch):
+        # Below the edge nothing reads the environment.
         monkeypatch.setenv("REPRO_JOBS", "garbage")
-        assert resolve_jobs(2) == 2
+        assert ParallelExecutor(config_for(), jobs=2).jobs == 2
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +275,14 @@ class TestCacheQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# Executor resilience: serial path (in-process, fault plan activated
-# programmatically)
+# Executor resilience: serial path (in-process)
 # ---------------------------------------------------------------------------
 
 
 class TestSerialResilience:
     def test_crash_retry_succeeds(self):
-        activate_fault_plan(FaultPlan.parse("mcf/ddr3=crash:1"))
-        executor = ParallelExecutor(config_for(), jobs=1, policy=FAST)
+        executor = ParallelExecutor(config_for(plan="mcf/ddr3=crash:1"),
+                                    jobs=1, policy=FAST)
         results = executor.run([RunSpec("mcf", "ddr3")])
         assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
         assert executor.counters["resilience.failures.crash"] == 1
@@ -293,8 +290,8 @@ class TestSerialResilience:
         assert not executor.failures
 
     def test_exhausted_keep_going_records_failed_run(self):
-        activate_fault_plan(FaultPlan.parse("mcf/ddr3=crash:*"))
-        executor = ParallelExecutor(config_for(), jobs=1, policy=FAST,
+        executor = ParallelExecutor(config_for(plan="mcf/ddr3=crash:*"),
+                                    jobs=1, policy=FAST,
                                     keep_going=True)
         results = executor.run([RunSpec("mcf", "ddr3"),
                                 RunSpec("mcf", "rldram3")])
@@ -306,14 +303,14 @@ class TestSerialResilience:
         assert results[RunSpec("mcf", "rldram3")].elapsed_cycles > 0
 
     def test_exhausted_fail_fast_raises_suite_error(self):
-        activate_fault_plan(FaultPlan.parse("mcf/ddr3=crash:*"))
-        executor = ParallelExecutor(config_for(), jobs=1, policy=FAST)
+        executor = ParallelExecutor(config_for(plan="mcf/ddr3=crash:*"),
+                                    jobs=1, policy=FAST)
         with pytest.raises(SuiteError, match="mcf/ddr3.*crash"):
             executor.run([RunSpec("mcf", "ddr3")])
 
     def test_corrupt_result_classified(self):
-        activate_fault_plan(FaultPlan.parse("mcf/ddr3=corrupt:*"))
-        executor = ParallelExecutor(config_for(), jobs=1, policy=FAST,
+        executor = ParallelExecutor(config_for(plan="mcf/ddr3=corrupt:*"),
+                                    jobs=1, policy=FAST,
                                     keep_going=True)
         results = executor.run([RunSpec("mcf", "ddr3")])
         failed = results[RunSpec("mcf", "ddr3")]
@@ -321,8 +318,7 @@ class TestSerialResilience:
         assert failed.kind == CORRUPT_RESULT
 
     def test_corrupt_result_never_cached(self, tmp_path):
-        activate_fault_plan(FaultPlan.parse("mcf/ddr3=corrupt:*"))
-        config = config_for(tmp_path)
+        config = config_for(tmp_path, plan="mcf/ddr3=corrupt:*")
         executor = ParallelExecutor(config, jobs=1, policy=FAST,
                                     keep_going=True)
         executor.run([RunSpec("mcf", "ddr3")])
@@ -330,8 +326,8 @@ class TestSerialResilience:
         assert ResultCache(str(tmp_path)).get(key) is None
 
     def test_failed_attempts_land_in_timings(self):
-        activate_fault_plan(FaultPlan.parse("mcf/ddr3=crash:1"))
-        executor = ParallelExecutor(config_for(), jobs=1, policy=FAST)
+        executor = ParallelExecutor(config_for(plan="mcf/ddr3=crash:1"),
+                                    jobs=1, policy=FAST)
         executor.run([RunSpec("mcf", "ddr3")])
         statuses = [(t["status"], t["attempt"]) for t in executor.timings]
         assert (CRASH, 1) in statuses and ("ok", 2) in statuses
@@ -339,14 +335,15 @@ class TestSerialResilience:
 
 
 # ---------------------------------------------------------------------------
-# Executor resilience: parallel path (fault plan travels via environment)
+# Executor resilience: parallel path (the fault plan travels with the
+# pickled config)
 # ---------------------------------------------------------------------------
 
 
 class TestParallelResilience:
-    def test_injected_crash_retries_to_success(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=crash:1")
-        executor = ParallelExecutor(config_for(), jobs=2, policy=FAST)
+    def test_injected_crash_retries_to_success(self):
+        executor = ParallelExecutor(config_for(plan="mcf/ddr3=crash:1"),
+                                    jobs=2, policy=FAST)
         results = executor.run([RunSpec("mcf", "ddr3"),
                                 RunSpec("mcf", "rldram3")])
         assert not executor.failures
@@ -354,11 +351,11 @@ class TestParallelResilience:
         assert executor.counters["resilience.failures.crash"] == 1
         assert executor.counters["resilience.retries"] == 1
 
-    def test_injected_hang_past_timeout(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/rldram3=hang:*:30")
+    def test_injected_hang_past_timeout(self):
         policy = RetryPolicy(max_retries=1, timeout_s=1.0,
                              backoff_base_s=0.001)
-        executor = ParallelExecutor(config_for(), jobs=2, policy=policy,
+        executor = ParallelExecutor(config_for(plan="mcf/rldram3=hang:*:30"),
+                                    jobs=2, policy=policy,
                                     keep_going=True)
         results = executor.run([RunSpec("mcf", "ddr3"),
                                 RunSpec("mcf", "rldram3")])
@@ -369,26 +366,25 @@ class TestParallelResilience:
         # The innocent spec sharing the pool still completed.
         assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
 
-    def test_hang_recovers_when_fault_retires(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=hang:1:30")
+    def test_hang_recovers_when_fault_retires(self):
         policy = RetryPolicy(max_retries=1, timeout_s=1.0,
                              backoff_base_s=0.001)
-        executor = ParallelExecutor(config_for(), jobs=2, policy=policy)
+        executor = ParallelExecutor(config_for(plan="mcf/ddr3=hang:1:30"),
+                                    jobs=2, policy=policy)
         results = executor.run([RunSpec("mcf", "ddr3")])
         assert not executor.failures
         assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
         assert executor.counters["resilience.failures.timeout"] == 1
 
-    def test_timeout_starts_when_a_worker_takes_the_spec(self, monkeypatch):
+    def test_timeout_starts_when_a_worker_takes_the_spec(self):
         # Three 0.7 s specs on two workers: the third waits about 0.7 s
         # for a worker, and that wait must not count against its 1.2 s
         # timeout or its recorded seconds.
-        monkeypatch.setenv("REPRO_FAULT_PLAN",
-                           "mcf/ddr3=hang:1:0.7;mcf/rl=hang:1:0.7;"
-                           "mcf/rldram3=hang:1:0.7")
+        plan = ("mcf/ddr3=hang:1:0.7;mcf/rl=hang:1:0.7;"
+                "mcf/rldram3=hang:1:0.7")
         policy = RetryPolicy(timeout_s=1.2, backoff_base_s=0.001)
-        executor = ParallelExecutor(config_for(), jobs=2, policy=policy,
-                                    keep_going=True)
+        executor = ParallelExecutor(config_for(plan=plan), jobs=2,
+                                    policy=policy, keep_going=True)
         specs = [RunSpec("mcf", memory)
                  for memory in ("ddr3", "rl", "rldram3")]
         results = executor.run(specs)
@@ -397,10 +393,9 @@ class TestParallelResilience:
         assert all(results[spec].elapsed_cycles > 0 for spec in specs)
         assert all(0.7 <= t["seconds"] < 1.2 for t in executor.timings)
 
-    def test_worker_kill_breaks_pool_then_respawns(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=kill:1")
+    def test_worker_kill_breaks_pool_then_respawns(self):
         executor = ParallelExecutor(
-            config_for(), jobs=2,
+            config_for(plan="mcf/ddr3=kill:1"), jobs=2,
             policy=RetryPolicy(max_retries=2, backoff_base_s=0.001))
         results = executor.run([RunSpec("mcf", "ddr3"),
                                 RunSpec("mcf", "rldram3")])
@@ -408,11 +403,11 @@ class TestParallelResilience:
         assert all(r.elapsed_cycles > 0 for r in results.values())
         assert executor.counters["resilience.failures.broken-pool"] >= 1
 
-    def test_degrade_serial_rescues_worker_only_failure(self, monkeypatch):
+    def test_degrade_serial_rescues_worker_only_failure(self):
         # kill:* breaks every pool attempt; the in-process last resort
         # runs with the fault hook disabled and rescues the spec.
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=kill:*")
-        executor = ParallelExecutor(config_for(), jobs=2, policy=FAST,
+        executor = ParallelExecutor(config_for(plan="mcf/ddr3=kill:*"),
+                                    jobs=2, policy=FAST,
                                     degrade_serial=True)
         results = executor.run([RunSpec("mcf", "ddr3")])
         assert not executor.failures
@@ -434,11 +429,11 @@ class TestParallelResilience:
         # Ctrl-C leaves no orphan processes behind.
         assert multiprocessing.active_children() == []
 
-    def test_parallel_failure_counters_reach_session(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=crash:1")
+    def test_parallel_failure_counters_reach_session(self):
         session = activate(TelemetrySession())
         try:
-            executor = ParallelExecutor(config_for(), jobs=2, policy=FAST)
+            executor = ParallelExecutor(config_for(plan="mcf/ddr3=crash:1"),
+                                        jobs=2, policy=FAST)
             executor.run([RunSpec("mcf", "ddr3")])
         finally:
             deactivate()
@@ -454,12 +449,12 @@ class TestParallelResilience:
 class TestGroupedResilience:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("label", ["mcf/rl", "mcf/rl/unterminated"])
-    def test_failed_member_retries_alone(self, monkeypatch, jobs, label):
+    def test_failed_member_retries_alone(self, jobs, label):
         from repro.experiments.energy_eval import sec72_spec
 
-        monkeypatch.setenv("REPRO_FAULT_PLAN", f"{label}=crash:1")
         base, view = RunSpec("mcf", "rl"), sec72_spec("mcf")
-        executor = ParallelExecutor(config_for(), jobs=jobs, policy=FAST)
+        executor = ParallelExecutor(config_for(plan=f"{label}=crash:1"),
+                                    jobs=jobs, policy=FAST)
         results = executor.run([base, view])
         assert not executor.failures
         assert executor.counters["resilience.failures.crash"] == 1
@@ -473,8 +468,6 @@ class TestGroupedResilience:
         # The member that crashed ran before its group's simulation, so
         # the healthy member simulated on its own.
         assert all(t["shared_with"] is None for t in executor.timings)
-        deactivate_fault_plan()
-        monkeypatch.delenv("REPRO_FAULT_PLAN")
         clean = ParallelExecutor(config_for(), jobs=1).run([base, view])
         assert results == clean
 
@@ -487,33 +480,32 @@ class TestGroupedResilience:
 class TestChaosDeterminism:
     READS = 120
 
-    def _table(self, cache_dir, jobs=2, policy=None):
-        config = ExperimentConfig(target_dram_reads=self.READS,
-                                  benchmarks=("mcf",),
-                                  cache_dir=str(cache_dir))
+    def _table(self, cache_dir, jobs=2, policy=None, plan=None):
+        config = ExperimentConfig(
+            target_dram_reads=self.READS, benchmarks=("mcf",),
+            cache_dir=str(cache_dir),
+            fault_plan=FaultPlan.parse(plan) if plan else None)
         executor = ParallelExecutor(config, jobs=jobs,
                                     policy=policy or RetryPolicy())
         results = executor.run(specs_figure_1a(config))
         return figure_1a(config, results=results).format(), executor
 
     def test_crashes_with_retries_yield_byte_identical_tables(
-            self, monkeypatch, tmp_path):
+            self, tmp_path):
         clean, _ = self._table(tmp_path / "clean")
-        monkeypatch.setenv("REPRO_FAULT_PLAN",
-                           "mcf/ddr3=crash:1;mcf/lpddr2=crash:1")
         faulty, executor = self._table(
             tmp_path / "faulty",
-            policy=RetryPolicy(max_retries=2, backoff_base_s=0.001))
+            policy=RetryPolicy(max_retries=2, backoff_base_s=0.001),
+            plan="mcf/ddr3=crash:1;mcf/lpddr2=crash:1")
         assert not executor.failures
         assert executor.counters["resilience.retries"] == 2
         assert faulty == clean  # byte-identical despite two crashes
 
-    def test_exhausted_failures_degrade_gracefully(self, monkeypatch,
-                                                   tmp_path):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/rldram3=crash:*")
-        config = ExperimentConfig(target_dram_reads=self.READS,
-                                  benchmarks=("mcf",),
-                                  cache_dir=str(tmp_path / "kg"))
+    def test_exhausted_failures_degrade_gracefully(self, tmp_path):
+        config = ExperimentConfig(
+            target_dram_reads=self.READS, benchmarks=("mcf",),
+            cache_dir=str(tmp_path / "kg"),
+            fault_plan=FaultPlan.parse("mcf/rldram3=crash:*"))
         executor = ParallelExecutor(config, jobs=2, policy=FAST,
                                     keep_going=True)
         results = executor.run(specs_figure_1a(config))

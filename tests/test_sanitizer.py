@@ -3,7 +3,7 @@
 Two halves:
 
 * The golden 6-cell kernel matrix (the PR-7 equivalence fixture) runs
-  under ``REPRO_SANITIZE=1`` and must produce **zero** violations and
+  sanitized in collect mode and must produce **zero** violations and
   SimResults byte-identical to ``tests/data/golden_kernel.json`` — the
   sanitizer observes, it never perturbs.
 * A deliberately broken "toy controller" — the sanitizer's ``note_*``
@@ -38,7 +38,7 @@ from repro.sanitizer import (
 )
 from repro.sanitizer.violations import MAX_STORED
 from repro.sim.config import SimConfig
-from repro.sim.system import run_benchmark
+from repro.sim.system import build_benchmark, run_system
 from repro.util.events import EventQueue
 
 DDR3 = TimingSet(DDR3_TIMING)
@@ -55,14 +55,15 @@ with GOLDEN_PATH.open() as _handle:
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN["results"]))
-def test_sanitized_golden_cell_clean_and_identical(cell, monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
+def test_sanitized_golden_cell_clean_and_identical(cell):
     report = reset_global_report()
     try:
         benchmark, memory = cell.split("/")
         config = SimConfig(memory=memory,
                            target_dram_reads=GOLDEN["target_dram_reads"])
-        result = run_benchmark(benchmark, config)
+        system, name = build_benchmark(benchmark, config)
+        system.attach_sanitizer(MODE_COLLECT)
+        result = run_system(system, name)
         assert report.clean, (
             f"{cell}: sanitizer flagged a real run as illegal: "
             f"{report.summary()}; first: "
@@ -91,7 +92,9 @@ def test_sweep_controller_queue_sanitizes_simulated_controllers(
         monkeypatch):
     """A hand-built memory is the one the sanitizer binds to: every
     controller the ``sweep_controller_queue`` runner ticks is checked."""
-    from repro.sweep import run_point
+    from repro.experiments.runner import ExperimentConfig
+    from repro.experiments.specs import execute_spec
+    from repro.sweep import sweep_spec
 
     ticked = set()
     tick = MemoryController._tick
@@ -101,11 +104,13 @@ def test_sweep_controller_queue_sanitizes_simulated_controllers(
         tick(self)
 
     monkeypatch.setattr(MemoryController, "_tick", recording_tick)
-    monkeypatch.setenv("REPRO_SANITIZE", "collect")
     report = reset_global_report()
     try:
-        run_point("mcf", SimConfig(target_dram_reads=200),
-                  "read_queue_size", 16)
+        spec = sweep_spec("mcf", SimConfig(target_dram_reads=200),
+                          "read_queue_size", 16)
+        execute_spec(spec, ExperimentConfig(target_dram_reads=200,
+                                            cache_dir=None,
+                                            sanitize=MODE_COLLECT))
         assert ticked
         assert all(mc._san is not None for mc in ticked), (
             "controllers ticked without a sanitizer: "
@@ -116,7 +121,7 @@ def test_sweep_controller_queue_sanitizes_simulated_controllers(
         reset_global_report()
 
 
-def test_two_rank_lpddr2_powerdown_strict_clean(monkeypatch):
+def test_two_rank_lpddr2_powerdown_strict_clean():
     """Multi-rank aggressive power-down, which no shipped organisation
     runs: strict sanitizing must see zero violations and real sleeps."""
     from repro.dram.device import DRAMKind
@@ -124,7 +129,6 @@ def test_two_rank_lpddr2_powerdown_strict_clean(monkeypatch):
     from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
     from repro.workloads.profiles import profile_for
 
-    monkeypatch.setenv("REPRO_SANITIZE", "strict")
     report = reset_global_report()
     try:
         config = SimConfig(memory="lpddr2", target_dram_reads=1500)
@@ -137,6 +141,7 @@ def test_two_rank_lpddr2_powerdown_strict_clean(monkeypatch):
                 controller_config=ControllerConfig(
                     aggressive_powerdown=True)))
         prewarm_l2(system, profile)
+        system.attach_sanitizer(MODE_STRICT)
         system.run()
         controllers = system.memory.controllers
         assert all(mc._san is not None for mc in controllers)
@@ -163,10 +168,109 @@ def test_sanitize_mode_parsing():
 
 
 def test_sanitize_mode_reads_environment(monkeypatch):
+    """Only the edge reads ``REPRO_SANITIZE``: it parses into the
+    config, which carries the mode to every run."""
+    from repro.experiments.runner import default_config
+
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    assert sanitize_mode() == MODE_OFF
+    assert default_config().sanitize == MODE_OFF
     monkeypatch.setenv("REPRO_SANITIZE", "strict")
-    assert sanitize_mode() == MODE_STRICT
+    assert default_config().sanitize == MODE_STRICT
+
+
+def test_sanitize_mode_rejects_unknown_words():
+    with pytest.raises(ValueError, match="got 'strcit'"):
+        sanitize_mode("strcit")
+
+
+# ---------------------------------------------------------------------------
+# The mode travels in the config, to every run that needs checking
+# ---------------------------------------------------------------------------
+
+
+def test_sanitized_config_skips_the_result_cache(tmp_path, monkeypatch):
+    """A warm cache must not turn a strict run into a check of nothing:
+    every spec is built and sanitized again, to the same results."""
+    import dataclasses
+
+    from repro.experiments.executor import ParallelExecutor
+    from repro.experiments.runner import ExperimentConfig
+    from repro.experiments.specs import RunSpec
+    from repro.sim.system import SimulationSystem
+
+    config = ExperimentConfig(target_dram_reads=150, cache_dir=str(tmp_path))
+    specs = [RunSpec("mcf", "ddr3"), RunSpec("mcf", "rl")]
+    warm = ParallelExecutor(config, jobs=1).run(specs)
+    built, sanitized = [], []
+    init, attach = SimulationSystem.__init__, SimulationSystem.attach_sanitizer
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_attach(self, mode):
+        attach(self, mode)
+        if self._san_report is not None:
+            sanitized.append(self)
+
+    monkeypatch.setattr(SimulationSystem, "__init__", counting_init)
+    monkeypatch.setattr(SimulationSystem, "attach_sanitizer", counting_attach)
+    report = reset_global_report()
+    try:
+        strict = dataclasses.replace(config, sanitize=MODE_STRICT)
+        results = ParallelExecutor(strict, jobs=1).run(specs)
+        assert report.clean, report.summary()
+    finally:
+        reset_global_report()
+    assert len(built) == len(sanitized) == len(specs)
+    assert ({s: json.dumps(dataclasses.asdict(r), sort_keys=True)
+             for s, r in results.items()}
+            == {s: json.dumps(dataclasses.asdict(r), sort_keys=True)
+                for s, r in warm.items()})
+
+
+def test_sanitized_run_does_not_checkpoint(tmp_path, monkeypatch):
+    """The sanitizer must see a whole run, so it never lands on a
+    system restored mid-run: a sanitized config takes no snapshots."""
+    import repro.experiments.specs as specs_mod
+    from repro.experiments.runner import ExperimentConfig
+    from repro.experiments.specs import RunSpec, execute_spec
+
+    made = []
+    real = specs_mod.Checkpointer
+    monkeypatch.setattr(specs_mod, "Checkpointer",
+                        lambda *a, **k: made.append(a) or real(*a, **k))
+    config = ExperimentConfig(target_dram_reads=300, cache_dir=None,
+                              checkpoint_dir=str(tmp_path),
+                              checkpoint_every=100, sanitize=MODE_COLLECT)
+    report = reset_global_report()
+    try:
+        execute_spec(RunSpec("mcf", "rl"), config)
+        assert report.clean, report.summary()
+    finally:
+        reset_global_report()
+    assert made == []
+    execute_spec(RunSpec("mcf", "rl"),
+                 ExperimentConfig(target_dram_reads=300, cache_dir=None,
+                                  checkpoint_dir=str(tmp_path),
+                                  checkpoint_every=100))
+    assert len(made) == 1
+
+
+def test_check_counts_runs_in_pool_workers(capsys, monkeypatch):
+    """``repro run --check --jobs 2`` reaches the workers through the
+    config: nothing writes the environment, and every run is counted."""
+    import os
+
+    from repro.cli import main
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    assert main(["run", "--memory", "ddr3,rl", "--benchmarks", "mcf",
+                 "--reads", "150", "--cache", "off", "--check",
+                 "--jobs", "2"]) == 0
+    assert "sanitizer: 2 run(s) checked, 0 violation(s)" in (
+        capsys.readouterr().out)
+    assert "REPRO_SANITIZE" not in os.environ
 
 
 # ---------------------------------------------------------------------------

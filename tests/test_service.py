@@ -9,6 +9,7 @@ ephemeral port and go through :class:`ServiceClient`, exactly like the
 ``repro submit`` CLI does.
 """
 
+import dataclasses
 import json
 import socket
 import sys
@@ -17,11 +18,7 @@ import threading
 import pytest
 
 from repro.experiments.executor import run_specs
-from repro.experiments.resilience import (
-    FaultPlan,
-    activate_fault_plan,
-    deactivate_fault_plan,
-)
+from repro.experiments.resilience import FaultPlan
 from repro.experiments.runner import ExperimentConfig
 from repro.service import (
     Job,
@@ -302,38 +299,33 @@ class TestScheduler:
             sched2.shutdown()
 
     def test_injected_crash_retried_without_failing_job(self, tmp_path):
-        config = make_config(tmp_path, retries=1)
-        activate_fault_plan(FaultPlan.parse("mcf/ddr3=crash:1"))
+        config = make_config(tmp_path, retries=1,
+                             fault_plan=FaultPlan.parse("mcf/ddr3=crash:1"))
+        sched = make_scheduler(tmp_path, config=config)
         try:
-            sched = make_scheduler(tmp_path, config=config)
-            try:
-                job = sched.submit({"specs": [SPEC_MCF_DDR3]})
-                assert sched.wait(job.id, timeout=120).state == "done"
-                metrics = sched.metrics()
-                assert metrics["executor.resilience.retries"] == 1
-                assert metrics["jobs"].get("failed") is None
-            finally:
-                sched.shutdown()
+            job = sched.submit({"specs": [SPEC_MCF_DDR3]})
+            assert sched.wait(job.id, timeout=120).state == "done"
+            metrics = sched.metrics()
+            assert metrics["executor.resilience.retries"] == 1
+            assert metrics["jobs"].get("failed") is None
         finally:
-            deactivate_fault_plan()
+            sched.shutdown()
 
     def test_exhausted_spec_fails_job_not_server(self, tmp_path):
-        activate_fault_plan(FaultPlan.parse("mcf/ddr3=crash:*"))
+        config = make_config(tmp_path,
+                             fault_plan=FaultPlan.parse("mcf/ddr3=crash:*"))
+        sched = make_scheduler(tmp_path, config=config)
         try:
-            sched = make_scheduler(tmp_path)
-            try:
-                job = sched.submit({"specs": [SPEC_MCF_DDR3]})
-                failed = sched.wait(job.id, timeout=120)
-                assert failed.state == "failed"
-                assert failed.failures[0]["kind"] == "crash"
-                # The scheduler thread survived; a clean job still runs.
-                deactivate_fault_plan()
-                ok = sched.submit({"specs": [SPEC_MCF_DDR3]})
-                assert sched.wait(ok.id, timeout=120).state == "done"
-            finally:
-                sched.shutdown()
+            job = sched.submit({"specs": [SPEC_MCF_DDR3]})
+            failed = sched.wait(job.id, timeout=120)
+            assert failed.state == "failed"
+            assert failed.failures[0]["kind"] == "crash"
+            # The scheduler thread survived; a clean job still runs.
+            sched.config = dataclasses.replace(config, fault_plan=None)
+            ok = sched.submit({"specs": [SPEC_MCF_DDR3]})
+            assert sched.wait(ok.id, timeout=120).state == "done"
         finally:
-            deactivate_fault_plan()
+            sched.shutdown()
 
     def test_submit_after_drain_is_refused(self, tmp_path):
         sched = make_scheduler(tmp_path)

@@ -20,7 +20,7 @@ from repro.experiments.energy_eval import sec72_spec
 from repro.experiments.specs import RunSpec, execute_spec
 from repro.memsys.base import MemorySystem
 from repro.memsys.registry import backend_names
-from repro.sanitizer import reset_global_report
+from repro.sanitizer import MODE_STRICT, reset_global_report
 from repro.sim import system as system_mod
 from repro.sim.checkpoint import Checkpointer, load_checkpoint
 from repro.sim.config import SimConfig, TABLE1, build_memory
@@ -378,13 +378,14 @@ class TestFinishedSystemIsFreed:
         del system
         assert leftovers() == []
 
-    def test_strict_sanitizer(self, released_runs, monkeypatch):
+    def test_strict_sanitizer(self, released_runs):
         in_flight, leftovers = released_runs
-        monkeypatch.setenv("REPRO_SANITIZE", "strict")
         report = reset_global_report()
         try:
-            simulate_benchmark(
-                "leslie3d", SimConfig(memory="rl", target_dram_reads=600))
+            execute_spec(RunSpec("leslie3d", "rl"),
+                         ExperimentConfig(target_dram_reads=600,
+                                          cache_dir=None,
+                                          sanitize=MODE_STRICT))
             assert report.clean, report.summary()
         finally:
             reset_global_report()
