@@ -10,7 +10,7 @@ Usage::
     repro run --memory ddr3,rl,hmc_cwf --benchmarks leslie3d,mcf --jobs 2
     repro run --memory rl --check         # protocol sanitizer on, fail on
                                           # any DRAM-timing/FSM violation
-    repro resume .ckpts/ck-0123abcd.ckpt  # finish an interrupted run
+    repro run --memory ddr3,rl --benchmarks mcf --stats-json out.json
     repro trace record mcf --out mcf.trace --reads 2000
     repro trace info mcf.trace            # metadata + per-core stats
     repro run --workload trace:mcf.trace --memory rl
@@ -30,10 +30,12 @@ Usage::
 
 (Both console scripts share this module: ``repro`` and
 ``repro-experiment`` accept the same arguments; the experiment id is
-the legacy positional form.)
+the legacy positional form.) ``repro run`` and the experiment ids are
+suite commands: one runner (:func:`run_suite`) serves both, so every
+flag below works on each.
 
 Results print as text tables; ``--output`` appends them to a file.
-Before any table is built, the requested experiments' declarative
+Before any table is built, the requested tables' declarative
 ``RunSpec`` lists are merged and deduped, so runs shared across figures
 (every figure needs the DDR3 baseline) simulate exactly once.
 ``--jobs N`` (or ``REPRO_JOBS``) schedules those runs over N worker
@@ -46,12 +48,15 @@ deterministic jitter), ``--timeout SEC`` bounds each spec's wall clock
 (parallel mode), and ``--keep-going`` turns exhausted failures into
 ``—`` table cells plus a failure appendix instead of aborting — see
 ``repro.experiments.resilience`` (and ``REPRO_FAULT_PLAN`` for
-deterministic fault injection to test all of it).
+deterministic fault injection to test all of it). With
+``--checkpoint-dir``, running the same command again resumes each
+interrupted simulation from its last snapshot.
 ``--stats-json``/``--stats-csv`` dump the full metrics registry of every
 simulated run (per-channel latency histograms, per-bank counters, run
 manifest); ``--trace-out`` writes a Chrome ``trace_event`` JSON viewable
-in chrome://tracing or https://ui.perfetto.dev. Telemetry options force
-real simulations (the result cache is bypassed for reads).
+in chrome://tracing or https://ui.perfetto.dev. Telemetry options and
+``--check`` force real simulations (the result cache is bypassed for
+reads).
 
 Kernel performance is measured outside this CLI, on the pinned
 (ddr3, rl, hmc_cwf) x (mcf, leslie3d) matrix::
@@ -67,7 +72,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import (
     ALL_EXPERIMENTS,
@@ -100,8 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment",
                         help="experiment id(s), comma-separated "
                              "(see 'list'), or 'all'/'list'")
+    add_suite_args(parser)
+    return parser
+
+
+def add_suite_args(parser: argparse.ArgumentParser) -> None:
+    """The flags of every suite command (the experiment ids and
+    ``repro run``): each is one step of :func:`run_suite`."""
     add_scale_args(parser)
     add_resilience_args(parser)
+    add_checkpoint_args(parser)
+    parser.add_argument("--check", action="store_true",
+                        help="run under the DRAM protocol sanitizer "
+                             "(collect mode unless REPRO_SANITIZE sets "
+                             "one): every command stream is replayed "
+                             "against a shadow timing/FSM model; exit 1 "
+                             "on any violation")
     parser.add_argument("--output", default=None,
                         help="append formatted tables to this file")
     parser.add_argument("--json", action="store_true",
@@ -114,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write per-run metrics as flat CSV")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write a Chrome trace_event JSON of all requests")
-    return parser
 
 
 def add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -138,7 +156,8 @@ def add_scale_args(parser: argparse.ArgumentParser) -> None:
 
 
 def add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """Failure-handling flags shared by the experiment and run commands."""
+    """Failure-handling flags shared by the suite commands and the
+    report generator."""
     group = parser.add_argument_group("failure handling")
     group.add_argument("--retries", type=flag_type("REPRO_RETRIES"),
                        metavar="N",
@@ -188,7 +207,8 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
-    """Crash-safe checkpointing flags shared by run and serve."""
+    """Crash-safe checkpointing flags shared by the suite commands and
+    serve."""
     group = parser.add_argument_group("checkpointing")
     group.add_argument("--checkpoint-dir",
                        type=flag_type("REPRO_CHECKPOINT_DIR"), metavar="DIR",
@@ -203,20 +223,113 @@ def add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
                             "(default REPRO_CHECKPOINT_EVERY or 1000)")
 
 
-def _report_failures(executor: ParallelExecutor,
-                     output: Optional[str] = None) -> None:
-    """Print (and optionally append to a file) the failure appendix."""
-    if not executor.failures:
-        return
-    appendix = failure_appendix(executor.failures)
-    print(appendix)
-    if output:
-        with open(output, "a") as handle:
-            handle.write(appendix + "\n\n")
+def run_suite(args: argparse.Namespace, argv: List[str],
+              config: ExperimentConfig, specs: Sequence,
+              builders: Dict[str, Callable]) -> int:
+    """The one runner behind every suite command: simulate ``specs`` in
+    one executor pass, build each named table with
+    ``builders[name](config, results=...)``, and honour every flag of
+    :func:`add_suite_args`. Returns the exit status."""
+    import json
+
+    if args.check:
+        from dataclasses import replace
+
+        from repro.sanitizer import MODE_COLLECT, reset_global_report
+
+        # The config carries the mode to pool workers too; an explicit
+        # strict/collect REPRO_SANITIZE wins.
+        config = replace(config, sanitize=config.sanitize or MODE_COLLECT)
+        reset_global_report()
+    session: Optional[TelemetrySession] = None
+    # The session is also how worker-process sanitizer counters flow
+    # back to this process.
+    if args.check or args.stats_json or args.stats_csv or args.trace_out:
+        session = activate(TelemetrySession(
+            trace_enabled=bool(args.trace_out)))
+
+    def emit(text: str) -> None:
+        print(text)
+        if args.output:
+            with open(args.output, "a") as handle:
+                handle.write(text + "\n\n")
+
+    # One scheduler pass over the union of every table's specs: shared
+    # baselines run once, in parallel when jobs > 1.
+    executor = ParallelExecutor(config, progress=True)
+    suite_start = time.perf_counter()
+    try:
+        try:
+            results = executor.run(specs)
+        except SuiteError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print("hint: --retries N retries failed specs, --keep-going "
+                  "renders them as '—' cells instead of aborting",
+                  file=sys.stderr)
+            return 1
+        for name, build in builders.items():
+            start = time.perf_counter()
+            table = build(config, results=results)
+            if args.json:
+                emit(json.dumps(table_to_dict(table), indent=1, default=str))
+            else:
+                emit(table.format())
+                print(f"[{name} took {time.perf_counter() - start:.1f}s]\n")
+        if executor.failures:
+            emit(failure_appendix(executor.failures))
+    finally:
+        if session is not None:
+            deactivate()
+
+    if args.timings_json:
+        with open(args.timings_json, "w") as handle:
+            json.dump({
+                "jobs": executor.jobs,
+                "experiments": list(builders),
+                "total_wall_s": round(time.perf_counter() - suite_start, 3),
+                "specs": executor.timings,
+            }, handle, indent=1)
+        print(f"wrote per-spec timings to {args.timings_json}",
+              file=sys.stderr)
+    if session is None:
+        return 0
+    if args.stats_json:
+        manifest_config = {
+            "experiments": list(builders),
+            "target_dram_reads": config.target_dram_reads,
+            "benchmarks": list(config.suite()),
+            "jobs": executor.jobs,
+        }
+        session.export_stats(args.stats_json, config=manifest_config,
+                             seed=config.seed, argv=argv)
+        print(f"wrote stats to {args.stats_json}", file=sys.stderr)
+    if args.stats_csv:
+        session.export_csv(args.stats_csv)
+        print(f"wrote stats CSV to {args.stats_csv}", file=sys.stderr)
+    if args.trace_out:
+        session.export_trace(args.trace_out)
+        print(f"wrote trace to {args.trace_out} "
+              "(open in chrome://tracing or ui.perfetto.dev)",
+              file=sys.stderr)
+    return _report_sanitizer(session) if args.check else 0
 
 
-def _telemetry_wanted(args: argparse.Namespace) -> bool:
-    return bool(args.stats_json or args.stats_csv or args.trace_out)
+def _report_sanitizer(session: TelemetrySession) -> int:
+    """Summarise ``sanitizer.*`` counters after a --check run."""
+    from repro.sanitizer import global_report
+
+    counters = session.counters.snapshot()
+    runs = counters.get("sanitizer.runs", 0)
+    total = counters.get("sanitizer.violations", 0)
+    print(f"sanitizer: {runs} run(s) checked, {total} violation(s)")
+    for name in sorted(counters):
+        if (name.startswith("sanitizer.")
+                and name not in ("sanitizer.runs", "sanitizer.violations")):
+            print(f"  {name[len('sanitizer.'):]} x{counters[name]}")
+    # Serial runs keep full violation records in-process; show a few.
+    for violation in global_report().violations[:8]:
+        print(f"  {violation.describe()}")
+    return 1 if total else 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +557,7 @@ def cmd_run(argv: List[str]) -> int:
                              "registry form, including trace:<path> "
                              "replays (overrides --benchmarks; see "
                              "'repro list-workloads')")
-    add_scale_args(parser)
-    add_resilience_args(parser)
-    add_checkpoint_args(parser)
-    parser.add_argument("--check", action="store_true",
-                        help="run under the DRAM protocol sanitizer "
-                             "(collect mode unless REPRO_SANITIZE sets "
-                             "one): every command stream is replayed "
-                             "against a shadow timing/FSM model; exit 1 "
-                             "on any violation")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the table as structured JSON")
+    add_suite_args(parser)
     args = parser.parse_args(argv)
     memories = _resolve_memories(
         [m for m in args.memory.split(",") if m.strip()])
@@ -464,125 +567,30 @@ def cmd_run(argv: List[str]) -> int:
 
     config = make_config(args)
     if args.workload:
-        workloads = _resolve_workloads(
-            [w for w in args.workload.split(",") if w.strip()])
-    else:
-        workloads = list(config.suite())
-    specs = [RunSpec(bench, memory)
-             for bench in workloads for memory in memories]
-    check_session: Optional[TelemetrySession] = None
-    if args.check:
         from dataclasses import replace
+        config = replace(config, benchmarks=tuple(_resolve_workloads(
+            [w for w in args.workload.split(",") if w.strip()])))
+    specs = [RunSpec(bench, memory)
+             for bench in config.suite() for memory in memories]
 
-        from repro.sanitizer import MODE_COLLECT, reset_global_report
+    def build(config: ExperimentConfig, results: dict) -> ExperimentTable:
+        table = ExperimentTable(
+            experiment_id="run",
+            title="ad-hoc runs: " + ", ".join(memories),
+            columns=["benchmark", "memory", "throughput",
+                     "critical_latency", "fill_latency", "fast_fraction",
+                     "bus_utilization"])
+        for spec in specs:
+            result = results[spec]
+            table.add(benchmark=spec.benchmark, memory=spec.memory,
+                      throughput=result.throughput,
+                      critical_latency=result.avg_critical_latency,
+                      fill_latency=result.avg_fill_latency,
+                      fast_fraction=result.fast_service_fraction,
+                      bus_utilization=result.bus_utilization)
+        return table
 
-        # The config carries the mode to pool workers too; an explicit
-        # strict/collect REPRO_SANITIZE wins.
-        config = replace(config, sanitize=config.sanitize or MODE_COLLECT)
-        reset_global_report()
-        # The session is how worker-process sanitizer counters flow
-        # back to this process.
-        check_session = activate(TelemetrySession())
-    executor = ParallelExecutor(config, progress=True)
-    try:
-        results = executor.run(specs)
-    except SuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: --retries N retries failed specs, --keep-going "
-              "renders them as '—' cells instead of aborting",
-              file=sys.stderr)
-        return 1
-    finally:
-        if check_session is not None:
-            deactivate()
-    table = ExperimentTable(
-        experiment_id="run",
-        title="ad-hoc runs: " + ", ".join(memories),
-        columns=["benchmark", "memory", "throughput", "critical_latency",
-                 "fill_latency", "fast_fraction", "bus_utilization"])
-    for spec in specs:
-        result = results[spec]
-        table.add(benchmark=spec.benchmark, memory=spec.memory,
-                  throughput=result.throughput,
-                  critical_latency=result.avg_critical_latency,
-                  fill_latency=result.avg_fill_latency,
-                  fast_fraction=result.fast_service_fraction,
-                  bus_utilization=result.bus_utilization)
-    if args.json:
-        import json as _json
-        print(_json.dumps(table_to_dict(table), indent=1, default=str))
-    else:
-        print(table.format())
-    _report_failures(executor)
-    if check_session is not None:
-        return _report_sanitizer(check_session)
-    return 0
-
-
-def _report_sanitizer(session: TelemetrySession) -> int:
-    """Summarise ``sanitizer.*`` counters after a --check run."""
-    from repro.sanitizer import global_report
-
-    counters = session.counters.snapshot()
-    runs = counters.get("sanitizer.runs", 0)
-    total = counters.get("sanitizer.violations", 0)
-    print(f"sanitizer: {runs} run(s) checked, {total} violation(s)")
-    for name in sorted(counters):
-        if (name.startswith("sanitizer.")
-                and name not in ("sanitizer.runs", "sanitizer.violations")):
-            print(f"  {name[len('sanitizer.'):]} x{counters[name]}")
-    # Serial runs keep full violation records in-process; show a few.
-    for violation in global_report().violations[:8]:
-        print(f"  {violation.describe()}")
-    return 1 if total else 0
-
-
-def cmd_resume(argv: List[str]) -> int:
-    """Finish an interrupted simulation from its checkpoint file."""
-    parser = argparse.ArgumentParser(
-        prog="repro resume",
-        description="Load a crash-safe checkpoint (see --checkpoint-dir / "
-                    "REPRO_CHECKPOINT_DIR) and run the simulation to "
-                    "completion; the result is byte-identical to an "
-                    "uninterrupted run. The checkpoint file is deleted "
-                    "on success.")
-    parser.add_argument("checkpoint", help="checkpoint file (ck-<digest>.ckpt)")
-    parser.add_argument("--keep", action="store_true",
-                        help="keep the checkpoint file after finishing")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full SimResult as JSON")
-    args = parser.parse_args(argv)
-
-    from repro.sim.checkpoint import (
-        CheckpointError,
-        delete_checkpoint,
-        load_checkpoint,
-    )
-
-    try:
-        system, executed, header = load_checkpoint(args.checkpoint)
-    except (CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    benchmark = header.get("benchmark", "?")
-    print(f"resuming {benchmark} from {args.checkpoint}: "
-          f"{header.get('reads', 0)} reads done, {executed} events",
-          file=sys.stderr)
-    result = system.resume_run(executed=executed)
-    result.benchmark = benchmark
-    if not args.keep:
-        delete_checkpoint(args.checkpoint)
-    if args.json:
-        import dataclasses as _dataclasses
-        import json as _json
-        print(_json.dumps(_dataclasses.asdict(result), indent=1))
-    else:
-        print(f"{result.benchmark}: {result.dram_reads} reads in "
-              f"{result.elapsed_cycles} cycles, "
-              f"throughput={result.throughput:.3f}, "
-              f"critical={result.avg_critical_latency:.1f}, "
-              f"fill={result.avg_fill_latency:.1f}")
-    return 0
+    return run_suite(args, ["run", *argv], config, specs, {"run": build})
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +849,6 @@ def _main(argv: List[str]) -> int:
         return cmd_trace(argv[1:])
     if argv and argv[0] == "run":
         return cmd_run(argv[1:])
-    if argv and argv[0] == "resume":
-        return cmd_resume(argv[1:])
     if argv and argv[0] == "serve":
         return cmd_serve(argv[1:])
     if argv and argv[0] == "submit":
@@ -864,79 +870,8 @@ def _main(argv: List[str]) -> int:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
     config = make_config(args)
-
-    session: Optional[TelemetrySession] = None
-    if _telemetry_wanted(args):
-        session = activate(TelemetrySession(
-            trace_enabled=bool(args.trace_out)))
-
-    tables = []
-    try:
-        # One scheduler pass over the union of every requested figure's
-        # specs: shared baselines run once, in parallel when jobs > 1.
-        executor = ParallelExecutor(config, progress=True)
-        suite_start = time.perf_counter()
-        try:
-            results = executor.run(suite_specs(keys, config))
-        except SuiteError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print("hint: --retries N retries failed specs, --keep-going "
-                  "renders them as '—' cells instead of aborting",
-                  file=sys.stderr)
-            return 1
-        for key in keys:
-            start = time.perf_counter()
-            table = ALL_EXPERIMENTS[key](config, results=results)
-            tables.append(table)
-            if args.json:
-                import json as _json
-                text = _json.dumps(table_to_dict(table), indent=1,
-                                   default=str)
-            else:
-                text = table.format()
-            print(text)
-            if not args.json:
-                print(f"[{key} took {time.perf_counter() - start:.1f}s]\n")
-            if args.output:
-                with open(args.output, "a") as handle:
-                    handle.write(text + "\n\n")
-        _report_failures(executor, output=args.output)
-    finally:
-        if session is not None:
-            deactivate()
-
-    if args.timings_json:
-        import json as _json
-        with open(args.timings_json, "w") as handle:
-            _json.dump({
-                "jobs": executor.jobs,
-                "experiments": keys,
-                "total_wall_s": round(time.perf_counter() - suite_start, 3),
-                "specs": executor.timings,
-            }, handle, indent=1)
-        print(f"wrote per-spec timings to {args.timings_json}",
-              file=sys.stderr)
-
-    if session is not None:
-        manifest_config = {
-            "experiments": keys,
-            "target_dram_reads": config.target_dram_reads,
-            "benchmarks": list(config.suite()),
-            "jobs": executor.jobs,
-        }
-        if args.stats_json:
-            session.export_stats(args.stats_json, config=manifest_config,
-                                 seed=config.seed, argv=argv)
-            print(f"wrote stats to {args.stats_json}", file=sys.stderr)
-        if args.stats_csv:
-            session.export_csv(args.stats_csv)
-            print(f"wrote stats CSV to {args.stats_csv}", file=sys.stderr)
-        if args.trace_out:
-            session.export_trace(args.trace_out)
-            print(f"wrote trace to {args.trace_out} "
-                  "(open in chrome://tracing or ui.perfetto.dev)",
-                  file=sys.stderr)
-    return 0
+    return run_suite(args, argv, config, suite_specs(keys, config),
+                     {key: ALL_EXPERIMENTS[key] for key in keys})
 
 
 if __name__ == "__main__":

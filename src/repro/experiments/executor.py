@@ -97,6 +97,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
+def may_recall(config) -> bool:
+    """Whether a run under ``config`` may take its result from the
+    cache. A recalled result has no telemetry to contribute and was
+    never sanitized, so an active session or a sanitized config forces
+    real runs."""
+    return active_session() is None and config.sanitize == MODE_OFF
+
+
 #: Per-slot start times of in-flight pool tasks, stamped by the worker
 #: that takes the task (0.0 = not started yet). Installed in each
 #: worker by the pool initializer; the parent reads its own handle.
@@ -315,10 +323,7 @@ class ParallelExecutor:
         session = active_session()
         results: Dict[RunSpec, SimResult] = {}
         pending: List[RunSpec] = []
-        # A recalled result has no telemetry to contribute and was never
-        # sanitized, so an active session or a sanitized config forces
-        # real runs.
-        recall = session is None and config.sanitize == MODE_OFF
+        recall = may_recall(config)
         for spec in ordered:
             cached = (self.cache.get(spec_cache_key(spec, config))
                       if recall else None)

@@ -15,11 +15,12 @@ import argparse
 import datetime
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Sequence
 
 from repro.experiments import (
     ALL_EXPERIMENTS,
     MISSING,
+    FailedRun,
     ParallelExecutor,
     failure_appendix,
     suite_specs,
@@ -28,8 +29,6 @@ from repro.experiments.runner import (
     ConfigError,
     ExperimentConfig,
     ExperimentTable,
-    default_config,
-    flag_type,
 )
 
 
@@ -160,25 +159,10 @@ CLAIMS = {
 }
 
 
-def _prefetch_results(config: ExperimentConfig, keys: List[str],
-                      jobs: Optional[int] = None,
-                      progress: bool = False):
-    """One scheduler pass over the union of the figures' spec lists.
-
-    Returns ``(results, executor)`` — the executor carries the timings
-    and any :class:`FailedRun` records for the failure appendix.
-    """
-    executor = ParallelExecutor(config, jobs=jobs, progress=progress)
-    return executor.run(suite_specs(keys, config)), executor
-
-
-def render_report(config: Optional[ExperimentConfig] = None,
-                  experiments: Optional[List[str]] = None,
-                  jobs: Optional[int] = None) -> str:
-    config = config or default_config()
-    keys = experiments or list(ALL_EXPERIMENTS)
-    results, executor = _prefetch_results(config, keys, jobs=jobs,
-                                          progress=True)
+def render_report(config: ExperimentConfig,
+                  tables: Dict[str, ExperimentTable],
+                  failures: Sequence[FailedRun] = ()) -> str:
+    """The markdown report over ``tables`` (experiment id -> table)."""
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -221,8 +205,7 @@ def render_report(config: Optional[ExperimentConfig] = None,
         "`repro.experiments.resilience`.",
         "",
     ]
-    for key in keys:
-        table = ALL_EXPERIMENTS[key](config, results=results)
+    for key, table in tables.items():
         lines.append(f"## {key}: {table.title}")
         lines.append("")
         claims = CLAIMS.get(key, [])
@@ -237,60 +220,44 @@ def render_report(config: Optional[ExperimentConfig] = None,
         lines.append(table.format())
         lines.append("```")
         lines.append("")
-    if executor.failures:
-        lines.append(failure_appendix(executor.failures, markdown=True))
+    if failures:
+        lines.append(failure_appendix(failures, markdown=True))
         lines.append("")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
+    from repro.cli import add_resilience_args, add_scale_args, make_config
+
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="EXPERIMENTS.md")
-    parser.add_argument("--reads", type=flag_type("REPRO_READS"))
-    parser.add_argument("--jobs", type=flag_type("REPRO_JOBS"),
-                        help="parallel worker processes (default REPRO_JOBS "
-                             "or 1; 0 = one per CPU)")
-    parser.add_argument("--retries", type=flag_type("REPRO_RETRIES"),
-                        metavar="N",
-                        help="re-run a crashed/hung/corrupt spec up to N "
-                             "times (default REPRO_RETRIES or 0)")
-    parser.add_argument("--timeout", type=flag_type("REPRO_TIMEOUT"),
-                        metavar="SEC",
-                        help="per-spec wall-clock deadline, enforced with "
-                             "--jobs >= 2 (default REPRO_TIMEOUT or none)")
-    parser.add_argument("--keep-going", action="store_true", default=None,
-                        help="render failed specs as '—' cells plus a "
-                             "failure appendix instead of aborting")
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="abort on the first exhausted spec (default; "
-                             "overrides REPRO_KEEP_GOING)")
+    parser.add_argument("--output", default="EXPERIMENTS.md",
+                        help="write (overwrite) the markdown report here")
+    add_scale_args(parser)
+    add_resilience_args(parser)
     parser.add_argument("--experiments", default=None,
                         help="comma-separated subset of experiment ids")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the tables as structured JSON "
                              "with a run manifest")
     args = parser.parse_args(argv)
-    from repro.cli import make_config
     try:
         config = make_config(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    keys = args.experiments.split(",") if args.experiments else None
-    text = render_report(config, keys)
+    keys = (args.experiments.split(",") if args.experiments
+            else list(ALL_EXPERIMENTS))
+    # One scheduler pass over the union of the figures' specs feeds
+    # both the markdown and the JSON.
+    executor = ParallelExecutor(config, progress=True)
+    results = executor.run(suite_specs(keys, config))
+    tables = {key: ALL_EXPERIMENTS[key](config, results=results)
+              for key in keys}
     with open(args.output, "w") as handle:
-        handle.write(text)
+        handle.write(render_report(config, tables, executor.failures))
     print(f"wrote {args.output}")
     if args.json:
         from repro.telemetry import run_manifest, tables_to_json
-        json_keys = keys or list(ALL_EXPERIMENTS)
-        # A second executor pass recalls everything the report pass just
-        # simulated, so its cache stats record hit/miss/quarantine
-        # traffic for exactly this artefact's runs.
-        executor = ParallelExecutor(config)
-        results = executor.run(suite_specs(json_keys, config))
-        tables = [ALL_EXPERIMENTS[k](config, results=results)
-                  for k in json_keys]
         from repro.workloads.registry import workload_cache_token
         manifest = run_manifest(
             config={"target_dram_reads": config.target_dram_reads,
@@ -303,10 +270,9 @@ def main(argv=None) -> int:
                    "workloads": {name: workload_cache_token(name)
                                  for name in config.suite()}})
         with open(args.json, "w") as handle:
-            handle.write(tables_to_json(tables, manifest))
+            handle.write(tables_to_json(list(tables.values()), manifest))
         print(f"wrote {args.json}")
     return 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

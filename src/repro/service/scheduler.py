@@ -46,7 +46,7 @@ from collections import deque
 from dataclasses import asdict, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.experiments.executor import ParallelExecutor
+from repro.experiments.executor import ParallelExecutor, may_recall
 from repro.experiments.resilience import FailedRun, is_valid_result
 from repro.experiments.specs import RunSpec, spec_cache_key
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, Job
@@ -208,12 +208,16 @@ class JobScheduler:
         """Flag each entry coalesced or cached and take its refcount.
 
         Lock held by the caller. Returns True when every entry is
-        already in the result cache, so the job needs no simulation.
+        already in the result cache and the executor would recall it
+        (:func:`~repro.experiments.executor.may_recall`), so the job
+        needs no simulation.
         """
+        recall = may_recall(job.job_config(self.config))
         for entry in job.entries:
             entry.coalesced = entry.key in self._wanted
             if not entry.coalesced:
-                entry.cached = self.executor.cache.contains(entry.key)
+                entry.cached = recall and self.executor.cache.contains(
+                    entry.key)
             self._wanted[entry.key] = self._wanted.get(entry.key, 0) + 1
         return all(entry.cached for entry in job.entries)
 

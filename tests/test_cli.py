@@ -1,5 +1,7 @@
 """CLI entry point."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main, make_config
@@ -91,6 +93,57 @@ class TestRunSubcommand:
         err = capsys.readouterr().err
         assert "did you mean" in err and "hmc_cwf" in err
         assert "registered memory backends" in err
+
+
+class TestSuiteFlags:
+    """Every suite flag works on both ``repro run`` and the experiment
+    ids: they share one runner."""
+
+    RUN = ["run", "--memory", "ddr3,rl", "--benchmarks", "mcf",
+           "--reads", "150", "--cache", "off"]
+
+    def test_run_stats_json_counts_each_simulation(self, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        assert main(self.RUN + ["--stats-json", str(stats)]) == 0
+        doc = json.loads(stats.read_text())
+        assert doc["manifest"]["num_runs"] == len(doc["runs"]) == 2
+        assert doc["manifest"]["config"]["experiments"] == ["run"]
+
+    def test_run_output_and_timings_json(self, tmp_path, capsys):
+        output, timings = tmp_path / "run.txt", tmp_path / "timings.json"
+        assert main(self.RUN + ["--output", str(output),
+                                "--timings-json", str(timings)]) == 0
+        assert "ad-hoc runs: ddr3, rl" in output.read_text()
+        doc = json.loads(timings.read_text())
+        assert doc["experiments"] == ["run"]
+        assert len(doc["specs"]) == 2
+
+    def test_experiment_check_counts_each_simulation(self, capsys,
+                                                     monkeypatch):
+        import repro.experiments.specs as specs_module
+
+        simulated = []
+        simulate = specs_module.simulate
+
+        def counted(spec, config, **kwargs):
+            simulated.append(spec.label)
+            return simulate(spec, config, **kwargs)
+
+        monkeypatch.setattr(specs_module, "simulate", counted)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert main(["fig1a", "--reads", "150", "--benchmarks", "mcf",
+                     "--cache", "off", "--check"]) == 0
+        assert simulated
+        assert (f"sanitizer: {len(simulated)} run(s) checked, 0 violation(s)"
+                in capsys.readouterr().out)
+
+    def test_resume_is_an_unknown_experiment(self, capsys):
+        assert main(["resume"]) == 2
+        assert "unknown experiment(s): ['resume']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resume", "x.ckpt"])
+        assert excinfo.value.code == 2
 
 
 class TestVersion:

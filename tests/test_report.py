@@ -39,7 +39,39 @@ class TestRenderReport:
         config = ExperimentConfig(target_dram_reads=100,
                                   benchmarks=("mcf",),
                                   cache_dir=str(tmp_path))
-        text = render_report(config, experiments=["tab2", "fig2"])
+        from repro.experiments import ALL_EXPERIMENTS
+        tables = {key: ALL_EXPERIMENTS[key](config) for key in ("tab2", "fig2")}
+        text = render_report(config, tables)
         assert "# EXPERIMENTS" in text
         assert "tab2" in text and "fig2" in text
         assert "| claim | paper | measured |" in text
+
+
+class TestReportMain:
+    def test_json_comes_from_the_report_pass(self, tmp_path, monkeypatch,
+                                             capsys):
+        """The markdown and the JSON share one simulation pass."""
+        import json
+
+        import repro.experiments.specs as specs_module
+        from repro.report import main
+
+        simulated = []
+        simulate = specs_module.simulate
+
+        def counted(spec, config, **kwargs):
+            simulated.append(spec.label)
+            return simulate(spec, config, **kwargs)
+
+        monkeypatch.setattr(specs_module, "simulate", counted)
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        monkeypatch.setenv("REPRO_BENCHMARKS", "mcf")
+        markdown, tables = tmp_path / "exp.md", tmp_path / "exp.json"
+        assert main(["--experiments", "fig6", "--reads", "150", "--jobs",
+                     "1", "--output", str(markdown),
+                     "--json", str(tables)]) == 0
+        assert simulated and len(simulated) == len(set(simulated))
+        assert "## fig6" in markdown.read_text()
+        doc = json.loads(tables.read_text())
+        assert doc["manifest"]["cache"]["directory"] is None
+        assert [t["experiment_id"] for t in doc["tables"]] == ["fig6"]

@@ -482,6 +482,23 @@ class TestCachedFastPath:
         finally:
             sched.shutdown()
 
+    def test_sanitized_server_simulates_cached_specs(self, tmp_path):
+        """A recalled result was never checked: a sanitized server runs
+        a cached spec again, as ParallelExecutor.run does."""
+        from repro.sanitizer import MODE_STRICT
+
+        warm_cache(tmp_path, SPEC_MCF_DDR3)
+        sched = make_scheduler(
+            tmp_path, config=make_config(tmp_path, sanitize=MODE_STRICT))
+        try:
+            job = sched.submit({"specs": [SPEC_MCF_DDR3]})
+            assert sched.wait(job.id, timeout=120).state == "done"
+            assert job.cached_specs == 0
+            assert sched.counters["cached_specs"] == 0
+            assert sched.counters["simulated_specs"] == 1
+        finally:
+            sched.shutdown()
+
     def test_entry_evicted_after_tag_falls_back_to_queue(self, tmp_path,
                                                           monkeypatch):
         warm_cache(tmp_path, SPEC_MCF_DDR3)
