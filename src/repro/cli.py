@@ -175,9 +175,6 @@ def add_resilience_args(parser: argparse.ArgumentParser) -> None:
                        help="abort on the first spec that exhausts its "
                             "retries (the default; overrides "
                             "REPRO_KEEP_GOING)")
-    group.add_argument("--degrade-serial", action="store_true", default=None,
-                       help="as a last resort, re-run an exhausted spec "
-                            "once in-process (never for timeouts)")
 
 
 #: The knob flags whose value sets an ExperimentConfig field as is.
@@ -200,8 +197,6 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
         updates["keep_going"] = True
     if given.get("fail_fast"):
         updates["keep_going"] = False
-    if given.get("degrade_serial"):
-        updates["degrade_serial"] = True
     from dataclasses import replace
     return replace(default_config(), **updates)
 
@@ -262,11 +257,7 @@ def run_suite(args: argparse.Namespace, argv: List[str],
         try:
             results = executor.run(specs)
         except SuiteError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print("hint: --retries N retries failed specs, --keep-going "
-                  "renders them as '—' cells instead of aborting",
-                  file=sys.stderr)
-            return 1
+            return suite_failed(exc)
         for name, build in builders.items():
             start = time.perf_counter()
             table = build(config, results=results)
@@ -312,6 +303,25 @@ def run_suite(args: argparse.Namespace, argv: List[str],
               "(open in chrome://tracing or ui.perfetto.dev)",
               file=sys.stderr)
     return _report_sanitizer(session) if args.check else 0
+
+
+def suite_failed(exc: SuiteError) -> int:
+    """Report a spec that exhausted its retries; the exit status."""
+    print(f"error: {exc}", file=sys.stderr)
+    print("hint: --retries N retries failed specs, --keep-going "
+          "renders them as '—' cells instead of aborting", file=sys.stderr)
+    return 1
+
+
+def experiment_keys(text: str) -> List[str]:
+    """The experiment ids ``text`` names ("all" or a comma list); an
+    unknown one is a :class:`ConfigError` that names it."""
+    keys = (list(ALL_EXPERIMENTS) if text == "all"
+            else [k for k in text.split(",") if k])
+    unknown = [k for k in keys if k not in ALL_EXPERIMENTS]
+    if unknown:
+        raise ConfigError(f"unknown experiment(s): {unknown}; try 'list'")
+    return keys
 
 
 def _report_sanitizer(session: TelemetrySession) -> int:
@@ -828,7 +838,8 @@ def cmd_status(argv: List[str]) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Every command: a bad run knob, from a flag or from the
-    environment, is one error line and exit status 2."""
+    environment, or an unknown experiment id is one error line and exit
+    status 2."""
     try:
         return _main(list(sys.argv[1:] if argv is None else argv))
     except ConfigError as exc:
@@ -863,12 +874,7 @@ def _main(argv: List[str]) -> int:
         for key in ALL_EXPERIMENTS:
             print(key)
         return 0
-    keys = (list(ALL_EXPERIMENTS) if args.experiment == "all"
-            else [k for k in args.experiment.split(",") if k])
-    unknown = [k for k in keys if k not in ALL_EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
-        return 2
+    keys = experiment_keys(args.experiment)
     config = make_config(args)
     return run_suite(args, argv, config, suite_specs(keys, config),
                      {key: ALL_EXPERIMENTS[key] for key in keys})

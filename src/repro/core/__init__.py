@@ -8,6 +8,8 @@
   Section 7.1 (Phadke-style offline profiling).
 * :mod:`repro.core.ecc` — SECDED + byte-parity codes and the
   wake-before-check protocol of Section 4.2.3.
+* :mod:`repro.core.hmc` — the critical-data-first HMC extension the
+  paper's conclusion sketches (Sec 10).
 """
 
 from repro.core.cwf import (
@@ -20,12 +22,11 @@ from repro.core.criticality import CriticalityProfiler
 from repro.core.placement import PagePlacementMemory, PagePlacementConfig
 from repro.core.ecc import SECDED, byte_parity, FaultInjector
 from repro.core.hmc import build_hmc_memory
-from repro.core.chipkill import ChipkillCode
 
 __all__ = [
     "CriticalWordMemory", "CWFConfig", "CWFPolicy", "HeteroPair",
     "CriticalityProfiler",
     "PagePlacementMemory", "PagePlacementConfig",
-    "SECDED", "byte_parity", "FaultInjector", "ChipkillCode",
+    "SECDED", "byte_parity", "FaultInjector",
     "build_hmc_memory",
 ]

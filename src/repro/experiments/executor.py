@@ -23,9 +23,8 @@ no longer aborts the suite — the pool is respawned and in-flight specs
 resubmitted; a spec past its per-spec timeout (counted from when a
 worker takes it, not from submission) tears the (uncancellable)
 pool down, charges only the overdue spec an attempt, and resubmits the
-collateral in-flight specs for free. Exhausted specs can optionally
-degrade to one in-process serial run as a last resort; with
-``keep_going`` a still-failing spec is recorded as a
+collateral in-flight specs for free. With ``keep_going`` a spec that
+exhausts its retries is recorded as a
 :class:`~repro.experiments.resilience.FailedRun` sentinel (its table
 cells render as ``—``) instead of raising
 :class:`~repro.experiments.resilience.SuiteError`. ``Ctrl-C`` cancels
@@ -47,8 +46,8 @@ the first skip pool spin-up entirely — and :meth:`run` accepts a
 per-call ``config`` so one pool serves jobs with different run scales.
 Call :meth:`ParallelExecutor.shutdown` (or use the executor as a
 context manager) to release the workers. The worker count is resolved
-once at construction; assigning :attr:`ParallelExecutor.jobs` while
-the pool is live raises instead of being silently ignored.
+once at construction and :attr:`ParallelExecutor.jobs` is read-only, so
+a live pool cannot be silently mis-sized.
 """
 
 from __future__ import annotations
@@ -208,8 +207,8 @@ class ParallelExecutor:
     ``progress=True`` emits one stderr line per completed spec (label,
     wall time, cached/ran/failed); the same records accumulate in
     :attr:`timings` for ``--timings-json`` artifacts. Resilience knobs
-    default from the config (``retries``/``timeout_s``/``keep_going``/
-    ``degrade_serial`` fields) but can be overridden per executor; the
+    default from the config (``retries``/``timeout_s``/``keep_going``
+    fields) but can be overridden per executor; the
     :attr:`failures` list collects every
     :class:`~repro.experiments.resilience.FailedRun` recorded under
     ``keep_going`` for the failure appendix.
@@ -219,7 +218,6 @@ class ParallelExecutor:
                  progress: bool = False,
                  policy: Optional[RetryPolicy] = None,
                  keep_going: Optional[bool] = None,
-                 degrade_serial: Optional[bool] = None,
                  persistent: bool = False) -> None:
         from repro.experiments.runner import ResultCache
 
@@ -238,29 +236,15 @@ class ParallelExecutor:
             max_retries=config.retries, timeout_s=config.timeout_s)
         self.keep_going = (keep_going if keep_going is not None
                            else config.keep_going)
-        self.degrade_serial = (degrade_serial if degrade_serial is not None
-                               else config.degrade_serial)
         self.failures: List[FailedRun] = []
         # Retries and failures by kind, also added to any active
         # telemetry session under the same names.
         self.counters = Counters(session_prefix="")
 
-    # ------------------------------------------------------------------
-    # Worker-count property: reconfiguring a live pool is an error
-    # ------------------------------------------------------------------
-
     @property
     def jobs(self) -> int:
+        """The worker count, fixed at construction."""
         return self._jobs
-
-    @jobs.setter
-    def jobs(self, value: Optional[int]) -> None:
-        if self._pool is not None:
-            raise RuntimeError(
-                "cannot reconfigure jobs on a live worker pool: the pool "
-                f"was spawned with {self._jobs} worker(s); call shutdown() "
-                "first, then set jobs (or construct a new executor)")
-        self._jobs = resolve_jobs(value)
 
     # ------------------------------------------------------------------
     # Persistent-pool lifecycle
@@ -453,7 +437,7 @@ class ParallelExecutor:
                         kind = classify_failure(exc)
                         broken = broken or kind == BROKEN_POOL
                         self._fail_task(members, attempt, kind, exc,
-                                        elapsed, results, config, tasks)
+                                        elapsed, results, tasks)
                         continue
                     if session is not None:
                         session.ingest(runs, trace_events, counters)
@@ -476,7 +460,7 @@ class ParallelExecutor:
                             members, attempt, slot = futures.pop(future)
                             self._fail_task(members, attempt, TIMEOUT, error,
                                             ran_for(slot, now), results,
-                                            config, tasks)
+                                            tasks)
                         # A running future cannot be cancelled: tear the
                         # pool down (killing the hung worker) and rerun
                         # the innocent in-flight tasks at no retry cost.
@@ -528,27 +512,24 @@ class ParallelExecutor:
                                   "not SimResult")
                 kind = CORRUPT_RESULT
             self._fail_task((spec,), attempt, kind, error, seconds, results,
-                            config, tasks)
+                            tasks)
 
     def _fail_task(self, members: Sequence[RunSpec], attempt: int, kind: str,
                    error: BaseException, seconds: float,
-                   results: Dict[RunSpec, SimResult], config,
-                   tasks: deque) -> None:
+                   results: Dict[RunSpec, SimResult], tasks: deque) -> None:
         """Charge each member a failed attempt; queue retries singly."""
         for spec in members:
             if self._register_failure(spec, kind, attempt, error, seconds,
-                                      results, config):
+                                      results):
                 tasks.append(((spec,), attempt + 1))
 
     def _register_failure(self, spec: RunSpec, kind: str, attempt: int,
                           error: BaseException, seconds: float,
-                          results: Dict[RunSpec, SimResult],
-                          config=None) -> bool:
+                          results: Dict[RunSpec, SimResult]) -> bool:
         """Classify one failed attempt; True means "retry it".
 
-        When the retry budget is exhausted the spec either degrades to
-        one in-process serial run (``degrade_serial``), is recorded as
-        a :class:`FailedRun` (``keep_going``), or raises
+        When the retry budget is exhausted the spec is recorded as a
+        :class:`FailedRun` (``keep_going``) or raises
         :class:`SuiteError` (fail-fast, the default).
         """
         self.counters.incr(f"resilience.failures.{kind}")
@@ -557,9 +538,6 @@ class ParallelExecutor:
         if attempt < self.policy.attempts_allowed:
             self.counters.incr("resilience.retries")
             return True
-        if (self.degrade_serial and kind != TIMEOUT
-                and self._attempt_degraded(spec, results, config)):
-            return False
         failed = FailedRun(
             benchmark=spec.benchmark, memory=spec.memory,
             variant=spec.variant, kind=kind, attempts=attempt,
@@ -570,37 +548,6 @@ class ParallelExecutor:
         results[spec] = failed
         self.failures.append(failed)
         return False
-
-    def _attempt_degraded(self, spec: RunSpec,
-                          results: Dict[RunSpec, SimResult],
-                          config=None) -> bool:
-        """Last resort: one in-process serial run, fault hook disabled.
-
-        Rescues specs whose failures are environmental (pool breakage,
-        worker OOM); a timeout never degrades — a hang would block the
-        parent with no deadline to save it.
-        """
-        config = config if config is not None else self.config
-        start = time.perf_counter()
-        try:
-            result = execute_spec(spec, config, attempt=0)
-        except Exception as exc:
-            # The degraded path is the last line of defence; its own
-            # failure must be visible in counters and on stderr, not
-            # silently folded into the original failure's record.
-            self.counters.incr("resilience.degraded_failures")
-            print(f"[executor] degraded serial run for {spec.label} "
-                  f"failed too: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            return False
-        if not is_valid_result(result):
-            return False
-        self.cache.put(spec_cache_key(spec, config), result)
-        results[spec] = result
-        self.counters.incr("resilience.degraded_runs")
-        self._record(spec, time.perf_counter() - start, cached=False,
-                     status="degraded")
-        return True
 
     # ------------------------------------------------------------------
 
@@ -640,8 +587,8 @@ def run_specs(specs: Sequence[RunSpec], config,
 
 
 def resolve_results(specs: Iterable[RunSpec], config,
-                    results: Optional[Dict[RunSpec, SimResult]] = None,
-                    jobs: Optional[int] = None) -> Dict[RunSpec, SimResult]:
+                    results: Optional[Dict[RunSpec, SimResult]] = None
+                    ) -> Dict[RunSpec, SimResult]:
     """Return a map covering ``specs``, running whatever is missing.
 
     Figure functions call this so they work standalone (compute their
@@ -653,5 +600,5 @@ def resolve_results(specs: Iterable[RunSpec], config,
     have = {} if results is None else dict(results)
     missing = [spec for spec in dict.fromkeys(specs) if spec not in have]
     if missing:
-        have.update(run_specs(missing, config, jobs=jobs))
+        have.update(run_specs(missing, config))
     return have

@@ -48,14 +48,12 @@ class ExperimentConfig:
     jobs: int = 1
     # Resilience knobs for the executor (see experiments.resilience):
     # retries per failed spec, per-spec wall-clock timeout (parallel
-    # mode only), record FailedRun sentinels instead of raising,
-    # degrade exhausted specs to one in-process serial run, and the
-    # deterministic faults that test all of it (None = none). None of
-    # these affect cache keys — a retried result is the same result.
+    # mode only), record FailedRun sentinels instead of raising, and
+    # the deterministic faults that test all of it (None = none). None
+    # of these affect cache keys — a retried result is the same result.
     retries: int = 0
     timeout_s: Optional[float] = None
     keep_going: bool = False
-    degrade_serial: bool = False
     fault_plan: Optional[FaultPlan] = None
     # Crash-safe checkpointing (see repro.sim.checkpoint): when a
     # directory is set, every simulated spec snapshots the whole

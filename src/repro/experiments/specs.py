@@ -357,9 +357,7 @@ def execute_spec(spec: RunSpec, config, attempt: int = 1,
     config's deterministic fault-injection plan (``fault_plan``, see
     :mod:`repro.experiments.resilience`) can target specific retries of
     specific specs — identically in the serial path and in pool
-    workers. ``attempt=0`` disables injection: the executor's
-    degrade-to-serial last resort uses it so an injected fault cannot
-    also take down the parent process.
+    workers.
 
     ``shared`` memoises finished simulations by base spec across the
     calls of one group: the first member to need a base simulates it,
@@ -367,7 +365,7 @@ def execute_spec(spec: RunSpec, config, attempt: int = 1,
     the result, so no two members share a mutable object. Fault hooks
     still fire per member, before and after its own share of the work.
     """
-    plan = config.fault_plan if attempt >= 1 else None
+    plan = config.fault_plan
     if plan is not None:
         plan.before_run(spec.label, attempt)
     view = resolve_view(spec.runner)

@@ -22,6 +22,7 @@ from repro.experiments import (
     MISSING,
     FailedRun,
     ParallelExecutor,
+    SuiteError,
     failure_appendix,
     suite_specs,
 )
@@ -227,7 +228,13 @@ def render_report(config: ExperimentConfig,
 
 
 def main(argv=None) -> int:
-    from repro.cli import add_resilience_args, add_scale_args, make_config
+    from repro.cli import (
+        add_resilience_args,
+        add_scale_args,
+        experiment_keys,
+        make_config,
+        suite_failed,
+    )
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="EXPERIMENTS.md",
@@ -242,15 +249,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = make_config(args)
+        keys = experiment_keys(args.experiments or "all")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    keys = (args.experiments.split(",") if args.experiments
-            else list(ALL_EXPERIMENTS))
     # One scheduler pass over the union of the figures' specs feeds
     # both the markdown and the JSON.
     executor = ParallelExecutor(config, progress=True)
-    results = executor.run(suite_specs(keys, config))
+    try:
+        results = executor.run(suite_specs(keys, config))
+    except SuiteError as exc:
+        return suite_failed(exc)
     tables = {key: ALL_EXPERIMENTS[key](config, results=results)
               for key in keys}
     with open(args.output, "w") as handle:

@@ -388,7 +388,7 @@ class JobScheduler:
         results = self.executor.run(union, config=config)
         simulated = sum(
             1 for t in self.executor.timings[timings_before:]
-            if not t["cached"] and t["status"] in ("ok", "degraded"))
+            if not t["cached"] and t["status"] == "ok")
         self.counters.incr("simulated_specs", simulated)
         for job in group:
             self._finish_job(job, config, results)

@@ -359,14 +359,11 @@ class TestPersistentExecutor:
         executor = ParallelExecutor(config, jobs=2, persistent=True)
         try:
             executor.run([RunSpec("mcf", "ddr3")])
-            with pytest.raises(RuntimeError, match="live worker pool"):
+            with pytest.raises(AttributeError):
                 executor.jobs = 4
             assert executor.jobs == 2  # unchanged by the failed set
         finally:
             executor.shutdown()
-        # With the pool gone the same assignment is legal again.
-        executor.jobs = 4
-        assert executor.jobs == 4
 
     def test_jobs_resolved_once_at_construction(self, tmp_path, monkeypatch):
         config = dataclasses.replace(self.config(tmp_path), jobs=3)

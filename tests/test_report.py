@@ -75,3 +75,28 @@ class TestReportMain:
         doc = json.loads(tables.read_text())
         assert doc["manifest"]["cache"]["directory"] is None
         assert [t["experiment_id"] for t in doc["tables"]] == ["fig6"]
+
+    def run_report(self, tmp_path, *argv, **env):
+        import os
+        import subprocess
+        import sys
+
+        return subprocess.run(
+            [sys.executable, "-m", "repro.report", *argv,
+             "--output", str(tmp_path / "exp.md")],
+            capture_output=True, text=True, env={**os.environ, **env})
+
+    def test_failed_spec_exits_1_with_the_hint(self, tmp_path):
+        proc = self.run_report(
+            tmp_path, "--experiments", "fig1a", "--reads", "150",
+            "--benchmarks", "mcf", "--cache", "off",
+            REPRO_FAULT_PLAN="mcf/ddr3=crash")
+        assert proc.returncode == 1
+        assert "hint:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_experiment_exits_2_naming_it(self, tmp_path):
+        proc = self.run_report(tmp_path, "--experiments", "nope")
+        assert proc.returncode == 2
+        assert "'nope'" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -403,17 +403,6 @@ class TestParallelResilience:
         assert all(r.elapsed_cycles > 0 for r in results.values())
         assert executor.counters["resilience.failures.broken-pool"] >= 1
 
-    def test_degrade_serial_rescues_worker_only_failure(self):
-        # kill:* breaks every pool attempt; the in-process last resort
-        # runs with the fault hook disabled and rescues the spec.
-        executor = ParallelExecutor(config_for(plan="mcf/ddr3=kill:*"),
-                                    jobs=2, policy=FAST,
-                                    degrade_serial=True)
-        results = executor.run([RunSpec("mcf", "ddr3")])
-        assert not executor.failures
-        assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
-        assert executor.counters["resilience.degraded_runs"] == 1
-
     def test_keyboard_interrupt_strands_no_workers(self, monkeypatch):
         import concurrent.futures
         import multiprocessing
