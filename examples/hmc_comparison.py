@@ -5,7 +5,7 @@ Section 10 of the paper sketches a future-work embodiment of
 critical-word-first on 3D-stacked memory: a Hybrid Memory Cube whose
 fast high-frequency layers return the critical word while low-power
 layers stream the rest of the line. The ``hmc_hf``, ``hmc_lp``, and
-``hmc_cwf`` registry backends model that sketch.
+``hmc_cwf`` backends model that sketch.
 
 This script runs two benchmarks (one streaming, one pointer-chasing)
 on the DDR3 baseline, the paper's RL organisation (RLDRAM3 critical

@@ -16,9 +16,9 @@ Quickstart::
     rl = run_benchmark("leslie3d", config.with_memory("rl"))
     print(f"RL speedup: {rl.speedup_over(base):.3f}")
 
-Memory organisations are pluggable: ``repro.memsys.registry`` maps
-names like ``"ddr3"``, ``"rl"``, or ``"hmc_cwf"`` to backend factories,
-and :func:`register_backend` adds new ones (see DESIGN.md, "Adding a
+Memory organisations are named: the table in ``repro.memsys.registry``
+maps names like ``"ddr3"``, ``"rl"``, or ``"hmc_cwf"`` to their build
+functions, and adding one is adding a row (see README.md, "Adding a
 memory organisation").
 """
 
@@ -28,13 +28,7 @@ from repro.core.cwf import CriticalWordMemory, CWFConfig, CWFPolicy, HeteroPair
 from repro.core.criticality import CriticalityProfiler
 from repro.core.placement import PagePlacementMemory
 from repro.memsys.homogeneous import HomogeneousMemory
-from repro.memsys.registry import (
-    BackendDescriptor,
-    backend_names,
-    get_backend,
-    list_backends,
-    register_backend,
-)
+from repro.memsys.registry import BACKENDS, resolve_name
 from repro.workloads.profiles import PROFILES, benchmark_names, profile_for
 
 __version__ = "1.0.0"
@@ -44,8 +38,7 @@ __all__ = [
     "SimResult", "SimulationSystem", "run_benchmark", "make_traces",
     "CriticalWordMemory", "CWFConfig", "CWFPolicy", "HeteroPair",
     "CriticalityProfiler", "PagePlacementMemory", "HomogeneousMemory",
-    "BackendDescriptor", "backend_names", "get_backend", "list_backends",
-    "register_backend",
+    "BACKENDS", "resolve_name",
     "PROFILES", "benchmark_names", "profile_for",
     "__version__",
 ]

@@ -1,5 +1,6 @@
 """Command-line entry point: regenerate any table or figure, run ad-hoc
-benchmark/memory combinations, and inspect the backend registry.
+benchmark/memory combinations, and list the memory backends and
+workloads.
 
 Usage::
 
@@ -72,7 +73,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import (
     ALL_EXPERIMENTS,
@@ -348,20 +349,20 @@ def _report_sanitizer(session: TelemetrySession) -> int:
 
 
 def _format_backends() -> str:
-    """The backend registry as a fixed-width listing."""
-    from repro.memsys.registry import list_backends
+    """The backend table as a fixed-width listing."""
+    from repro.memsys.registry import BACKENDS
 
     lines = ["registered memory backends:"]
     rows = []
-    for d in list_backends():
+    for b in sorted(BACKENDS, key=lambda b: b.name):
         flags = []
-        if d.is_heterogeneous:
+        if b.is_heterogeneous:
             flags.append("hetero")
-        if d.needs_profile:
+        if b.needs_profile:
             flags.append("needs-profile")
-        rows.append((d.name, ",".join(d.aliases) or "-",
-                     "+".join(d.dram_families), ",".join(flags) or "-",
-                     d.description))
+        rows.append((b.name, ",".join(b.aliases) or "-",
+                     "+".join(b.dram_families), ",".join(flags) or "-",
+                     b.description))
     widths = [max(len(r[i]) for r in rows + [("name", "aliases",
                                               "families", "flags", "")])
               for i in range(4)]
@@ -388,13 +389,13 @@ def _resolve_memories(names: List[str]) -> List[str]:
 
 
 def _format_workloads(suite: Optional[str] = None) -> str:
-    """The workload registry as a fixed-width listing."""
+    """The workload listing as fixed-width text."""
     from repro.workloads.registry import list_workloads
 
     lines = ["registered workloads:"]
-    rows = [(d.name, d.suite or "-", d.kind, d.description)
-            for d in list_workloads()
-            if suite is None or d.suite == suite]
+    rows = [(w["name"], w["suite"] or "-", w["kind"], w["description"])
+            for w in list_workloads()
+            if suite is None or w["suite"] == suite]
     header = ("name", "suite", "kind", "description")
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(3)]
     for row in [header] + rows:
@@ -403,41 +404,34 @@ def _format_workloads(suite: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-def _resolve_workloads(names: List[str]) -> List[str]:
+def _resolve_workloads(names: List[str]) -> Tuple[str, ...]:
     """Canonicalise CLI workload names; exits with did-you-mean on error."""
-    from repro.workloads.registry import WorkloadError, resolve_workload
+    from repro.workloads.registry import WorkloadError, resolve_workloads
 
-    resolved = []
-    for name in names:
-        try:
-            resolved.append(resolve_workload(name))
-        except WorkloadError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(_format_workloads(), file=sys.stderr)
-            raise SystemExit(2) from None
-    return list(dict.fromkeys(resolved))
+    try:
+        return resolve_workloads(names)
+    except WorkloadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(_format_workloads(), file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_list_workloads(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro list-workloads",
-        description="List registered workload sources (synthetic profiles "
+        description="List the workloads (synthetic profiles "
                     "plus the trace:<path> replay family).")
     parser.add_argument("--json", action="store_true",
-                        help="emit the registry as structured JSON")
+                        help="emit the listing as structured JSON")
     parser.add_argument("--suite", default=None,
                         help="only workloads of this suite (spec/npb/stream)")
     args = parser.parse_args(argv)
     if args.json:
         import json as _json
         from repro.workloads.registry import list_workloads
-        print(_json.dumps([{
-            "name": d.name,
-            "aliases": list(d.aliases),
-            "description": d.description,
-            **d.capabilities(),
-        } for d in list_workloads()
-            if args.suite is None or d.suite == args.suite], indent=1))
+        print(_json.dumps([w for w in list_workloads()
+                           if args.suite is None or w["suite"] == args.suite],
+                          indent=1))
     else:
         print(_format_workloads(args.suite))
     return 0
@@ -534,21 +528,23 @@ def _cmd_trace_info(argv: List[str]) -> int:
 def cmd_list_backends(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro list-backends",
-        description="List registered memory backends "
+        description="List the memory backends "
                     "(names, aliases, capabilities).")
     parser.add_argument("--json", action="store_true",
-                        help="emit the registry as structured JSON")
+                        help="emit the listing as structured JSON")
     args = parser.parse_args(argv)
     if args.json:
         import json as _json
-        from repro.memsys.registry import list_backends
+        from repro.memsys.registry import BACKENDS
         print(_json.dumps([{
-            "name": d.name,
-            "aliases": list(d.aliases),
-            "description": d.description,
-            "paper_section": d.paper_section,
-            **d.capabilities(),
-        } for d in list_backends()], indent=1))
+            "name": b.name,
+            "aliases": list(b.aliases),
+            "description": b.description,
+            "paper_section": b.paper_section,
+            "needs_profile": b.needs_profile,
+            "is_heterogeneous": b.is_heterogeneous,
+            "dram_families": list(b.dram_families),
+        } for b in sorted(BACKENDS, key=lambda b: b.name)], indent=1))
     else:
         print(_format_backends())
     return 0
@@ -564,7 +560,7 @@ def cmd_run(argv: List[str]) -> int:
                              "(see 'repro list-backends')")
     parser.add_argument("--workload", default=None,
                         help="comma-separated workload names — any "
-                             "registry form, including trace:<path> "
+                             "form, including trace:<path> "
                              "replays (overrides --benchmarks; see "
                              "'repro list-workloads')")
     add_suite_args(parser)
@@ -578,8 +574,8 @@ def cmd_run(argv: List[str]) -> int:
     config = make_config(args)
     if args.workload:
         from dataclasses import replace
-        config = replace(config, benchmarks=tuple(_resolve_workloads(
-            [w for w in args.workload.split(",") if w.strip()])))
+        config = replace(config, benchmarks=_resolve_workloads(
+            [w for w in args.workload.split(",") if w.strip()]))
     specs = [RunSpec(bench, memory)
              for bench in config.suite() for memory in memories]
 
@@ -837,11 +833,17 @@ def cmd_status(argv: List[str]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Every command: a bad run knob, from a flag or from the
-    environment, or an unknown experiment id is one error line and exit
-    status 2."""
+    return one_line_errors(_main, list(sys.argv[1:] if argv is None
+                                       else argv))
+
+
+def one_line_errors(entry: Callable[[Optional[List[str]]], int],
+                    argv: Optional[List[str]]) -> int:
+    """Run the entry point ``entry`` (this CLI's, or the report
+    generator's): a bad run knob, from a flag or from the environment,
+    or an unknown experiment id is one error line and exit status 2."""
     try:
-        return _main(list(sys.argv[1:] if argv is None else argv))
+        return entry(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -93,8 +93,8 @@ class HMCConfig(CWFConfig):
         return HMC_LP_DEVICE
 
 
-# The registry backends "hmc_hf" / "hmc_lp" / "hmc_cwf" (see
-# repro.memsys.backends) expose these presets to the CLI, sweeps, and
+# The backends "hmc_hf" / "hmc_lp" / "hmc_cwf" (see
+# repro.memsys.registry) expose these presets to the CLI, sweeps, and
 # RunSpecs; this factory remains the programmatic entry point.
 
 

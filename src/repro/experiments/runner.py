@@ -26,7 +26,7 @@ from repro.sim.system import SimResult
 from repro.store import ArtifactStore, parse_size
 from repro.telemetry.session import Counters
 from repro.workloads.profiles import benchmark_names
-from repro.workloads.registry import resolve_workload
+from repro.workloads.registry import resolve_workloads
 
 DEFAULT_READS = 2000
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -106,10 +106,8 @@ def _knob(convert: Callable[[str], object], what: str,
 
 
 def _workloads(text: str) -> Tuple[str, ...]:
-    names = tuple(name.strip() for name in text.split(",") if name.strip())
-    for name in names:
-        resolve_workload(name)
-    return names
+    return resolve_workloads(
+        name for name in text.split(",") if name.strip())
 
 
 def _not_a_file(path: Optional[str]) -> bool:

@@ -37,9 +37,9 @@ member an independent copy of the result.
 Cache keys (``v8``) embed a digest of the fully resolved ``SimConfig``
 so any config-knob change — present or future — invalidates stale
 entries instead of silently recalling them. ``v7`` switched the memory
-axis from a closed enum to registry names; ``v8`` did
+axis from an enum to backend names; ``v8`` did
 the same for the workload axis: ``benchmark`` is a canonical
-workload-registry name (``mcf``/``synthetic:mcf`` coalesce, and
+workload name (``mcf``/``synthetic:mcf`` coalesce, and
 ``trace:<path>`` names recorded replays), and the key carries the
 workload's *content token* — a profile-parameter digest for synthetic
 sources, the file sha256 for trace files — so editing a trace file or
@@ -208,8 +208,8 @@ def resolve_view(name: str) -> Optional[View]:
 class RunSpec:
     """One simulation, described declaratively.
 
-    ``benchmark`` is a workload-registry name and ``memory`` a memory-
-    backend registry name; both canonicalise at construction (so
+    ``benchmark`` is a workload name and ``memory`` a memory-backend
+    name; both canonicalise at construction (so
     ``RunSpec("synthetic:mcf", "baseline") == RunSpec("mcf", "ddr3")``
     and both hash alike as dict keys), and an unknown name on either
     axis fails here with a did-you-mean, never in a worker later. ``overrides`` are ``(parameter, value)``

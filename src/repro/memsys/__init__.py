@@ -1,39 +1,18 @@
-"""Memory-system assemblies and the pluggable backend registry.
+"""Memory-system assemblies and the table of organisations.
 
-:mod:`repro.memsys.base` defines the formal :class:`MemorySystem`
-protocol every organisation implements; :mod:`repro.memsys.registry`
-holds the string-keyed backend registry (``"ddr3"``, ``"rl"``,
-``"hmc_cwf"``, ...); :mod:`repro.memsys.backends` registers the
-built-in organisations. The heterogeneous critical-word-first systems
-(the paper's contribution) live in :mod:`repro.core`; they implement
-the same protocol so that the uncore and experiment harness are
-agnostic to the memory organisation.
+:mod:`repro.memsys.base` defines the :class:`MemorySystem` base class
+every organisation subclasses; :mod:`repro.memsys.registry` holds the
+closed table of the 13 organisations the paper evaluates (``"ddr3"``,
+``"rl"``, ``"hmc_cwf"``, ...) with their build functions. The
+heterogeneous critical-word-first systems (the paper's contribution)
+live in :mod:`repro.core`; they subclass the same base, so the uncore
+and experiment harness are agnostic to the memory organisation.
+
+The table is not re-exported here: it imports :mod:`repro.core`, whose
+modules import :mod:`repro.memsys.base` and so this package.
 """
 
-from repro.memsys.base import (
-    MemorySystem,
-    MemorySystemProtocolError,
-    MemorySystemStats,
-    assert_conformant,
-    conformance_problems,
-)
+from repro.memsys.base import MemorySystem, MemorySystemStats
 from repro.memsys.homogeneous import HomogeneousMemory
-from repro.memsys.registry import (
-    BackendDescriptor,
-    DuplicateBackendError,
-    UnknownBackendError,
-    backend_names,
-    create_memory,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_name,
-)
 
-__all__ = [
-    "MemorySystem", "MemorySystemStats", "MemorySystemProtocolError",
-    "assert_conformant", "conformance_problems", "HomogeneousMemory",
-    "BackendDescriptor", "DuplicateBackendError", "UnknownBackendError",
-    "backend_names", "create_memory", "get_backend", "list_backends",
-    "register_backend", "resolve_name",
-]
+__all__ = ["MemorySystem", "MemorySystemStats", "HomogeneousMemory"]

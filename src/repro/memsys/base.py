@@ -1,13 +1,12 @@
-"""The :class:`MemorySystem` protocol between the uncore and a memory.
+"""The :class:`MemorySystem` base class between the uncore and a memory.
 
 Every memory organisation — homogeneous, the paper's CWF pairs, page
-placement, HMC cubes, user plugins — implements this interface. The
-protocol is *formal*: :func:`conformance_problems` enumerates exactly
-what an implementation must provide, the backend registry and the
-simulation harness check it before accepting an instance, and the
-aggregate latency views (``avg_queue_latency`` / ``avg_core_latency``)
-are part of the contract with controller-derived defaults rather than
-optional duck-typed extras.
+placement, HMC cubes — subclasses it. The abstract base refuses to
+build an organisation that lacks :meth:`~MemorySystem.issue_read`,
+:meth:`~MemorySystem.issue_write` or :meth:`~MemorySystem.chip_groups`;
+every other method, the aggregate latency views
+(``avg_queue_latency`` / ``avg_core_latency``) included, has a
+controller-derived default that subclasses inherit or override.
 """
 
 from __future__ import annotations
@@ -151,8 +150,8 @@ class MemorySystem(abc.ABC):
 
     stats: MemorySystemStats
 
-    # Canonical registry name, stamped by the backend registry when the
-    # instance was built through it (None for hand-assembled memories).
+    # Canonical backend name, stamped by build_memory (None for
+    # hand-assembled memories).
     backend_name: Optional[str] = None
 
     # Telemetry handles are None until attach_telemetry (class
@@ -199,13 +198,12 @@ class MemorySystem(abc.ABC):
         for controller in self.telemetry_controllers():
             controller.export_telemetry(elapsed_cycles)
 
-    # --- aggregate latency views (protocol methods, paper Fig 1b) ----
+    # --- aggregate latency views (paper Fig 1b) -----------------------
     #
-    # Abstract-with-default: part of the formal contract (the harness
-    # calls them unconditionally; no getattr probing), with a sensible
-    # controller-derived implementation so most organisations inherit
-    # them for free. Organisations whose notion of "the queue" is more
-    # subtle (e.g. CWF reports the bulk side only) override.
+    # The harness calls them unconditionally; the controller-derived
+    # defaults serve most organisations. Organisations whose notion of
+    # "the queue" is more subtle (e.g. CWF reports the bulk side only)
+    # override.
 
     def avg_queue_latency(self) -> float:
         """Mean cycles a demand read waited in controller queues."""
@@ -292,63 +290,3 @@ class MemorySystem(abc.ABC):
                     chips.extend([activity] * chips_per_rank)
         return out
 
-
-# ---------------------------------------------------------------------------
-# Protocol conformance
-# ---------------------------------------------------------------------------
-
-# The formal MemorySystem surface. Everything here must be a callable
-# attribute; ``stats`` must additionally be a MemorySystemStats. The
-# harness (and the backend registry) verify instances against this list
-# once, up front, instead of getattr-probing on the hot path.
-PROTOCOL_METHODS = (
-    "issue_read",
-    "issue_write",
-    "chip_activities",
-    "bus_utilization",
-    "finalize",
-    "release_in_flight",
-    "avg_queue_latency",
-    "avg_core_latency",
-    "describe",
-    "telemetry_controllers",
-    "attach_telemetry",
-    "export_telemetry",
-)
-
-
-class MemorySystemProtocolError(TypeError):
-    """An object was offered as a MemorySystem but violates the protocol."""
-
-
-def conformance_problems(memory: object) -> List[str]:
-    """Every way ``memory`` falls short of the MemorySystem protocol.
-
-    Returns an empty list for a conformant implementation. Structural
-    (not nominal): a duck-typed object that provides the full surface
-    passes even without inheriting :class:`MemorySystem`, so plugins
-    are free to build on their own base classes.
-    """
-    problems: List[str] = []
-    for name in PROTOCOL_METHODS:
-        attr = getattr(memory, name, None)
-        if attr is None:
-            problems.append(f"missing method {name}()")
-        elif not callable(attr):
-            problems.append(f"attribute {name!r} is not callable")
-    stats = getattr(memory, "stats", None)
-    if stats is None:
-        problems.append("missing 'stats' attribute")
-    elif not isinstance(stats, MemorySystemStats):
-        problems.append(
-            f"'stats' must be a MemorySystemStats, got {type(stats).__name__}")
-    return problems
-
-
-def assert_conformant(memory: object) -> None:
-    """Raise :class:`MemorySystemProtocolError` unless ``memory`` conforms."""
-    problems = conformance_problems(memory)
-    if problems:
-        raise MemorySystemProtocolError(
-            f"{type(memory).__name__} does not implement the MemorySystem "
-            f"protocol: {'; '.join(problems)}")

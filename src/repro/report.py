@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
 
@@ -26,11 +25,7 @@ from repro.experiments import (
     failure_appendix,
     suite_specs,
 )
-from repro.experiments.runner import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentTable,
-)
+from repro.experiments.runner import ExperimentConfig, ExperimentTable
 
 
 @dataclass
@@ -228,6 +223,12 @@ def render_report(config: ExperimentConfig,
 
 
 def main(argv=None) -> int:
+    from repro.cli import one_line_errors
+
+    return one_line_errors(_main, argv)
+
+
+def _main(argv) -> int:
     from repro.cli import (
         add_resilience_args,
         add_scale_args,
@@ -247,12 +248,8 @@ def main(argv=None) -> int:
                         help="also write the tables as structured JSON "
                              "with a run manifest")
     args = parser.parse_args(argv)
-    try:
-        config = make_config(args)
-        keys = experiment_keys(args.experiments or "all")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = make_config(args)
+    keys = experiment_keys(args.experiments or "all")
     # One scheduler pass over the union of the figures' specs feeds
     # both the markdown and the JSON.
     executor = ParallelExecutor(config, progress=True)

@@ -10,9 +10,9 @@ fully JSON-serialisable both over the wire and into the
 reload and resume them.
 
 Validation happens here, before anything is queued: memory backends
-resolve against the memsys registry (unknown names answer the
-registry's did-you-mean message), benchmarks against the workload
-registry (same did-you-mean treatment; ``trace:<path>`` names resolve
+resolve against the backend table (unknown names answer its
+did-you-mean message), benchmarks to their canonical workload names
+(same did-you-mean treatment; ``trace:<path>`` names resolve
 server-side, so the file must exist where the server runs),
 experiments against ``ALL_EXPERIMENTS``, and a spec's ``runner``
 against the named-runner and view registries. A bad request is a
@@ -81,7 +81,7 @@ def spec_from_dict(data: object) -> RunSpec:
     benchmark = data.get("benchmark", "")
     if not isinstance(benchmark, str) or not benchmark:
         raise JobValidationError("spec.benchmark must be a non-empty string")
-    _check_benchmarks([benchmark])
+    benchmark, = _benchmarks([benchmark])
     runner = data.get("runner", "") or ""
     if runner:
         import repro.experiments  # noqa: F401  (populate the registry)
@@ -122,16 +122,15 @@ def _pairs(raw: object, what: str) -> Tuple[Tuple[str, object], ...]:
     return tuple(pairs)
 
 
-def _check_benchmarks(names) -> None:
-    """Resolve each name against the workload registry; an unknown
-    workload answers the registry's did-you-mean message as a 400."""
-    from repro.workloads.registry import WorkloadError, resolve_workload
+def _benchmarks(names) -> Tuple[str, ...]:
+    """Canonical workload names, each once; an unknown workload answers
+    its did-you-mean message as a 400."""
+    from repro.workloads.registry import WorkloadError, resolve_workloads
 
-    for name in names:
-        try:
-            resolve_workload(name)
-        except WorkloadError as exc:
-            raise JobValidationError(str(exc)) from None
+    try:
+        return resolve_workloads(names)
+    except WorkloadError as exc:
+        raise JobValidationError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +286,7 @@ def parse_request(payload: object, base_config) -> Job:
         if (not isinstance(raw, (list, tuple))
                 or not all(isinstance(b, str) for b in raw)):
             raise JobValidationError("benchmarks must be a list of strings")
-        _check_benchmarks(raw)
-        benchmarks = tuple(raw)
+        benchmarks = _benchmarks(raw)
 
     tag = payload.get("tag", "")
     if not isinstance(tag, str):

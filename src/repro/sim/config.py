@@ -1,24 +1,18 @@
 """Top-level simulation configuration (paper Table 1).
 
-``SimConfig.memory`` is a *registry name*: any backend registered with
-:mod:`repro.memsys.registry` (canonical name or alias) is a valid
-memory organisation, validated at construction time.
-:func:`build_memory` delegates to the registry, so new organisations —
-HMC cubes, future unterminated-LPDRAM variants, user plugins — need no
-changes here.
+``SimConfig.memory`` names a row of the organisation table in
+:mod:`repro.memsys.registry` (canonical name or alias), canonicalised
+at construction time; :func:`repro.memsys.registry.build_memory` builds
+the organisation it names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
 
 from repro.cpu.core import CoreConfig
-from repro.cpu.prefetch import PrefetcherConfig
 from repro.cpu.uncore import UncoreConfig
-from repro.memsys.base import MemorySystem
-from repro.memsys.registry import create_memory, resolve_name
-from repro.util.events import EventQueue
+from repro.memsys.registry import resolve_name
 from repro.workloads.synthetic import preferred_word_for_global_line
 
 
@@ -43,16 +37,8 @@ class SimConfig:
         object.__setattr__(self, "memory", resolve_name(self.memory))
 
     def with_memory(self, memory) -> "SimConfig":
-        """A copy running on ``memory`` (registry name or alias)."""
+        """A copy running on ``memory`` (backend name or alias)."""
         return replace(self, memory=resolve_name(memory))
-
-    def without_prefetcher(self) -> "SimConfig":
-        uncore = UncoreConfig(
-            l1=self.uncore.l1, l2=self.uncore.l2,
-            mshr_capacity=self.uncore.mshr_capacity,
-            prefetcher=PrefetcherConfig(enabled=False),
-            writeback_retry_interval=self.uncore.writeback_retry_interval)
-        return replace(self, uncore=uncore)
 
 
 class _AdaptiveTagSeeder:
@@ -92,20 +78,6 @@ def adaptive_tag_seeder(profile, seed_probability: float = 0.8):
     else to word 0 (never written — layout never altered).
     """
     return _AdaptiveTagSeeder(profile, seed_probability)
-
-
-def build_memory(config: SimConfig, events: EventQueue,
-                 traces: Optional[Sequence] = None,
-                 profile=None) -> MemorySystem:
-    """Instantiate the memory organisation named by ``config.memory``.
-
-    Delegates to the backend registry; the returned instance is
-    protocol-checked. ``traces`` feeds offline profiling passes (page
-    placement); ``profile`` enables warm adaptive tags and synthetic
-    profiling traces for backends that want them.
-    """
-    return create_memory(config.memory, config, events, traces=traces,
-                         profile=profile)
 
 
 # Paper Table 1, for the table-reproduction bench and the README.

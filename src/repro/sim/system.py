@@ -21,7 +21,8 @@ from repro.cpu.cache import IMAGE_DIRTY
 from repro.cpu.core import Core, TraceRecord
 from repro.cpu.uncore import Uncore
 from repro.dram.power import default_power_model
-from repro.memsys.base import MemorySystem, assert_conformant
+from repro.memsys.base import MemorySystem
+from repro.memsys.registry import build_memory
 from repro.sanitizer import (
     MODE_OFF,
     MODE_STRICT,
@@ -29,7 +30,7 @@ from repro.sanitizer import (
     attach_sanitizers,
     global_report,
 )
-from repro.sim.config import SimConfig, build_memory
+from repro.sim.config import SimConfig
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.session import RunTelemetry, active_session
 from repro.util.events import EventQueue
@@ -140,10 +141,6 @@ class SimulationSystem:
                                           for t in traces) else None)
             self.memory = build_memory(config, self.events, build_traces,
                                        profile=profile)
-        # Registry-built memories arrive pre-checked; hand-assembled
-        # ones (tests, ablations) are verified here, once, so the
-        # collection path below can call protocol methods directly.
-        assert_conformant(self.memory)
         self.uncore = Uncore(len(traces), self.memory, self.events,
                              config.uncore)
         self.profiler = CriticalityProfiler()
@@ -514,9 +511,9 @@ def run_benchmark(benchmark: str, config: SimConfig,
                   traces: Optional[Sequence[Iterable[TraceRecord]]] = None,
                   warm: bool = True,
                   telemetry: Optional[RunTelemetry] = None) -> SimResult:
-    """Resolve ``benchmark`` against the workload registry and run once.
+    """Build ``benchmark``'s workload source and run it once.
 
-    ``benchmark`` is any registry-resolvable workload name — a bare
+    ``benchmark`` is any workload name — a bare
     profile name (``mcf``), ``synthetic:<profile>``, or
     ``trace:<path>`` for recorded replays. The source's per-core record
     streams feed the cores lazily; explicit ``traces`` (tests,

@@ -8,9 +8,9 @@ makes them one-liners over the simulator::
                   parameter="mshr_capacity", values=[16, 64, 256])
     print(table.format())
 
-``memory`` is a registry backend name, so sensitivity studies run
-against any registered organisation — including plugins and the HMC
-backends — without touching this module.
+``memory`` is a backend name, so sensitivity studies run against any
+organisation in :data:`repro.memsys.registry.BACKENDS` — the HMC
+backends included — without touching this module.
 
 Each sweep point is a declarative
 :class:`~repro.experiments.specs.RunSpec`, so sweeps fan out over the

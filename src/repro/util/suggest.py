@@ -1,8 +1,8 @@
-"""Shared did-you-mean support for the string-keyed registries.
+"""Shared did-you-mean support for the name lookups.
 
-Both registries (memory backends in :mod:`repro.memsys.registry`,
-workload sources in :mod:`repro.workloads.registry`) and the benchmark
-profile table answer unknown-name lookups with close-match suggestions.
+Memory backends (:mod:`repro.memsys.registry`), workload names
+(:mod:`repro.workloads.registry`) and the benchmark profile table
+answer unknown-name lookups with close-match suggestions.
 The matching policy lives here once so every "unknown X" error reads
 the same and tunes the same.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import difflib
 from typing import Iterable, List, Sequence
 
-#: difflib cutoff shared by every registry: generous enough to catch
+#: difflib cutoff shared by every lookup: generous enough to catch
 #: transpositions and missing separators, strict enough not to suggest
 #: unrelated names.
 CUTOFF = 0.5

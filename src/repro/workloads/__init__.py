@@ -8,7 +8,9 @@ statistics (stream vs. pointer-chase mix, strides, footprint, write
 fraction, per-line critical-word distribution, memory intensity)
 calibrated to the behavioural facts the paper reports per benchmark
 (Figures 3, 4, 8 and the Appendix). The generator turns a profile into a
-deterministic per-core instruction trace.
+deterministic per-core instruction trace. :mod:`repro.workloads.registry`
+resolves workload names — a profile, ``synthetic:<profile>`` or
+``trace:<path>`` — and builds their sources.
 """
 
 from repro.workloads.profiles import (
@@ -24,14 +26,11 @@ from repro.workloads.registry import (
     SyntheticSource,
     TraceFileSource,
     UnknownWorkloadError,
-    WorkloadDescriptor,
     WorkloadError,
     create_workload,
-    list_workloads,
-    register_workload,
     resolve_workload,
+    resolve_workloads,
     workload_cache_token,
-    workload_names,
 )
 from repro.workloads.synthetic import (
     TraceGenerator,
@@ -52,8 +51,8 @@ __all__ = [
     "TraceGenerator", "generate_core_trace", "stream_core_trace",
     "load_trace", "save_trace", "load_multi_trace", "save_multi_trace",
     "trace_stats",
-    "WorkloadDescriptor", "WorkloadError", "UnknownWorkloadError",
+    "WorkloadError", "UnknownWorkloadError",
     "SyntheticSource", "TraceFileSource",
-    "register_workload", "resolve_workload", "create_workload",
-    "workload_names", "list_workloads", "workload_cache_token",
+    "resolve_workload", "resolve_workloads", "create_workload",
+    "workload_cache_token",
 ]

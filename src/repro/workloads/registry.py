@@ -1,46 +1,37 @@
-"""String-keyed registry of workload sources.
+"""Workload names and the sources they build.
 
 The paper's methodology replays one workload against every memory
-organisation; PR 3 made the *memory* axis of that cross product a
-formal registry, and this module does the same for the *workload* axis.
-A workload name resolves to a :class:`WorkloadDescriptor`, and
-:func:`create_workload` builds a live :class:`WorkloadSource` — the
-protocol the simulator drives:
-
-* ``source.streams(config)`` — one lazy ``Iterator[TraceRecord]`` per
-  core. Cores pull records as they fetch, so nothing materializes a
-  full per-core list on the hot path;
-* ``source.cache_token()`` — a content digest folded into the ``v8``
-  result-cache key, so cached results invalidate when the workload's
-  *contents* change (a profile edit, a re-recorded trace file) even
-  though its name does not;
-* ``source.profile`` — the :class:`BenchmarkProfile` when one is known
-  (drives L2 prewarming and profile-guided backends), else ``None``;
-* ``source.display_benchmark()`` — the benchmark name reported on the
-  :class:`~repro.sim.system.SimResult`.
-
-Two built-in source families:
+organisation. A workload name resolves to one of two closed families,
+and :func:`create_workload` builds its source — the object the
+simulator drives:
 
 * ``synthetic:<profile>`` (or the bare profile name — ``mcf`` and
-  ``synthetic:mcf`` are the same workload and share cache entries)
-  wraps :class:`~repro.workloads.synthetic.TraceGenerator`;
-* ``trace:<path>`` replays a repro-trace v1 file recorded with
-  ``repro trace record`` (or captured elsewhere), with the file's
-  sha256 as its cache token.
+  ``synthetic:mcf`` are the same workload and share cache entries) is a
+  :class:`SyntheticSource`. The family is
+  :data:`~repro.workloads.profiles.PROFILES` itself; profile names are
+  case-sensitive (``GemsFDTD``, ``dealII``), and each also answers to
+  its lowercase spelling;
+* ``trace:<path>`` is a :class:`TraceFileSource` replaying a
+  repro-trace v1 file recorded with ``repro trace record`` (or captured
+  elsewhere), with the file's sha256 as its cache token.
+
+Both sources offer:
+
+* ``streams(config)`` — one lazy ``Iterator[TraceRecord]`` per core,
+  pulled as the cores fetch;
+* ``cache_token()`` — a content digest folded into the ``v8``
+  result-cache key, so cached results invalidate when the workload's
+  *contents* change (a profile edit, a re-recorded trace file) though
+  its name does not;
+* ``profile`` — the :class:`~repro.workloads.profiles.BenchmarkProfile`
+  when one is known (drives L2 prewarming and profile-guided
+  backends), else ``None``;
+* ``display_benchmark()`` — the benchmark name reported on the
+  :class:`~repro.sim.system.SimResult`.
 
 Unknown names raise :class:`UnknownWorkloadError` with did-you-mean
 suggestions, mirroring :class:`~repro.memsys.registry.UnknownBackendError`.
-Plugins register with the :func:`register_workload` decorator::
-
-    from repro.workloads.registry import register_workload
-
-    @register_workload("my_workload", suite="custom",
-                       description="records from my generator")
-    def _build_my_workload():
-        return MyWorkloadSource()
-
-Built-in workloads (one per benchmark profile) are loaded lazily on
-first lookup, so importing this module is cheap.
+Adding a synthetic workload is adding a profile to ``PROFILES``.
 """
 
 from __future__ import annotations
@@ -49,8 +40,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cpu.core import TraceRecord
 from repro.util.suggest import close_matches, did_you_mean
@@ -59,17 +49,16 @@ from repro.workloads.profiles import PROFILES, BenchmarkProfile, profile_for
 SYNTHETIC_PREFIX = "synthetic:"
 TRACE_PREFIX = "trace:"
 
+# Lowercase spelling -> profile name, so lookups are case-forgiving.
+_PROFILE_BY_LOWERCASE = {name.lower(): name for name in PROFILES}
+
 
 class WorkloadError(ValueError):
-    """Base class for workload-registry failures."""
+    """A workload name or trace file that cannot be used."""
 
 
-class UnknownWorkloadError(WorkloadError, KeyError):
-    """Lookup of a name no workload answers (carries a did-you-mean).
-
-    Doubles as a :class:`KeyError` so callers that treated the old
-    ``PROFILES[name]`` lookup failure as a mapping miss keep working.
-    """
+class UnknownWorkloadError(WorkloadError):
+    """Lookup of a name no workload answers (carries a did-you-mean)."""
 
     def __init__(self, name: str, suggestions: Sequence[str] = ()) -> None:
         self.name = name
@@ -79,49 +68,9 @@ class UnknownWorkloadError(WorkloadError, KeyError):
                    + " (run 'repro list-workloads' for the full list)")
         super().__init__(message)
 
-    def __str__(self) -> str:  # KeyError.__str__ would repr-quote
-        return self.args[0]
-
-
-class DuplicateWorkloadError(WorkloadError):
-    """A name or alias was registered twice."""
-
-
-# ---------------------------------------------------------------------------
-# The WorkloadSource protocol
-# ---------------------------------------------------------------------------
-
-#: Methods every workload source must provide; checked (with the
-#: ``name``/``profile`` attributes) before the simulator accepts one.
-PROTOCOL_METHODS = ("streams", "cache_token", "display_benchmark",
-                    "describe")
-PROTOCOL_ATTRS = ("name", "kind", "profile")
-
-
-def conformance_problems(source: object) -> List[str]:
-    """Protocol violations of ``source``, empty when conformant."""
-    problems = []
-    for attr in PROTOCOL_ATTRS:
-        if not hasattr(source, attr):
-            problems.append(f"missing attribute {attr!r}")
-    for method in PROTOCOL_METHODS:
-        if not callable(getattr(source, method, None)):
-            problems.append(f"missing method {method!r}")
-    return problems
-
-
-def assert_source_conformant(source: object) -> None:
-    problems = conformance_problems(source)
-    if problems:
-        raise WorkloadError(
-            f"{type(source).__name__} does not implement the "
-            f"WorkloadSource protocol: {'; '.join(problems)}")
-
 
 class SyntheticSource:
     """Streams deterministic synthetic traces for one benchmark profile."""
-
-    kind = "synthetic"
 
     def __init__(self, name: str,
                  profile: Optional[BenchmarkProfile] = None) -> None:
@@ -142,11 +91,6 @@ class SyntheticSource:
     def display_benchmark(self) -> str:
         return self.name
 
-    def describe(self) -> Dict[str, object]:
-        return {"name": self.name, "kind": self.kind,
-                "suite": self.profile.suite,
-                "cache_token": self.cache_token()}
-
 
 class TraceFileSource:
     """Replays a repro-trace v1 file, one section per core.
@@ -158,8 +102,6 @@ class TraceFileSource:
     profile-guided backends identical to the synthetic run the trace
     was recorded from, which is what makes replay bit-exact.
     """
-
-    kind = "trace"
 
     def __init__(self, path: str) -> None:
         from repro.workloads.trace import load_multi_trace
@@ -198,120 +140,11 @@ class TraceFileSource:
         return self.metadata.get("benchmark") or self.name
 
     def describe(self) -> Dict[str, object]:
-        return {"name": self.name, "kind": self.kind,
+        return {"name": self.name, "kind": "trace",
                 "path": self.path, "cores": len(self._traces),
                 "records": sum(len(s) for s in self._traces),
                 "metadata": dict(self.metadata),
                 "cache_token": self.cache_token()}
-
-
-# ---------------------------------------------------------------------------
-# Descriptors and registration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkloadDescriptor:
-    """Everything the harness needs to know about one workload.
-
-    ``factory()`` builds the live :class:`WorkloadSource`; it is
-    ``None`` only for the ``trace:<path>`` family placeholder, whose
-    sources are built from the path at lookup time.
-    """
-
-    name: str
-    factory: Optional[Callable[[], object]]
-    kind: str = "synthetic"
-    suite: str = ""
-    description: str = ""
-    aliases: Tuple[str, ...] = ()
-
-    def capabilities(self) -> Dict[str, object]:
-        """Capability flags as a plain dict (CLI / manifest friendly)."""
-        return {"kind": self.kind, "suite": self.suite,
-                "streaming": True}
-
-
-#: Listing placeholder for the path-parameterised trace family.
-TRACE_FAMILY = WorkloadDescriptor(
-    name="trace:<path>", factory=None, kind="trace",
-    description="replay a repro-trace v1 file "
-                "(record one with 'repro trace record')")
-
-_WORKLOADS: Dict[str, WorkloadDescriptor] = {}
-_ALIASES: Dict[str, str] = {}
-_builtins_loaded = False
-
-
-def register_workload(name: str, *, kind: str = "synthetic",
-                      suite: str = "", description: str = "",
-                      aliases: Sequence[str] = ()):
-    """Decorator registering ``factory`` under ``name`` (plus aliases)."""
-
-    def decorator(factory: Callable[[], object]):
-        _register(WorkloadDescriptor(
-            name=name, factory=factory, kind=kind, suite=suite,
-            description=description, aliases=tuple(aliases)))
-        return factory
-
-    return decorator
-
-
-def _register(descriptor: WorkloadDescriptor) -> None:
-    if descriptor.name.lower().startswith((SYNTHETIC_PREFIX, TRACE_PREFIX)):
-        raise WorkloadError(
-            f"workload name {descriptor.name!r} must not carry a "
-            "source-family prefix")
-    for key in (descriptor.name,) + descriptor.aliases:
-        owner = _ALIASES.get(key)
-        if owner is not None and owner != descriptor.name:
-            raise DuplicateWorkloadError(
-                f"workload name {key!r} already registered by {owner!r}")
-    if descriptor.name in _WORKLOADS:
-        raise DuplicateWorkloadError(
-            f"workload {descriptor.name!r} already registered")
-    _WORKLOADS[descriptor.name] = descriptor
-    _ALIASES[descriptor.name] = descriptor.name
-    for alias in descriptor.aliases:
-        _ALIASES[alias] = descriptor.name
-
-
-def unregister_workload(name: str) -> None:
-    """Remove a workload (test hygiene for plugin round-trips)."""
-    descriptor = _WORKLOADS.pop(name, None)
-    if descriptor is None:
-        return
-    for key in (descriptor.name,) + descriptor.aliases:
-        if _ALIASES.get(key) == name:
-            del _ALIASES[key]
-
-
-def _profile_description(profile: BenchmarkProfile) -> str:
-    if profile.stream_fraction >= 0.7:
-        shape = "streaming"
-    elif profile.stream_fraction <= 0.3:
-        shape = "pointer-chasing"
-    else:
-        shape = "mixed"
-    return (f"synthetic {shape} profile, "
-            f"{profile.footprint_lines}-line footprint")
-
-
-def ensure_builtin_workloads() -> None:
-    """Register one synthetic workload per benchmark profile (idempotent)."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    for name, profile in PROFILES.items():
-        # Profile names are case-sensitive (GemsFDTD, dealII); a
-        # lowercase alias keeps CLI lookups forgiving.
-        aliases = (name.lower(),) if name.lower() != name else ()
-        _register(WorkloadDescriptor(
-            name=name,
-            factory=(lambda n=name, p=profile: SyntheticSource(n, p)),
-            kind="synthetic", suite=profile.suite,
-            description=_profile_description(profile), aliases=aliases))
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +156,11 @@ def resolve_workload(name) -> str:
     """Canonical workload name for ``name``.
 
     Bare profile names and ``synthetic:<profile>`` canonicalise to the
-    profile's registered spelling (so both key the cache identically);
-    ``trace:<path>`` canonicalises to itself after checking the file
-    exists. Raises :class:`UnknownWorkloadError` — with close-match
-    suggestions — when nothing answers the name.
+    profile's spelling in ``PROFILES`` (so both key the cache
+    identically); ``trace:<path>`` canonicalises to itself after
+    checking the file exists. Raises :class:`UnknownWorkloadError` —
+    with close-match suggestions — when nothing answers the name.
     """
-    ensure_builtin_workloads()
     if not isinstance(name, str):
         raise WorkloadError(
             f"workload must be a name, got {type(name).__name__}")
@@ -342,42 +174,51 @@ def resolve_workload(name) -> str:
         return TRACE_PREFIX + path
     if key.lower().startswith(SYNTHETIC_PREFIX):
         key = key[len(SYNTHETIC_PREFIX):].strip()
-    canonical = _ALIASES.get(key) or _ALIASES.get(key.lower())
+    canonical = _PROFILE_BY_LOWERCASE.get(key.lower())
     if canonical is None:
-        raise UnknownWorkloadError(name, close_matches(key, _ALIASES))
+        raise UnknownWorkloadError(name, close_matches(key, PROFILES))
     return canonical
 
 
-def get_workload(name) -> WorkloadDescriptor:
-    """The descriptor registered under ``name`` (alias/prefix-aware)."""
+def resolve_workloads(names: Iterable[str]) -> Tuple[str, ...]:
+    """Canonical names for ``names``, each once, first spelling first
+    (``mcf,synthetic:mcf`` is one workload)."""
+    return tuple(dict.fromkeys(resolve_workload(name) for name in names))
+
+
+def create_workload(name) -> Union[SyntheticSource, TraceFileSource]:
+    """Build the source of workload ``name``."""
     canonical = resolve_workload(name)
     if canonical.startswith(TRACE_PREFIX):
-        return dataclasses.replace(TRACE_FAMILY, name=canonical)
-    return _WORKLOADS[canonical]
+        return TraceFileSource(canonical[len(TRACE_PREFIX):])
+    return SyntheticSource(canonical, PROFILES[canonical])
 
 
-def workload_names() -> List[str]:
-    """Canonical names of every registered workload, sorted."""
-    ensure_builtin_workloads()
-    return sorted(_WORKLOADS)
-
-
-def list_workloads() -> List[WorkloadDescriptor]:
-    """Every registered descriptor, sorted by canonical name, plus the
-    ``trace:<path>`` family placeholder."""
-    ensure_builtin_workloads()
-    return [_WORKLOADS[name] for name in sorted(_WORKLOADS)] + [TRACE_FAMILY]
-
-
-def create_workload(name) -> object:
-    """Build the named workload source and protocol-check the result."""
-    canonical = resolve_workload(name)
-    if canonical.startswith(TRACE_PREFIX):
-        source = TraceFileSource(canonical[len(TRACE_PREFIX):])
+def _profile_description(profile: BenchmarkProfile) -> str:
+    if profile.stream_fraction >= 0.7:
+        shape = "streaming"
+    elif profile.stream_fraction <= 0.3:
+        shape = "pointer-chasing"
     else:
-        source = _WORKLOADS[canonical].factory()
-    assert_source_conformant(source)
-    return source
+        shape = "mixed"
+    return (f"synthetic {shape} profile, "
+            f"{profile.footprint_lines}-line footprint")
+
+
+def list_workloads() -> List[Dict[str, object]]:
+    """The ``repro list-workloads`` rows: every profile, sorted by
+    name, then the ``trace:<path>`` family."""
+    rows = [{"name": name,
+             "aliases": [name.lower()] if name.lower() != name else [],
+             "description": _profile_description(PROFILES[name]),
+             "kind": "synthetic", "suite": PROFILES[name].suite,
+             "streaming": True}
+            for name in sorted(PROFILES)]
+    rows.append({"name": "trace:<path>", "aliases": [],
+                 "description": "replay a repro-trace v1 file "
+                                "(record one with 'repro trace record')",
+                 "kind": "trace", "suite": "", "streaming": True})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +264,4 @@ def workload_cache_token(name) -> str:
     canonical = resolve_workload(name)
     if canonical.startswith(TRACE_PREFIX):
         return _file_token(canonical[len(TRACE_PREFIX):])
-    if canonical in PROFILES:
-        return _profile_token(PROFILES[canonical])
-    # Plugin workloads define their own token.
-    return _WORKLOADS[canonical].factory().cache_token()
+    return _profile_token(PROFILES[canonical])

@@ -22,6 +22,17 @@ class TestParser:
         assert config.benchmarks == ("mcf", "lbm")
         assert config.cache_dir is None
 
+    def test_benchmarks_canonical_and_deduped(self):
+        from repro.experiments import ALL_EXPERIMENTS
+
+        args = build_parser().parse_args(
+            ["fig1a", "--benchmarks", "gemsfdtd,synthetic:mcf,mcf",
+             "--reads", "100", "--cache", "off"])
+        config = make_config(args)
+        assert config.benchmarks == ("GemsFDTD", "mcf")
+        table = ALL_EXPERIMENTS["fig1a"](config)
+        assert table.column("benchmark") == ["GemsFDTD", "mcf", "MEAN"]
+
 
 class TestMain:
     def test_list(self, capsys):
@@ -67,6 +78,34 @@ class TestListBackendsSubcommand:
         assert by_name["hmc_cwf"]["is_heterogeneous"] is True
         assert "hmc" in by_name["hmc_cwf"]["aliases"]
         assert by_name["rl_adaptive"]["needs_profile"] is True
+
+    def test_json_rows_carry_the_listed_keys(self, capsys):
+        assert main(["list-backends", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [e["name"] for e in entries] == sorted(
+            e["name"] for e in entries)
+        for entry in entries:
+            assert list(entry) == [
+                "name", "aliases", "description", "paper_section",
+                "needs_profile", "is_heterogeneous", "dram_families"]
+
+
+class TestListWorkloadsSubcommand:
+    def test_json_rows_carry_the_listed_keys(self, capsys):
+        assert main(["list-workloads", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        by_name = {e["name"]: e for e in entries}
+        assert by_name["mcf"]["streaming"] is True
+        assert by_name["GemsFDTD"]["aliases"] == ["gemsfdtd"]
+        assert by_name["trace:<path>"]["kind"] == "trace"
+        for entry in entries:
+            assert list(entry) == ["name", "aliases", "description",
+                                   "kind", "suite", "streaming"]
+
+    def test_suite_filter(self, capsys):
+        assert main(["list-workloads", "--json", "--suite", "npb"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert entries and all(e["suite"] == "npb" for e in entries)
 
 
 class TestRunSubcommand:

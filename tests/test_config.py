@@ -109,6 +109,24 @@ def test_empty_knobs_keep_their_defaults(clean_env):
     assert default_config() == ExperimentConfig()
 
 
+def test_benchmark_list_is_canonical_and_deduped(clean_env):
+    clean_env.setenv("REPRO_BENCHMARKS", "gemsfdtd,synthetic:mcf,mcf")
+    assert default_config().benchmarks == ("GemsFDTD", "mcf")
+
+
+def test_report_shares_the_one_line_error(clean_env, tmp_path, capsys):
+    from repro.report import main as report_main
+
+    clean_env.setenv("REPRO_BENCHMARKS", "nope")
+    assert report_main(["--experiments", "fig1a",
+                        "--output", str(tmp_path / "r.md")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: REPRO_BENCHMARKS must be registered workload names, "
+        "got 'nope': unknown workload 'nope'; did you mean")
+    assert not (tmp_path / "r.md").exists()
+
+
 def test_only_the_edge_reads_the_environment():
     readers = sorted(str(path.relative_to(ROOT / "src"))
                      for path in (ROOT / "src").rglob("*.py")

@@ -1,4 +1,4 @@
-"""Backend registry: resolution, conformance, builds, cache-key version."""
+"""Backend table: resolution, builds, cache-key version."""
 
 import enum
 import subprocess
@@ -8,23 +8,14 @@ import pytest
 
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.specs import RunSpec, spec_cache_key
-from repro.memsys.base import (
-    MemorySystem,
-    MemorySystemProtocolError,
-    assert_conformant,
-    conformance_problems,
-)
+from repro.memsys.base import MemorySystem
 from repro.memsys.registry import (
+    BACKENDS,
     BackendError,
-    DuplicateBackendError,
     UnknownBackendError,
     backend_names,
-    create_memory,
-    get_backend,
-    list_backends,
-    register_backend,
+    build_memory,
     resolve_name,
-    unregister_backend,
 )
 from repro.sim.config import SimConfig
 from repro.sim.system import run_benchmark
@@ -49,7 +40,6 @@ class TestResolution:
     ])
     def test_aliases(self, alias, canonical):
         assert resolve_name(alias) == canonical
-        assert get_backend(alias).name == canonical
 
     def test_normalisation(self):
         assert resolve_name("  DDR3 ") == "ddr3"
@@ -80,62 +70,46 @@ class TestResolution:
 
 
 class TestRegistration:
+    """The table is closed: a new organisation is one more row, so the
+    old registration-time checks are checks on the rows themselves."""
+
     def test_duplicate_name_rejected(self):
-        with pytest.raises(DuplicateBackendError):
-            register_backend("ddr3")(lambda *a, **k: None)
+        names = [row.name for row in BACKENDS]
+        assert len(names) == len(set(names))
+        assert sorted(names) == ALL_BACKENDS
 
     def test_alias_clash_rejected(self):
-        with pytest.raises(DuplicateBackendError):
-            register_backend("fresh_name", aliases=("baseline",))(
-                lambda *a, **k: None)
-        assert "fresh_name" not in backend_names()
-
-    def test_register_unregister_roundtrip(self):
-        @register_backend("tmp_backend", aliases=("tmpb",),
-                          description="test-only")
-        def _build(config, events, traces=None, profile=None):
-            from repro.memsys.homogeneous import HomogeneousMemory
-            return HomogeneousMemory(events)
-
-        try:
-            assert resolve_name("tmpb") == "tmp_backend"
-            memory = create_memory("tmp_backend", TINY, EventQueue())
-            assert memory.backend_name == "tmp_backend"
-        finally:
-            unregister_backend("tmp_backend")
-        with pytest.raises(UnknownBackendError):
-            resolve_name("tmp_backend")
-        with pytest.raises(UnknownBackendError):
-            resolve_name("tmpb")
+        keys = [key for row in BACKENDS for key in (row.name,) + row.aliases]
+        assert len(keys) == len(set(keys))
+        for row in BACKENDS:
+            for key in (row.name,) + row.aliases:
+                assert key == key.lower().replace("-", "_")
+                assert resolve_name(key) == row.name
 
     def test_descriptors_expose_capabilities(self):
-        for descriptor in list_backends():
-            caps = descriptor.capabilities()
-            assert set(caps) == {"needs_profile", "is_heterogeneous",
-                                 "dram_families"}
-            assert descriptor.description
-            assert descriptor.dram_families
+        assert len(BACKENDS) == 13
+        for row in BACKENDS:
+            assert row.description and row.paper_section
+            assert row.is_heterogeneous == (len(row.dram_families) > 1)
 
 
 class TestConformance:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_every_backend_builds_conformant(self, name):
-        memory = create_memory(name, TINY, EventQueue(),
-                               profile=profile_for("mcf"))
+        memory = build_memory(TINY.with_memory(name), EventQueue(),
+                              profile=profile_for("mcf"))
         assert isinstance(memory, MemorySystem)
-        assert conformance_problems(memory) == []
         described = memory.describe()
         assert described["backend"] == name
         assert described["controllers"]
 
     def test_nonconformant_rejected(self):
-        class Bogus:
-            pass
+        class Bogus(MemorySystem):
+            def chip_groups(self):
+                return []
 
-        problems = conformance_problems(Bogus())
-        assert problems
-        with pytest.raises(MemorySystemProtocolError):
-            assert_conformant(Bogus())
+        with pytest.raises(TypeError, match="issue_read"):
+            Bogus()
 
 
 class TestTinyRuns:

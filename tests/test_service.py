@@ -130,6 +130,14 @@ class TestValidation:
         assert len(job.entries) == 2  # FIG3_BENCHMARKS
         assert all(e.spec.runner == "criticality_fig3" for e in job.entries)
 
+    def test_benchmarks_stored_canonical_and_deduped(self):
+        job = parse_request({"experiment": "fig1a",
+                             "benchmarks": ["synthetic:mcf", "mcf"]},
+                            self.config())
+        assert job.benchmarks == ("mcf",)
+        assert job.to_dict()["benchmarks"] == ["mcf"]
+        assert {e.spec.benchmark for e in job.entries} == {"mcf"}
+
     def test_within_job_dedupe(self):
         job = parse_request({"specs": [SPEC_MCF_DDR3, SPEC_MCF_DDR3]},
                             self.config())

@@ -3,11 +3,8 @@
 from repro.core.cwf import CriticalWordMemory, CWFPolicy, HeteroPair
 from repro.core.placement import PagePlacementMemory
 from repro.memsys.homogeneous import HomogeneousMemory
-from repro.sim.config import (
-    SimConfig,
-    adaptive_tag_seeder,
-    build_memory,
-)
+from repro.memsys.registry import build_memory
+from repro.sim.config import SimConfig, adaptive_tag_seeder
 from repro.util.events import EventQueue
 from repro.workloads.profiles import profile_for
 from repro.workloads.synthetic import preferred_word_for_global_line

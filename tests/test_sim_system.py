@@ -17,13 +17,13 @@ from repro.dram.rank import PowerStateTally, Rank
 from repro.dram.request import LINE_BYTES
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.energy_eval import sec72_spec
-from repro.experiments.specs import RunSpec, execute_spec
+from repro.experiments.specs import RunSpec, apply_parameter, execute_spec
 from repro.memsys.base import MemorySystem
-from repro.memsys.registry import backend_names
+from repro.memsys.registry import backend_names, build_memory
 from repro.sanitizer import MODE_STRICT, reset_global_report
 from repro.sim import system as system_mod
 from repro.sim.checkpoint import Checkpointer, load_checkpoint
-from repro.sim.config import SimConfig, TABLE1, build_memory
+from repro.sim.config import SimConfig, TABLE1
 from repro.sim.system import (
     SimulationSystem,
     make_traces,
@@ -297,8 +297,11 @@ class TestConfigHelpers:
         assert config.target_dram_reads == SMALL.target_dram_reads
 
     def test_without_prefetcher(self):
-        config = SMALL.without_prefetcher()
+        config = apply_parameter(SMALL, "prefetcher_enabled", False)
         assert not config.uncore.prefetcher.enabled
+        assert SMALL.uncore.prefetcher.enabled
+        assert config.memory == SMALL.memory
+        assert config.target_dram_reads == SMALL.target_dram_reads
 
     def test_table1_keys(self):
         assert TABLE1["Re-Order-Buffer"] == "64 entry"

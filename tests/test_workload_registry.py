@@ -1,4 +1,4 @@
-"""Workload registry: resolution, sources, replay fidelity, cache tokens."""
+"""Workload names: resolution, sources, replay fidelity, cache tokens."""
 
 import dataclasses
 import subprocess
@@ -12,26 +12,20 @@ from repro.sim.config import SimConfig
 from repro.sim.system import make_traces, run_benchmark
 from repro.workloads.profiles import PROFILES, profile_for
 from repro.workloads.registry import (
-    TRACE_FAMILY,
-    DuplicateWorkloadError,
+    SYNTHETIC_PREFIX,
     SyntheticSource,
     TraceFileSource,
     UnknownWorkloadError,
     WorkloadError,
-    assert_source_conformant,
-    conformance_problems,
     create_workload,
-    get_workload,
     list_workloads,
-    register_workload,
     resolve_workload,
-    unregister_workload,
+    resolve_workloads,
     workload_cache_token,
-    workload_names,
 )
 from repro.workloads.trace import save_multi_trace
 
-ALL_WORKLOADS = workload_names()
+ALL_WORKLOADS = sorted(PROFILES)
 SMALL = SimConfig(target_dram_reads=200)
 
 
@@ -48,7 +42,9 @@ def record_trace(path, benchmark="mcf", config=SMALL):
 
 class TestResolution:
     def test_every_profile_is_a_workload(self):
-        assert set(ALL_WORKLOADS) == set(PROFILES)
+        rows = list_workloads()
+        assert [row["name"] for row in rows[:-1]] == ALL_WORKLOADS
+        assert rows[-1]["name"] == "trace:<path>"
 
     def test_canonical_names_resolve_to_themselves(self):
         for name in ALL_WORKLOADS:
@@ -68,14 +64,6 @@ class TestResolution:
         assert "mcf" in str(excinfo.value)
         assert "list-workloads" in str(excinfo.value)
 
-    def test_unknown_error_doubles_as_keyerror(self):
-        # Callers that treated PROFILES[name] misses as KeyError keep
-        # working, and str() must not repr-quote the whole message.
-        with pytest.raises(KeyError) as excinfo:
-            resolve_workload("nope")
-        assert isinstance(excinfo.value, ValueError)
-        assert str(excinfo.value).startswith("unknown workload 'nope'")
-
     def test_non_string_rejected(self):
         with pytest.raises(WorkloadError):
             resolve_workload(42)
@@ -88,75 +76,62 @@ class TestResolution:
         with pytest.raises(WorkloadError, match="not found"):
             resolve_workload("trace:/no/such/file.trace")
 
+    def test_lists_are_canonical_and_deduped(self):
+        assert resolve_workloads(
+            ["gemsfdtd", "synthetic:mcf", "mcf", " GemsFDTD "]) == (
+                "GemsFDTD", "mcf")
+        with pytest.raises(UnknownWorkloadError, match="mcff"):
+            resolve_workloads(["mcf", "mcff"])
+
 
 class TestRegistration:
+    """The synthetic family is ``PROFILES`` itself, so the old
+    registration-time checks are checks on the listing rows."""
+
     def test_duplicate_name_rejected(self):
-        with pytest.raises(DuplicateWorkloadError):
-            register_workload("mcf")(lambda: None)
+        names = [row["name"] for row in list_workloads()[:-1]]
+        assert names == ALL_WORKLOADS
+        # Lookups fold case, so no two names may differ by case alone.
+        assert len({name.lower() for name in names}) == len(names)
 
     def test_alias_clash_rejected(self):
-        with pytest.raises(DuplicateWorkloadError):
-            register_workload("fresh_workload", aliases=("mcf",))(
-                lambda: None)
-        assert "fresh_workload" not in workload_names()
+        rows = list_workloads()[:-1]
+        keys = [key for row in rows for key in [row["name"]] + row["aliases"]]
+        assert len(keys) == len(set(keys))
+        for row in rows:
+            for key in [row["name"]] + row["aliases"]:
+                assert resolve_workload(key) == row["name"]
+                assert resolve_workload(SYNTHETIC_PREFIX + key) == row["name"]
 
     def test_prefixed_name_rejected(self):
-        with pytest.raises(WorkloadError, match="prefix"):
-            register_workload("trace:sneaky")(lambda: None)
-
-    def test_register_unregister_roundtrip(self):
-        @register_workload("tmp_workload", suite="custom",
-                           aliases=("tmpw",), description="test-only")
-        def _build():
-            return SyntheticSource("tmp_workload", profile_for("mcf"))
-
-        try:
-            assert resolve_workload("tmpw") == "tmp_workload"
-            source = create_workload("tmp_workload")
-            assert source.display_benchmark() == "tmp_workload"
-            # Plugin token comes from the source, not PROFILES.
-            assert workload_cache_token("tmp_workload") == \
-                source.cache_token()
-        finally:
-            unregister_workload("tmp_workload")
+        # No profile name carries a family prefix, so a prefixed name
+        # only ever means its family.
+        assert not any(":" in name for name in ALL_WORKLOADS)
         with pytest.raises(UnknownWorkloadError):
-            resolve_workload("tmp_workload")
-        with pytest.raises(UnknownWorkloadError):
-            resolve_workload("tmpw")
+            resolve_workload(SYNTHETIC_PREFIX + "trace:mcf")
 
     def test_descriptors_expose_capabilities(self):
-        descriptors = list_workloads()
-        assert descriptors[-1] is TRACE_FAMILY
-        for descriptor in descriptors:
-            caps = descriptor.capabilities()
-            assert set(caps) == {"kind", "suite", "streaming"}
-            assert caps["streaming"] is True
-            assert descriptor.description
+        for row in list_workloads():
+            assert row["streaming"] is True
+            assert row["description"]
+            assert row["kind"] == ("trace" if row["name"] == "trace:<path>"
+                                   else "synthetic")
 
     def test_get_workload_for_trace_family(self, tmp_path):
         path = record_trace(tmp_path / "t.trace")
-        descriptor = get_workload(f"trace:{path}")
-        assert descriptor.kind == "trace"
-        assert descriptor.name == f"trace:{path}"
+        source = create_workload(f"trace:{path}")
+        assert source.name == f"trace:{path}"
+        assert source.describe()["kind"] == "trace"
 
 
 class TestConformance:
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_every_builtin_builds_conformant(self, name):
         source = create_workload(name)
-        assert conformance_problems(source) == []
-        assert source.kind == "synthetic"
+        assert isinstance(source, SyntheticSource)
         assert source.profile is PROFILES[name]
-        assert source.describe()["cache_token"] == workload_cache_token(name)
-
-    def test_nonconformant_rejected(self):
-        class Bogus:
-            pass
-
-        problems = conformance_problems(Bogus())
-        assert problems
-        with pytest.raises(WorkloadError):
-            assert_source_conformant(Bogus())
+        assert source.display_benchmark() == name
+        assert source.cache_token() == workload_cache_token(name)
 
 
 class TestSyntheticStreams:

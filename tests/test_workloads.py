@@ -14,7 +14,8 @@ import pytest
 from repro.core.placement import PAGE_LINES, rank_pages
 from repro.cpu.core import TraceRecord
 from repro.dram.request import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
-from repro.sim.config import SimConfig, build_memory
+from repro.memsys.registry import build_memory
+from repro.sim.config import SimConfig
 from repro.util.events import EventQueue
 from repro.workloads.profiles import (
     BenchmarkProfile,
