@@ -259,14 +259,16 @@ def run_suite(args: argparse.Namespace, argv: List[str],
             results = executor.run(specs)
         except SuiteError as exc:
             return suite_failed(exc)
-        for name, build in builders.items():
-            start = time.perf_counter()
+        pass_wall = time.perf_counter() - suite_start
+        for build in builders.values():
             table = build(config, results=results)
             if args.json:
                 emit(json.dumps(table_to_dict(table), indent=1, default=str))
             else:
                 emit(table.format())
-                print(f"[{name} took {time.perf_counter() - start:.1f}s]\n")
+        if not args.json:
+            print(f"[{len(specs)} specs: executor pass took "
+                  f"{pass_wall:.1f}s]\n")
         if executor.failures:
             emit(failure_appendix(executor.failures))
     finally:
@@ -424,14 +426,25 @@ def cmd_list_workloads(argv: List[str]) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit the listing as structured JSON")
     parser.add_argument("--suite", default=None,
-                        help="only workloads of this suite (spec/npb/stream)")
+                        help="only workloads of this suite "
+                             "(spec2006, npb or stream)")
     args = parser.parse_args(argv)
+    from repro.util.suggest import close_matches, did_you_mean
+    from repro.workloads.registry import list_workloads
+
+    rows = list_workloads()
+    if args.suite is not None:
+        suites = sorted({w["suite"] for w in rows if w["suite"]})
+        if args.suite not in suites:
+            print(f"error: unknown suite {args.suite!r}"
+                  f"{did_you_mean(close_matches(args.suite, suites))}",
+                  file=sys.stderr)
+            print(f"known suites: {', '.join(suites)}", file=sys.stderr)
+            return 2
+        rows = [w for w in rows if w["suite"] == args.suite]
     if args.json:
         import json as _json
-        from repro.workloads.registry import list_workloads
-        print(_json.dumps([w for w in list_workloads()
-                           if args.suite is None or w["suite"] == args.suite],
-                          indent=1))
+        print(_json.dumps(rows, indent=1))
     else:
         print(_format_workloads(args.suite))
     return 0

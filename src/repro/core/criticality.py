@@ -11,6 +11,10 @@ level — and accumulates:
 * the adaptive-predictor hit rate: how often the critical word of a
   fetch equals the critical word of the line's *previous* fetch
   (the 79 % the paper reports for adaptive placement, vs. 67 % static).
+
+Every run keeps the global counts (:class:`CriticalityProfiler`); only
+the Fig 3 profiling pass pays for the per-line histograms
+(:class:`PerLineProfiler`).
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ class CriticalityProfiler:
     """Attach via ``uncore.demand_miss_observer = profiler.observe``."""
 
     def __init__(self) -> None:
-        self.global_counts: Counter = Counter()
-        self.per_line: Dict[int, Counter] = defaultdict(Counter)
+        self.global_counts: List[int] = [0] * WORDS_PER_LINE
         self._last_word: Dict[int, int] = {}
         self.total = 0
         self.static_hits = 0     # critical word == 0
@@ -60,7 +63,6 @@ class CriticalityProfiler:
                 critical_word: int) -> None:
         self.total += 1
         self.global_counts[critical_word] += 1
-        self.per_line[line_address][critical_word] += 1
         if critical_word == 0:
             self.static_hits += 1
         previous = self._last_word.get(line_address)
@@ -76,8 +78,7 @@ class CriticalityProfiler:
         """Fraction of fetches per critical word (Fig 4, one bar group)."""
         if not self.total:
             return [0.0] * WORDS_PER_LINE
-        return [self.global_counts.get(w, 0) / self.total
-                for w in range(WORDS_PER_LINE)]
+        return [count / self.total for count in self.global_counts]
 
     @property
     def word0_fraction(self) -> float:
@@ -89,6 +90,19 @@ class CriticalityProfiler:
         if not self.repeat_total:
             return self.word0_fraction
         return self.repeat_hits / self.repeat_total
+
+
+class PerLineProfiler(CriticalityProfiler):
+    """A profiler that also keeps each line's word histogram (Fig 3)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.per_line: Dict[int, Counter] = defaultdict(Counter)
+
+    def observe(self, core_id: int, line_address: int,
+                critical_word: int) -> None:
+        super().observe(core_id, line_address, critical_word)
+        self.per_line[line_address][critical_word] += 1
 
     def top_lines(self, n: int = 10) -> List[LineHistogram]:
         """Most-fetched lines with their word histograms (Fig 3)."""

@@ -1,10 +1,12 @@
 """Set-associative write-back caches (paper Table 1 hierarchy).
 
 Functional model with LRU replacement; latency is applied by the uncore.
-Lines carry two bits of metadata the CWF architecture needs: the dirty
+Lines carry two pieces of metadata the CWF architecture needs: the dirty
 bit, and the *observed critical word* — the word whose demand miss
 fetched the line, which the adaptive placement scheme stores back to
-memory on dirty eviction (paper Sec 4.2.5).
+memory on dirty eviction (paper Sec 4.2.5). Both are packed into one
+``meta`` int per line, the same encoding a warm image stores, so a live
+set maps each resident line to a plain int.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from repro.dram.request import LINE_BYTES, WORDS_PER_LINE
 #: :class:`_SetTable`.
 WarmImage = Tuple[array, array, bytes]
 
-#: Set in a warm-image ``meta`` byte when the line is dirty; the bits
-#: below it hold the critical word.
+#: Set in a line's ``meta`` (live or in a warm image) when the line is
+#: dirty; the bits below it, :data:`IMAGE_WORD`, hold the critical word.
 IMAGE_DIRTY = WORDS_PER_LINE
-_IMAGE_WORD = IMAGE_DIRTY - 1
+IMAGE_WORD = IMAGE_DIRTY - 1
 
 
 @dataclass(frozen=True)
@@ -50,53 +52,18 @@ L2_CONFIG = CacheConfig(name="L2", size_bytes=4 * 1024 * 1024,
                         associativity=8, latency=10)
 
 
-class CacheLine:
-    """Tag-store entry.
-
-    Slotted: one is allocated per resident line of every set a run
-    touches, and probed on every access.
-    """
-
-    __slots__ = ("line_address", "dirty", "critical_word")
-
-    def __init__(self, line_address: int, dirty: bool = False,
-                 critical_word: int = 0) -> None:
-        self.line_address = line_address
-        self.dirty = dirty
-        self.critical_word = critical_word
-
-    def __repr__(self) -> str:
-        return (f"CacheLine(line_address={self.line_address:#x}, "
-                f"dirty={self.dirty}, critical_word={self.critical_word})")
-
-
-class EvictedLine:
-    """What :meth:`Cache.insert` pushed out, if anything."""
-
-    __slots__ = ("line_address", "dirty", "critical_word")
-
-    def __init__(self, line_address: int, dirty: bool,
-                 critical_word: int) -> None:
-        self.line_address = line_address
-        self.dirty = dirty
-        self.critical_word = critical_word
-
-    def __repr__(self) -> str:
-        return (f"EvictedLine(line_address={self.line_address:#x}, "
-                f"dirty={self.dirty}, critical_word={self.critical_word})")
-
-
 class _SetTable(dict):
-    """Set index -> that set's recency-ordered ``{line: CacheLine}``.
+    """Set index -> that set's recency-ordered ``{line: meta}``.
 
+    A line's ``meta`` int packs its critical word (low bits) with the
+    dirty bit (:data:`IMAGE_DIRTY`), the encoding a warm image stores.
     Sets are built on first probe (``__missing__``): empty, or copied
     from the warm ``image``. The image is three flat buffers: per-set
     start ``offsets`` (one more than there are sets), the resident
     ``lines`` in LRU order per set (``array('q')``), and one ``meta``
-    byte per line that packs the critical word (low bits) with the
-    dirty bit (:data:`IMAGE_DIRTY`). The image is shared and never
-    mutated, so a cache loaded from it costs nothing up front and
-    allocates lines only in the sets a run touches.
+    byte per line. The image is shared and never mutated, so a cache
+    loaded from it costs nothing up front and copies only the sets a
+    run touches.
     """
 
     __slots__ = ("image",)
@@ -105,16 +72,13 @@ class _SetTable(dict):
         super().__init__()
         self.image = image
 
-    def __missing__(self, index: int) -> Dict[int, CacheLine]:
+    def __missing__(self, index: int) -> Dict[int, int]:
         if self.image is None:
             s = self[index] = {}
-            return s
-        offsets, lines, meta = self.image
-        lo = offsets[index]
-        hi = offsets[index + 1]
-        s = self[index] = {
-            line: CacheLine(line, m >= IMAGE_DIRTY, m & _IMAGE_WORD)
-            for line, m in zip(lines[lo:hi], meta[lo:hi])}
+        else:
+            offsets, lines, meta = self.image
+            lo, hi = offsets[index], offsets[index + 1]
+            s = self[index] = dict(zip(lines[lo:hi], meta[lo:hi]))
         return s
 
     def occupancy(self) -> int:
@@ -163,48 +127,58 @@ class Cache:
         self.evictions += evictions
         self.dirty_evictions += dirty_evictions
 
-    def lookup(self, line_address: int, touch: bool = True) -> Optional[CacheLine]:
-        """Probe; returns the line and updates LRU on hit."""
+    def lookup(self, line_address: int, write: bool = False) -> Optional[int]:
+        """Probe; on a hit, make the line MRU (dirty if ``write``) and
+        return its meta."""
         s = self._sets[line_address % self._num_sets]
-        line = s.get(line_address)
-        if line is None:
+        meta = s.pop(line_address, None)
+        if meta is None:
             self.misses += 1
             return None
         self.hits += 1
-        if touch:
-            del s[line_address]
-            s[line_address] = line
-        return line
+        if write:
+            meta |= IMAGE_DIRTY
+        s[line_address] = meta
+        return meta
 
-    def peek(self, line_address: int) -> Optional[CacheLine]:
-        """Probe without updating LRU or hit/miss counters."""
+    def peek(self, line_address: int) -> Optional[int]:
+        """A line's meta, without updating LRU or hit/miss counters."""
         return self._sets[line_address % self._num_sets].get(line_address)
 
-    def insert(self, line_address: int, dirty: bool = False,
-               critical_word: int = 0) -> Optional[EvictedLine]:
-        """Fill a line; returns the victim if one was evicted."""
+    def mark_dirty(self, line_address: int) -> bool:
+        """Dirty a resident line in place (LRU untouched); False if the
+        line is not resident."""
         s = self._sets[line_address % self._num_sets]
-        existing = s.get(line_address)
-        if existing is not None:
-            del s[line_address]
-            if dirty:
-                existing.dirty = True
-            s[line_address] = existing
+        meta = s.get(line_address)
+        if meta is None:
+            return False
+        s[line_address] = meta | IMAGE_DIRTY
+        return True
+
+    def insert(self, line_address: int, dirty: bool = False,
+               critical_word: int = 0) -> Optional[Tuple[int, int]]:
+        """Fill a line; returns the victim's ``(line, meta)`` if one was
+        evicted. Refilling a resident line makes it MRU and keeps its
+        critical word; ``dirty`` is sticky."""
+        s = self._sets[line_address % self._num_sets]
+        meta = s.pop(line_address, None)
+        if meta is not None:
+            s[line_address] = meta | IMAGE_DIRTY if dirty else meta
             return None
-        victim: Optional[EvictedLine] = None
+        victim = None
         if len(s) >= self._assoc:
-            lru_addr = next(iter(s))
-            lru = s.pop(lru_addr)
+            lru = next(iter(s))
+            lru_meta = s.pop(lru)
             self.evictions += 1
-            if lru.dirty:
+            if lru_meta >= IMAGE_DIRTY:
                 self.dirty_evictions += 1
-            victim = EvictedLine(lru.line_address, lru.dirty,
-                                 lru.critical_word)
-        s[line_address] = CacheLine(line_address, dirty, critical_word)
+            victim = (lru, lru_meta)
+        s[line_address] = critical_word | IMAGE_DIRTY if dirty else critical_word
         return victim
 
-    def invalidate(self, line_address: int) -> Optional[CacheLine]:
-        """Remove a line (no writeback here; caller decides)."""
+    def invalidate(self, line_address: int) -> Optional[int]:
+        """Remove a line and return its meta (no writeback here; caller
+        decides)."""
         return self._sets[line_address % self._num_sets].pop(line_address, None)
 
     @property

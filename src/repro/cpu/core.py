@@ -48,18 +48,12 @@ class CoreConfig:
     use_latency: int = 10      # L2-to-register path after wake-up
 
 
-class AccessResult:
-    """What the uncore tells the core about an access."""
-
-    HIT = "hit"          # completes at a known time
-    PENDING = "pending"  # memory will call back
-    STALL = "stall"      # resources full; retry later
-
-    __slots__ = ("status", "complete_time")
-
-    def __init__(self, status: str, complete_time: int = 0) -> None:
-        self.status = status
-        self.complete_time = complete_time
+#: What ``Uncore.access`` returns when the access does not complete at
+#: a known time: memory will call back (``PENDING``), or resources are
+#: full and the core retries later (``STALL``). A hit returns its
+#: completion time instead, which is never negative.
+PENDING = -1
+STALL = -2
 
 
 class _IssueEvent:
@@ -218,14 +212,11 @@ class Core:
     # ------------------------------------------------------------------
 
     def _issue(self, record: TraceRecord, instr_index: int) -> None:
-        now = self.events.now
         if record.is_write:
             result = self.uncore.access(self.core_id, True, record.address,
                                         wake=None)
-            if result.status == AccessResult.STALL:
-                self.stall_retries += 1
-                self.events.schedule(now + self.config.retry_interval,
-                                     _IssueEvent(self, record, instr_index))
+            if result == STALL:
+                self._retry(record, instr_index)
                 return
             self.stores_issued += 1
             return
@@ -233,14 +224,17 @@ class Core:
         wake = _LoadWake(self, instr_index)
         result = self.uncore.access(self.core_id, False, record.address,
                                     wake=wake)
-        if result.status == AccessResult.STALL:
-            self.stall_retries += 1
-            self.events.schedule(now + self.config.retry_interval,
-                                 _IssueEvent(self, record, instr_index))
+        if result == STALL:
+            self._retry(record, instr_index)
             return
         self.loads_issued += 1
-        if result.status == AccessResult.HIT:
-            self._resolve(instr_index, result.complete_time)
+        if result >= 0:
+            self._resolve(instr_index, result)
+
+    def _retry(self, record: TraceRecord, instr_index: int) -> None:
+        self.stall_retries += 1
+        self.events.schedule(self.events.now + self.config.retry_interval,
+                             _IssueEvent(self, record, instr_index))
 
     # ------------------------------------------------------------------
     # Retirement bookkeeping

@@ -20,8 +20,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.cpu.cache import Cache, CacheConfig, L1_CONFIG, L2_CONFIG
-from repro.cpu.core import AccessResult
+from repro.cpu.cache import (
+    IMAGE_DIRTY,
+    IMAGE_WORD,
+    L1_CONFIG,
+    L2_CONFIG,
+    Cache,
+    CacheConfig,
+)
+from repro.cpu.core import PENDING, STALL
 from repro.cpu.mshr import MSHRFile
 from repro.cpu.prefetch import PrefetcherConfig, StridePrefetcher
 from repro.dram.request import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
@@ -119,29 +126,22 @@ class Uncore:
     # ------------------------------------------------------------------
 
     def access(self, core_id: int, is_write: bool, address: int,
-               wake: Optional[WakeFn]) -> AccessResult:
-        """One memory instruction. Returns HIT/PENDING/STALL."""
+               wake: Optional[WakeFn]) -> int:
+        """One memory instruction. Returns the completion time on a
+        hit, else :data:`~repro.cpu.core.PENDING` or
+        :data:`~repro.cpu.core.STALL`."""
         now = self.events.now
         line = address // LINE_BYTES
         word = (address // WORD_BYTES) % WORDS_PER_LINE
-        l1 = self.l1s[core_id]
 
-        l1_line = l1.lookup(line)
-        if l1_line is not None:
-            if is_write:
-                l1_line.dirty = True
-            return AccessResult(AccessResult.HIT,
-                                now + self._l1_latency)
+        if self.l1s[core_id].lookup(line, is_write) is not None:
+            return now + self._l1_latency
 
-        l2_line = self.l2.lookup(line)
+        l2_meta = self.l2.lookup(line, is_write)
         self._train_prefetcher(core_id, line)
-        if l2_line is not None:
-            if is_write:
-                l2_line.dirty = True
-            self._fill_l1(core_id, line, dirty=False,
-                          critical_word=l2_line.critical_word)
-            return AccessResult(AccessResult.HIT,
-                                now + self._l2_latency)
+        if l2_meta is not None:
+            self._fill_l1(core_id, line, l2_meta & IMAGE_WORD)
+            return now + self._l2_latency
 
         # L2 miss -> MSHR.
         entry = self.mshrs.get(line)
@@ -149,14 +149,14 @@ class Uncore:
             self.mshrs.merge(entry, wake if not is_write else None,
                              is_prefetch=False, write_intent=is_write,
                              word=word, now=now)
-            return AccessResult(AccessResult.PENDING)
+            return PENDING
 
         entry = self.mshrs.allocate(line, critical_word=word,
                                     core_id=core_id,
                                     is_prefetch=False,
                                     write_intent=is_write)
         if entry is None:
-            return AccessResult(AccessResult.STALL)
+            return STALL
         if not is_write and wake is not None:
             entry.primary_waiters.append(wake)
         accepted = self.memory.issue_read(
@@ -167,13 +167,13 @@ class Uncore:
         if not accepted:
             # Roll the allocation back; the core will retry.
             self.mshrs.deallocate(line)
-            return AccessResult(AccessResult.STALL)
+            return STALL
         self.dram_reads += 1
         if self._san is not None:
             self._san.note_read_issued(line, self.events.now)
         if self.demand_miss_observer is not None:
             self.demand_miss_observer(core_id, line, word)
-        return AccessResult(AccessResult.PENDING)
+        return PENDING
 
     # ------------------------------------------------------------------
     # Fill path
@@ -198,39 +198,32 @@ class Uncore:
         released = self.mshrs.release(line, time)
         if self._san is not None:
             self._san.note_read_retired(line, time)
-        victim = self.l2.insert(line, dirty=released.write_intent,
-                                critical_word=released.critical_word)
+        victim = self.l2.insert(line, released.write_intent,
+                                released.critical_word)
         if victim is not None:
-            self._handle_l2_eviction(victim)
+            self._handle_l2_eviction(*victim)
         if not released.is_prefetch:
-            self._fill_l1(released.core_id, line,
-                          dirty=False,
-                          critical_word=released.critical_word)
+            self._fill_l1(released.core_id, line, released.critical_word)
 
-    def _fill_l1(self, core_id: int, line: int, dirty: bool,
-                 critical_word: int) -> None:
-        victim = self.l1s[core_id].insert(line, dirty=dirty,
-                                          critical_word=critical_word)
-        if victim is not None and victim.dirty:
-            # Inclusive hierarchy: the victim is (normally) in L2.
-            l2_line = self.l2.peek(victim.line_address)
-            if l2_line is not None:
-                l2_line.dirty = True
-            else:
-                self._issue_writeback(victim.line_address,
-                                      victim.critical_word, core_id)
+    def _fill_l1(self, core_id: int, line: int, critical_word: int) -> None:
+        """Fill ``line`` clean into ``core_id``'s L1."""
+        victim = self.l1s[core_id].insert(line, False, critical_word)
+        if victim is not None:
+            victim_line, meta = victim
+            # Inclusive hierarchy: a dirty victim is (normally) in L2.
+            if meta >= IMAGE_DIRTY and not self.l2.mark_dirty(victim_line):
+                self._issue_writeback(victim_line, meta & IMAGE_WORD,
+                                      core_id)
 
-    def _handle_l2_eviction(self, victim) -> None:
-        dirty = victim.dirty
-        critical_word = victim.critical_word
+    def _handle_l2_eviction(self, line: int, meta: int) -> None:
+        dirty = meta >= IMAGE_DIRTY
         # Back-invalidate all L1 copies (inclusion).
-        for core_id, l1 in enumerate(self.l1s):
-            l1_copy = l1.invalidate(victim.line_address)
-            if l1_copy is not None and l1_copy.dirty:
+        for l1 in self.l1s:
+            l1_meta = l1.invalidate(line)
+            if l1_meta is not None and l1_meta >= IMAGE_DIRTY:
                 dirty = True
         if dirty:
-            self._issue_writeback(victim.line_address, critical_word,
-                                  core_id=0)
+            self._issue_writeback(line, meta & IMAGE_WORD, core_id=0)
 
     # ------------------------------------------------------------------
     # Writebacks

@@ -357,10 +357,10 @@ class MemoryController:
         bus = self._bus_cycle
         when = ((when + bus - 1) // bus) * bus
         tick = self._tick_event
-        if tick is not None and not tick.cancelled:
-            if tick.time <= when:
+        if tick is not None and tick[2] is not None:
+            if tick[0] <= when:
                 return
-            tick.cancel()
+            tick[2] = None
         self._tick_event = self.events.schedule(when, self._tick)
 
     def _tick(self) -> None:
@@ -393,8 +393,14 @@ class MemoryController:
             self._try_powerdown(now)
 
         if self.read_queue or self.prefetch_queue or self.write_queue:
-            next_time = (now + self._bus_cycle if issued_any
-                         else self._next_wake_time(now))
+            if issued_any:
+                # No other tick is pending (this one cleared
+                # ``_tick_event``) and ``now`` is on a bus-cycle
+                # boundary, so ``_schedule_tick``'s checks are moot.
+                self._tick_event = self.events.schedule(
+                    now + self._bus_cycle, self._tick)
+                return
+            next_time = self._next_wake_time(now)
             floor = now + 1
             self._schedule_tick(next_time if next_time > floor else floor)
         else:

@@ -11,17 +11,19 @@ These are trace-level profiles: we drive the cache hierarchy with the
 benchmark's traces on the baseline memory and observe demand LLC misses
 through :class:`~repro.core.criticality.CriticalityProfiler`. The
 profiling pass is a named runner, so it parallelises, caches,
-checkpoints and reaches ``--stats-json`` like ordinary runs. Fig 3 is
-a view of that pass: it reads the finished profiling simulation (Fig 4
-needs it too, so a suite runs it once) and packs the live profiler's
-per-line histograms into ``SimResult.extra``.
+checkpoints and reaches ``--stats-json`` like ordinary runs. Only that
+pass keeps per-line histograms (its system's profiler is a
+:class:`~repro.core.criticality.PerLineProfiler`). Fig 3 is a view of
+the pass: it reads the finished profiling simulation (Fig 4 needs it
+too, so a suite runs it once) and packs the live profiler's per-line
+histograms into ``SimResult.extra``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.criticality import CriticalityProfiler
+from repro.core.criticality import PerLineProfiler
 from repro.experiments.executor import resolve_results
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -64,6 +66,8 @@ def _profiling_runner(spec: RunSpec,
     profile = shrunken_profile(spec.benchmark)
     traces = make_traces(profile, sim_config)
     system = SimulationSystem(sim_config, traces, profile=profile)
+    system.profiler = PerLineProfiler()
+    system.uncore.demand_miss_observer = system.profiler.observe
     prewarm_l2(system, profile)
     return system
 
@@ -108,7 +112,7 @@ def specs_figure_4(config: ExperimentConfig) -> List[RunSpec]:
 
 
 def profile_benchmark(benchmark: str,
-                      config: ExperimentConfig) -> CriticalityProfiler:
+                      config: ExperimentConfig) -> PerLineProfiler:
     """Run the profiling pass once, returning the live profiler object."""
     system, _result = simulate(profiling_spec(benchmark), config)
     return system.profiler

@@ -270,7 +270,7 @@ def parse_request(payload: object, base_config) -> Job:
 
     experiment = payload.get("experiment")
     if experiment is not None:
-        if experiment not in ALL_EXPERIMENTS:
+        if not isinstance(experiment, str) or experiment not in ALL_EXPERIMENTS:
             raise JobValidationError(
                 f"unknown experiment {experiment!r}; "
                 f"known: {list(ALL_EXPERIMENTS)}")
@@ -292,8 +292,12 @@ def parse_request(payload: object, base_config) -> Job:
     if not isinstance(tag, str):
         raise JobValidationError("tag must be a string")
 
-    specs: List[RunSpec] = [spec_from_dict(raw)
-                            for raw in payload.get("specs", [])]
+    raw_specs = payload.get("specs", [])
+    if not isinstance(raw_specs, (list, tuple)):
+        raise JobValidationError(
+            f"specs must be a list of spec objects, got "
+            f"{type(raw_specs).__name__}")
+    specs: List[RunSpec] = [spec_from_dict(raw) for raw in raw_specs]
     job = Job(id=new_job_id(), created_unix=time.time(),
               experiment=experiment, tag=tag, reads=reads,
               benchmarks=benchmarks)

@@ -10,6 +10,7 @@ speedup up to a constant factor.
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -216,21 +217,28 @@ class SimulationSystem:
     def _run_loop(self, executed: int, max_events: int,
                   checkpointer) -> "SimResult":
         num_cores = len(self.cores)
-        step = self.events.step
+        events = self.events
         finished = self._finished
         if checkpointer is None and self._san_report is None:
-            # Tight path: unchanged from the plain simulator — no
-            # per-event probes when neither feature is active.
+            # Tight path: ``EventQueue.step`` inlined, with no per-event
+            # probes when neither feature is active.
+            heap = events._heap
+            pop = heapq.heappop
             while finished.count < num_cores:
-                if not step():
+                if not heap:
                     raise RuntimeError(
                         f"deadlock: {finished.count}/{num_cores} cores "
-                        f"finished, event queue empty at t={self.events.now}")
+                        f"finished, event queue empty at t={events.now}")
+                time, _seq, callback = pop(heap)
+                if callback is None:
+                    continue
+                events.now = time
+                callback()
                 executed += 1
                 if executed > max_events:
                     raise RuntimeError("simulation exceeded max_events")
             return self._collect()
-        events = self.events
+        step = events.step
         report = self._san_report
         last_now = events.now
         while finished.count < num_cores:

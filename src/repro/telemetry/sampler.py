@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.telemetry.registry import MetricsRegistry
-from repro.util.events import Event, EventQueue
+from repro.util.events import Entry, EventQueue
 
 DEFAULT_INTERVAL = 2048  # CPU cycles between samples
 
@@ -34,7 +34,7 @@ class Sampler:
         self.interval = interval_cycles
         self.samples_taken = 0
         self._probes: List[Tuple[str, Callable[[], float]]] = []
-        self._pending: Optional[Event] = None
+        self._pending: Optional[Entry] = None
         self._running = False
 
     def add_probe(self, name: str, fn: Callable[[], float]) -> None:
@@ -55,7 +55,7 @@ class Sampler:
     def stop(self) -> None:
         self._running = False
         if self._pending is not None:
-            self._pending.cancel()
+            self._pending[2] = None
             self._pending = None
 
     def _tick(self) -> None:

@@ -3,70 +3,58 @@
 Events fire in (time, sequence) order so that ties are broken by insertion
 order, which keeps multi-component simulations reproducible run to run.
 
-The heap stores ``(time, seq, event)`` tuples rather than the events
-themselves: ``seq`` is unique, so heap comparisons are resolved by the
-first two integer fields at C level and never reach the event object.
-Combined with ``__slots__`` on :class:`Event`, this keeps the simulator's
-single hottest data structure free of generated-``__lt__`` dispatch and
-per-event ``__dict__`` allocations while preserving the exact firing
-order of the original dataclass implementation (ordered by
-``(time, seq)``, cancellation skipped at pop). No live-event count is
-kept: ``len()`` counts the heap's non-cancelled entries, and only
+A heap entry is a mutable ``[time, seq, callback]`` list, and
+:meth:`EventQueue.schedule` returns the entry itself as the event's
+handle. ``seq`` is unique, so heap comparisons are resolved by the
+first two integer fields at C level and never reach the callback. To
+cancel an event, set ``entry[2] = None``: the entry is skipped when
+popped. Cancelling twice, cancelling an event that already ran and
+cancelling after :meth:`EventQueue.clear` are all harmless, because
+only the entry itself changes. No live-event count is kept: ``len()``
+counts the heap's entries that still hold a callback, and only
 end-of-run checks and tests ask for it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
-
-class Event:
-    """A scheduled callback. Fires in (time, seq) order for determinism."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: int, seq: int,
-                 callback: Callable[[], Any]) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # debugging aid; never on the hot path
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(time={self.time}, seq={self.seq}, {state})"
+#: A scheduled event: ``[time, seq, callback]``; ``callback`` is None
+#: once cancelled.
+Entry = List[Any]
 
 
 class EventQueue:
-    """Deterministic priority queue of :class:`Event` objects."""
+    """Deterministic priority queue of ``[time, seq, callback]`` entries.
+
+    ``_heap`` is one list for the queue's whole life (:meth:`clear`
+    empties it in place), so a caller may bind it once and pop it
+    directly, as ``SimulationSystem``'s run loop does.
+    """
 
     __slots__ = ("_heap", "_seq", "now")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Entry] = []
         self._seq = 0
         self.now = 0
 
     def __len__(self) -> int:
         """Pending non-cancelled events (a heap scan: not for hot paths)."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
-    def schedule(self, time: int, callback: Callable[[], Any]) -> Event:
+    def schedule(self, time: int, callback: Callable[[], Any]) -> Entry:
         """Schedule ``callback`` to run at absolute ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, now is {self.now}")
         seq = self._seq
-        event = Event(time, seq, callback)
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
+        entry = [time, seq, callback]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def schedule_after(self, delay: int, callback: Callable[[], Any]) -> Event:
+    def schedule_after(self, delay: int, callback: Callable[[], Any]) -> Entry:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
         return self.schedule(self.now + delay, callback)
 
@@ -79,15 +67,14 @@ class EventQueue:
         reference counting. ``now`` and the sequence counter carry on,
         so events scheduled afterwards still fire in (time, seq) order.
         """
-        for _time, _seq, event in self._heap:
-            event.cancelled = True
-            event.callback = None
+        for entry in self._heap:
+            entry[2] = None
         self._heap.clear()
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or None if the queue is empty."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2] is None:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
@@ -96,11 +83,11 @@ class EventQueue:
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            time, _seq, event = pop(heap)
-            if event.cancelled:
+            time, _seq, callback = pop(heap)
+            if callback is None:
                 continue
             self.now = time
-            event.callback()
+            callback()
             return True
         return False
 

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu.cache import Cache, CacheConfig, L1_CONFIG, L2_CONFIG
+from repro.cpu.cache import (
+    IMAGE_DIRTY,
+    L1_CONFIG,
+    L2_CONFIG,
+    Cache,
+    CacheConfig,
+)
 
 
 def small_cache(sets=4, ways=2):
@@ -53,7 +59,7 @@ class TestLRU:
         c.insert(0)
         c.insert(1)
         victim = c.insert(2)
-        assert victim.line_address == 0
+        assert victim == (0, 0)
 
     def test_lookup_refreshes_recency(self):
         c = small_cache(sets=1, ways=2)
@@ -61,16 +67,16 @@ class TestLRU:
         c.insert(1)
         c.lookup(0)          # 0 becomes MRU
         victim = c.insert(2)
-        assert victim.line_address == 1
+        assert victim[0] == 1
 
     def test_reinsert_refreshes_and_merges_dirty(self):
         c = small_cache(sets=1, ways=2)
         c.insert(0, dirty=True)
         c.insert(1)
         assert c.insert(0) is None      # already present: no eviction
-        assert c.peek(0).dirty          # dirty bit sticks
+        assert c.peek(0) == IMAGE_DIRTY  # dirty bit sticks
         victim = c.insert(2)
-        assert victim.line_address == 1
+        assert victim[0] == 1
 
 
 class TestDirtyAndMetadata:
@@ -78,15 +84,31 @@ class TestDirtyAndMetadata:
         c = small_cache(sets=1, ways=1)
         c.insert(1, dirty=True, critical_word=3)
         victim = c.insert(2)
-        assert victim.dirty
-        assert victim.critical_word == 3
+        assert victim == (1, 3 | IMAGE_DIRTY)
         assert c.dirty_evictions == 1
+
+    def test_lookup_write_dirties_and_refreshes(self):
+        c = small_cache(sets=1, ways=2)
+        c.insert(0, critical_word=5)
+        c.insert(1)
+        assert c.lookup(0, write=True) == 5 | IMAGE_DIRTY
+        assert c.peek(0) == 5 | IMAGE_DIRTY
+        assert c.insert(2) == (1, 0)    # 0 became MRU
+
+    def test_mark_dirty_keeps_recency(self):
+        c = small_cache(sets=1, ways=2)
+        c.insert(0, critical_word=2)
+        c.insert(1)
+        assert c.mark_dirty(0)
+        assert not c.mark_dirty(7)
+        assert c.peek(7) is None
+        assert c.hits == 0 and c.misses == 0
+        assert c.insert(2) == (0, 2 | IMAGE_DIRTY)  # 0 is still LRU
 
     def test_invalidate_returns_line(self):
         c = small_cache()
         c.insert(9, dirty=True)
-        line = c.invalidate(9)
-        assert line.dirty
+        assert c.invalidate(9) == IMAGE_DIRTY
         assert c.peek(9) is None
         assert c.invalidate(9) is None
 
@@ -96,13 +118,13 @@ class TestSetMapping:
         c = small_cache(sets=4, ways=1)
         for line in range(4):
             c.insert(line)
-        assert all(c.peek(line) for line in range(4))
+        assert all(c.peek(line) is not None for line in range(4))
 
     def test_same_set_conflicts(self):
         c = small_cache(sets=4, ways=1)
         c.insert(0)
         victim = c.insert(4)  # 4 % 4 == 0: same set
-        assert victim.line_address == 0
+        assert victim[0] == 0
 
     def test_occupancy(self):
         c = small_cache(sets=4, ways=2)

@@ -1,6 +1,7 @@
 """CLI entry point."""
 
 import json
+import re
 
 import pytest
 
@@ -107,6 +108,14 @@ class TestListWorkloadsSubcommand:
         entries = json.loads(capsys.readouterr().out)
         assert entries and all(e["suite"] == "npb" for e in entries)
 
+    def test_unknown_suite_names_the_known_ones(self, capsys):
+        assert main(["list-workloads", "--suite", "spec"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown suite 'spec'; did you mean 'spec2006'?\n"
+            "known suites: npb, spec2006, stream\n")
+
 
 class TestRunSubcommand:
     def test_run_table(self, capsys, tmp_path):
@@ -115,6 +124,16 @@ class TestRunSubcommand:
                      "--cache", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "hmc_cwf" in out and "critical_latency" in out
+
+    def test_one_wall_time_line_for_the_executor_pass(self, capsys,
+                                                       tmp_path):
+        assert main(["fig8,tab1", "--benchmarks", "mcf", "--reads", "120",
+                     "--cache", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        timing = [line for line in lines if "took" in line]
+        assert len(timing) == 1
+        assert re.fullmatch(r"\[\d+ specs: executor pass took \d+\.\ds\]",
+                            timing[0])
 
     def test_alias_canonicalised_and_deduped(self, capsys, tmp_path):
         assert main(["run", "--memory", "baseline,ddr3",

@@ -1,6 +1,6 @@
 """Event-driven core model: fetch/retire arithmetic and ROB blocking."""
 
-from repro.cpu.core import AccessResult, Core, CoreConfig, TraceRecord
+from repro.cpu.core import PENDING, STALL, Core, CoreConfig, TraceRecord
 from repro.util.events import EventQueue
 
 
@@ -17,15 +17,14 @@ class FakeUncore:
         self.accesses.append((self.events.now, is_write, address))
         if self.stalls_left > 0:
             self.stalls_left -= 1
-            return AccessResult(AccessResult.STALL)
+            return STALL
         if is_write:
-            return AccessResult(AccessResult.HIT, self.events.now + 1)
+            return self.events.now + 1
         if self.latency <= 2:
-            return AccessResult(AccessResult.HIT,
-                                self.events.now + self.latency)
+            return self.events.now + self.latency
         self.events.schedule(self.events.now + self.latency,
                              lambda w=wake: w(self.events.now))
-        return AccessResult(AccessResult.PENDING)
+        return PENDING
 
 
 def run_core(trace, latency=100, stalls=0, config=None):
@@ -125,7 +124,7 @@ class TestOutOfOrderArrivals:
                 delay = 800 if self.calls == 1 else 50
                 events.schedule(events.now + delay,
                                 lambda w=wake: w(events.now))
-                return AccessResult(AccessResult.PENDING)
+                return PENDING
 
         trace = [TraceRecord(gap=0, is_write=False, address=0),
                  TraceRecord(gap=0, is_write=False, address=4096)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.criticality import CriticalityProfiler
+from repro.core.criticality import CriticalityProfiler, PerLineProfiler
 
 
 class TestDistribution:
@@ -45,7 +45,7 @@ class TestRepeatPrediction:
 
 class TestTopLines:
     def test_ranked_by_fetch_count(self):
-        p = CriticalityProfiler()
+        p = PerLineProfiler()
         for _ in range(10):
             p.observe(0, line_address=100, critical_word=2)
         for _ in range(3):
@@ -57,7 +57,7 @@ class TestTopLines:
         assert top[1].line_address == 200
 
     def test_fractions_sum_to_one(self):
-        p = CriticalityProfiler()
+        p = PerLineProfiler()
         p.observe(0, 7, 1)
         p.observe(0, 7, 1)
         p.observe(0, 7, 4)
@@ -65,9 +65,26 @@ class TestTopLines:
         assert sum(hist.fractions()) == pytest.approx(1.0)
 
     def test_dominance_metric(self):
-        p = CriticalityProfiler()
+        p = PerLineProfiler()
         # Line 1: 3-of-4 to word 2; line 2: only one fetch (excluded).
         for w in (2, 2, 2, 6):
             p.observe(0, 1, w)
         p.observe(0, 2, 0)
         assert p.per_line_dominance() == pytest.approx(0.75)
+
+
+class TestGlobalOnly:
+    def test_base_profiler_keeps_no_per_line_histograms(self):
+        p = CriticalityProfiler()
+        p.observe(0, 7, 1)
+        assert not hasattr(p, "per_line")
+        assert not hasattr(p, "top_lines")
+
+    def test_per_line_profiler_keeps_the_global_counts(self):
+        base, per_line = CriticalityProfiler(), PerLineProfiler()
+        for line, word in ((1, 0), (1, 0), (2, 5), (1, 3), (2, 5)):
+            base.observe(0, line, word)
+            per_line.observe(0, line, word)
+        assert per_line.distribution() == base.distribution()
+        assert per_line.repeat_fraction == base.repeat_fraction
+        assert per_line.word0_fraction == base.word0_fraction

@@ -38,7 +38,7 @@ def test_cancelled_events_are_skipped():
     log = []
     event = q.schedule(5, lambda: log.append("x"))
     q.schedule(6, lambda: log.append("y"))
-    event.cancel()
+    event[2] = None
     q.run()
     assert log == ["y"]
 
@@ -74,7 +74,7 @@ def test_len_counts_live_events():
     e1 = q.schedule(1, lambda: None)
     q.schedule(2, lambda: None)
     assert len(q) == 2
-    e1.cancel()
+    e1[2] = None
     assert len(q) == 1
 
 
@@ -82,8 +82,8 @@ def test_len_is_exact_through_mixed_operations():
     q = EventQueue()
     events = [q.schedule(t, lambda: None) for t in range(10)]
     assert len(q) == 10
-    events[3].cancel()
-    events[7].cancel()
+    events[3][2] = None
+    events[7][2] = None
     assert len(q) == 8
     q.step()
     assert len(q) == 7
@@ -95,8 +95,8 @@ def test_double_cancel_does_not_corrupt_count():
     q = EventQueue()
     event = q.schedule(5, lambda: None)
     q.schedule(6, lambda: None)
-    event.cancel()
-    event.cancel()
+    event[2] = None
+    event[2] = None
     assert len(q) == 1
 
 
@@ -106,7 +106,7 @@ def test_cancel_after_execution_is_harmless():
     q.schedule(6, lambda: None)
     q.step()            # runs the t=5 event
     assert len(q) == 1
-    event.cancel()      # too late; must not decrement the live count
+    event[2] = None      # too late; must not decrement the live count
     assert len(q) == 1
     assert q.step()
     assert len(q) == 0
@@ -131,7 +131,7 @@ def test_clear_empties_the_queue():
     q = EventQueue()
     for t in (5, 6, 7):
         q.schedule(t, lambda: None)
-    q.schedule(8, lambda: None).cancel()
+    q.schedule(8, lambda: None)[2] = None
     q.clear()
     assert len(q) == 0
     assert q.peek_time() is None
@@ -143,7 +143,7 @@ def test_late_cancel_of_a_cleared_event_leaves_len_alone():
     event = q.schedule(5, lambda: None)
     q.clear()
     q.schedule(6, lambda: None)
-    event.cancel()
+    event[2] = None
     assert len(q) == 1
 
 
@@ -152,7 +152,7 @@ def test_cleared_callbacks_never_fire():
     fired = []
     events = [q.schedule(t, lambda t=t: fired.append(t)) for t in (5, 9)]
     q.clear()
-    assert all(event.callback is None for event in events)
+    assert all(event[2] is None for event in events)
     q.schedule(10, lambda: None)
     assert q.run() == 1
     assert fired == []

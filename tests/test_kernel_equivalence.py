@@ -205,7 +205,7 @@ def schedules(draw):
     """A schedule: per event a (time-offset, cancel?) pair.
 
     Offsets are small so ties are frequent — tie-breaking by seq is
-    exactly what the tuple heap must preserve.
+    exactly what the entry heap must preserve.
     """
     return draw(st.lists(
         st.tuples(st.integers(min_value=0, max_value=7), st.booleans()),
@@ -225,7 +225,7 @@ def test_events_fire_in_time_seq_order(plan):
     cancelled = set()
     for index, (_offset, cancel) in enumerate(plan):
         if cancel:
-            events[index][0].cancel()
+            events[index][0][2] = None
             cancelled.add(index)
 
     expected_live = len(plan) - len(cancelled)
@@ -261,7 +261,7 @@ def test_cancel_after_partial_drain(plan, data):
     late_cancels = {index for index in survivors
                     if data.draw(st.booleans())}
     for index in late_cancels:
-        handles[index].cancel()
+        handles[index][2] = None
     queue.run()
     assert late_cancels.isdisjoint(fired)
     expected_tail = [index for index, (offset, _c) in sorted(

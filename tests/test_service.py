@@ -113,6 +113,18 @@ class TestValidation:
             parse_request({"specs": [SPEC_MCF_DDR3], "reads": -5},
                           self.config())
 
+    @pytest.mark.parametrize("body, message", [
+        ({"specs": None}, "specs must be a list"),
+        ({"specs": 5}, "specs must be a list"),
+        ({"specs": False}, "specs must be a list"),
+        ({"experiment": [1]}, "unknown experiment"),
+        ({"experiment": {}}, "unknown experiment"),
+    ], ids=["specs-null", "specs-int", "specs-false", "experiment-list",
+            "experiment-object"])
+    def test_wrongly_typed_field_is_a_validation_error(self, body, message):
+        with pytest.raises(JobValidationError, match=message):
+            parse_request(body, self.config())
+
     def test_unknown_runner(self):
         with pytest.raises(JobValidationError, match="unknown named runner"):
             parse_request({"specs": [{"benchmark": "mcf", "memory": "ddr3",
@@ -651,6 +663,14 @@ class TestHTTP:
                                       "memory": "ddr333"}]})
         assert excinfo.value.status == 400
         assert "ddr3" in excinfo.value.body["error"]
+
+    def test_wrongly_typed_specs_400_and_connection_survives(self, service):
+        _, client = service
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"specs": None})
+        assert excinfo.value.status == 400
+        assert "specs must be a list" in excinfo.value.body["error"]
+        assert client.health()["status"] == "ok"
 
     def test_submit_poll_complete(self, service):
         sched, client = service

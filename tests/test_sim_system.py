@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.criticality import CriticalityProfiler
-from repro.cpu.cache import IMAGE_DIRTY, L2_CONFIG, Cache, CacheLine
+from repro.cpu.cache import IMAGE_DIRTY, L2_CONFIG, Cache
 from repro.cpu.core import Core
 from repro.cpu.mshr import MSHRFile
 from repro.cpu.uncore import Uncore
@@ -139,9 +139,8 @@ def _warm_system(profile, config):
 
 
 def _l2_sets(l2):
-    """Every set, built, as ``(line, dirty, critical_word)`` in LRU order."""
-    return [[(ln.line_address, ln.dirty, ln.critical_word)
-             for ln in l2._sets[index].values()]
+    """Every set, built, as ``(line, meta)`` pairs in LRU order."""
+    return [list(l2._sets[index].items())
             for index in range(l2.config.num_sets)]
 
 
@@ -249,11 +248,15 @@ class TestPrewarmMemo:
         system = _warm_system(profile, config)
         l2 = system.uncore.l2
         before = l2.occupancy()
-        offsets = l2._sets.image[0]
+        offsets, lines, meta = l2._sets.image
         assert before == sum(hi - lo for lo, hi in zip(offsets, offsets[1:]))
         assert len(l2._sets) == 0
-        assert sum(len(s) for s in _l2_sets(l2)) == before
+        built = _l2_sets(l2)
+        assert sum(len(s) for s in built) == before
         assert len(l2._sets) == l2.config.num_sets
+        # A built set is the image's own lines and meta, in LRU order.
+        assert built == [list(zip(lines[lo:hi], meta[lo:hi]))
+                         for lo, hi in zip(offsets, offsets[1:])]
 
     def test_prewarm_refuses_a_used_l2(self, empty_prewarm_memo):
         config = small_config(reads=300)
@@ -331,7 +334,7 @@ class TestSpeedupMath:
 
 # The slotted classes take no weak references, so the test looks for
 # surviving instances in the collector's object list instead.
-_RUN_STATE = (SimulationSystem, EventQueue, Uncore, Cache, CacheLine,
+_RUN_STATE = (SimulationSystem, EventQueue, Uncore, Cache,
               MSHRFile, Core, MemoryController, CriticalityProfiler,
               MemorySystem, Rank, Bank, PowerStateTally)
 

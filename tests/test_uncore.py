@@ -1,7 +1,7 @@
 """Uncore: cache hierarchy paths, write-allocate, CWF wake plumbing."""
 
-from repro.cpu.cache import CacheConfig
-from repro.cpu.core import AccessResult
+from repro.cpu.cache import IMAGE_DIRTY, CacheConfig
+from repro.cpu.core import PENDING, STALL
 from repro.cpu.prefetch import PrefetcherConfig
 from repro.cpu.uncore import Uncore, UncoreConfig
 from repro.util.events import EventQueue
@@ -62,12 +62,12 @@ class TestHitPaths:
         uncore, memory = tiny_uncore(events)
         woken = []
         result = uncore.access(0, False, 0x1000, woken.append)
-        assert result.status == AccessResult.PENDING
+        assert result == PENDING
         events.run(100)
         assert woken  # critical wake fired
         # After the fill the line is in L1.
         result = uncore.access(0, False, 0x1000, None)
-        assert result.status == AccessResult.HIT
+        assert result == events.now + 1  # L1 latency
 
     def test_l2_hit_after_other_core_fetch(self):
         events = EventQueue()
@@ -75,8 +75,7 @@ class TestHitPaths:
         uncore.access(0, False, 0x2000, lambda t: None)
         events.run(100)
         result = uncore.access(1, False, 0x2000, None)
-        assert result.status == AccessResult.HIT
-        assert result.complete_time == events.now + 10  # L2 latency
+        assert result == events.now + 10  # L2 latency
 
     def test_wake_time_includes_path_latency(self):
         events = EventQueue()
@@ -126,11 +125,11 @@ class TestWrites:
         events = EventQueue()
         uncore, memory = tiny_uncore(events)
         result = uncore.access(0, True, 0x40, None)
-        assert result.status == AccessResult.PENDING
+        assert result == PENDING
         assert memory.reads  # write-allocate fetch
         events.run(300)
-        line = uncore.l2.peek(1)
-        assert line is not None and line.dirty
+        meta = uncore.l2.peek(1)
+        assert meta is not None and meta >= IMAGE_DIRTY
 
     def test_dirty_l2_eviction_writes_back(self):
         events = EventQueue()
@@ -158,16 +157,14 @@ class TestBackPressure:
     def test_mshr_full_stalls(self):
         events = EventQueue()
         uncore, memory = tiny_uncore(events, mshrs=1)
-        assert uncore.access(0, False, 0x0, lambda t: None).status \
-            == AccessResult.PENDING
-        assert uncore.access(0, False, 0x4000, lambda t: None).status \
-            == AccessResult.STALL
+        assert uncore.access(0, False, 0x0, lambda t: None) == PENDING
+        assert uncore.access(0, False, 0x4000, lambda t: None) == STALL
 
     def test_memory_reject_rolls_back_mshr(self):
         events = EventQueue()
         uncore, memory = tiny_uncore(events, accept=False)
         result = uncore.access(0, False, 0x0, lambda t: None)
-        assert result.status == AccessResult.STALL
+        assert result == STALL
         assert len(uncore.mshrs) == 0
 
     def test_writeback_overflow_retries(self):
