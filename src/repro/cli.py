@@ -71,6 +71,7 @@ Kernel performance is measured outside this CLI, on the pinned
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -854,12 +855,23 @@ def one_line_errors(entry: Callable[[Optional[List[str]]], int],
                     argv: Optional[List[str]]) -> int:
     """Run the entry point ``entry`` (this CLI's, or the report
     generator's): a bad run knob, from a flag or from the environment,
-    or an unknown experiment id is one error line and exit status 2."""
+    or an unknown experiment id is one error line and exit status 2.
+    A reader that closes standard output early (``repro list-workloads
+    | head -c 10``) ends the run quietly with exit status 1."""
     try:
-        return entry(argv)
+        code = entry(argv)
+        # Flush here, so a closed stdout fails below and not in the
+        # interpreter's final flush.
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The stdlib idiom: point stdout at devnull so the final flush
+        # has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _main(argv: List[str]) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dram.request import LINE_BYTES, WORDS_PER_LINE
 
@@ -188,3 +188,19 @@ class Cache:
 
     def occupancy(self) -> int:
         return self._sets.occupancy()
+
+
+def back_invalidate(caches: List[Cache], line_address: int) -> bool:
+    """:meth:`Cache.invalidate` ``line_address`` in each of ``caches``,
+    which share one geometry; True if any copy was dirty.
+
+    One call and one set index for all of them: an L2 eviction
+    back-invalidates every core's L1.
+    """
+    index = line_address % caches[0]._num_sets
+    dirty = False
+    for cache in caches:
+        meta = cache._sets[index].pop(line_address, None)
+        if meta is not None and meta >= IMAGE_DIRTY:
+            dirty = True
+    return dirty

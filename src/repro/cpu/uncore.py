@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.cpu.cache import (
@@ -27,6 +28,7 @@ from repro.cpu.cache import (
     L2_CONFIG,
     Cache,
     CacheConfig,
+    back_invalidate,
 )
 from repro.cpu.core import PENDING, STALL
 from repro.cpu.mshr import MSHRFile
@@ -36,32 +38,6 @@ from repro.memsys.base import MemorySystem
 from repro.util.events import EventQueue
 
 WakeFn = Callable[[int], None]
-
-
-class _LineCritical:
-    """Critical-word callback for a line fill (picklable, not a closure)."""
-
-    __slots__ = ("uncore", "line")
-
-    def __init__(self, uncore: "Uncore", line: int) -> None:
-        self.uncore = uncore
-        self.line = line
-
-    def __call__(self, time: int) -> None:
-        self.uncore._on_critical(self.line, time)
-
-
-class _LineComplete:
-    """Fill-complete callback for a line fill (picklable, not a closure)."""
-
-    __slots__ = ("uncore", "line")
-
-    def __init__(self, uncore: "Uncore", line: int) -> None:
-        self.uncore = uncore
-        self.line = line
-
-    def __call__(self, time: int) -> None:
-        self.uncore._on_complete(self.line, time)
 
 
 @dataclass(frozen=True)
@@ -159,11 +135,13 @@ class Uncore:
             return STALL
         if not is_write and wake is not None:
             entry.primary_waiters.append(wake)
+        # The fill callbacks are partials of the plain methods: one C
+        # object each, no helper class and no bound method.
         accepted = self.memory.issue_read(
             line_address=line, critical_word=word, core_id=core_id,
             is_prefetch=False,
-            on_critical=_LineCritical(self, line),
-            on_complete=_LineComplete(self, line))
+            on_critical=partial(Uncore._on_critical, self, line),
+            on_complete=partial(Uncore._on_complete, self, line))
         if not accepted:
             # Roll the allocation back; the core will retry.
             self.mshrs.deallocate(line)
@@ -216,13 +194,8 @@ class Uncore:
                                       core_id)
 
     def _handle_l2_eviction(self, line: int, meta: int) -> None:
-        dirty = meta >= IMAGE_DIRTY
         # Back-invalidate all L1 copies (inclusion).
-        for l1 in self.l1s:
-            l1_meta = l1.invalidate(line)
-            if l1_meta is not None and l1_meta >= IMAGE_DIRTY:
-                dirty = True
-        if dirty:
+        if back_invalidate(self.l1s, line) or meta >= IMAGE_DIRTY:
             self._issue_writeback(line, meta & IMAGE_WORD, core_id=0)
 
     # ------------------------------------------------------------------
@@ -274,8 +247,8 @@ class Uncore:
         accepted = self.memory.issue_read(
             line_address=line, critical_word=0, core_id=core_id,
             is_prefetch=True,
-            on_critical=_LineCritical(self, line),
-            on_complete=_LineComplete(self, line))
+            on_critical=partial(Uncore._on_critical, self, line),
+            on_complete=partial(Uncore._on_complete, self, line))
         if not accepted:
             self.mshrs.deallocate(line)
             self.prefetch_drops += 1

@@ -16,7 +16,8 @@ Two interleaving schemes, following the paper's methodology section:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Tuple
 
 from repro.dram.device import DeviceConfig
 from repro.dram.request import LINE_BYTES, DecodedAddress
@@ -41,6 +42,10 @@ class AddressMapper:
     ranks_per_channel: int
     devices_per_rank: int
     scheme: MappingScheme
+    # (open page?, lines per row, channels, ranks, banks, rows), read by
+    # every :meth:`decode`; derived in ``__post_init__``.
+    _geometry: Tuple[bool, int, int, int, int, int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Decomposition uses divmod, so non-power-of-two channel counts
@@ -51,6 +56,10 @@ class AddressMapper:
                           ("devices_per_rank", self.devices_per_rank)):
             if val <= 0:
                 raise ValueError(f"{name} must be positive, got {val}")
+        object.__setattr__(self, "_geometry", (
+            self.scheme is MappingScheme.OPEN_PAGE, self.lines_per_row,
+            self.num_channels, self.ranks_per_channel,
+            self.device.num_banks, self.device.num_rows))
 
     @property
     def row_bytes(self) -> int:
@@ -66,28 +75,19 @@ class AddressMapper:
                 * self.ranks_per_channel * self.num_channels)
 
     def decode(self, address: int) -> DecodedAddress:
+        open_page, lines_per_row, channels, ranks, banks, rows = self._geometry
         line = address // LINE_BYTES
-        if self.scheme is MappingScheme.OPEN_PAGE:
-            return self._decode_open(line)
-        return self._decode_close(line)
-
-    def _decode_open(self, line: int) -> DecodedAddress:
-        rest, column = divmod(line, self.lines_per_row)
-        rest, channel = divmod(rest, self.num_channels)
-        rest, rank = divmod(rest, self.ranks_per_channel)
-        rest, bank = divmod(rest, self.device.num_banks)
-        row = rest % self.device.num_rows
-        return DecodedAddress(channel=channel, rank=rank, bank=bank,
-                              row=row, column=column)
-
-    def _decode_close(self, line: int) -> DecodedAddress:
-        rest, channel = divmod(line, self.num_channels)
-        rest, bank = divmod(rest, self.device.num_banks)
-        rest, rank = divmod(rest, self.ranks_per_channel)
-        rest, column = divmod(rest, self.lines_per_row)
-        row = rest % self.device.num_rows
-        return DecodedAddress(channel=channel, rank=rank, bank=bank,
-                              row=row, column=column)
+        if open_page:
+            rest, column = divmod(line, lines_per_row)
+            rest, channel = divmod(rest, channels)
+            rest, rank = divmod(rest, ranks)
+            rest, bank = divmod(rest, banks)
+        else:
+            rest, channel = divmod(line, channels)
+            rest, bank = divmod(rest, banks)
+            rest, rank = divmod(rest, ranks)
+            rest, column = divmod(rest, lines_per_row)
+        return DecodedAddress(channel, rank, bank, rest % rows, column)
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (returns the line's base address)."""

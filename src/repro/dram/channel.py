@@ -119,10 +119,13 @@ class CommandBus:
     Commands issue in time order, so the bus keeps only the last bus
     cycle it reserved and how many of its slots are taken; every earlier
     cycle is over. Reserving in an earlier bus cycle is an error.
+    ``free_from`` is the earliest time a slot is free: the start of that
+    cycle while it has a slot left, else the start of the next one. The
+    controller reads it on every tick.
     """
 
     __slots__ = ("timing", "slots_per_cycle", "_cycle", "_count", "stats",
-                 "bus_cycle")
+                 "bus_cycle", "free_from")
 
     def __init__(self, timing: TimingSet, slots_per_cycle: int = 1) -> None:
         if slots_per_cycle < 1:
@@ -133,20 +136,7 @@ class CommandBus:
         self._count = 0   # slots taken in it
         self.stats = BusStats()
         self.bus_cycle = timing.bus_cycle
-
-    def earliest_slot(self, desired: int) -> int:
-        """Earliest time >= desired at which a command may reserve a slot."""
-        bus_cycle = self.bus_cycle
-        cyc = desired // bus_cycle
-        last = self._cycle
-        if cyc > last:
-            return desired
-        if self._count >= self.slots_per_cycle:
-            cyc = last + 1
-        else:
-            cyc = last
-        slot_time = cyc * bus_cycle
-        return slot_time if slot_time > desired else desired
+        self.free_from = 0
 
     def reserve(self, time: int, n_commands: int = 1) -> None:
         """Consume ``n_commands`` slots in the bus cycle containing ``time``."""
@@ -164,6 +154,8 @@ class CommandBus:
             raise RuntimeError(f"command bus overflow at bus cycle {cyc}")
         self._cycle = cyc
         self._count = used
+        self.free_from = (cyc + 1 if used >= self.slots_per_cycle
+                          else cyc) * self.bus_cycle
         self.stats.cmd_busy_cycles += n_commands
 
 

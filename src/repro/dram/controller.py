@@ -45,32 +45,6 @@ from repro.telemetry.trace import ChromeTracer
 from repro.util.events import EventQueue
 
 
-class _DeliverCritical:
-    """Scheduled critical-word delivery (picklable, not a closure)."""
-
-    __slots__ = ("req",)
-
-    def __init__(self, req: MemoryRequest) -> None:
-        self.req = req
-
-    def __call__(self) -> None:
-        req = self.req
-        req.on_critical_word(req.critical_word_time)
-
-
-class _DeliverComplete:
-    """Scheduled line-completion delivery (picklable, not a closure)."""
-
-    __slots__ = ("req",)
-
-    def __init__(self, req: MemoryRequest) -> None:
-        self.req = req
-
-    def __call__(self) -> None:
-        req = self.req
-        req.on_complete(req.completion_time)
-
-
 @dataclass
 class ControllerConfig:
     """Knobs from paper Table 1 plus policy switches."""
@@ -134,9 +108,9 @@ class MemoryController:
         "_h_queue_lat", "_h_critical_lat",
         # Precomputed hot-path constants and fast-path state.
         "_bus_cycle", "_t_rl", "_t_wl", "_t_rc", "_t_refi", "_t_rfc",
-        "_beat", "_slots_per_cycle", "_cmd_bus", "_cmd_earliest",
-        "_cmd_reserve", "_rank_bus",
-        "_close_page", "_issue_queue", "_read_classes", "_write_classes",
+        "_beat", "_slots_per_cycle", "_cmd_bus", "_cmd_reserve",
+        "_rank_bus", "_close_page", "_issue_queue", "_reads_first",
+        "_writes_first",
         "_refresh_due",
         # Config knobs flattened to instance attributes: the config is
         # never mutated after construction, and these are read every tick.
@@ -191,25 +165,25 @@ class MemoryController:
         self._beat = max(1, timing.t_burst // WORDS_PER_LINE)
         self._slots_per_cycle = channel.cmd_bus.slots_per_cycle
         self._cmd_bus = channel.cmd_bus
-        # Bound methods of the command bus, looked up once: every issue
-        # attempt probes/reserves a command slot.
-        self._cmd_earliest = channel.cmd_bus.earliest_slot
+        # Bound once: every issued command reserves a command slot.
         self._cmd_reserve = channel.cmd_bus.reserve
         # Per-rank data bus, resolved once (replaces dict lookup per CAS).
         self._rank_bus = [channel.data_buses[self.rank_to_bus[i]]
                           for i in range(num_ranks)]
         self._close_page = device.page_policy is PagePolicy.CLOSE
-        # The page policy's queue scan, picked once: ``_issue_one`` calls
-        # it for the served direction and again for the other one. The
-        # plain function, not a bound method, so the controller holds no
-        # reference to itself.
+        # The page policy's queue walk, picked once. The plain function,
+        # not a bound method, so the controller holds no reference to
+        # itself.
         self._issue_queue = (MemoryController._issue_close_page
                              if self._close_page
                              else MemoryController._issue_open_page)
-        # What a scan walks, in priority order: reads by demand class,
-        # writes as one class.
-        self._read_classes = (self.read_queue, self.prefetch_queue)
-        self._write_classes = (self.write_queue,)
+        # What a walk visits, in priority order: the served direction
+        # first (reads by demand class, or writes as one class), then
+        # the other one.
+        self._reads_first = (self.read_queue, self.prefetch_queue,
+                             self.write_queue)
+        self._writes_first = (self.write_queue, self.read_queue,
+                              self.prefetch_queue)
         cfg = self.config
         # The earliest per-rank refresh deadline; with refresh off no
         # refresh is ever due.
@@ -374,35 +348,62 @@ class MemoryController:
         if prefetches and now >= prefetches[0].arrival_time + self._age_threshold:
             self.stats.prefetch_promotions += promote_aged_prefetches(
                 prefetches, self.read_queue, now, self._age_threshold)
-        write_depth = len(self.write_queue)
+        writes = self.write_queue
+        write_depth = len(writes)
         if self._draining_writes:
             if write_depth <= self._low_wm:
                 self._draining_writes = False
         elif write_depth >= self._high_wm:
             self._draining_writes = True
 
-        # First slot unrolled: most channels have one command slot per
-        # bus cycle, and the loop stops at the first idle slot anyway.
-        issued_any = self._issue_one(now)
-        if issued_any:
-            for _ in range(self._slots_per_cycle - 1):
-                if not self._issue_one(now):
-                    break
+        # One walk per command-bus slot until a slot issues nothing.
+        # Drain mode serves writes; otherwise reads, falling back to
+        # writes when no read is queued (with no write queued either,
+        # nothing issues). The walk visits the served direction first;
+        # in drain gaps, while the served requests wait on bank timing,
+        # a ready request of the other direction takes the slot rather
+        # than leaving the cycle idle. A slot issues only if the command
+        # bus has it free at ``now``. Either way the walk visits every
+        # queued request, so when the first slot issues nothing,
+        # ``wake`` is the bound over all three queues.
+        cmd_bus = self._cmd_bus
+        slots = self._slots_per_cycle
+        while True:
+            if self._draining_writes or not (self.read_queue or prefetches):
+                classes = self._writes_first
+                issue = now >= cmd_bus.free_from and bool(writes)
+            else:
+                classes = self._reads_first
+                issue = now >= cmd_bus.free_from
+            wake = self._issue_queue(self, now, classes, issue)
+            if wake is not None:
+                break
+            slots -= 1
+            if not slots:
+                break
 
         if self._aggressive_pd:
             self._try_powerdown(now)
 
-        if self.read_queue or self.prefetch_queue or self.write_queue:
-            if issued_any:
-                # No other tick is pending (this one cleared
-                # ``_tick_event``) and ``now`` is on a bus-cycle
-                # boundary, so ``_schedule_tick``'s checks are moot.
-                self._tick_event = self.events.schedule(
-                    now + self._bus_cycle, self._tick)
+        if self.read_queue or prefetches or writes:
+            bus = self._bus_cycle
+            if slots != self._slots_per_cycle:
+                # An issuing tick probes the next bus cycle. No other
+                # tick is pending (this one cleared ``_tick_event``) and
+                # ``now`` is on a bus-cycle boundary, so
+                # ``_schedule_tick``'s checks are moot.
+                self._tick_event = self.events.schedule(now + bus, self._tick)
                 return
-            next_time = self._next_wake_time(now)
-            floor = now + 1
-            self._schedule_tick(next_time if next_time > floor else floor)
+            # Sleep until the bound, capped at tRC and at least one bus
+            # cycle away. ``_try_powerdown`` touched only ranks no queued
+            # request targets, so the bound still holds.
+            cap = now + self._t_rc
+            if wake > cap:
+                wake = cap
+            if wake <= now:
+                wake = now + bus
+            self._tick_event = self.events.schedule(
+                (wake + bus - 1) // bus * bus, self._tick)
         else:
             # Idle: wake for the next refresh, and — when the sleep
             # policy is on — once the idle threshold elapses so ranks
@@ -417,151 +418,94 @@ class MemoryController:
                 # advance.
                 self._schedule_tick(max(target, now + self._bus_cycle))
 
-    def _next_wake_time(self, now: int) -> int:
-        """Conservative earliest time any queued command could issue.
-
-        Per request: the bank's next legal command time, floored by the
-        rank's wake-up (and, for an activate, its activate window, which
-        is computed once per rank). The bound is inlined — this runs for
-        every queued request on every idle tick, where method calls and
-        ``max()`` dominate the arithmetic.
-        """
-        best = FAR_FUTURE
-        queues = (self.read_queue, self.prefetch_queue, self.write_queue)
-        if self._close_page:
-            for queue in queues:
-                for req in queue:
-                    rank = req.dram_rank
-                    t = req.dram_bank.next_activate
-                    w = rank.wake_time
-                    if w > t:
-                        t = w
-                    w = rank.next_act_allowed
-                    if w > t:
-                        t = w
-                    if t < best:
-                        best = t
-        else:
-            act_floor = {}
-            for queue in queues:
-                for req in queue:
-                    bank = req.dram_bank
-                    open_row = bank.open_row
-                    if open_row is not None:
-                        if open_row == req.row:
-                            t = bank.next_read if req.is_read else bank.next_write
-                        else:
-                            t = bank.next_precharge
-                        w = req.dram_rank.wake_time
-                    else:
-                        t = bank.next_activate
-                        rank = req.dram_rank
-                        w = act_floor.get(rank)
-                        if w is None:
-                            w = act_floor[rank] = rank.earliest_activate(now)
-                    if w > t:
-                        t = w
-                    if t < best:
-                        best = t
-        if best <= now:
-            best = now + self._bus_cycle
-        cap = now + self._t_rc
-        return best if best < cap else cap
-
     # ------------------------------------------------------------------
     # Issue logic
     # ------------------------------------------------------------------
     #
     # Every DRAM command kind issues at exactly one site: scheduled ACT
-    # and PRE in :meth:`_issue_open_page`'s per-bank pass, RD/WR CAS in
+    # and PRE in :meth:`_issue_open_page`'s per-queue pass, RD/WR CAS in
     # :meth:`_issue_cas`, close-page ACCESS in :meth:`_issue_close_page`,
     # housekeeping PRE in :meth:`_close_rows`, REF in
     # :meth:`_service_refresh`, PDE in :meth:`_try_powerdown` and wake in
     # :meth:`enqueue`. Each site is also the command's only sanitizer
     # hook.
-
-    def _issue_one(self, now: int) -> bool:
-        # Drain mode serves writes; otherwise reads, falling back to
-        # writes when no read is queued.
-        if self._draining_writes or not (self.read_queue
-                                         or self.prefetch_queue):
-            served, other = self._write_classes, self._read_classes
-            if not self.write_queue:
-                return False
-        else:
-            served, other = self._read_classes, self._write_classes
-        # Every command class needs a command-bus slot at ``now``; when
-        # none is free nothing can issue this tick. The scans below rely
-        # on this check and do not repeat it.
-        if self._cmd_earliest(now) != now:
-            return False
-        if self._issue_queue(self, now, served):
-            return True
-        # Drain gaps: while a write drain waits on bank timing, let a
-        # ready read slip in rather than stalling the channel (and vice
-        # versa when serving reads leaves the cycle idle).
-        return any(other) and self._issue_queue(self, now, other)
+    #
+    # Each page policy's scan is one walk over ``classes``, queues in
+    # priority order. With ``issue`` set it issues the best legal
+    # command and returns None; otherwise, or when nothing is legal, it
+    # returns the least time any visited request's next command could
+    # be legal (the wake bound, before the tick floors and caps it).
+    # Demand requests strictly outrank prefetches (paper Sec 5):
+    # prefetches only consume bandwidth no demand can use this cycle. A
+    # burst needs its data bus free exactly when it would start; the
+    # bus's ``free_at`` rejects most busy cases before the full check.
 
     # --- open-page (DDR3 / LPDDR2) -------------------------------------
 
     def _issue_open_page(self, now: int,
-                         classes: Tuple[List[MemoryRequest], ...]) -> bool:
-        # ``classes`` are queues in priority order. Demand requests
-        # strictly outrank prefetches (paper Sec 5): prefetches only
-        # consume bandwidth no demand can use this cycle.
+                         classes: Tuple[List[MemoryRequest], ...],
+                         issue: bool) -> Optional[int]:
+        # In queue order, the first column-ready row hit issues at once:
+        # the queue-order invariant (see :meth:`enqueue`) makes it the
+        # best (arrival_time, request_id) candidate in its demand class.
+        # Meanwhile the walk remembers the first request whose PRE/ACT
+        # is legal, issued only if no row hit is ready. PRE/ACT progress
+        # is oldest-first *per bank*: only a bank's oldest request in
+        # its class may move the bank, so younger requests to ready
+        # banks do not stall behind one blocked oldest (bank-level
+        # parallelism), but within a bank strict age order prevents
+        # precharge ping-pong, and a waiting row hit keeps its row open.
+        best = FAR_FUTURE
+        # A rank's activate window, computed once per run of requests
+        # to that rank.
+        act_rank = None
+        act_time = 0
+        fcfs = not self._fr_fcfs
         for queue in classes:
-            if not queue:
-                continue
-            # Strict FCFS: only the oldest request of the class may act,
-            # and by the queue-order invariant that is queue[0].
-            cls = queue if self._fr_fcfs else queue[:1]
-            # One walk in queue order. The first column-ready row hit is
-            # issued at once: the queue-order invariant (see
-            # :meth:`enqueue`) makes it the best (arrival_time,
-            # request_id) candidate in its demand class. Meanwhile the
-            # walk remembers the first request whose PRE/ACT is legal,
-            # issued only if no row hit is ready. PRE/ACT progress is
-            # oldest-first *per bank*: the first request to a bank claims
-            # it, so younger requests to ready banks do not stall behind
-            # one blocked oldest (bank-level parallelism), but within a
-            # bank strict age order prevents precharge ping-pong.
-            claimed = set()
+            may_issue = issue
             pending = None
-            for r in cls:
+            for r in queue:
                 bank = r.dram_bank
+                rank = r.dram_rank
                 open_row = bank.open_row
                 if open_row == r.row:
-                    rank = r.dram_rank
-                    if now >= rank.wake_time:
-                        if r.is_read:
-                            ready = now >= bank.next_read
-                            t_data = now + self._t_rl
-                        else:
-                            ready = now >= bank.next_write
-                            t_data = now + self._t_wl
-                        # The data bus must be free exactly when this
-                        # burst would start.
-                        if ready and r.data_bus.earliest_start(
-                                t_data, r.kind, rank.index) == t_data:
+                    t = bank.next_read if r.is_read else bank.next_write
+                    w = rank.wake_time
+                    if w > t:
+                        t = w
+                    if t <= now and may_issue:
+                        t_data = now + (self._t_rl if r.is_read
+                                        else self._t_wl)
+                        data_bus = r.data_bus
+                        if (data_bus.free_at <= t_data
+                                and data_bus.earliest_start(
+                                    t_data, r.kind, rank.index) == t_data):
                             self._issue_cas(now, r, queue)
-                            return True
-                    # A row hit that must wait still claims its bank: no
-                    # younger request may precharge its row away.
-                    if pending is None:
-                        claimed.add(bank)
-                    continue
-                if pending is not None or bank in claimed:
-                    continue
-                claimed.add(bank)
-                rank = r.dram_rank
-                if now < rank.wake_time:
-                    continue
-                if open_row is not None:
-                    if now >= bank.next_precharge:
-                        pending = r
-                elif (now >= bank.next_activate
-                        and rank.earliest_activate(now) <= now):
-                    pending = r
+                            return None
+                else:
+                    if open_row is not None:
+                        t = bank.next_precharge
+                        w = rank.wake_time
+                    else:
+                        t = bank.next_activate
+                        if rank is not act_rank:
+                            act_rank = rank
+                            act_time = rank.earliest_activate(now)
+                        w = act_time
+                    if w > t:
+                        t = w
+                    if t <= now and may_issue and pending is None:
+                        for oldest in queue:
+                            if oldest.dram_bank is bank:
+                                break
+                        if oldest is r:
+                            pending = r
+                if t < best:
+                    best = t
+                # Strict FCFS: only the oldest request of the class may
+                # act, and by the queue-order invariant that is queue[0].
+                if fcfs:
+                    may_issue = False
             if pending is not None:
                 bank = pending.dram_bank
                 rank = pending.dram_rank
@@ -579,8 +523,8 @@ class MemoryController:
                                            pending.row)
                 if pending.first_command_time is None:
                     pending.first_command_time = now
-                return True
-        return False
+                return None
+        return best
 
     def _issue_cas(self, now: int, req: MemoryRequest,
                    queue: List[MemoryRequest]) -> None:
@@ -604,36 +548,45 @@ class MemoryController:
     # --- close-page (RLDRAM3) ------------------------------------------
 
     def _issue_close_page(self, now: int,
-                          classes: Tuple[List[MemoryRequest], ...]) -> bool:
+                          classes: Tuple[List[MemoryRequest], ...],
+                          issue: bool) -> Optional[int]:
         """Single-command SRAM-style access with auto-precharge."""
         # Best = lowest (demand-class, arrival_time, request_id): by the
         # queue-order invariant (see :meth:`enqueue`) that is the first
         # legal request of the first class that has one.
-        t_rl = self._t_rl
-        t_wl = self._t_wl
+        best = FAR_FUTURE
         for queue in classes:
             for req in queue:
                 rank = req.dram_rank
-                if now < rank.wake_time or now < rank.next_act_allowed:
-                    continue
                 bank = req.dram_bank
-                if now < bank.next_activate:
-                    continue
-                t_data = now + (t_rl if req.is_read else t_wl)
-                if req.data_bus.earliest_start(
-                        t_data, req.kind, rank.index) != t_data:
-                    continue
-                rank.touch(now)
-                self._cmd_reserve(now)
-                data_start = bank.access(now, is_write=not req.is_read)
-                rank.note_activate(now)
-                end = req.data_bus.reserve(data_start, req.kind, rank.index)
-                if self._san is not None:
-                    self._san.note_access(now, rank.index, bank.index,
-                                          not req.is_read, data_start, end)
-                self._retire(now, req, queue, data_start, end)
-                return True
-        return False
+                t = bank.next_activate
+                w = rank.wake_time
+                if w > t:
+                    t = w
+                w = rank.next_act_allowed
+                if w > t:
+                    t = w
+                if t <= now and issue:
+                    t_data = now + (self._t_rl if req.is_read else self._t_wl)
+                    data_bus = req.data_bus
+                    if (data_bus.free_at <= t_data
+                            and data_bus.earliest_start(
+                                t_data, req.kind, rank.index) == t_data):
+                        rank.touch(now)
+                        self._cmd_reserve(now)
+                        data_start = bank.access(now, is_write=not req.is_read)
+                        rank.note_activate(now)
+                        end = data_bus.reserve(data_start, req.kind,
+                                               rank.index)
+                        if self._san is not None:
+                            self._san.note_access(now, rank.index, bank.index,
+                                                  not req.is_read,
+                                                  data_start, end)
+                        self._retire(now, req, queue, data_start, end)
+                        return None
+                if t < best:
+                    best = t
+        return best
 
     # --- completion ------------------------------------------------------
 
@@ -662,13 +615,13 @@ class MemoryController:
                 self._h_queue_lat.observe(queue_latency)
                 self._h_critical_lat.observe(critical_time - req.arrival_time)
             if req.on_critical_word is not None:
-                self.events.schedule(critical_time, _DeliverCritical(req))
+                self.events.schedule(critical_time, req.deliver_critical)
         else:
             stats.writes_done += 1
         if self.tracer is not None:
             self.tracer.record_request(req, self.name)
         if req.on_complete is not None:
-            self.events.schedule(end, _DeliverComplete(req))
+            self.events.schedule(end, req.deliver_complete)
         queue.remove(req)
 
     # ------------------------------------------------------------------

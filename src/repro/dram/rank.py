@@ -129,7 +129,9 @@ class Rank:
 
     def touch(self, now: int) -> None:
         """Mark activity: wakes the rank if powered down."""
-        self._fold_tally(now)
+        # Several commands may issue in one cycle; the first folded it.
+        if now > self._tally_mark:
+            self._fold_tally(now)
         self.last_activity_time = now
         if self.power_state in (PowerState.POWER_DOWN, PowerState.SELF_REFRESH):
             self.power_state = PowerState.STANDBY
@@ -162,7 +164,6 @@ class Rank:
     def _fold_tally(self, now: int) -> None:
         span = now - self._tally_mark
         if span <= 0:
-            self._tally_mark = max(self._tally_mark, now)
             return
         state = self._effective_state()
         if state is PowerState.ACTIVE:

@@ -25,17 +25,14 @@ class RequestIdAllocator:
     part of simulation determinism. Unlike ``itertools.count`` the
     position can be read out and restored, which is what lets a resumed
     checkpoint hand out the same ids an uninterrupted run would have.
+    A :class:`MemoryRequest` built without an id takes ``next_id`` and
+    advances it.
     """
 
     __slots__ = ("next_id",)
 
     def __init__(self, next_id: int = 0) -> None:
         self.next_id = next_id
-
-    def allocate(self) -> int:
-        value = self.next_id
-        self.next_id = value + 1
-        return value
 
 
 _request_ids = RequestIdAllocator()
@@ -120,8 +117,10 @@ class MemoryRequest:
         self.is_prefetch = is_prefetch
         self.core_id = core_id
         self.arrival_time = arrival_time
-        self.request_id = (_request_ids.allocate() if request_id is None
-                           else request_id)
+        if request_id is None:
+            request_id = _request_ids.next_id
+            _request_ids.next_id = request_id + 1
+        self.request_id = request_id
         self.decoded = decoded
         self.on_critical_word = on_critical_word
         self.on_complete = on_complete
@@ -140,6 +139,14 @@ class MemoryRequest:
         self.dram_bank = None
         self.data_bus = None
         self.row = None
+
+    def deliver_critical(self) -> None:
+        """Scheduled by the controller when the critical word arrives."""
+        self.on_critical_word(self.critical_word_time)
+
+    def deliver_complete(self) -> None:
+        """Scheduled by the controller when the line transfer ends."""
+        self.on_complete(self.completion_time)
 
     def __repr__(self) -> str:
         return (f"MemoryRequest(kind={self.kind}, address={self.address:#x}, "

@@ -52,7 +52,7 @@ from typing import Optional, Tuple
 from repro.dram.request import request_id_allocator
 from repro.store import FileStore, atomic_write_bytes
 
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 
 #: The checkpoint files of a directory (see :func:`checkpoint_path`).
 CHECKPOINT_PATTERN = "ck-*.ckpt"

@@ -9,6 +9,7 @@ from repro.cpu.cache import (
     L2_CONFIG,
     Cache,
     CacheConfig,
+    back_invalidate,
 )
 
 
@@ -111,6 +112,18 @@ class TestDirtyAndMetadata:
         assert c.invalidate(9) == IMAGE_DIRTY
         assert c.peek(9) is None
         assert c.invalidate(9) is None
+
+    def test_back_invalidate_reports_a_dirty_copy(self):
+        clean, dirty, absent = small_cache(), small_cache(), small_cache()
+        clean.insert(9)
+        dirty.insert(9, dirty=True)
+        dirty.insert(5, dirty=True)
+        assert back_invalidate([clean, dirty, absent], 9)
+        assert all(c.peek(9) is None for c in (clean, dirty, absent))
+        assert dirty.peek(5) == IMAGE_DIRTY   # other lines stay
+        clean.insert(9)
+        assert not back_invalidate([clean, dirty, absent], 9)
+        assert clean.peek(9) is None
 
 
 class TestSetMapping:

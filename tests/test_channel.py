@@ -67,17 +67,17 @@ class TestDataBus:
 class TestCommandBus:
     def test_single_slot_per_cycle(self):
         bus = CommandBus(DDR3, slots_per_cycle=1)
-        assert bus.earliest_slot(0) == 0
+        assert bus.free_from == 0
         bus.reserve(0)
         # Same bus cycle is now full; next slot is the next bus cycle.
-        assert bus.earliest_slot(0) == DDR3.bus_cycle
+        assert bus.free_from == DDR3.bus_cycle
 
     def test_dual_pumped_slots(self):
         bus = CommandBus(DDR3, slots_per_cycle=2)
         bus.reserve(0)
-        assert bus.earliest_slot(0) == 0
+        assert bus.free_from == 0
         bus.reserve(0)
-        assert bus.earliest_slot(0) == DDR3.bus_cycle
+        assert bus.free_from == DDR3.bus_cycle
 
     def test_overflow_raises(self):
         bus = CommandBus(DDR3, slots_per_cycle=1)
@@ -92,28 +92,24 @@ class TestCommandBus:
     def test_single_slot_earliest_slot(self):
         cyc = DDR3.bus_cycle
         bus = CommandBus(DDR3, slots_per_cycle=1)
-        assert bus.earliest_slot(5 * cyc + 1) == 5 * cyc + 1
         bus.reserve(5 * cyc + 1)
         # The full cycle pushes any time in it, or before it, to the
-        # next cycle; a later time is free as asked.
-        assert bus.earliest_slot(5 * cyc) == 6 * cyc
-        assert bus.earliest_slot(5 * cyc + 2) == 6 * cyc
-        assert bus.earliest_slot(2 * cyc) == 6 * cyc
-        assert bus.earliest_slot(6 * cyc + 3) == 6 * cyc + 3
+        # next cycle.
+        assert bus.free_from == 6 * cyc
         bus.reserve(6 * cyc)
-        assert bus.earliest_slot(6 * cyc) == 7 * cyc
+        assert bus.free_from == 7 * cyc
         assert bus.stats.cmd_busy_cycles == 2
 
     def test_dual_slot_earliest_slot(self):
         cyc = DDR3.bus_cycle
         bus = CommandBus(DDR3, slots_per_cycle=2)
         bus.reserve(3 * cyc + 1)
-        assert bus.earliest_slot(3 * cyc + 2) == 3 * cyc + 2
-        assert bus.earliest_slot(cyc) == 3 * cyc
+        # A slot is left in that cycle, from its start.
+        assert bus.free_from == 3 * cyc
         bus.reserve(3 * cyc + 2)
-        assert bus.earliest_slot(3 * cyc + 2) == 4 * cyc
+        assert bus.free_from == 4 * cyc
         bus.reserve(4 * cyc, n_commands=2)
-        assert bus.earliest_slot(4 * cyc) == 5 * cyc
+        assert bus.free_from == 5 * cyc
         with pytest.raises(RuntimeError):
             bus.reserve(4 * cyc)
 
@@ -124,7 +120,7 @@ class TestCommandBus:
         with pytest.raises(RuntimeError):
             bus.reserve(5 * cyc - 1)
         # The refused command took no slot.
-        assert bus.earliest_slot(5 * cyc) == 5 * cyc
+        assert bus.free_from == 5 * cyc
         assert bus.stats.cmd_busy_cycles == 1
 
 

@@ -170,7 +170,7 @@ def test_every_backend_checkpoints_and_resumes(tmp_path, memory):
 #: belongs to. A snapshot resumes into whatever classes the loading
 #: code has, so a layout change needs a new version.
 PINNED_LAYOUT = {
-    11: "7851873169c7419650e8f6502747bfffa4059872f6c4552cece4c390bcfd9805",
+    12: "1063ec5651a892c34f47d1df8d5246e30bbfcf476044030ff61c83d1195bc817",
 }
 
 # Opcodes that leave the pickle machine's stack as it is.

@@ -1,7 +1,11 @@
 """CLI entry point."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +119,32 @@ class TestListWorkloadsSubcommand:
         assert captured.err == (
             "error: unknown suite 'spec'; did you mean 'spec2006'?\n"
             "known suites: npb, spec2006, stream\n")
+
+
+class TestClosedStdout:
+    """A listing piped into a reader that stops early (``repro
+    list-workloads | head -c 10``) ends quietly, not in a traceback."""
+
+    @pytest.mark.parametrize("read_first", [0, 10])
+    def test_list_workloads_into_a_closed_pipe(self, read_first):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parent.parent
+                                 / "src")}
+        read_end, write_end = os.pipe()
+        if not read_first:
+            os.close(read_end)  # every write fails
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "list-workloads"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        if read_first:
+            assert len(os.read(read_end, read_first)) > 0
+            os.close(read_end)
+        stderr = proc.communicate(timeout=60)[1].decode()
+        assert "Traceback" not in stderr and "BrokenPipe" not in stderr
+        assert proc.returncode in (0, 1)
+        if not read_first:
+            assert proc.returncode == 1
 
 
 class TestRunSubcommand:

@@ -1,11 +1,23 @@
 """Memory-controller behaviour: latencies, scheduling, drains, refresh."""
 
+import dataclasses
+import itertools
+import random
+
+from repro.dram.bank import FAR_FUTURE
 from repro.dram.channel import Channel
 from repro.dram.controller import ControllerConfig, MemoryController
-from repro.dram.device import DDR3_DEVICE, RLDRAM3_DEVICE
+from repro.dram.device import (
+    DDR3_DEVICE,
+    LPDDR2_DEVICE,
+    RLDRAM3_DEVICE,
+    PagePolicy,
+)
 from repro.dram.request import DecodedAddress, MemoryRequest, RequestKind
 from repro.dram.scheduler import SchedulingPolicy
 from repro.dram.timing import DDR3_TIMING, RLDRAM3_TIMING, TimingSet
+from repro.sanitizer.runtime import ControllerSanitizer
+from repro.sanitizer.violations import SanitizerReport
 from repro.util.events import EventQueue
 
 DDR3 = TimingSet(DDR3_TIMING)
@@ -352,3 +364,142 @@ class TestOnePassScan:
         assert hit.first_command_time is not None
         assert oldest.first_command_time is None
         assert other.first_command_time is None
+
+
+class TestWakeBound:
+    """An idle tick sleeps until the wake bound of DESIGN.md §10.
+
+    Random request streams run through controllers in configurations
+    the golden matrix leaves out. After every tick that issued nothing
+    while requests were queued, the pending tick must sit at the
+    reference bound below, rounded up to a bus cycle; after every tick
+    that issued, at the next bus cycle. The strict sanitizer watches
+    every command.
+    """
+
+    @staticmethod
+    def reference_bound(mc, now):
+        """The earliest time any queued command could issue.
+
+        Per queued request: close page, the bank's next ACCESS time
+        floored by the rank's wake-up and tRRD window; open page, the
+        bank's next column time for a row hit, its next PRE time for a
+        row miss (each floored by the rank's wake-up), or its next ACT
+        time floored by the rank's activate window for a closed bank.
+        The least of them, floored at the next bus cycle and capped at
+        tRC from now.
+        """
+        close_page = mc.device.page_policy is PagePolicy.CLOSE
+        best = FAR_FUTURE
+        for req in mc.read_queue + mc.prefetch_queue + mc.write_queue:
+            bank, rank = req.dram_bank, req.dram_rank
+            if close_page:
+                t = max(bank.next_activate, rank.wake_time,
+                        rank.next_act_allowed)
+            elif bank.open_row == req.row:
+                t = max(bank.next_read if req.is_read else bank.next_write,
+                        rank.wake_time)
+            elif bank.open_row is not None:
+                t = max(bank.next_precharge, rank.wake_time)
+            else:
+                t = max(bank.next_activate, rank.earliest_activate(now))
+            best = min(best, t)
+        if best <= now:
+            best = now + mc.timing.bus_cycle
+        return min(best, now + mc.timing.t_rc)
+
+    class Checked(MemoryController):
+        """Checks the pending tick after each of its own ticks."""
+
+        __slots__ = ("checked",)
+
+        def _tick(self):
+            busy_before = self._cmd_bus.stats.cmd_busy_cycles
+            super()._tick()
+            if not self.busy():
+                return
+            now = self.events.now
+            bus = self.timing.bus_cycle
+            if self._cmd_bus.stats.cmd_busy_cycles == busy_before:
+                bound = TestWakeBound.reference_bound(self, now)
+                expected = -(-bound // bus) * bus
+                self.checked[0] += 1
+            else:
+                expected = now + bus
+                self.checked[1] += 1
+            assert self._tick_event[0] == expected, (
+                self.name, now, self._tick_event[0], expected)
+
+    DEVICES = {
+        "ddr3": DDR3_DEVICE,
+        "lpddr2": LPDDR2_DEVICE,
+        "rldram3": RLDRAM3_DEVICE,
+        "ddr3-close": dataclasses.replace(DDR3_DEVICE,
+                                          page_policy=PagePolicy.CLOSE),
+    }
+
+    def run_stream(self, rng, device, ranks, fcfs, refresh, powerdown,
+                   slots):
+        # A short refresh interval so refresh fires within the stream.
+        timing = TimingSet(dataclasses.replace(device.timing, t_refi=700.0))
+        buses = 2 if slots == 2 else 1
+        channel = Channel(timing, num_data_buses=buses,
+                          cmd_slots_per_cycle=slots)
+        events = EventQueue()
+        high = rng.randint(2, 6)
+        mc = self.Checked(
+            device=device, timing=timing, channel=channel, num_ranks=ranks,
+            events=events,
+            config=ControllerConfig(
+                read_queue_size=rng.randint(3, 8),
+                write_queue_size=rng.randint(3, 8),
+                high_watermark=high, low_watermark=rng.randint(0, high - 1),
+                scheduling=(SchedulingPolicy.FCFS if fcfs
+                            else SchedulingPolicy.FR_FCFS),
+                prefetch_age_threshold=rng.choice((50, 300)),
+                powerdown_idle_threshold=rng.choice((40, 200)),
+                aggressive_powerdown=powerdown,
+                refresh_enabled=refresh),
+            rank_to_bus={i: i % buses for i in range(ranks)},
+            name="checked")
+        mc.checked = [0, 0]
+        report = SanitizerReport(strict=True)
+        mc._san = ControllerSanitizer(mc, report)
+        pending = []
+        now = 0
+        for _ in range(50):
+            now += rng.choice((0, 0, 5, 20, 60, 150, 900))
+            events.run_until(now)
+            draw = rng.random()
+            req = MemoryRequest(
+                kind=RequestKind.WRITE if draw < 0.25 else RequestKind.READ,
+                address=0, is_prefetch=draw > 0.8,
+                decoded=DecodedAddress(channel=0,
+                                       rank=rng.randrange(ranks),
+                                       bank=rng.randrange(4),
+                                       row=rng.randrange(3),
+                                       column=rng.randrange(8)))
+            if mc.enqueue(req):
+                pending.append(req)
+        steps = 0
+        while mc.busy():
+            assert events.step()
+            steps += 1
+            assert steps < 100_000
+        assert all(r.completion_time is not None for r in pending)
+        assert report.clean
+        return mc.checked
+
+    def test_idle_ticks_sleep_until_the_reference_bound(self):
+        rng = random.Random(20121201)
+        checked = [0, 0]
+        for name, device in self.DEVICES.items():
+            for ranks, fcfs, refresh, powerdown, slots in (
+                    itertools.product((1, 2), (False, True), (False, True),
+                                      (False, True), (1, 2))):
+                idle, issuing = self.run_stream(
+                    rng, device, ranks, fcfs, refresh, powerdown, slots)
+                assert issuing > 0, name
+                checked[0] += idle
+                checked[1] += issuing
+        assert checked[0] > 5_000 and checked[1] > 5_000, checked

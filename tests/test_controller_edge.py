@@ -79,8 +79,9 @@ class TestAggressivePowerDown:
 
 
 class TestProgressBounds:
-    # _next_wake_time floors its bound at now + bus_cycle and caps it at
-    # now + t_rc; each test queues exactly one request.
+    # A walk that issues nothing returns its wake bound; an idle tick
+    # sleeps until that bound, floored at the next bus cycle and capped
+    # at now + t_rc. Each test queues exactly one request.
 
     def test_next_wake_time_row_hit(self):
         events, mc = make(device=DDR3_DEVICE, timing=DDR3,
@@ -89,8 +90,10 @@ class TestProgressBounds:
         mc.enqueue(req)
         complete(events, req)
         mc.enqueue(read(bank=0, row=1, column=3))
-        t = mc._next_wake_time(events.now)
-        assert t <= events.now + max(DDR3.t_ccd, DDR3.bus_cycle)
+        bound = mc._issue_open_page(events.now, mc._reads_first, False)
+        bank = mc.ranks[0].banks[0]
+        assert bound == max(bank.next_read, mc.ranks[0].wake_time)
+        assert bound <= events.now + max(DDR3.t_ccd, DDR3.bus_cycle)
 
     def test_next_wake_time_conflict(self):
         events, mc = make(device=DDR3_DEVICE, timing=DDR3,
@@ -99,12 +102,14 @@ class TestProgressBounds:
         mc.enqueue(req)
         complete(events, req)
         mc.enqueue(read(bank=0, row=2))
-        t = mc._next_wake_time(events.now)
+        assert events.step()  # the tick the enqueue scheduled
+        now = events.now
         bank = mc.ranks[0].banks[0]
-        bound = max(bank.next_precharge, mc.ranks[0].wake_time)
-        if bound <= events.now:
-            bound = events.now + DDR3.bus_cycle
-        assert t == min(bound, events.now + DDR3.t_rc)
+        assert bank.open_row == 1 and bank.next_precharge > now
+        bound = min(max(bank.next_precharge, mc.ranks[0].wake_time),
+                    now + DDR3.t_rc)
+        bus = DDR3.bus_cycle
+        assert mc._tick_event[0] == -(-bound // bus) * bus
 
 
 class TestBusyAccounting:

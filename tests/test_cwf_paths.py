@@ -126,18 +126,20 @@ class TestBulkCriticalDelivery:
         burst schedules no critical-word event; an uncovered one does."""
         from repro.core import cwf
         from repro.dram import controller as controller_mod
+        from repro.dram.request import MemoryRequest
         from repro.sim.config import SimConfig
         from repro.sim.system import run_benchmark
+        from repro.util.events import EventQueue
 
         delivered = []
         retired = {True: 0, False: 0}
+        schedule = EventQueue.schedule
 
-        class CountingDelivery(controller_mod._DeliverCritical):
-            __slots__ = ()
-
-            def __init__(self, req):
-                super().__init__(req)
-                delivered.append(req)
+        def recording_schedule(self, time, callback):
+            if (getattr(callback, "__func__", None)
+                    is MemoryRequest.deliver_critical):
+                delivered.append(callback.__self__)
+            return schedule(self, time, callback)
 
         retire = controller_mod.MemoryController._retire
 
@@ -147,8 +149,7 @@ class TestBulkCriticalDelivery:
                 retired[done.__self__.covers] += 1
             retire(self, now, req, *args)
 
-        monkeypatch.setattr(controller_mod, "_DeliverCritical",
-                            CountingDelivery)
+        monkeypatch.setattr(EventQueue, "schedule", recording_schedule)
         monkeypatch.setattr(controller_mod.MemoryController, "_retire",
                             counting_retire)
         result = run_benchmark("leslie3d", SimConfig(

@@ -133,6 +133,19 @@ def test_record_writes_a_baseline_the_gate_accepts(gate, monkeypatch):
     assert gate.main([]) == 0
 
 
+def test_record_stores_the_median_of_five_runs(gate, monkeypatch):
+    scales = [1.3, 0.8, 1.0, 1.1, 0.6]
+    runs = iter([report(sim_reads_per_s=x, cpu_ms_per_kread=1 / x,
+                        peak_rss_mb=x) for x in scales])
+    monkeypatch.setattr(gate, "run_perfbench", lambda: next(runs))
+    assert gate.main(["--record"]) == 0
+    assert next(runs, None) is None  # all five ran, no more
+    recorded = json.loads(gate.BASELINE.read_text())["metrics"]
+    assert recorded == {"sim_reads_per_s": BASE["sim_reads_per_s"] * 1.0,
+                        "cpu_ms_per_kread": BASE["cpu_ms_per_kread"] / 1.0,
+                        "peak_rss_mb": BASE["peak_rss_mb"] * 1.0}
+
+
 def test_record_refuses_a_failed_run(gate, monkeypatch):
     before = gate.BASELINE.read_text()
     monkeypatch.setattr(gate, "run_perfbench",

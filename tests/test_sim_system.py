@@ -423,3 +423,38 @@ class TestFinishedSystemIsFreed:
         assert view.elapsed_cycles == base.elapsed_cycles
         shared.clear()
         assert leftovers() == []
+
+
+class TestCallbacksNameTheirModule:
+    """Every callback the simulator schedules, and every completion
+    callback a queued request holds, is a bound method or an instance
+    of a class from a ``repro`` module.
+
+    A per-layer tracer charges a callback to the module that defines it
+    (``__module__``), so a ``functools.partial`` or a lambda there would
+    silently move its time out of every simulator layer.
+    """
+
+    @pytest.mark.parametrize("name", backend_names())
+    def test_every_backend(self, name, monkeypatch):
+        callbacks = []
+        schedule = EventQueue.schedule
+        enqueue = MemoryController.enqueue
+
+        def recording_schedule(self, time, callback):
+            callbacks.append(callback)
+            return schedule(self, time, callback)
+
+        def recording_enqueue(self, request):
+            callbacks.extend(cb for cb in (request.on_critical_word,
+                                           request.on_complete)
+                             if cb is not None)
+            return enqueue(self, request)
+
+        monkeypatch.setattr(EventQueue, "schedule", recording_schedule)
+        monkeypatch.setattr(MemoryController, "enqueue", recording_enqueue)
+        simulate_benchmark("mcf", SimConfig(memory=name,
+                                            target_dram_reads=200))
+        modules = {getattr(cb, "__module__", None) for cb in callbacks}
+        assert len(callbacks) > 200
+        assert all(m and m.startswith("repro.") for m in modules), modules
