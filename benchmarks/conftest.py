@@ -15,6 +15,7 @@ them all), e.g.:
 
 import pytest
 
+from repro.experiments import EXPERIMENTS, run_specs
 from repro.experiments.runner import default_config
 
 
@@ -23,9 +24,17 @@ def experiment_config():
     return default_config()
 
 
-def run_and_print(benchmark, fn, config):
-    """Run an experiment once under pytest-benchmark and print its table."""
-    table = benchmark.pedantic(fn, args=(config,), rounds=1, iterations=1)
+def build_table(key, config):
+    """Run experiment ``key``'s specs and build its table from them."""
+    row = EXPERIMENTS[key]
+    return row.build(config, run_specs(row.specs(config), config))
+
+
+def run_and_print(benchmark, key, config):
+    """Run experiment ``key`` once under pytest-benchmark and print its
+    table."""
+    table = benchmark.pedantic(build_table, args=(key, config), rounds=1,
+                               iterations=1)
     print()
     print(table.format())
     return table

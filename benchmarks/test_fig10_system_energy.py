@@ -6,11 +6,9 @@ bandwidth applications (bzip2, dealII, gobmk) see system energy rise.
 
 from conftest import run_and_print
 
-from repro.experiments.energy_eval import figure_10
-
 
 def test_fig10_system_energy(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_10, experiment_config)
+    table = run_and_print(benchmark, "fig10", experiment_config)
     rows = {r["benchmark"]: r for r in table.rows}
     mean = rows.pop("MEAN")
     # DL trades performance for energy: it must be the most frugal.

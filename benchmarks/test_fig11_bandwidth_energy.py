@@ -8,11 +8,9 @@ import statistics
 
 from conftest import run_and_print
 
-from repro.experiments.energy_eval import figure_11
-
 
 def test_fig11_energy_vs_utilization(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_11, experiment_config)
+    table = run_and_print(benchmark, "fig11", experiment_config)
     rows = [(r["bus_utilization"], r["energy_savings"])
             for r in table.rows]
     if len(rows) >= 10:

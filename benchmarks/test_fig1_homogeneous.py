@@ -6,11 +6,9 @@ latency ~43 % below DDR3, LPDDR2 ~41 % above (Fig 1b splits queue/core).
 
 from conftest import run_and_print
 
-from repro.experiments.homogeneous import figure_1a, figure_1b
-
 
 def test_fig1a_homogeneous_throughput(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_1a, experiment_config)
+    table = run_and_print(benchmark, "fig1a", experiment_config)
     mean = table.rows[-1]
     assert mean["benchmark"] == "MEAN"
     # Shape: RLDRAM3 wins, LPDDR2 loses.
@@ -19,7 +17,7 @@ def test_fig1a_homogeneous_throughput(benchmark, experiment_config):
 
 
 def test_fig1b_latency_breakdown(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_1b, experiment_config)
+    table = run_and_print(benchmark, "fig1b", experiment_config)
     means = {r["flavour"]: r for r in table.rows if r["benchmark"] == "MEAN"}
     assert means["rldram3"]["total"] < means["ddr3"]["total"]
     assert means["lpddr2"]["total"] > means["ddr3"]["total"]

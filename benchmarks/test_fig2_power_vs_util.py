@@ -6,11 +6,9 @@ utilisation; at high activity the curves are more comparable.
 
 from conftest import run_and_print
 
-from repro.experiments.power_curves import figure_2
-
 
 def test_fig2_power_curves(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_2, experiment_config)
+    table = run_and_print(benchmark, "fig2", experiment_config)
     idle, full = table.rows[0], table.rows[-1]
     assert idle["rldram3_mw"] > 2 * idle["ddr3_mw"]
     assert idle["lpddr2_mw"] < idle["ddr3_mw"]

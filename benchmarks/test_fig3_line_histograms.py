@@ -6,11 +6,9 @@ word 0 for leslie3d, varied-but-stable words for mcf.
 
 from conftest import run_and_print
 
-from repro.experiments.criticality import figure_3
-
 
 def test_fig3_per_line_bias(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_3, experiment_config)
+    table = run_and_print(benchmark, "fig3", experiment_config)
     dominance = {r["benchmark"]: r["dominant_fraction"] for r in table.rows
                  if str(r["benchmark"]).endswith("mean-dominance")}
     # Strong per-line bias for both programs (paper Fig 3).

@@ -6,11 +6,9 @@ programs; the suite average is 67 %.
 
 from conftest import run_and_print
 
-from repro.experiments.criticality import figure_4
-
 
 def test_fig4_word0_distribution(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_4, experiment_config)
+    table = run_and_print(benchmark, "fig4", experiment_config)
     rows = [r for r in table.rows if r["benchmark"] != "MEAN"]
     mean = table.rows[-1]["word0_fraction"]
     if len(rows) > 10:  # full-suite claims only

@@ -5,11 +5,9 @@ Paper averages: RD +21 %, RL +12.9 %, DL -9 %.
 
 from conftest import run_and_print
 
-from repro.experiments.cwf_eval import figure_6
-
 
 def test_fig6_cwf_throughput(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_6, experiment_config)
+    table = run_and_print(benchmark, "fig6", experiment_config)
     mean = table.rows[-1]
     # Ordering: RD > RL > DL, with RL a net win and DL roughly neutral
     # or a loss (it trades DDR3 bulk for LPDDR2 bulk).

@@ -6,11 +6,9 @@ Paper: the CWF organisations cut the critical word's latency by ~30 %
 
 from conftest import run_and_print
 
-from repro.experiments.cwf_eval import figure_7
-
 
 def test_fig7_critical_latency(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_7, experiment_config)
+    table = run_and_print(benchmark, "fig7", experiment_config)
     mean = table.rows[-1]
     assert mean["rd"] < mean["ddr3"]
     assert mean["rl"] < mean["ddr3"]

@@ -7,11 +7,9 @@ pointer chasers ~30 %.
 
 from conftest import run_and_print
 
-from repro.experiments.cwf_eval import figure_8
-
 
 def test_fig8_fast_service(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_8, experiment_config)
+    table = run_and_print(benchmark, "fig8", experiment_config)
     rows = {r["benchmark"]: r["fast_fraction"] for r in table.rows}
     mean = rows.pop("MEAN")
     if len(rows) > 10:

@@ -6,11 +6,9 @@ Paper averages: RL +12.9 %, RL AD +15.7 %, RL OR +28 %, all-RLDRAM3
 
 from conftest import run_and_print
 
-from repro.experiments.cwf_eval import figure_9
-
 
 def test_fig9_variants(benchmark, experiment_config):
-    table = run_and_print(benchmark, figure_9, experiment_config)
+    table = run_and_print(benchmark, "fig9", experiment_config)
     mean = table.rows[-1]
     assert mean["rl"] > 1.0
     # Adaptive placement captures more critical words than static.

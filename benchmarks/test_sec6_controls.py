@@ -7,11 +7,9 @@ to 17.3 % (more latency left to hide).
 
 from conftest import run_and_print
 
-from repro.experiments.controls import no_prefetcher, random_mapping
-
 
 def test_random_mapping_control(benchmark, experiment_config):
-    table = run_and_print(benchmark, random_mapping, experiment_config)
+    table = run_and_print(benchmark, "sec611_random", experiment_config)
     mean = table.rows[-1]
     # Random placement finds the critical word in RLDRAM ~1/8 of the
     # time and loses most of the benefit.
@@ -21,7 +19,7 @@ def test_random_mapping_control(benchmark, experiment_config):
 
 
 def test_no_prefetcher_raises_gain(benchmark, experiment_config):
-    table = run_and_print(benchmark, no_prefetcher, experiment_config)
+    table = run_and_print(benchmark, "sec611_noprefetch", experiment_config)
     mean = table.rows[-1]
     # Without prefetching there is more memory latency to hide, so the
     # CWF gain grows (paper: 17.3% vs 12.9%).

@@ -7,11 +7,9 @@ hottest pages capture at most ~30 % of accesses.
 
 from conftest import run_and_print
 
-from repro.experiments.page_placement import section_7_1
-
 
 def test_sec71_page_placement(benchmark, experiment_config):
-    table = run_and_print(benchmark, section_7_1, experiment_config)
+    table = run_and_print(benchmark, "sec71", experiment_config)
     mean = table.rows[-1]
     # Page placement captures a bounded access share...
     assert mean["fast_fraction"] < 0.5

@@ -6,11 +6,9 @@ energy savings to 26.1 %.
 
 from conftest import run_and_print
 
-from repro.experiments.energy_eval import section_7_2
-
 
 def test_sec72_unterminated_lpdram(benchmark, experiment_config):
-    table = run_and_print(benchmark, section_7_2, experiment_config)
+    table = run_and_print(benchmark, "sec72", experiment_config)
     mean = table.rows[-1]
     # Removing termination/DLL power strictly increases savings.
     assert mean["savings_boost"] > 0

@@ -2,11 +2,9 @@
 
 from conftest import run_and_print
 
-from repro.experiments.tables import table_1, table_2
-
 
 def test_table1_simulator_parameters(benchmark, experiment_config):
-    table = run_and_print(benchmark, table_1, experiment_config)
+    table = run_and_print(benchmark, "tab1", experiment_config)
     values = {r["parameter"]: r["value"] for r in table.rows}
     assert values["Re-Order-Buffer"] == "64 entry"
     assert values["Total DRAM Capacity"] == "8 GB"
@@ -14,7 +12,7 @@ def test_table1_simulator_parameters(benchmark, experiment_config):
 
 
 def test_table2_timing_parameters(benchmark, experiment_config):
-    table = run_and_print(benchmark, table_2, experiment_config)
+    table = run_and_print(benchmark, "tab2", experiment_config)
     by_param = {r["parameter"]: r for r in table.rows}
     # Paper Table 2, exact.
     assert by_param["tRC"]["ddr3"] == 50.0

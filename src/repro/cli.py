@@ -77,7 +77,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import (
-    ALL_EXPERIMENTS,
+    EXPERIMENTS,
     ParallelExecutor,
     SuiteError,
     failure_appendix,
@@ -225,7 +225,7 @@ def run_suite(args: argparse.Namespace, argv: List[str],
               builders: Dict[str, Callable]) -> int:
     """The one runner behind every suite command: simulate ``specs`` in
     one executor pass, build each named table with
-    ``builders[name](config, results=...)``, and honour every flag of
+    ``builders[name](config, results)``, and honour every flag of
     :func:`add_suite_args`. Returns the exit status."""
     import json
 
@@ -262,7 +262,7 @@ def run_suite(args: argparse.Namespace, argv: List[str],
             return suite_failed(exc)
         pass_wall = time.perf_counter() - suite_start
         for build in builders.values():
-            table = build(config, results=results)
+            table = build(config, results)
             if args.json:
                 emit(json.dumps(table_to_dict(table), indent=1, default=str))
             else:
@@ -320,9 +320,9 @@ def suite_failed(exc: SuiteError) -> int:
 def experiment_keys(text: str) -> List[str]:
     """The experiment ids ``text`` names ("all" or a comma list); an
     unknown one is a :class:`ConfigError` that names it."""
-    keys = (list(ALL_EXPERIMENTS) if text == "all"
+    keys = (list(EXPERIMENTS) if text == "all"
             else [k for k in text.split(",") if k])
-    unknown = [k for k in keys if k not in ALL_EXPERIMENTS]
+    unknown = [k for k in keys if k not in EXPERIMENTS]
     if unknown:
         raise ConfigError(f"unknown experiment(s): {unknown}; try 'list'")
     return keys
@@ -898,13 +898,13 @@ def _main(argv: List[str]) -> int:
         return cmd_store(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
-        for key in ALL_EXPERIMENTS:
+        for key in EXPERIMENTS:
             print(key)
         return 0
     keys = experiment_keys(args.experiment)
     config = make_config(args)
     return run_suite(args, argv, config, suite_specs(keys, config),
-                     {key: ALL_EXPERIMENTS[key] for key in keys})
+                     {key: EXPERIMENTS[key].build for key in keys})
 
 
 if __name__ == "__main__":

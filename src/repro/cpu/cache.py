@@ -176,11 +176,6 @@ class Cache:
         s[line_address] = critical_word | IMAGE_DIRTY if dirty else critical_word
         return victim
 
-    def invalidate(self, line_address: int) -> Optional[int]:
-        """Remove a line and return its meta (no writeback here; caller
-        decides)."""
-        return self._sets[line_address % self._num_sets].pop(line_address, None)
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -191,8 +186,8 @@ class Cache:
 
 
 def back_invalidate(caches: List[Cache], line_address: int) -> bool:
-    """:meth:`Cache.invalidate` ``line_address`` in each of ``caches``,
-    which share one geometry; True if any copy was dirty.
+    """Remove ``line_address`` from each of ``caches`` (which share one
+    geometry) without a writeback; True if any copy was dirty.
 
     One call and one set index for all of them: an L2 eviction
     back-invalidates every core's L1.

@@ -10,14 +10,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.executor import resolve_results
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ExperimentTable,
-    default_config,
-)
+from repro.experiments.runner import ExperimentConfig, ExperimentTable
 from repro.experiments.specs import RunSpec
 from repro.sim.system import SimResult
 
@@ -43,11 +38,8 @@ def specs_no_prefetcher(config: ExperimentConfig) -> List[RunSpec]:
     return specs
 
 
-def random_mapping(config: ExperimentConfig = None,
-                   results: Optional[Dict[RunSpec, SimResult]] = None
-                   ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_random_mapping(config), config, results)
+def random_mapping(config: ExperimentConfig,
+                   results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="sec611_random",
         title="Random critical-word mapping control (RL)",
@@ -67,11 +59,8 @@ def random_mapping(config: ExperimentConfig = None,
     return table
 
 
-def no_prefetcher(config: ExperimentConfig = None,
-                  results: Optional[Dict[RunSpec, SimResult]] = None
-                  ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_no_prefetcher(config), config, results)
+def no_prefetcher(config: ExperimentConfig,
+                  results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="sec611_noprefetch",
         title="RL gain without the stream prefetcher",

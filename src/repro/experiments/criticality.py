@@ -16,81 +16,23 @@ pass keeps per-line histograms (its system's profiler is a
 :class:`~repro.core.criticality.PerLineProfiler`). Fig 3 is a view of
 the pass: it reads the finished profiling simulation (Fig 4 needs it
 too, so a suite runs it once) and packs the live profiler's per-line
-histograms into ``SimResult.extra``.
+histograms into ``SimResult.extra``. The runner
+(``criticality_profiling``) and the view (``criticality_fig3``) are
+rows of :mod:`repro.experiments.named`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.criticality import PerLineProfiler
-from repro.experiments.executor import resolve_results
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ExperimentTable,
-    default_config,
-)
-from repro.experiments.specs import (
-    RunSpec,
-    register_runner,
-    register_view,
-    simulate,
-)
-from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
-from repro.workloads.profiles import FIG3_BENCHMARKS, profile_for
+from repro.experiments.named import profiling_spec
+from repro.experiments.runner import ExperimentConfig, ExperimentTable
+from repro.experiments.specs import RunSpec, simulate
+from repro.workloads.profiles import FIG3_BENCHMARKS
 
-# Fig 3 histograms are packed for the deepest rank any caller asks for.
-FIG3_MAX_LINES = 32
-
-
-def shrunken_profile(benchmark: str):
-    """Footprint-shrunken variant used for reuse-sensitive profiling.
-
-    The paper's Fig 3 monitors a billion cycles, long enough for hot
-    lines to be fetched from DRAM many times. Our runs are far shorter,
-    so the profiling pass shrinks the footprint (keeping it well above
-    the LLC) to recreate the same DRAM-level line reuse.
-    """
-    import dataclasses
-    profile = profile_for(benchmark)
-    return dataclasses.replace(
-        profile,
-        footprint_lines=max(16384, profile.footprint_lines // 64))
-
-
-@register_runner("criticality_profiling")
-def _profiling_runner(spec: RunSpec,
-                      config: ExperimentConfig) -> SimulationSystem:
-    """Shrunken-footprint baseline system (Fig 4's adaptive bound)."""
-    sim_config = config.sim_config("ddr3")
-    profile = shrunken_profile(spec.benchmark)
-    traces = make_traces(profile, sim_config)
-    system = SimulationSystem(sim_config, traces, profile=profile)
-    system.profiler = PerLineProfiler()
-    system.uncore.demand_miss_observer = system.profiler.observe
-    prewarm_l2(system, profile)
-    return system
-
-
-def profiling_spec(benchmark: str) -> RunSpec:
-    return RunSpec(benchmark, "ddr3", variant="profiling",
-                   runner="criticality_profiling")
-
-
-@register_view("criticality_fig3",
-               base=lambda spec: profiling_spec(spec.benchmark))
-def _fig3_runner(system: SimulationSystem, result) -> dict:
-    """The profiling pass's per-line histograms."""
-    profiler = system.profiler
-    return {"fig3": {
-        "per_line_dominance": profiler.per_line_dominance(),
-        "top_lines": [
-            {"dominant_word": hist.dominant_word(),
-             "fractions": hist.fractions(),
-             "total": hist.total}
-            for hist in profiler.top_lines(FIG3_MAX_LINES)
-        ],
-    }}
+# Ranked lines per benchmark in the Fig 3 table.
+FIG3_TOP_LINES = 10
 
 
 def fig3_spec(benchmark: str) -> RunSpec:
@@ -98,9 +40,8 @@ def fig3_spec(benchmark: str) -> RunSpec:
                    runner="criticality_fig3")
 
 
-def specs_figure_3(config: ExperimentConfig,
-                   benchmarks: tuple = FIG3_BENCHMARKS) -> List[RunSpec]:
-    return [fig3_spec(bench) for bench in benchmarks]
+def specs_figure_3(config: ExperimentConfig) -> List[RunSpec]:
+    return [fig3_spec(bench) for bench in FIG3_BENCHMARKS]
 
 
 def specs_figure_4(config: ExperimentConfig) -> List[RunSpec]:
@@ -118,14 +59,8 @@ def profile_benchmark(benchmark: str,
     return system.profiler
 
 
-def figure_3(config: ExperimentConfig = None,
-             benchmarks: tuple = FIG3_BENCHMARKS,
-             top_lines: int = 10,
-             results: Optional[Dict[RunSpec, object]] = None
-             ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_3(config, benchmarks), config,
-                              results)
+def figure_3(config: ExperimentConfig,
+             results: Dict[RunSpec, object]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig3",
         title="Per-line critical word histograms (most-accessed lines)",
@@ -133,9 +68,9 @@ def figure_3(config: ExperimentConfig = None,
                  "dominant_fraction"] + [f"w{i}" for i in range(8)],
         notes="Paper: each hot line shows a well-defined bias toward one "
               "or two words (word 0 for leslie3d; varied words for mcf).")
-    for bench in benchmarks:
+    for bench in FIG3_BENCHMARKS:
         packed = results[fig3_spec(bench)].extra["fig3"]
-        for rank, hist in enumerate(packed["top_lines"][:top_lines]):
+        for rank, hist in enumerate(packed["top_lines"][:FIG3_TOP_LINES]):
             fracs = hist["fractions"]
             table.add(benchmark=bench, line_rank=rank,
                       dominant_word=hist["dominant_word"],
@@ -148,11 +83,8 @@ def figure_3(config: ExperimentConfig = None,
     return table
 
 
-def figure_4(config: ExperimentConfig = None,
-             results: Optional[Dict[RunSpec, object]] = None
-             ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_4(config), config, results)
+def figure_4(config: ExperimentConfig,
+             results: Dict[RunSpec, object]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig4",
         title="Distribution of critical words per benchmark",

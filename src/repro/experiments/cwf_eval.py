@@ -12,14 +12,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.executor import resolve_results
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ExperimentTable,
-    default_config,
-)
+from repro.experiments.runner import ExperimentConfig, ExperimentTable
 from repro.experiments.specs import RunSpec
 from repro.sim.system import SimResult
 
@@ -34,10 +29,6 @@ def specs_figure_6(config: ExperimentConfig) -> List[RunSpec]:
             for kind in ("ddr3",) + CWF_KINDS]
 
 
-# Fig 7 needs exactly the Fig 6 runs (latency view of the same sims).
-specs_figure_7 = specs_figure_6
-
-
 def specs_figure_8(config: ExperimentConfig) -> List[RunSpec]:
     return [RunSpec(bench, "rl") for bench in config.suite()]
 
@@ -48,11 +39,8 @@ def specs_figure_9(config: ExperimentConfig) -> List[RunSpec]:
             for kind in ("ddr3",) + FIG9_KINDS]
 
 
-def figure_6(config: ExperimentConfig = None,
-             results: Optional[Dict[RunSpec, SimResult]] = None
-             ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_6(config), config, results)
+def figure_6(config: ExperimentConfig,
+             results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig6",
         title="CWF throughput normalised to DDR3 baseline",
@@ -69,11 +57,8 @@ def figure_6(config: ExperimentConfig = None,
     return table
 
 
-def figure_7(config: ExperimentConfig = None,
-             results: Optional[Dict[RunSpec, SimResult]] = None
-             ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_7(config), config, results)
+def figure_7(config: ExperimentConfig,
+             results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig7",
         title="Average critical-word latency (CPU cycles)",
@@ -93,11 +78,8 @@ def figure_7(config: ExperimentConfig = None,
     return table
 
 
-def figure_8(config: ExperimentConfig = None,
-             results: Optional[Dict[RunSpec, SimResult]] = None
-             ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_8(config), config, results)
+def figure_8(config: ExperimentConfig,
+             results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig8",
         title="Critical word requests served by the fast module (RL)",
@@ -113,11 +95,8 @@ def figure_8(config: ExperimentConfig = None,
     return table
 
 
-def figure_9(config: ExperimentConfig = None,
-             results: Optional[Dict[RunSpec, SimResult]] = None
-             ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_9(config), config, results)
+def figure_9(config: ExperimentConfig,
+             results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig9",
         title="RL variants vs baseline: static / adaptive / oracle / all-RLDRAM3",

@@ -9,35 +9,20 @@
   grow to 26.1 %). The alternate power totals need the live memory
   system, so the Sec 7.2 spec is a view of the RL run: it reads the
   finished RL simulation and packs both totals into ``SimResult.extra``
-  (cacheable like any result, and simulated once with the RL spec).
+  (cacheable like any result, and simulated once with the RL spec; the
+  view is ``sec72_power`` in :mod:`repro.experiments.named`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.energy.model import SystemEnergyModel, memory_power_report
-from repro.experiments.executor import resolve_results
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ExperimentTable,
-    default_config,
-)
-from repro.experiments.specs import RunSpec, register_view
+from repro.energy.model import SystemEnergyModel
+from repro.experiments.runner import ExperimentConfig, ExperimentTable
+from repro.experiments.specs import RunSpec
 from repro.sim.system import SimResult
 
 CWF_KINDS = ("rd", "rl", "dl")
-
-
-@register_view("sec72_power", base=lambda spec: RunSpec(spec.benchmark, "rl"))
-def _sec72_runner(system, result: SimResult) -> dict:
-    """Server-adapted vs native LPDRAM power of a finished RL run."""
-    adapted = memory_power_report(system.memory, result.elapsed_cycles,
-                                  server_adapted_lpdram=True)
-    native = memory_power_report(system.memory, result.elapsed_cycles,
-                                 server_adapted_lpdram=False)
-    return {"sec72": {"adapted_mw": sum(adapted.values()),
-                      "native_mw": sum(native.values())}}
 
 
 def sec72_spec(benchmark: str) -> RunSpec:
@@ -65,11 +50,8 @@ def specs_section_7_2(config: ExperimentConfig) -> List[RunSpec]:
     return specs
 
 
-def figure_10(config: ExperimentConfig = None,
-              results: Optional[Dict[RunSpec, SimResult]] = None
-              ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_10(config), config, results)
+def figure_10(config: ExperimentConfig,
+              results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig10",
         title="System energy normalised to DDR3 baseline",
@@ -91,11 +73,8 @@ def figure_10(config: ExperimentConfig = None,
     return table
 
 
-def figure_11(config: ExperimentConfig = None,
-              results: Optional[Dict[RunSpec, SimResult]] = None
-              ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_11(config), config, results)
+def figure_11(config: ExperimentConfig,
+              results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig11",
         title="Bandwidth utilisation vs RL system-energy savings",
@@ -112,12 +91,9 @@ def figure_11(config: ExperimentConfig = None,
     return table
 
 
-def section_7_2(config: ExperimentConfig = None,
-                results: Optional[Dict[RunSpec, SimResult]] = None
-                ) -> ExperimentTable:
+def section_7_2(config: ExperimentConfig,
+                results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     """Unterminated LPDRAM (Malladi et al. style): no ODT/DLL adders."""
-    config = config or default_config()
-    results = resolve_results(specs_section_7_2(config), config, results)
     table = ExperimentTable(
         experiment_id="sec72",
         title="RL memory energy with unterminated (native) LPDRAM",

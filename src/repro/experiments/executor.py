@@ -57,7 +57,7 @@ import os
 import sys
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.resilience import (
     BROKEN_POOL,
@@ -154,13 +154,11 @@ def _worker_execute(members: Sequence[RunSpec], config,
 
     The first thing a worker does with a task is stamp its start in
     ``slot``, so the task's timeout and timing start here, not when the
-    parent queued it. Imports inside the function make sure a fresh
-    worker registers the named runners before resolving them, and each
-    worker gets its own telemetry session (the parent merges the
-    returned records). ``attempt`` feeds the fault-injection plan.
+    parent queued it. Each worker gets its own telemetry session (the
+    parent merges the returned records). ``attempt`` feeds the
+    fault-injection plan.
     """
     _TASK_STARTS[slot] = time.monotonic()
-    import repro.experiments  # noqa: F401  (populate the runner registry)
     from repro.experiments.runner import ResultCache
 
     session = None
@@ -585,20 +583,3 @@ def run_specs(specs: Sequence[RunSpec], config,
     """One-shot convenience wrapper around :class:`ParallelExecutor`."""
     return ParallelExecutor(config, jobs=jobs, progress=progress).run(specs)
 
-
-def resolve_results(specs: Iterable[RunSpec], config,
-                    results: Optional[Dict[RunSpec, SimResult]] = None
-                    ) -> Dict[RunSpec, SimResult]:
-    """Return a map covering ``specs``, running whatever is missing.
-
-    Figure functions call this so they work standalone (compute their
-    own specs) *and* under a suite scheduler that pre-ran the union of
-    all figures' specs and passes the shared ``results`` map in.
-    A :class:`FailedRun` sentinel counts as covered — a failed spec is
-    not silently re-run by every figure that references it.
-    """
-    have = {} if results is None else dict(results)
-    missing = [spec for spec in dict.fromkeys(specs) if spec not in have]
-    if missing:
-        have.update(run_specs(missing, config))
-    return have

@@ -9,14 +9,9 @@ than DDR3, LPDDR2 ~41 % higher).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.executor import resolve_results
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ExperimentTable,
-    default_config,
-)
+from repro.experiments.runner import ExperimentConfig, ExperimentTable
 from repro.experiments.specs import RunSpec
 from repro.sim.system import SimResult
 
@@ -28,15 +23,8 @@ def specs_figure_1a(config: ExperimentConfig) -> List[RunSpec]:
             for bench in config.suite() for kind in FLAVOURS]
 
 
-# Fig 1b reuses exactly the Fig 1a runs, split into latency components.
-specs_figure_1b = specs_figure_1a
-
-
-def figure_1a(config: ExperimentConfig = None,
-              results: Optional[Dict[RunSpec, SimResult]] = None
-              ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_1a(config), config, results)
+def figure_1a(config: ExperimentConfig,
+              results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig1a",
         title="Homogeneous DRAM flavours: normalised throughput",
@@ -54,11 +42,8 @@ def figure_1a(config: ExperimentConfig = None,
     return table
 
 
-def figure_1b(config: ExperimentConfig = None,
-              results: Optional[Dict[RunSpec, SimResult]] = None
-              ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_figure_1b(config), config, results)
+def figure_1b(config: ExperimentConfig,
+              results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig1b",
         title="Memory read latency breakdown (CPU cycles)",

@@ -9,14 +9,9 @@ reports wide variance (-9.3 % to +11.2 %) with an average of about
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.executor import resolve_results
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ExperimentTable,
-    default_config,
-)
+from repro.experiments.runner import ExperimentConfig, ExperimentTable
 from repro.experiments.specs import RunSpec
 from repro.sim.system import SimResult
 
@@ -31,11 +26,8 @@ def specs_section_7_1(config: ExperimentConfig) -> List[RunSpec]:
                          "page_placement")]
 
 
-def section_7_1(config: ExperimentConfig = None,
-                results: Optional[Dict[RunSpec, SimResult]] = None
-                ) -> ExperimentTable:
-    config = config or default_config()
-    results = resolve_results(specs_section_7_1(config), config, results)
+def section_7_1(config: ExperimentConfig,
+                results: Dict[RunSpec, SimResult]) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="sec71",
         title="Page placement (hot 7.6% of pages in RLDRAM3) vs CWF RL",

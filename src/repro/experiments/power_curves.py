@@ -13,15 +13,11 @@ from repro.dram.power import default_power_model
 from repro.experiments.runner import ExperimentConfig, ExperimentTable
 
 UTILIZATION_POINTS = [0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0]
+# Row-buffer hit rate of the open-page parts (DDR3, LPDDR2).
+ROW_HIT_RATE = 0.5
 
 
-def specs_figure_2(config: ExperimentConfig) -> list:
-    return []  # analytic sweep: no simulation runs to schedule
-
-
-def figure_2(config: ExperimentConfig = None,
-             row_hit_rate: float = 0.5,
-             results: dict = None) -> ExperimentTable:
+def figure_2(config: ExperimentConfig, results: dict) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="fig2",
         title="Chip power (mW) vs bus utilisation",
@@ -29,10 +25,10 @@ def figure_2(config: ExperimentConfig = None,
         notes="Paper: RLDRAM3 floor far above DDR3/LPDDR2; curves converge "
               "at high utilisation.")
     models = {
-        "ddr3_mw": (default_power_model(DRAMKind.DDR3), row_hit_rate),
+        "ddr3_mw": (default_power_model(DRAMKind.DDR3), ROW_HIT_RATE),
         # RLDRAM3 is close-page: every access activates.
         "rldram3_mw": (default_power_model(DRAMKind.RLDRAM3), 0.0),
-        "lpddr2_mw": (default_power_model(DRAMKind.LPDDR2), row_hit_rate),
+        "lpddr2_mw": (default_power_model(DRAMKind.LPDDR2), ROW_HIT_RATE),
     }
     for util in UTILIZATION_POINTS:
         row = {"utilization": util}

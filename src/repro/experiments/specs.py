@@ -13,18 +13,17 @@ Because specs are frozen, hashable, and picklable, the scheduler can
 Non-default setups are expressed declaratively rather than with
 closures: either as ``overrides`` (``(("prefetcher_enabled", False),)``
 applied to the resolved :class:`~repro.sim.config.SimConfig`) or as a
-*named runner* — a module-level function registered with
-:func:`register_runner` that a worker process can look up by name and
-that builds the spec's (prewarmed, not yet run)
-:class:`~repro.sim.system.SimulationSystem`.
+*named runner* — a row of :data:`~repro.experiments.named.RUNNERS`
+that a worker process looks up by name and that builds the spec's
+(prewarmed, not yet run) :class:`~repro.sim.system.SimulationSystem`.
 
 Simulations and views. Every spec resolves to the *simulation* it
 needs, :func:`base_spec`. For most specs that is the spec itself. A
-*view* — registered with :func:`register_view` under the name its
-specs carry in ``runner`` — is a reading taken from another spec's
-finished simulation: the Sec 7.2 unterminated-LPDRAM power report reads
-the RL run, the Fig 3 per-line histograms read the profiling run. A
-view computes only ``SimResult.extra`` from ``(system, result)``; every
+*view* — a row of :data:`~repro.experiments.named.VIEWS`, under the
+name its specs carry in ``runner`` — is a reading taken from another
+spec's finished simulation: the Sec 7.2 unterminated-LPDRAM power
+report reads the RL run, the Fig 3 per-line histograms read the
+profiling run. A view computes only ``SimResult.extra`` from ``(system, result)``; every
 other field is its base's. :func:`simulate` runs a base spec and
 returns ``(system, result)``: one build-and-run sequence for every
 spec, named runners included, so every simulated run reaches the
@@ -57,6 +56,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.experiments.named import RUNNERS, VIEWS, View
 from repro.memsys.registry import resolve_name
 from repro.sanitizer import MODE_OFF
 from repro.sim.config import SimConfig
@@ -124,79 +124,22 @@ def apply_parameter(config: SimConfig, parameter: str,
 
 
 # ---------------------------------------------------------------------------
-# Named runner and view registries
+# Named runners and views (the tables live in repro.experiments.named)
 # ---------------------------------------------------------------------------
-
-RUNNER_REGISTRY: Dict[str, Callable[["RunSpec", object],
-                                    SimulationSystem]] = {}
-
-
-@dataclass(frozen=True)
-class View:
-    """A reading of a finished simulation: ``base`` maps a view spec to
-    the spec whose simulation it reads, ``extra`` computes the view's
-    ``SimResult.extra`` from that simulation's ``(system, result)``."""
-
-    base: Callable[["RunSpec"], "RunSpec"]
-    extra: Callable[[SimulationSystem, SimResult], dict]
-
-
-VIEW_REGISTRY: Dict[str, View] = {}
-
-
-def register_runner(name: str):
-    """Register a module-level runner so workers can resolve it by name.
-
-    A runner builds the spec's prewarmed, not yet run
-    :class:`SimulationSystem`; :func:`simulate` runs it like any other,
-    so the system must pickle when checkpointing is on.
-    """
-
-    def decorator(fn: Callable[["RunSpec", object], SimulationSystem]):
-        RUNNER_REGISTRY[name] = fn
-        return fn
-
-    return decorator
-
-
-def register_view(name: str, base: Callable[["RunSpec"], "RunSpec"]):
-    """Register ``fn(system, result) -> extra`` as the view ``name``.
-
-    Specs whose ``runner`` is ``name`` read the simulation of
-    ``base(spec)`` instead of running their own.
-    """
-
-    def decorator(fn: Callable[[SimulationSystem, SimResult], dict]):
-        VIEW_REGISTRY[name] = View(base, fn)
-        return fn
-
-    return decorator
-
-
-def _load_registries() -> None:
-    # Runners and views live in the figure modules (and repro.sweep);
-    # importing the packages populates the registries in a fresh
-    # worker process.
-    import repro.experiments  # noqa: F401
-    import repro.sweep  # noqa: F401
 
 
 def resolve_runner(name: str) -> Callable[["RunSpec", object],
                                           SimulationSystem]:
-    if name not in RUNNER_REGISTRY:
-        _load_registries()
     try:
-        return RUNNER_REGISTRY[name]
+        return RUNNERS[name]
     except KeyError:
         raise ValueError(f"unknown named runner {name!r}; "
-                         f"known: {sorted(RUNNER_REGISTRY)}") from None
+                         f"known: {sorted(RUNNERS)}") from None
 
 
 def resolve_view(name: str) -> Optional[View]:
-    """The view registered as ``name``, or None for a runner name."""
-    if name and name not in VIEW_REGISTRY and name not in RUNNER_REGISTRY:
-        _load_registries()
-    return VIEW_REGISTRY.get(name)
+    """The view named ``name``, or None for a runner name."""
+    return VIEWS.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +157,11 @@ class RunSpec:
     and both hash alike as dict keys), and an unknown name on either
     axis fails here with a did-you-mean, never in a worker later. ``overrides`` are ``(parameter, value)``
     pairs applied to the resolved :class:`SimConfig` through
-    :func:`apply_parameter`; ``runner``/``params`` select a registered
-    named runner for setups a config transform cannot express (the
+    :func:`apply_parameter`; ``runner``/``params`` select a named
+    runner for setups a config transform cannot express (the
     shrunken-footprint profiling pass, controller-queue sweeps) or a
-    registered view that reads another spec's simulation (the Sec 7.2
-    power report, the Fig 3 histograms). ``base`` carries a
+    view that reads another spec's simulation (the Sec 7.2 power
+    report, the Fig 3 histograms). ``base`` carries a
     fully custom :class:`SimConfig` (parameter sweeps) instead of the
     experiment config's default one.
     """

@@ -10,16 +10,7 @@ from repro.experiments.runner import ExperimentConfig, ExperimentTable
 from repro.sim.config import TABLE1
 
 
-def specs_table_1(config: ExperimentConfig) -> list:
-    return []  # configuration dump: no simulation runs to schedule
-
-
-def specs_table_2(config: ExperimentConfig) -> list:
-    return []  # timing-parameter dump: no simulation runs to schedule
-
-
-def table_1(config: ExperimentConfig = None,
-            results: dict = None) -> ExperimentTable:
+def table_1(config: ExperimentConfig, results: dict) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="tab1",
         title="Simulator parameters (paper Table 1)",
@@ -29,8 +20,7 @@ def table_1(config: ExperimentConfig = None,
     return table
 
 
-def table_2(config: ExperimentConfig = None,
-            results: dict = None) -> ExperimentTable:
+def table_2(config: ExperimentConfig, results: dict) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="tab2",
         title="Timing parameters in ns (paper Table 2)",

@@ -1,7 +1,8 @@
 """EXPERIMENTS.md generator: paper-vs-measured for every artefact.
 
 Runs (or recalls from cache) every experiment and writes a markdown
-report comparing the paper's headline numbers with the measured ones.
+report comparing the paper's headline numbers (the claims of each
+:data:`~repro.experiments.EXPERIMENTS` row) with the measured ones.
 
 Usage::
 
@@ -13,12 +14,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
-from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from typing import Dict, Sequence
 
 from repro.experiments import (
-    ALL_EXPERIMENTS,
-    MISSING,
+    EXPERIMENTS,
     FailedRun,
     ParallelExecutor,
     SuiteError,
@@ -26,133 +25,6 @@ from repro.experiments import (
     suite_specs,
 )
 from repro.experiments.runner import ExperimentConfig, ExperimentTable
-
-
-@dataclass
-class PaperClaim:
-    """One quantitative claim from the paper, checked against a table."""
-
-    description: str
-    paper_value: str
-    measure: Callable[[ExperimentTable], float]
-    format: str = "{:.3f}"
-
-    def measured(self, table: ExperimentTable) -> str:
-        try:
-            return self.format.format(self.measure(table))
-        except Exception as exc:  # pragma: no cover - report robustness
-            return f"error: {exc}"
-
-
-def _mean_row(table: ExperimentTable, column: str) -> float:
-    for row in table.rows:
-        if row.get("benchmark") == "MEAN":
-            value = row[column]
-            # MISSING propagates (and formats as "—") instead of
-            # raising: a failed run costs one claim, not the report.
-            return value if value is MISSING else float(value)
-    raise KeyError("no MEAN row")
-
-
-def _flavour_mean(table: ExperimentTable, flavour: str) -> float:
-    for row in table.rows:
-        if row.get("benchmark") == "MEAN" and row.get("flavour") == flavour:
-            value = row["total"]
-            return value if value is MISSING else float(value)
-    raise KeyError(flavour)
-
-
-CLAIMS = {
-    "fig1a": [
-        PaperClaim("homogeneous RLDRAM3 throughput vs DDR3", "+31%",
-                   lambda t: _mean_row(t, "rldram3")),
-        PaperClaim("homogeneous LPDDR2 throughput vs DDR3", "-13%",
-                   lambda t: _mean_row(t, "lpddr2")),
-    ],
-    "fig1b": [
-        PaperClaim("RLDRAM3 memory latency vs DDR3", "~43% lower",
-                   lambda t: _flavour_mean(t, "rldram3")
-                   / _flavour_mean(t, "ddr3")),
-        PaperClaim("LPDDR2 memory latency vs DDR3", "~41% higher",
-                   lambda t: _flavour_mean(t, "lpddr2")
-                   / _flavour_mean(t, "ddr3")),
-    ],
-    "fig2": [
-        PaperClaim("RLDRAM3/DDR3 chip power ratio at idle", "much higher",
-                   lambda t: t.rows[0]["rldram3_mw"] / t.rows[0]["ddr3_mw"],
-                   "{:.1f}x"),
-        PaperClaim("RLDRAM3/DDR3 chip power ratio at 100%", "comparable",
-                   lambda t: t.rows[-1]["rldram3_mw"] / t.rows[-1]["ddr3_mw"],
-                   "{:.1f}x"),
-    ],
-    "fig3": [
-        PaperClaim("per-line dominant-word bias (leslie3d)",
-                   "well-defined bias",
-                   lambda t: next(r["dominant_fraction"] for r in t.rows
-                                  if r["benchmark"]
-                                  == "leslie3d-mean-dominance")),
-        PaperClaim("per-line dominant-word bias (mcf)", "well-defined bias",
-                   lambda t: next(r["dominant_fraction"] for r in t.rows
-                                  if r["benchmark"] == "mcf-mean-dominance")),
-    ],
-    "fig4": [
-        PaperClaim("suite-average word-0 critical fraction", "67%",
-                   lambda t: _mean_row(t, "word0_fraction")),
-        PaperClaim("adaptive predictor coverage bound", "79%",
-                   lambda t: _mean_row(t, "repeat_fraction")),
-    ],
-    "fig6": [
-        PaperClaim("RD throughput vs baseline", "+21%",
-                   lambda t: _mean_row(t, "rd")),
-        PaperClaim("RL throughput vs baseline", "+12.9%",
-                   lambda t: _mean_row(t, "rl")),
-        PaperClaim("DL throughput vs baseline", "-9%",
-                   lambda t: _mean_row(t, "dl")),
-    ],
-    "fig7": [
-        PaperClaim("RD critical-word latency vs baseline", "-30%",
-                   lambda t: _mean_row(t, "rd") / _mean_row(t, "ddr3")),
-        PaperClaim("RL critical-word latency vs baseline", "-22%",
-                   lambda t: _mean_row(t, "rl") / _mean_row(t, "ddr3")),
-    ],
-    "fig8": [
-        PaperClaim("critical words served by RLDRAM3 (static)", "67%",
-                   lambda t: _mean_row(t, "fast_fraction")),
-    ],
-    "fig9": [
-        PaperClaim("RL adaptive vs baseline", "+15.7%",
-                   lambda t: _mean_row(t, "rl_ad")),
-        PaperClaim("RL oracle vs baseline", "+28%",
-                   lambda t: _mean_row(t, "rl_or")),
-        PaperClaim("all-RLDRAM3 vs baseline", "+31%",
-                   lambda t: _mean_row(t, "rldram3")),
-    ],
-    "fig10": [
-        PaperClaim("RL system energy vs baseline", "-6%",
-                   lambda t: _mean_row(t, "rl")),
-        PaperClaim("DL system energy vs baseline", "-13%",
-                   lambda t: _mean_row(t, "dl")),
-        PaperClaim("RL memory energy vs baseline", "-15%",
-                   lambda t: _mean_row(t, "rl_memory_energy")),
-    ],
-    "sec611_random": [
-        PaperClaim("random critical-word mapping vs baseline", "+2.1%",
-                   lambda t: _mean_row(t, "rl_random")),
-    ],
-    "sec611_noprefetch": [
-        PaperClaim("RL gain without prefetcher", "+17.3%",
-                   lambda t: _mean_row(t, "rl_noprefetch")),
-    ],
-    "sec71": [
-        PaperClaim("page placement vs baseline", "~+8% (range -9%..+11%)",
-                   lambda t: _mean_row(t, "page_placement")),
-    ],
-    "sec72": [
-        PaperClaim("RL memory-energy savings, unterminated LPDRAM",
-                   "26.1%",
-                   lambda t: _mean_row(t, "unterminated")),
-    ],
-}
 
 
 def render_report(config: ExperimentConfig,
@@ -204,7 +76,7 @@ def render_report(config: ExperimentConfig,
     for key, table in tables.items():
         lines.append(f"## {key}: {table.title}")
         lines.append("")
-        claims = CLAIMS.get(key, [])
+        claims = EXPERIMENTS[key].claims
         if claims:
             lines.append("| claim | paper | measured |")
             lines.append("|---|---|---|")
@@ -257,8 +129,7 @@ def _main(argv) -> int:
         results = executor.run(suite_specs(keys, config))
     except SuiteError as exc:
         return suite_failed(exc)
-    tables = {key: ALL_EXPERIMENTS[key](config, results=results)
-              for key in keys}
+    tables = {key: EXPERIMENTS[key].build(config, results) for key in keys}
     with open(args.output, "w") as handle:
         handle.write(render_report(config, tables, executor.failures))
     print(f"wrote {args.output}")

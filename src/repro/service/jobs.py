@@ -14,8 +14,8 @@ resolve against the backend table (unknown names answer its
 did-you-mean message), benchmarks to their canonical workload names
 (same did-you-mean treatment; ``trace:<path>`` names resolve
 server-side, so the file must exist where the server runs),
-experiments against ``ALL_EXPERIMENTS``, and a spec's ``runner``
-against the named-runner and view registries. A bad request is a
+experiments against ``EXPERIMENTS``, and a spec's ``runner`` against
+the ``RUNNERS`` and ``VIEWS`` tables. A bad request is a
 :class:`JobValidationError` (HTTP 400), never a crashed worker later.
 """
 
@@ -26,7 +26,9 @@ import uuid
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.specs import RUNNER_REGISTRY, VIEW_REGISTRY, RunSpec
+from repro.experiments import EXPERIMENTS
+from repro.experiments.named import RUNNERS, VIEWS
+from repro.experiments.specs import RunSpec
 
 # Job lifecycle states. queued -> running -> done | failed; queued and
 # running jobs found in the store at startup are recovered (re-queued).
@@ -84,9 +86,7 @@ def spec_from_dict(data: object) -> RunSpec:
     benchmark, = _benchmarks([benchmark])
     runner = data.get("runner", "") or ""
     if runner:
-        import repro.experiments  # noqa: F401  (populate the registry)
-        import repro.sweep  # noqa: F401
-        known = set(RUNNER_REGISTRY) | set(VIEW_REGISTRY)
+        known = set(RUNNERS) | set(VIEWS)
         if runner not in known:
             raise JobValidationError(
                 f"unknown named runner {runner!r}; known: {sorted(known)}")
@@ -256,8 +256,6 @@ def parse_request(payload: object, base_config) -> Job:
     keys are assigned later by the scheduler (they depend on the
     resolved config).
     """
-    from repro.experiments import ALL_EXPERIMENTS, EXPERIMENT_SPECS
-
     if not isinstance(payload, dict):
         raise JobValidationError(
             f"request body must be a JSON object, got "
@@ -270,10 +268,10 @@ def parse_request(payload: object, base_config) -> Job:
 
     experiment = payload.get("experiment")
     if experiment is not None:
-        if not isinstance(experiment, str) or experiment not in ALL_EXPERIMENTS:
+        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise JobValidationError(
                 f"unknown experiment {experiment!r}; "
-                f"known: {list(ALL_EXPERIMENTS)}")
+                f"known: {list(EXPERIMENTS)}")
 
     reads = payload.get("reads")
     if reads is not None:
@@ -302,7 +300,8 @@ def parse_request(payload: object, base_config) -> Job:
               experiment=experiment, tag=tag, reads=reads,
               benchmarks=benchmarks)
     if experiment is not None:
-        specs.extend(EXPERIMENT_SPECS[experiment](job.job_config(base_config)))
+        specs.extend(EXPERIMENTS[experiment].specs(
+            job.job_config(base_config)))
     if not specs:
         raise JobValidationError(
             "empty job: provide 'specs' and/or an 'experiment' to expand")

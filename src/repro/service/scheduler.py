@@ -46,6 +46,7 @@ from collections import deque
 from dataclasses import asdict, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.executor import ParallelExecutor, may_recall
 from repro.experiments.resilience import FailedRun, is_valid_result
 from repro.experiments.specs import RunSpec, spec_cache_key
@@ -455,9 +456,7 @@ class JobScheduler:
         job.error = ""
         if job.experiment and not failures:
             try:
-                from repro.experiments import ALL_EXPERIMENTS
-                table = ALL_EXPERIMENTS[job.experiment](config,
-                                                        results=results)
+                table = EXPERIMENTS[job.experiment].build(config, results)
                 job.table = table.format()
             except Exception as exc:
                 job.error = (f"rendering {job.experiment} failed: "

@@ -31,41 +31,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.dram.controller import ControllerConfig
 from repro.experiments.executor import run_specs
 from repro.experiments.runner import ExperimentConfig, ExperimentTable
 from repro.experiments.specs import (
     _CONTROLLER_PARAMS,
     RunSpec,
     apply_parameter,
-    register_runner,
 )
 from repro.memsys.registry import resolve_name
 from repro.sim.config import SimConfig
 from repro.sim.system import SimResult
-
-
-@register_runner("sweep_controller_queue")
-def _controller_queue_runner(spec: RunSpec, config: ExperimentConfig):
-    """Controller queue sizes need a custom memory build."""
-    from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
-    from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
-    from repro.workloads.profiles import profile_for
-
-    sim_config = spec.resolved_sim_config(config)
-    if sim_config.memory != "ddr3":
-        raise ValueError("controller-queue sweeps support the DDR3 "
-                         "baseline only")
-    (parameter, value), = spec.params
-    cc = ControllerConfig(**{parameter: int(value)})
-    profile = profile_for(spec.benchmark)
-    traces = make_traces(profile, sim_config)
-    system = SimulationSystem(
-        sim_config, traces, profile=profile,
-        memory_builder=lambda events: HomogeneousMemory(
-            events, HomogeneousConfig(), controller_config=cc))
-    prewarm_l2(system, profile)
-    return system
 
 
 def sweep_spec(benchmark: str, base: SimConfig, parameter: str,

@@ -30,6 +30,9 @@ from repro.cpu.core import TraceRecord
 
 MAGIC = "# repro-trace v1"
 
+#: Addresses are unsigned 64-bit byte addresses.
+ADDRESS_LIMIT = 1 << 64
+
 #: Metadata keys written by :func:`save_multi_trace` itself; callers'
 #: metadata must not collide with the structural keys.
 RESERVED_KEYS = ("core", "cores", "records")
@@ -90,7 +93,8 @@ def _parse(handle: TextIO) -> Tuple[List[List[TraceRecord]], Dict[str, str]]:
     Records before any ``# core=`` marker form section 0; every marker
     must name the next sequential core. Raises :class:`ValueError` with
     the offending line number for malformed records (wrong field count,
-    bad kind letter, or unparseable integers) and for inconsistent
+    bad kind letter, unparseable integers, a negative gap, or an address
+    outside ``[0, 2**64)``) and for inconsistent
     ``cores``/``records`` metadata (truncated or padded files).
     """
     first = handle.readline().rstrip("\n")
@@ -137,6 +141,12 @@ def _parse(handle: TextIO) -> Tuple[List[List[TraceRecord]], Dict[str, str]]:
             raise ValueError(
                 f"line {lineno}: malformed record {line!r} "
                 "(gap must be a decimal integer, address hex)") from None
+        if gap < 0:
+            raise ValueError(f"line {lineno}: negative gap in {line!r}")
+        if not 0 <= address < ADDRESS_LIMIT:
+            raise ValueError(
+                f"line {lineno}: address out of range in {line!r} "
+                "(must be in [0, 2**64))")
         current.append(TraceRecord(gap=gap, is_write=parts[1] == "W",
                                    address=address))
     total = sum(len(s) for s in sections)

@@ -106,13 +106,6 @@ class TestDirtyAndMetadata:
         assert c.hits == 0 and c.misses == 0
         assert c.insert(2) == (0, 2 | IMAGE_DIRTY)  # 0 is still LRU
 
-    def test_invalidate_returns_line(self):
-        c = small_cache()
-        c.insert(9, dirty=True)
-        assert c.invalidate(9) == IMAGE_DIRTY
-        assert c.peek(9) is None
-        assert c.invalidate(9) is None
-
     def test_back_invalidate_reports_a_dirty_copy(self):
         clean, dirty, absent = small_cache(), small_cache(), small_cache()
         clean.insert(9)

@@ -28,14 +28,14 @@ class TestParser:
         assert config.cache_dir is None
 
     def test_benchmarks_canonical_and_deduped(self):
-        from repro.experiments import ALL_EXPERIMENTS
+        from tests.conftest import build_table
 
         args = build_parser().parse_args(
             ["fig1a", "--benchmarks", "gemsfdtd,synthetic:mcf,mcf",
              "--reads", "100", "--cache", "off"])
         config = make_config(args)
         assert config.benchmarks == ("GemsFDTD", "mcf")
-        table = ALL_EXPERIMENTS["fig1a"](config)
+        table = build_table("fig1a", config)
         assert table.column("benchmark") == ["GemsFDTD", "mcf", "MEAN"]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import EXPERIMENTS
 from repro.experiments.executor import ParallelExecutor
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -10,9 +10,10 @@ from repro.experiments.runner import (
     ResultCache,
 )
 from repro.experiments.specs import RunSpec
-from repro.experiments.power_curves import figure_2
-from repro.experiments.tables import table_1, table_2
 from repro.sim.system import SimResult
+from tests.conftest import build_table
+
+NO_CACHE = ExperimentConfig(cache_dir=None)
 
 
 class TestExperimentTable:
@@ -84,16 +85,16 @@ class TestRegistry:
                     "fig7", "fig8", "fig9", "fig10", "fig11", "tab1",
                     "tab2", "sec611_random", "sec611_noprefetch",
                     "sec71", "sec72"}
-        assert expected <= set(ALL_EXPERIMENTS)
+        assert expected <= set(EXPERIMENTS)
 
 
 class TestFastExperiments:
     def test_table_1(self):
-        table = table_1()
+        table = build_table("tab1", NO_CACHE)
         assert any(r["parameter"] == "Re-Order-Buffer" for r in table.rows)
 
     def test_table_2_matches_paper(self):
-        table = table_2()
+        table = build_table("tab2", NO_CACHE)
         by_param = {r["parameter"]: r for r in table.rows}
         assert by_param["tRC"]["ddr3"] == 50.0
         assert by_param["tRC"]["rldram3"] == 12.0
@@ -101,7 +102,7 @@ class TestFastExperiments:
         assert by_param["tWTR"]["rldram3"] == 0.0
 
     def test_figure_2_shape(self):
-        table = figure_2()
+        table = build_table("fig2", NO_CACHE)
         first, last = table.rows[0], table.rows[-1]
         assert first["utilization"] == 0.0 and last["utilization"] == 1.0
         # RLDRAM3 floor far above the others at idle.

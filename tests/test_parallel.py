@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.experiments import EXPERIMENT_SPECS, suite_specs
+from repro.experiments import EXPERIMENTS, suite_specs
 from repro.experiments.criticality import fig3_spec, profiling_spec
 from repro.experiments.cwf_eval import figure_6, specs_figure_6
 from repro.experiments.energy_eval import sec72_spec
@@ -16,10 +16,10 @@ from repro.experiments.executor import (
     ParallelExecutor,
     group_by_simulation,
     resolve_jobs,
-    resolve_results,
     run_specs,
 )
 from repro.experiments.homogeneous import figure_1a, specs_figure_1a
+from repro.experiments.named import RUNNERS
 from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentTable,
@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     default_config,
 )
 from repro.experiments.specs import (
-    RUNNER_REGISTRY,
     RunSpec,
     base_spec,
     config_digest,
@@ -191,7 +190,7 @@ class TestExecutor:
         def runner(spec, config):
             calls.append(spec)
             return FinishedSystem(make_result(spec.benchmark))
-        monkeypatch.setitem(RUNNER_REGISTRY, "counting", runner)
+        monkeypatch.setitem(RUNNERS, "counting", runner)
         return runner
 
     def test_dedupes_repeated_specs(self, monkeypatch, tmp_path):
@@ -217,18 +216,6 @@ class TestExecutor:
         assert executor.timings[0]["cached"] is True
         assert results[spec].benchmark == "mcf"
 
-    def test_resolve_results_fills_missing(self, monkeypatch, tmp_path):
-        calls = []
-        self.counting_runner(monkeypatch, calls)
-        config = ExperimentConfig(target_dram_reads=50,
-                                  cache_dir=str(tmp_path))
-        have = RunSpec("mcf", "ddr3", runner="counting")
-        missing = RunSpec("leslie3d", "ddr3", runner="counting")
-        results = resolve_results([have, missing], config,
-                                  results={have: make_result("a")})
-        assert set(results) == {have, missing}
-        assert calls == [missing]
-
     def test_timings_recorded(self, monkeypatch, tmp_path):
         calls = []
         self.counting_runner(monkeypatch, calls)
@@ -247,16 +234,12 @@ class TestSuiteSpecs:
         config = ExperimentConfig(target_dram_reads=50,
                                   benchmarks=("mcf",), cache_dir=None)
         union = suite_specs(["fig6", "fig7", "fig8", "fig9"], config)
-        total = sum(len(EXPERIMENT_SPECS[k](config))
+        total = sum(len(EXPERIMENTS[k].specs(config))
                     for k in ("fig6", "fig7", "fig8", "fig9"))
         assert len(union) < total
         # fig6+fig7 share all 4 runs and fig8's RL/fig9's DDR3+RL are
         # shared too: {ddr3, rd, rl, dl} + {rl_ad, rl_or, rldram3} = 7.
         assert len(union) == 7
-
-    def test_every_experiment_has_a_provider(self):
-        from repro.experiments import ALL_EXPERIMENTS
-        assert set(EXPERIMENT_SPECS) == set(ALL_EXPERIMENTS)
 
 
 class TestParallelSerialDeterminism:
@@ -418,7 +401,6 @@ def suite_run(request, tmp_path_factory):
     Each ``SimulationSystem.run`` appends a line to a file, so runs in
     forked pool workers count too.
     """
-    from repro.experiments import ALL_EXPERIMENTS
     from repro.sim.system import SimulationSystem
 
     jobs = request.param
@@ -436,7 +418,7 @@ def suite_run(request, tmp_path_factory):
     config = ExperimentConfig(target_dram_reads=60,
                               benchmarks=SUITE_BENCHMARKS,
                               cache_dir=str(tmp / "cache"))
-    specs = suite_specs(list(ALL_EXPERIMENTS), config)
+    specs = suite_specs(list(EXPERIMENTS), config)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SimulationSystem, "run", counted_run)
         executor = ParallelExecutor(config, jobs=jobs)

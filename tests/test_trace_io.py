@@ -121,6 +121,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="line 3"):
             trace_from_string("# repro-trace v1\n1 R 0x40\n1 W 0xZZ\n")
 
+    def test_rejects_a_negative_gap(self):
+        with pytest.raises(ValueError, match="line 3: negative gap"):
+            trace_from_string("# repro-trace v1\n1 R 0x40\n-100000 R 0x1000\n")
+
+    def test_rejects_a_negative_address(self):
+        with pytest.raises(ValueError, match="line 2: address out of range"):
+            trace_from_string("# repro-trace v1\n1 R -0x40\n")
+
+    def test_rejects_an_address_of_64_bits_or_more(self):
+        trace_from_string(f"# repro-trace v1\n1 R {2**64 - 1:#x}\n")
+        with pytest.raises(ValueError, match="line 2: address out of range"):
+            trace_from_string(f"# repro-trace v1\n1 R {2**64:#x}\n")
+        with pytest.raises(ValueError, match="line 2: address out of range"):
+            trace_from_string(f"# repro-trace v1\n1 R {2**160:#x}\n")
+
     def test_rejects_truncated_records(self):
         text = ("# repro-trace v1\n# cores=1\n# records=5\n"
                 "# core=0\n1 R 0x40\n")
